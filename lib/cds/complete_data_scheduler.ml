@@ -99,8 +99,8 @@ let generators_ctx analysis decision =
 
 let schedule_reference ?(retention = true) ?(cross_set = false)
     (config : Morphosys.Config.t) app clustering =
-  match Sched.Context_scheduler.plan config app clustering with
-  | Error e -> Error ("cds: " ^ e)
+  match Sched.Context_scheduler.plan_app config app clustering with
+  | Error d -> Error ("cds: " ^ Diag.to_string d)
   | Ok ctx_plan -> (
     (* The CDS allocator packs the whole set (paper §5: minimal memory, no
        fragmentation), so its RF bound is computed against the full FB

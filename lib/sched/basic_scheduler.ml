@@ -4,8 +4,8 @@ let footprints app clustering =
   IE.profiles app clustering |> List.map Ds_formula.footprint_basic
 
 let schedule_reference config app clustering =
-  match Context_scheduler.plan config app clustering with
-  | Error e -> Error ("basic: " ^ e)
+  match Context_scheduler.plan_app config app clustering with
+  | Error d -> Error ("basic: " ^ Diag.to_string d)
   | Ok ctx_plan -> (
     let fps = footprints app clustering in
     match

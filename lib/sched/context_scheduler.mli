@@ -6,12 +6,20 @@
     Policy: clusters are pinned greedily by descending context size while
     the pinned total still leaves room for the largest pair of consecutive
     unpinned clusters (the running one and the prefetched one must coexist).
-    Pinned clusters transfer their contexts only on the first round. *)
+    Clusters of equal size are tried in clustering order. Pinned clusters
+    transfer their contexts only on the first round.
+
+    Cost: O(n log n) in the number of clusters [n] — a sort, then O(log n)
+    per greedy step on a multiset of the rotation's neighbour-pair sums. *)
+
+type index
+(** Per-cluster context words and residency, for {!load_words_for_round}. *)
 
 type plan = {
-  pinned : int list;  (** cluster ids resident for the whole run *)
-  reloaded : int list;  (** cluster ids reloaded every round *)
+  pinned : int list;  (** cluster ids resident for the whole run, ascending *)
+  reloaded : int list;  (** cluster ids reloaded every round, ascending *)
   reserve : int;  (** CM words kept free for unpinned rotation *)
+  index : index;
 }
 
 val plan_app :
@@ -20,8 +28,9 @@ val plan_app :
   Kernel_ir.Cluster.clustering ->
   (plan, Diag.t) result
 (** Canonical list-based planner. [Error] is a [Cm_overflow] diagnostic
-    naming the offending cluster when some single cluster's contexts
-    exceed the CM capacity — no schedule can run that clustering. *)
+    naming the first cluster, in clustering order, whose contexts exceed
+    the CM capacity — no schedule can run that clustering. Cluster ids are
+    expected to be distinct; the rotation follows ascending id order. *)
 
 val plan_of_analysis :
   Morphosys.Config.t -> Kernel_ir.Analysis.t -> (plan, Diag.t) result
@@ -29,37 +38,15 @@ val plan_of_analysis :
     analysis context's profiles instead of being re-summed from the
     application. This is the entry point the schedulers use. *)
 
-val plan :
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (plan, string) result
-(** Compat shim: {!plan_app} with [Diag.to_string] errors. *)
-
-val plan_diag :
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (plan, Diag.t) result
-(** Compat shim for {!plan_app}. *)
-
-val plan_ctx :
-  Morphosys.Config.t -> Kernel_ir.Analysis.t -> (plan, string) result
-(** Compat shim: {!plan_of_analysis} with [Diag.to_string] errors. *)
-
-val plan_ctx_diag :
-  Morphosys.Config.t -> Kernel_ir.Analysis.t -> (plan, Diag.t) result
-(** Compat shim for {!plan_of_analysis}. *)
-
-val context_words :
-  Kernel_ir.Application.t -> Kernel_ir.Cluster.t -> int
+val context_words : Kernel_ir.Application.t -> Kernel_ir.Cluster.t -> int
 (** Context words of a cluster's kernels. *)
 
 val load_words_for_round :
-  plan -> app:Kernel_ir.Application.t ->
-  clustering:Kernel_ir.Cluster.clustering -> cluster:Kernel_ir.Cluster.t ->
+  plan -> app:Kernel_ir.Application.t -> cluster:Kernel_ir.Cluster.t ->
   round:int -> int
 (** Context words the DMA must move for [cluster] at the given round: its
-    full context set on round 0, afterwards only if it is not pinned. *)
+    full context set on round 0, afterwards only if it is not pinned. O(1)
+    when cluster ids are 0..n-1 (a validated clustering); otherwise the
+    words come from [app] and residency from [pinned]. *)
 
 val pp_plan : Format.formatter -> plan -> unit

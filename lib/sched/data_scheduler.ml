@@ -55,8 +55,8 @@ let best_by_rf config ~rf_max ~build =
 
 let schedule_reference ?(alloc_efficiency = default_efficiency) config app
     clustering =
-  match Context_scheduler.plan config app clustering with
-  | Error e -> Error ("ds: " ^ e)
+  match Context_scheduler.plan_app config app clustering with
+  | Error d -> Error ("ds: " ^ Diag.to_string d)
   | Ok ctx_plan -> (
     match reuse_factor ~alloc_efficiency config app clustering with
     | 0 ->

@@ -85,8 +85,8 @@ let build ?(cross_set = false) config app clustering ~rf ~ctx_plan ~generators
     else
       let e = execs.(s) in
       let words =
-        Context_scheduler.load_words_for_round ctx_plan ~app ~clustering
-          ~cluster:e.cluster ~round:e.round
+        Context_scheduler.load_words_for_round ctx_plan ~app ~cluster:e.cluster
+          ~round:e.round
       in
       if words = 0 then []
       else
@@ -180,7 +180,7 @@ let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     Array.map
       (fun e ->
         let words =
-          Context_scheduler.load_words_for_round ctx_plan ~app ~clustering
+          Context_scheduler.load_words_for_round ctx_plan ~app
             ~cluster:e.cluster ~round:e.round
         in
         if words = 0 then (0, 0)

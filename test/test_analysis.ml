@@ -183,7 +183,7 @@ let prop_schedulers (app, clustering) =
 let prop_estimate (app, clustering) =
   let config = Morphosys.Config.m1 ~fb_set_size:4096 in
   let a = Analysis.make app clustering in
-  match Sched.Context_scheduler.plan config app clustering with
+  match Sched.Context_scheduler.plan_app config app clustering with
   | Error _ -> true
   | Ok ctx_plan ->
     let shapes =

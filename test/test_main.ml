@@ -13,6 +13,7 @@ let () =
       Test_fb_alloc.tests;
       Test_ds_formula.tests;
       Test_sched_units.tests;
+      Test_ctx_plan.tests;
       Test_schedulers.tests;
       Test_cds_units.tests;
       Test_sim.tests;

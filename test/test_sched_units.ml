@@ -33,15 +33,15 @@ let test_context_plan_pins_everything_when_roomy () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
   let config = Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:4096 () in
-  match CS.plan config app clustering with
-  | Error e -> Alcotest.fail e
+  match CS.plan_app config app clustering with
+  | Error d -> Alcotest.fail (Diag.to_string d)
   | Ok plan ->
     Alcotest.(check (list int)) "all pinned" [ 0; 1 ] plan.CS.pinned;
     Alcotest.(check int) "round 0 loads" 200
-      (CS.load_words_for_round plan ~app ~clustering
+      (CS.load_words_for_round plan ~app
          ~cluster:(Kernel_ir.Cluster.find clustering 0) ~round:0);
     Alcotest.(check int) "later rounds free" 0
-      (CS.load_words_for_round plan ~app ~clustering
+      (CS.load_words_for_round plan ~app
          ~cluster:(Kernel_ir.Cluster.find clustering 0) ~round:3)
 
 let test_context_plan_reloads_under_pressure () =
@@ -50,12 +50,12 @@ let test_context_plan_reloads_under_pressure () =
   (* each cluster needs 200 context words; a 399-word CM cannot hold both,
      so neither can be pinned and both reload every round *)
   let config = Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:399 () in
-  match CS.plan config app clustering with
-  | Error e -> Alcotest.fail e
+  match CS.plan_app config app clustering with
+  | Error d -> Alcotest.fail (Diag.to_string d)
   | Ok plan ->
     Alcotest.(check (list int)) "nothing pinned" [ 0; 1 ] plan.CS.reloaded;
     Alcotest.(check int) "reload every round" 200
-      (CS.load_words_for_round plan ~app ~clustering
+      (CS.load_words_for_round plan ~app
          ~cluster:(Kernel_ir.Cluster.find clustering 1) ~round:5)
 
 let test_context_plan_infeasible () =
@@ -63,7 +63,7 @@ let test_context_plan_infeasible () =
   let clustering = Fixtures.toy_clustering app in
   let config = Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:150 () in
   Alcotest.(check bool) "cluster bigger than CM" true
-    (Result.is_error (CS.plan config app clustering))
+    (Result.is_error (CS.plan_app config app clustering))
 
 let test_kernel_scheduler_enumerate () =
   let app = Fixtures.toy () in

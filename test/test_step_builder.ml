@@ -75,7 +75,7 @@ let test_rf_validation () =
   match
     Sched.Step_builder.build config app clustering ~rf:0
       ~ctx_plan:
-        (Result.get_ok (Sched.Context_scheduler.plan config app clustering))
+        (Result.get_ok (Sched.Context_scheduler.plan_app config app clustering))
       ~generators:(Sched.Xfer_gen.plain app clustering)
       ~scheduler:"x"
   with
@@ -141,8 +141,8 @@ let test_context_partial_pinning () =
   in
   let clustering = Kernel_ir.Cluster.singleton_per_kernel app in
   let config = Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:240 () in
-  match Sched.Context_scheduler.plan config app clustering with
-  | Error e -> Alcotest.fail e
+  match Sched.Context_scheduler.plan_app config app clustering with
+  | Error d -> Alcotest.fail (Diag.to_string d)
   | Ok plan ->
     Alcotest.(check (list int)) "the big cluster is pinned" [ 0 ]
       plan.Sched.Context_scheduler.pinned;
@@ -150,7 +150,7 @@ let test_context_partial_pinning () =
       plan.Sched.Context_scheduler.reloaded;
     let pinned_cluster = List.hd plan.Sched.Context_scheduler.pinned in
     Alcotest.(check int) "pinned loads once" 0
-      (Sched.Context_scheduler.load_words_for_round plan ~app ~clustering
+      (Sched.Context_scheduler.load_words_for_round plan ~app
          ~cluster:(Kernel_ir.Cluster.find clustering pinned_cluster)
          ~round:2)
 

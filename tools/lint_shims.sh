@@ -1,8 +1,8 @@
 #!/bin/sh
 # Guard against new parallel scheduler entry points.
 #
-# The historical schedule / schedule_ctx / plan_* / *_diag scheduler entry
-# points survive only as thin compat shims over the canonical
+# The historical schedule / schedule_ctx / *_diag scheduler entry points
+# survive only as thin compat shims over the canonical
 # [run]/[run_with]/[run_full] implementations, in the blessed files listed
 # below. Defining a name of that shape anywhere else reintroduces the
 # split-implementation problem the scheduler-registry refactor removed —
@@ -13,7 +13,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # Files allowed to define the compat shims.
-allowed='lib/sched/basic_scheduler\.ml|lib/sched/data_scheduler\.ml|lib/sched/context_scheduler\.ml|lib/cds/complete_data_scheduler\.ml'
+allowed='lib/sched/basic_scheduler\.ml|lib/sched/data_scheduler\.ml|lib/cds/complete_data_scheduler\.ml'
 
 offenders=$(grep -rn --include='*.ml' -E '^[[:space:]]*let[[:space:]]+(schedule|plan|retention)[a-z_]*(_ctx|_diag)' lib bin \
   | grep -Ev "^($allowed):" || true)
