@@ -472,10 +472,9 @@ let dse_cmd =
       & info [ "store" ] ~docv:"PATH"
           ~doc:
             "Persist every completed design point to a checksummed on-disk \
-             store at PATH (journal at PATH.journal) as it finishes — not \
-             at the end — so an interrupted sweep can be resumed with \
-             $(b,--resume). Without $(b,--resume), an existing non-empty \
-             PATH is refused.")
+             store at PATH as it finishes — not at the end — so an \
+             interrupted sweep can be resumed with $(b,--resume). Without \
+             $(b,--resume), an existing non-empty PATH is refused.")
   in
   let resume_arg =
     Arg.(
@@ -485,7 +484,7 @@ let dse_cmd =
             "With $(b,--store): reopen an existing store and recompute only \
              the design points it does not already hold; the sweep identity \
              (workload, clustering, axes, scheduler set) must match the one \
-             recorded in the journal. The resulting point list is \
+             recorded in the store. The resulting point list is \
              byte-identical to an uninterrupted run.")
   in
   let run name file partition fb_list cm_list setup_list jobs use_cache repeat
@@ -512,7 +511,7 @@ let dse_cmd =
         | Error d -> `Error (false, Diag.render d)
         | Ok durable ->
           (* On Ctrl-C / TERM, flush the store before dying: every
-             journalled point survives and --resume picks up from there.
+             persisted point survives and --resume picks up from there.
              (checkpoint is lock-free, so this is safe even if a worker
              domain is mid-append.) *)
           (match durable with
@@ -574,7 +573,7 @@ let dse_cmd =
        $ stats_arg $ csv_arg $ store_arg $ resume_arg $ fault_rate_arg
        $ fault_seed_arg $ fault_sites_arg $ fault_retries_arg))
 
-(* -- store maintenance (Engine.Store / Engine.Journal) ------------------ *)
+(* -- store maintenance (Engine.Store) ------------------------------------ *)
 
 let store_path_arg =
   Arg.(
@@ -598,27 +597,21 @@ let store_info_cmd =
       (match r.Engine.Store.v_corruption with
       | Some d -> Printf.printf "  corruption:       %s\n" (Diag.to_string d)
       | None -> Printf.printf "  corruption:       none\n");
-      let jpath = path ^ ".journal" in
-      if Sys.file_exists jpath then begin
-        match Engine.Journal.info jpath with
-        | Ok i ->
-          Printf.printf "journal: %s\n" jpath;
-          Printf.printf "  sweep identity:   %s…\n"
-            i.Engine.Journal.identity_prefix;
-          Printf.printf "  completed points: %d\n" i.Engine.Journal.marks;
-          (match i.Engine.Journal.corruption with
-          | Some d ->
-            Printf.printf "  corruption:       %s\n" (Diag.to_string d)
-          | None -> ())
-        | Error d ->
-          Printf.printf "journal: %s\n  unreadable: %s\n" jpath
-            (Diag.to_string d)
-      end;
+      (match Report.Dse.Durable.inspect path with
+      | Ok (identity, completed) ->
+        Printf.printf "  sweep identity:   %s\n"
+          (match identity with
+          | Some id -> String.sub id 0 (min 12 (String.length id)) ^ "…"
+          | None -> "<unclaimed>");
+        Printf.printf "  completed points: %d\n" completed
+      | Error d -> Printf.printf "  unreadable:       %s\n" (Diag.to_string d));
       `Ok ()
   in
   Cmd.v
     (Cmd.info "info"
-       ~doc:"Summarise a result store and its sweep journal")
+       ~doc:
+         "Summarise a result store: framing, integrity, the sweep identity \
+          recorded in its first record and the completed design points")
     Term.(ret (const run $ store_path_arg))
 
 let store_verify_cmd =

@@ -21,6 +21,18 @@ let u32 n =
 
 let read_u32 s off = Int32.to_int (String.get_int32_be s off)
 
+(* The on-disk format is spelled once, here: the header, and one record
+   frame (body, then the MD5 of the body). Creation, append and gc all
+   write through these two. *)
+let header schema = magic ^ u32 format_version ^ u32 schema
+
+let frame ~key ~payload =
+  let body =
+    String.concat ""
+      [ u32 (String.length key); u32 (String.length payload); key; payload ]
+  in
+  body ^ Digest.string body
+
 let corrupt ?(severity = Diag.Warning) fmt = Diag.v ~severity Diag.Store_corrupt fmt
 
 (* -- read-only scanning -------------------------------------------------- *)
@@ -125,7 +137,6 @@ type t = {
   mutex : Mutex.t;
   table : (string, string) Hashtbl.t;
   mutable order : string list;  (* first-seen key order, reversed *)
-  mutable physical : int;  (* records physically in the file *)
   mutable warnings : Diag.t list;  (* quarantine diags from open, in order *)
   mutable closed : bool;
 }
@@ -138,23 +149,26 @@ let path t = t.path
 let schema t = t.schema
 let warnings t = t.warnings
 
-(* Atomic creation: the header lands under the final name only via
-   rename, so no reader can ever observe a half-written header. *)
-let create_file ~schema path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc magic;
-  output_string oc (u32 format_version);
-  output_string oc (u32 schema);
+let close_durably oc =
   flush oc;
   (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-  close_out oc;
+  close_out oc
+
+(* Atomic replacement: the contents land under the final name only via
+   rename, so no reader can ever observe a half-written file. *)
+let write_atomically path contents =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  List.iter (output_string oc) contents;
+  close_durably oc;
   Sys.rename tmp path
 
 let quarantine_path path = path ^ ".quarantine"
 
 (* Move the untrusted tail bytes aside so nothing is silently destroyed,
-   then let the caller truncate the store back to its last good record. *)
+   then let the caller truncate the store back to its last good record.
+   The sidecar is fsynced first: otherwise a power loss could persist the
+   truncation but not the moved bytes. *)
 let quarantine_tail path raw ~from =
   let tail = String.sub raw from (String.length raw - from) in
   let oc =
@@ -162,7 +176,7 @@ let quarantine_tail path raw ~from =
       (quarantine_path path)
   in
   output_string oc tail;
-  close_out oc
+  close_durably oc
 
 let open_ ?(create = true) ~schema path =
   let fresh =
@@ -172,7 +186,7 @@ let open_ ?(create = true) ~schema path =
   if fresh && not create then
     Error (corrupt ~severity:Diag.Error "no store at %s" path)
   else begin
-    if fresh then create_file ~schema path;
+    if fresh then write_atomically path [ header schema ];
     match scan path with
     | Error d -> Error d
     | Ok (sc, raw) ->
@@ -204,7 +218,6 @@ let open_ ?(create = true) ~schema path =
             mutex = Mutex.create ();
             table;
             order = List.rev order;
-            physical = List.length sc.s_records;
             warnings;
             closed = false;
           }
@@ -236,17 +249,8 @@ let append t ~key ~payload =
       match Hashtbl.find_opt t.table key with
       | Some live when String.equal live payload -> ()  (* already durable *)
       | existing ->
-        let buf =
-          Buffer.create (8 + String.length key + String.length payload)
-        in
-        Buffer.add_string buf (u32 (String.length key));
-        Buffer.add_string buf (u32 (String.length payload));
-        Buffer.add_string buf key;
-        Buffer.add_string buf payload;
-        let body = Buffer.contents buf in
-        write_fully t.fd (body ^ Digest.string body);
+        write_fully t.fd (frame ~key ~payload);
         Hashtbl.replace t.table key payload;
-        t.physical <- t.physical + 1;
         if existing = None then t.order <- key :: t.order)
 
 (* Deliberately lock-free: fsync needs no shared state, so a SIGINT/SIGTERM
@@ -312,27 +316,11 @@ let gc path =
   | Error d -> Error d
   | Ok (sc, _raw) ->
     let table, order = live_of_records sc.s_records in
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc magic;
-    output_string oc (u32 format_version);
-    output_string oc (u32 sc.s_schema);
-    List.iter
-      (fun key ->
-        let payload = Hashtbl.find table key in
-        let buf = Buffer.create (8 + String.length key + String.length payload) in
-        Buffer.add_string buf (u32 (String.length key));
-        Buffer.add_string buf (u32 (String.length payload));
-        Buffer.add_string buf key;
-        Buffer.add_string buf payload;
-        let body = Buffer.contents buf in
-        output_string oc body;
-        output_string oc (Digest.string body))
-      order;
-    flush oc;
-    (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-    close_out oc;
-    Sys.rename tmp path;
+    write_atomically path
+      (header sc.s_schema
+      :: List.map
+           (fun key -> frame ~key ~payload:(Hashtbl.find table key))
+           order);
     let after = (Unix.stat path).Unix.st_size in
     Ok
       {

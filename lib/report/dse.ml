@@ -95,18 +95,21 @@ type stored = {
 }
 
 module Durable = struct
-  let schema_version = 1
+  let schema_version = 2
+
+  (* Record 0 of every sweep store: its payload is the sweep identity.
+     Every later record is one design point. *)
+  let identity_key = "@sweep-identity"
 
   type t = {
     path : string;
     identity : string;
     store : Engine.Store.t;
-    journal : Engine.Journal.t;
     cache : point Engine.Cache.t;  (* default cache when the caller has none *)
     mutex : Mutex.t;
     trusted : (string, point) Hashtbl.t;
-        (* journaled + integrity-checked + re-validated points, grown as
-           the live sweep persists new ones *)
+        (* integrity-checked + re-validated points, grown as the live
+           sweep persists new ones *)
     mutable run_warnings : Diag.t list;  (* rehydration/persist diags, rev *)
     mutable quarantined : int;
     mutable stats_noted : bool;
@@ -118,13 +121,9 @@ module Durable = struct
 
   let path t = t.path
   let identity t = t.identity
-  let completed t = Engine.Journal.marked t.journal
+  let completed t = Engine.Store.length t.store - 1
   let cache t = t.cache
-
-  let warnings t =
-    Engine.Store.warnings t.store
-    @ Engine.Journal.warnings t.journal
-    @ List.rev t.run_warnings
+  let warnings t = Engine.Store.warnings t.store @ List.rev t.run_warnings
 
   (* The sweep identity: everything the on-disk state is a function of.
      Axis values and scheduler names are tagged so reshuffling words
@@ -148,14 +147,15 @@ module Durable = struct
 
   let short key = if String.length key <= 12 then key else String.sub key 0 12
 
-  (* Replay the store: only records that are journaled complete, that
-     deserialise, and whose feasible schedules still satisfy the semantic
-     validator are trusted; everything else is quarantined (superseded on
+  (* Replay the store. Each record was appended in one write and passed
+     its MD5 on open, so a record that is there is complete; it is trusted
+     once it deserialises and its feasible schedule still satisfies the
+     semantic validator. Everything else is quarantined (superseded on
      disk once the point is recomputed and re-persisted). *)
   let rehydrate t =
     Engine.Store.iter
       (fun ~key ~payload ->
-        if Engine.Journal.is_marked t.journal key then
+        if not (String.equal key identity_key) then
           match (Marshal.from_string payload 0 : stored) with
           | exception _ ->
             quarantine t
@@ -199,23 +199,30 @@ module Durable = struct
              "store %s already exists; pass --resume to continue that sweep, \
               or point --store at a fresh path"
              path)
-      else (
+      else
         match Engine.Store.open_ ~schema:schema_version path with
         | Error d -> Error d
         | Ok store -> (
-          match
-            Engine.Journal.open_ ~identity (path ^ ".journal")
-          with
-          | Error d ->
+          match Engine.Store.find store identity_key with
+          | Some id when not (String.equal id identity) ->
             Engine.Store.close store;
-            Error d
-          | Ok journal ->
+            Error
+              (Diag.v Diag.Sweep_mismatch
+                 "store %s belongs to a different sweep (identity %s…, this \
+                  sweep is %s…): refusing to resume — the application, \
+                  axes, scheduler set or code version changed; use a fresh \
+                  --store path"
+                 path (short id) (short identity))
+          | found ->
+            (* a fresh store, or one whose identity record was torn (and
+               with it every later record): claim it for this sweep *)
+            if found = None then
+              Engine.Store.append store ~key:identity_key ~payload:identity;
             let t =
               {
                 path;
                 identity;
                 store;
-                journal;
                 cache = Engine.Cache.create ();
                 mutex = Mutex.create ();
                 trusted = Hashtbl.create 256;
@@ -225,7 +232,16 @@ module Durable = struct
               }
             in
             rehydrate t;
-            Ok t))
+            Ok t)
+
+  let inspect path =
+    Result.map
+      (fun records ->
+        let points =
+          List.filter (fun (k, _) -> not (String.equal k identity_key)) records
+        in
+        (List.assoc_opt identity_key records, List.length points))
+      (Engine.Store.contents path)
 
   (* Called from inside pool tasks (any worker domain): a persistence
      failure degrades durability, never the sweep — the point is still
@@ -240,10 +256,7 @@ module Durable = struct
                 persisting it"
                (short key) msg))
     | payload -> (
-      match
-        Engine.Store.append t.store ~key ~payload;
-        Engine.Journal.mark t.journal key
-      with
+      match Engine.Store.append t.store ~key ~payload with
       | () ->
         with_lock t (fun () ->
             Hashtbl.replace t.trusted key stored_v.stored_point)
@@ -278,13 +291,8 @@ module Durable = struct
     in
     Engine.Stats.note_store st ~replayed ~quarantined
 
-  let checkpoint t =
-    Engine.Store.checkpoint t.store;
-    Engine.Journal.checkpoint t.journal
-
-  let close t =
-    Engine.Store.close t.store;
-    Engine.Journal.close t.journal
+  let checkpoint t = Engine.Store.checkpoint t.store
+  let close t = Engine.Store.close t.store
 end
 
 let sweep ?(jobs = 1) ?deadline_s ?retries ?cache ?stats ?store

@@ -44,14 +44,15 @@ val evaluate :
 (** Durable sweep state: an on-disk, crash-recoverable record of a
     sweep's completed design points.
 
-    A [Durable.t] pairs an {!Engine.Store} of per-point results with an
-    {!Engine.Journal} of completion marks (write-ahead: a point is
-    journalled only after its result record is on disk, so a marked
-    point is always recoverable). Opening with [~resume:true] replays
-    whatever survived a crash; each rehydrated feasible point is
-    re-validated against the simulator
-    ([Msim.Validate.check_result]) and quarantined — recomputed, with a
-    [STORE_CORRUPT] warning — if it no longer checks out. *)
+    A [Durable.t] is one {!Engine.Store}: record 0 holds the sweep
+    {!identity}, and every later record holds one design point's result.
+    A record that verifies is complete: appends are single writes framed
+    by an MD5, so a crash can only tear the tail, which the store
+    quarantines on open. Opening with [~resume:true] replays whatever
+    survived a crash; each rehydrated feasible point is re-validated
+    against the simulator ([Msim.Validate.check_result]) and quarantined
+    — recomputed, with a [STORE_CORRUPT] warning — if it no longer
+    checks out. *)
 module Durable : sig
   type t
 
@@ -69,14 +70,15 @@ module Durable : sig
     Kernel_ir.Application.t ->
     Kernel_ir.Cluster.clustering ->
     (t, Diag.t) result
-  (** Open (or create) the store at [path] and its journal at
-      [path ^ ".journal"] for the sweep identified by the given
-      application, clustering and axis lists.
+  (** Open (or create) the store at [path] for the sweep identified by
+      the given application, clustering and axis lists. A store without
+      an identity record (fresh, or with record 0 torn) is claimed by
+      appending this sweep's identity.
 
       Without [~resume] (the default) an existing non-empty [path] is
       refused with a [SWEEP_MISMATCH] diagnostic — overwriting a
-      previous run must be asked for. With [~resume:true] the files are
-      opened, their recorded sweep identity is checked against the
+      previous run must be asked for. With [~resume:true] the store is
+      opened, its recorded sweep identity is checked against the
       requested one (mismatch: [SWEEP_MISMATCH]), and surviving points
       are rehydrated. Corruption anywhere — a torn tail, a failed
       checksum, a point that fails re-validation — is quarantined and
@@ -88,18 +90,24 @@ module Durable : sig
       payload schema, store format) — what {!open_} checks on resume. *)
 
   val completed : t -> int
-  (** Number of journalled-complete design points. *)
+  (** Number of design points on disk (the store's live keys minus the
+      identity record). *)
 
   val warnings : t -> Diag.t list
   (** Quarantine and recovery warnings accumulated since {!open_}:
       store-level corruption, rehydration failures, persist failures. *)
 
   val checkpoint : t -> unit
-  (** Fsync both files. Async-signal-tolerant: takes no locks, so it is
+  (** Fsync the store. Async-signal-tolerant: takes no locks, so it is
       safe to call from a SIGINT/SIGTERM handler while workers are
       mid-append. *)
 
   val close : t -> unit
+
+  val inspect : string -> (string option * int, Diag.t) result
+  (** Offline and read-only, for [msched store info]: the sweep identity
+      recorded in the store at a path ([None] when unclaimed) and the
+      number of design points it holds. *)
 end
 
 val sweep :
@@ -127,9 +135,9 @@ val sweep :
 
     [~store] makes the sweep durable: previously persisted points are
     replayed into the cache before any scheduling happens (so a resumed
-    sweep recomputes nothing that was journalled complete), and each
-    newly computed point is persisted as it finishes — not at the end —
-    so a crash loses at most the points in flight. The store's sweep
+    sweep recomputes nothing already on disk), and each newly computed
+    point is persisted as it finishes — not at the end — so a crash
+    loses at most the points in flight. The store's sweep
     identity must match the requested axes and application
     (@raise Invalid_argument otherwise — open the store with
     {!Durable.open_} on the same arguments you pass here). A resumed

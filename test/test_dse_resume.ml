@@ -1,7 +1,7 @@
 (* Durable, crash-recoverable DSE: a resumed sweep must reproduce an
-   uninterrupted run byte for byte while recomputing nothing that was
-   journalled complete — and every flavour of on-disk damage must degrade
-   to quarantine-and-recompute, never to a wrong result. *)
+   uninterrupted run byte for byte while recomputing nothing already on
+   disk — and every flavour of on-disk damage must degrade to
+   quarantine-and-recompute, never to a wrong result. *)
 
 module Dse = Report.Dse
 module Durable = Report.Dse.Durable
@@ -22,12 +22,13 @@ let tmp_path () =
 let cleanup path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".quarantine"; path ^ ".journal";
-      path ^ ".journal.quarantine" ]
+    [ path; path ^ ".quarantine" ]
 
 let with_path f =
   let path = tmp_path () in
   Fun.protect ~finally:(fun () -> cleanup path) @@ fun () -> f path
+
+let file_size path = (Unix.stat path).Unix.st_size
 
 let open_exn ?resume ~path (app, clustering) =
   match Durable.open_ ?resume ~path ~fb_list app clustering with
@@ -43,7 +44,7 @@ let test_durable_roundtrip () =
   let cold = Dse.sweep ~store:d ~fb_list app clustering in
   Alcotest.(check string) "durable run byte-identical" (Dse.to_csv reference)
     (Dse.to_csv cold);
-  Alcotest.(check int) "every point journalled complete" n_points
+  Alcotest.(check int) "every point on disk" n_points
     (Durable.completed d);
   Alcotest.(check int) "clean run has no warnings" 0
     (List.length (Durable.warnings d));
@@ -84,18 +85,18 @@ let test_crash_resume () =
   Durable.close d1;
   Alcotest.(check bool) "the crash left work undone" true
     (completed < n_points);
-  (* resume: only the unjournalled points run; output as if uninterrupted *)
+  (* resume: only the points not on disk run; output as if uninterrupted *)
   let d2 = open_exn ~resume:true ~path w in
   let st = Engine.Stats.create () in
   let resumed = Dse.sweep ~store:d2 ~stats:st ~fb_list app clustering in
   Alcotest.(check string) "resumed run byte-identical to uninterrupted"
     (Dse.to_csv reference) (Dse.to_csv resumed);
-  Alcotest.(check int) "journalled points are never recomputed" completed
+  Alcotest.(check int) "persisted points are never recomputed" completed
     (Engine.Stats.cache_hits st);
   Alcotest.(check int) "only the lost points run"
     (n_points - completed)
     (Engine.Stats.tasks_run st);
-  Alcotest.(check int) "now everything is journalled" n_points
+  Alcotest.(check int) "now everything is on disk" n_points
     (Durable.completed d2);
   Durable.close d2
 
@@ -106,9 +107,9 @@ let test_torn_tail_recomputes_one () =
   let d = open_exn ~path w in
   ignore (Dse.sweep ~store:d ~fb_list app clustering);
   Durable.close d;
-  (* SIGKILL mid-append: the store loses its last record's trailer; the
-     journal still marks the point complete — the mark must not be
-     believed without the data *)
+  (* SIGKILL mid-append: the store loses its last record's trailer. The
+     record's own MD5 is the guard: it no longer verifies, so the point is
+     quarantined and recomputed *)
   let size = (Unix.stat path).Unix.st_size in
   Unix.truncate path (size - 13);
   let d = open_exn ~resume:true ~path w in
@@ -154,13 +155,15 @@ let test_forged_schedule_fails_revalidation () =
   let key, f =
     match Engine.Store.contents path with
     | Error diag -> Alcotest.failf "contents: %s" (Diag.render diag)
-    | Ok records -> (
+    | Ok [] -> Alcotest.fail "empty store"
+    | Ok (_identity :: points) -> (
+      (* record 0 is the sweep identity, a hex digest: not a point *)
       let forge (key, payload) =
         match (Marshal.from_string payload 0 : forged) with
         | { f_schedule = Some _; _ } as f -> Some (key, f)
         | _ -> None
       in
-      match List.find_map forge records with
+      match List.find_map forge points with
       | Some kf -> kf
       | None -> Alcotest.fail "no feasible record to forge")
   in
@@ -254,6 +257,161 @@ let test_cache_clear_replays_from_store () =
     (Engine.Stats.store_replayed st);
   Durable.close d
 
+(* -- the sweep identity is record 0 of the store ------------------------ *)
+
+let inspect path =
+  match Durable.inspect path with
+  | Ok v -> v
+  | Error d -> Alcotest.failf "inspect: %s" (Diag.render d)
+
+let first_payload path =
+  match Engine.Store.contents path with
+  | Ok ((_, payload) :: _) -> payload
+  | Ok [] -> Alcotest.fail "empty store"
+  | Error d -> Alcotest.failf "contents: %s" (Diag.render d)
+
+let resume_stats ~path ((app, clustering) as w) =
+  let d = open_exn ~resume:true ~path w in
+  let st = Engine.Stats.create () in
+  let points = Dse.sweep ~jobs:1 ~store:d ~stats:st ~fb_list app clustering in
+  Durable.close d;
+  (Dse.to_csv points, st)
+
+let test_identity_is_record_zero () =
+  let w = mpeg () in
+  with_path @@ fun path ->
+  let d = open_exn ~path w in
+  let identity = Durable.identity d in
+  Alcotest.(check int) "a fresh store holds no points" 0 (Durable.completed d);
+  Durable.close d;
+  Alcotest.(check string) "record 0 is the identity" identity
+    (first_payload path);
+  Alcotest.(check (pair (option string) int)) "inspect reads it back"
+    (Some identity, 0) (inspect path);
+  ignore (resume_stats ~path w);
+  (* a matching reopen keeps every point and appends nothing *)
+  let size = file_size path in
+  let d = open_exn ~resume:true ~path w in
+  Alcotest.(check int) "matching reopen keeps every point" n_points
+    (Durable.completed d);
+  Durable.close d;
+  Alcotest.(check int) "reopening does not re-claim" size (file_size path);
+  Alcotest.(check string) "identity still first" identity (first_payload path);
+  Alcotest.(check (pair (option string) int)) "inspect counts the points"
+    (Some identity, n_points) (inspect path);
+  Alcotest.(check bool) "one file: no sidecar" false
+    (Sys.file_exists (path ^ ".journal"))
+
+let test_torn_identity_is_reclaimed () =
+  let ((app, clustering) as w) = mpeg () in
+  with_path @@ fun path ->
+  let reference = Dse.to_csv (Dse.sweep ~fb_list app clustering) in
+  let d = open_exn ~path w in
+  let identity = Durable.identity d in
+  Durable.close d;
+  let identity_end = file_size path in
+  ignore (resume_stats ~path w);
+  (* tear record 0: every point after it goes with it *)
+  Unix.truncate path (identity_end - 1);
+  Alcotest.(check (pair (option string) int)) "the store is unclaimed"
+    (None, 0) (inspect path);
+  let d = open_exn ~resume:true ~path w in
+  Alcotest.(check bool) "the quarantine is reported" true
+    (List.exists
+       (fun (w : Diag.t) -> w.Diag.code = Diag.Store_corrupt)
+       (Durable.warnings d));
+  Alcotest.(check (pair (option string) int)) "--resume claims it again"
+    (Some identity, 0) (inspect path);
+  Durable.close d;
+  let csv, st = resume_stats ~path w in
+  Alcotest.(check string) "recovered run byte-identical" reference csv;
+  Alcotest.(check int) "every point is recomputed" n_points
+    (Engine.Stats.tasks_run st);
+  Alcotest.(check (pair (option string) int)) "and persisted again"
+    (Some identity, n_points) (inspect path)
+
+let test_gc_keeps_identity_first () =
+  let ((app, clustering) as w) = mpeg () in
+  with_path @@ fun path ->
+  let reference = Dse.to_csv (Dse.sweep ~fb_list app clustering) in
+  let d = open_exn ~path w in
+  let identity = Durable.identity d in
+  ignore (Dse.sweep ~store:d ~fb_list app clustering);
+  Durable.close d;
+  (* tear the last point so that gc has a tail to drop *)
+  Unix.truncate path (file_size path - 13);
+  (match Engine.Store.gc path with
+  | Error d -> Alcotest.failf "gc: %s" (Diag.render d)
+  | Ok g ->
+    Alcotest.(check int) "gc keeps the identity and the intact points"
+      n_points g.Engine.Store.gc_kept);
+  Alcotest.(check string) "identity still record 0" identity
+    (first_payload path);
+  let csv, st = resume_stats ~path w in
+  Alcotest.(check string) "resume after gc byte-identical" reference csv;
+  Alcotest.(check int) "only the torn point runs" 1
+    (Engine.Stats.tasks_run st);
+  (* gc of the repaired store, then a resume that replays every point *)
+  (match Engine.Store.gc path with
+  | Error d -> Alcotest.failf "gc: %s" (Diag.render d)
+  | Ok g ->
+    Alcotest.(check int) "one record per point plus the identity"
+      (n_points + 1) g.Engine.Store.gc_kept);
+  Alcotest.(check string) "identity first after the second gc" identity
+    (first_payload path);
+  let csv, st = resume_stats ~path w in
+  Alcotest.(check string) "resume after gc byte-identical" reference csv;
+  Alcotest.(check int) "every point replays" 0 (Engine.Stats.tasks_run st);
+  Alcotest.(check int) "every point served from the store" n_points
+    (Engine.Stats.cache_hits st)
+
+(* Truncate the durable store one byte before, at and one byte after every
+   record boundary: the resumed CSV never changes, and exactly the points
+   in the damaged suffix are recomputed — all of them when the cut tears
+   the identity record. *)
+let test_truncate_around_every_boundary () =
+  let ((app, clustering) as w) = mpeg () in
+  with_path @@ fun path ->
+  let reference = Dse.to_csv (Dse.sweep ~fb_list app clustering) in
+  let d = open_exn ~path w in
+  ignore (Dse.sweep ~jobs:1 ~store:d ~fb_list app clustering);
+  Durable.close d;
+  let pristine = Store_frames.read_file path in
+  let bounds = Store_frames.bounds pristine in
+  let header_len = Lazy.force Store_frames.header_len in
+  Alcotest.(check int) "identity plus one record per point" (n_points + 2)
+    (Array.length bounds);
+  Array.iter
+    (fun b ->
+      List.iter
+        (fun cut ->
+          if cut <= String.length pristine then begin
+            let what = Printf.sprintf "cut at %d" cut in
+            Store_frames.write_file path (String.sub pristine 0 cut);
+            if Sys.file_exists (path ^ ".quarantine") then
+              Sys.remove (path ^ ".quarantine");
+            if cut < header_len then (
+              match Durable.open_ ~resume:true ~path ~fb_list app clustering with
+              | Ok _ -> Alcotest.failf "%s: a torn header must be refused" what
+              | Error diag ->
+                Alcotest.(check bool) (what ^ ": STORE_CORRUPT") true
+                  (diag.Diag.code = Diag.Store_corrupt))
+            else begin
+              (* record 0 is the identity; records 1.. are the points *)
+              let intact_points =
+                max 0 (Store_frames.records_before bounds cut - 1)
+              in
+              let csv, st = resume_stats ~path w in
+              Alcotest.(check string) (what ^ ": CSV byte-identical")
+                reference csv;
+              Alcotest.(check int) (what ^ ": damaged suffix recomputed")
+                (n_points - intact_points)
+                (Engine.Stats.tasks_run st)
+            end
+          end)
+        [ b - 1; b; b + 1 ])
+    bounds
+
 let test_auto_clustering_store () =
   let app = Workloads.Mpeg.app () in
   let config = Morphosys.Config.m1 ~fb_set_size:4096 in
@@ -291,4 +449,12 @@ let tests =
         test_cache_clear_replays_from_store;
       Alcotest.test_case "auto-clustering memoises in a store" `Quick
         test_auto_clustering_store;
+      Alcotest.test_case "identity is record 0; reopen keeps points" `Quick
+        test_identity_is_record_zero;
+      Alcotest.test_case "torn identity: resume reclaims, recomputes" `Quick
+        test_torn_identity_is_reclaimed;
+      Alcotest.test_case "gc keeps identity first; resume replays" `Quick
+        test_gc_keeps_identity_first;
+      Alcotest.test_case "truncation around every record boundary" `Quick
+        test_truncate_around_every_boundary;
     ] )

@@ -1,9 +1,8 @@
-(* The durable result store and write-ahead journal: framing, checksums,
-   quarantine-instead-of-fail on every flavour of corruption, atomic gc,
-   and the journal's sweep-identity protocol. *)
+(* The durable result store: framing, checksums, quarantine-instead-of-
+   fail on every flavour of corruption (down to every single byte), and
+   atomic gc. *)
 
 module Store = Engine.Store
-module Journal = Engine.Journal
 
 let contains = Astring_contains.contains
 
@@ -15,8 +14,7 @@ let tmp_path () =
 let cleanup path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".quarantine"; path ^ ".journal";
-      path ^ ".journal.quarantine" ]
+    [ path; path ^ ".quarantine" ]
 
 let with_store ?(schema = 7) f =
   let path = tmp_path () in
@@ -205,67 +203,80 @@ let test_contents_readonly () =
       [ ("a", "1"); ("b", "2") ]
       kvs
 
-(* -- journal ------------------------------------------------------------- *)
+(* -- codec fuzz ------------------------------------------------------------ *)
 
-let with_journal ~identity f =
-  let path = tmp_path () in
-  Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
-  match Journal.open_ ~identity path with
-  | Error d -> Alcotest.failf "journal open failed: %s" (Diag.render d)
-  | Ok j -> f path j
+(* An identity record plus four short ones, the shape of a small sweep. *)
+let fuzz_records =
+  [ ("@sweep-identity", "cafe0123456789abcafe0123456789ab"); ("p1", "a");
+    ("p2", "bb"); ("p3", "ccc"); ("p4", "dddd") ]
 
-let test_journal_identity () =
-  with_journal ~identity:"cafe0123456789abcafe0123456789ab" @@ fun path j ->
-  Alcotest.(check string) "fresh journal claims the identity"
-    "cafe0123456789abcafe0123456789ab" (Journal.identity j);
-  Alcotest.(check int) "no marks yet" 0 (Journal.marked j);
-  Journal.mark j "point-1";
-  Journal.mark j "point-2";
-  Journal.mark j "point-1";
-  Alcotest.(check int) "marks are idempotent" 2 (Journal.marked j);
-  Alcotest.(check bool) "is_marked" true (Journal.is_marked j "point-1");
-  Alcotest.(check bool) "unmarked key" false (Journal.is_marked j "point-3");
-  Alcotest.check_raises "the identity key is reserved"
-    (Invalid_argument "Engine.Journal.mark: reserved key") (fun () ->
-      Journal.mark j "@sweep-identity");
-  Journal.close j;
-  (* same identity resumes; a different identity is refused *)
-  (match Journal.open_ ~identity:"cafe0123456789abcafe0123456789ab" path with
-  | Error d -> Alcotest.failf "matching resume failed: %s" (Diag.render d)
-  | Ok j ->
-    Alcotest.(check int) "marks survive reopen" 2 (Journal.marked j);
-    Journal.close j);
-  (match Journal.open_ ~identity:"deadbeefdeadbeefdeadbeefdeadbeef" path with
-  | Ok _ -> Alcotest.fail "mismatched identity must be refused"
-  | Error d ->
-    Alcotest.(check bool) "SWEEP_MISMATCH" true
-      (d.Diag.code = Diag.Sweep_mismatch);
-    Alcotest.(check bool) "message names the claimed identity" true
-      (contains (Diag.render d) "cafe01234567"));
-  (* the read-only summary agrees *)
-  match Journal.info path with
-  | Error d -> Alcotest.failf "info failed: %s" (Diag.render d)
-  | Ok i ->
-    Alcotest.(check string) "identity prefix" "cafe01234567"
-      i.Journal.identity_prefix;
-    Alcotest.(check int) "info counts the marks" 2 i.Journal.marks;
-    Alcotest.(check bool) "no corruption" true (i.Journal.corruption = None)
+(* Open [damaged] as a store. Damage inside the header must be refused
+   with [Error], leaving the file alone; anything else must open with the
+   [kept] records wholly before the damage, the bytes from [cut] on moved
+   to the quarantine sidecar and the store truncated to [cut]. [open_]
+   must never raise. *)
+let check_damaged ~what path damaged ~header ~kept ~cut =
+  Store_frames.write_file path damaged;
+  let q = path ^ ".quarantine" in
+  if Sys.file_exists q then Sys.remove q;
+  match Store.open_ ~schema:7 path with
+  | exception e ->
+    Alcotest.failf "%s: open_ raised %s" what (Printexc.to_string e)
+  | Error _ when header ->
+    Alcotest.(check bool) (what ^ ": nothing quarantined") false
+      (Sys.file_exists q);
+    Alcotest.(check string) (what ^ ": file left alone") damaged
+      (Store_frames.read_file path)
+  | Error d -> Alcotest.failf "%s: unexpected error %s" what (Diag.render d)
+  | Ok t when header ->
+    Store.close t;
+    Alcotest.failf "%s: header damage must be refused" what
+  | Ok t ->
+    let live = ref [] in
+    Store.iter (fun ~key ~payload -> live := (key, payload) :: !live) t;
+    let warnings = List.length (Store.warnings t) in
+    Store.close t;
+    let damaged_len = String.length damaged in
+    Alcotest.(check (list (pair string string)))
+      (what ^ ": records before the damage survive")
+      (List.filteri (fun i _ -> i < kept) fuzz_records) (List.rev !live);
+    Alcotest.(check int) (what ^ ": one warning per quarantine")
+      (if cut < damaged_len then 1 else 0)
+      warnings;
+    Alcotest.(check string) (what ^ ": the sidecar holds exactly the cut bytes")
+      (String.sub damaged cut (damaged_len - cut))
+      (if Sys.file_exists q then Store_frames.read_file q else "");
+    Alcotest.(check int) (what ^ ": store truncated at the cut") cut
+      (file_size path)
 
-let test_journal_truncation_loses_marks_only () =
-  with_journal ~identity:"cafe0123456789abcafe0123456789ab" @@ fun path j ->
-  Journal.mark j "p1";
-  Journal.mark j "p2";
-  Journal.close j;
-  Unix.truncate path (file_size path - 7);
-  match Journal.open_ ~identity:"cafe0123456789abcafe0123456789ab" path with
-  | Error d -> Alcotest.failf "reopen failed: %s" (Diag.render d)
-  | Ok j ->
-    Alcotest.(check int) "the torn mark is lost, not corrupted" 1
-      (Journal.marked j);
-    Alcotest.(check bool) "intact mark survives" true (Journal.is_marked j "p1");
-    Alcotest.(check int) "quarantine reported" 1
-      (List.length (Journal.warnings j));
-    Journal.close j
+let test_codec_fuzz () =
+  with_store @@ fun path t ->
+  List.iter (fun (key, payload) -> Store.append t ~key ~payload) fuzz_records;
+  Store.close t;
+  let raw = Store_frames.read_file path in
+  let bounds = Store_frames.bounds raw in
+  let header_len = Store_frames.(Lazy.force header_len) in
+  Alcotest.(check int) "the walk finds every record"
+    (List.length fuzz_records + 1)
+    (Array.length bounds);
+  (* damage at [off] keeps the records wholly before it and cuts from the
+     start of the record it hits; a cut exactly at a record boundary
+     tears nothing and leaves a clean, shorter store *)
+  let check ~what damaged off =
+    let header = off < header_len in
+    let kept = if header then 0 else Store_frames.records_before bounds off in
+    check_damaged ~what path damaged ~header ~kept ~cut:bounds.(kept)
+  in
+  for off = 0 to String.length raw - 1 do
+    let flipped = Bytes.of_string raw in
+    Bytes.set flipped off
+      (Char.chr (Char.code (Bytes.get flipped off) lxor 0xff));
+    check ~what:(Printf.sprintf "flip at %d" off) (Bytes.to_string flipped) off;
+    (* truncating to nothing leaves an empty file, which is a fresh store *)
+    if off > 0 then
+      check ~what:(Printf.sprintf "truncate at %d" off) (String.sub raw 0 off)
+        off
+  done
 
 let tests =
   ( "store",
@@ -286,8 +297,6 @@ let tests =
         test_verify_and_gc;
       Alcotest.test_case "contents reads without mutating" `Quick
         test_contents_readonly;
-      Alcotest.test_case "journal claims and enforces sweep identity" `Quick
-        test_journal_identity;
-      Alcotest.test_case "journal truncation loses marks only" `Quick
-        test_journal_truncation_loses_marks_only;
+      Alcotest.test_case "every flipped or truncated byte is handled" `Quick
+        test_codec_fuzz;
     ] )
