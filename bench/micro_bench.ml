@@ -16,9 +16,10 @@ let sld_clustering = Workloads.Atr.sld_clustering sld
 let sld_config = Morphosys.Config.m1 ~fb_set_size:8192
 
 let cds_schedule () =
-  match Cds.Complete_data_scheduler.schedule config mpeg mpeg_clustering with
-  | Ok r -> r.Cds.Complete_data_scheduler.schedule
-  | Error e -> failwith e
+  let ctx = Sched.Sched_ctx.make mpeg mpeg_clustering in
+  match Sched.Scheduler_registry.run "cds" ctx config with
+  | Ok s -> s
+  | Error d -> failwith (Diag.to_string d)
 
 let prebuilt = cds_schedule ()
 
@@ -38,13 +39,14 @@ let tests =
            let app = Workloads.Synthetic.figure5 () in
            let clustering = Workloads.Synthetic.figure5_clustering app in
            let cfg = Morphosys.Config.m1 ~fb_set_size:512 in
-           match Cds.Complete_data_scheduler.schedule cfg app clustering with
+           let ctx = Sched.Sched_ctx.make app clustering in
+           match Cds.Complete_data_scheduler.run_full ctx cfg with
            | Ok r ->
              ignore
                (Cds.Allocation_algorithm.run cfg app clustering
                   ~rf:r.Cds.Complete_data_scheduler.rf
                   ~retention:r.Cds.Complete_data_scheduler.retention ~round:0)
-           | Error e -> failwith e));
+           | Error d -> failwith (Diag.to_string d)));
     (* hot components *)
     Test.make ~name:"component/ds_formula"
       (Staged.stage (fun () ->

@@ -352,27 +352,6 @@ let report_points ~csv points =
     Format.printf "@."
   end
 
-let sweep_cmd =
-  let run name file partition fb_list csv =
-    match resolve_source ~name ~file with
-    | Error e -> `Error (false, e)
-    | Ok source -> (
-      let app = source.app in
-      let config = config_of source ~fb:None ~cm:None in
-      match clustering_of source ~partition ~auto:false ~config with
-      | Error e -> `Error (false, e)
-      | Ok clustering ->
-        report_points ~csv (Report.Dse.sweep ~fb_list app clustering);
-        `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Design-space exploration: sweep the FB size for one workload")
-    Term.(
-      ret
-        (const run $ workload_arg $ file_arg $ partition_arg $ fb_list_arg
-       $ csv_arg))
-
 let jobs_arg =
   let doc =
     "Worker domains for the engine pool (0 = one per hardware thread)."
@@ -881,7 +860,7 @@ let main =
     (Cmd.info "msched" ~version:"1.0.0" ~doc)
     [
       list_cmd; run_cmd; compare_cmd; alloc_cmd; dot_cmd; asm_cmd; vcd_cmd;
-      kernels_cmd; schedulers_cmd; sweep_cmd; dse_cmd; store_cmd; fuzz_cmd;
+      kernels_cmd; schedulers_cmd; dse_cmd; store_cmd; fuzz_cmd;
       table1_cmd; figures_cmd;
     ]
 

@@ -12,8 +12,9 @@ let () =
   let app = Workloads.Synthetic.figure5 () in
   let clustering = Workloads.Synthetic.figure5_clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:512 in
-  match Cds.Complete_data_scheduler.schedule config app clustering with
-  | Error e -> failwith e
+  let ctx = Sched.Sched_ctx.make app clustering in
+  match Cds.Complete_data_scheduler.run_full ctx config with
+  | Error d -> failwith (Diag.to_string d)
   | Ok r ->
     Format.printf "RF = %d (as in the figure)@." r.Cds.Complete_data_scheduler.rf;
     Format.printf "%a@." Cds.Retention.pp_decision

@@ -10,6 +10,7 @@ let () =
      that cannot hold them all, so reloads happen every round until loop
      fission amortises them *)
   let clustering = Kernel_ir.Cluster.singleton_per_kernel app in
+  let ctx = Sched.Sched_ctx.make app clustering in
   Format.printf "Figure 3(a) — kernel scheduling graph:@.%s@."
     (Kernel_ir.Dot.kernel_graph app);
 
@@ -21,7 +22,7 @@ let () =
           Morphosys.Config.make ~fb_set_size ~cm_capacity:320 ()
           (* a small CM so context reloads actually matter *)
         in
-        match Cds.Complete_data_scheduler.schedule config app clustering with
+        match Cds.Complete_data_scheduler.run_full ctx config with
         | Error _ -> Some [ Msutil.Pretty.kbytes fb_set_size; "-"; "-"; "-"; "-" ]
         | Ok r ->
           let s = r.Cds.Complete_data_scheduler.schedule in
@@ -40,9 +41,8 @@ let () =
 
   let rf_big =
     match
-      Cds.Complete_data_scheduler.schedule
+      Cds.Complete_data_scheduler.run_full ctx
         (Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:320 ())
-        app clustering
     with
     | Ok r -> r.Cds.Complete_data_scheduler.rf
     | Error _ -> 1

@@ -155,8 +155,6 @@ let schedule_reference ?(retention = true) ?(cross_set = false)
             decision.Retention.avoided_words_per_iteration;
         })
 
-(* The single implementation: every other entry point — including the
-   registry-facing [run] — is a thin shim over [run_full]. *)
 let run_full ?(retention = true) ?(cross_set = false)
     (ctx : Sched.Sched_ctx.t) (config : Morphosys.Config.t) =
   match Engine.Faults.hit "sched" with
@@ -228,21 +226,6 @@ let run_full ?(retention = true) ?(cross_set = false)
 
 let run ctx config = Result.map (fun r -> r.schedule) (run_full ctx config)
 
-(* compat shims *)
-let schedule_ctx_diag ?retention ?cross_set config ctx =
-  run_full ?retention ?cross_set ctx config
-
-let schedule_ctx ?retention ?cross_set config ctx =
-  Result.map_error Diag.to_string (run_full ?retention ?cross_set ctx config)
-
-let schedule_diag ?retention ?cross_set config app clustering =
-  run_full ?retention ?cross_set (Sched.Sched_ctx.make app clustering) config
-
-let schedule ?retention ?cross_set config app clustering =
-  Result.map_error Diag.to_string
-    (run_full ?retention ?cross_set (Sched.Sched_ctx.make app clustering)
-       config)
-
 (* Warning-severity diagnostics for retention candidates the TF test turned
    down — surfaced by the pipeline's verbose mode, never fatal. *)
 let retention_warnings (decision : Retention.decision) =
@@ -253,8 +236,6 @@ let retention_warnings (decision : Retention.decision) =
         Diag.Retention_rejected "candidate %S not retained: %s" d.Data.name
         reason)
     decision.Retention.rejected
-
-let retention_diags decision = retention_warnings decision
 
 let scheduler : Sched.Scheduler_intf.t =
   (module struct

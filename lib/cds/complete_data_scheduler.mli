@@ -31,8 +31,8 @@ val run_full :
   Sched.Sched_ctx.t ->
   Morphosys.Config.t ->
   (result, Diag.t) Stdlib.result
-(** The single implementation every other entry point shims over. Returns
-    the rich {!result} (retention decision, RF, DT words) the pipeline and
+(** The Complete Data Scheduler with its options. Returns the rich
+    {!result} (retention decision, RF, DT words) the pipeline and
     reports need. [Error] is a [No_feasible_rf] or [Cm_overflow]
     diagnostic under the same conditions as the Data Scheduler (some
     [DS(C)] exceeding the FB set even at RF = 1, or context-memory
@@ -55,48 +55,9 @@ val scheduler_xset : Sched.Scheduler_intf.t
 (** {!run_full} with [~cross_set:true], registered under ["cds-xset"] —
     the future-work cross-set reuse as a separately selectable policy. *)
 
-val schedule :
-  ?retention:bool ->
-  ?cross_set:bool ->
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (result, string) Stdlib.result
-(** Compat shim: {!run_full} on a fresh context, [Diag.to_string] errors.
-    Callers scheduling the same [(app, clustering)] repeatedly should
-    build one {!Sched.Sched_ctx} and use {!run_full}. *)
-
-val schedule_ctx :
-  ?retention:bool ->
-  ?cross_set:bool ->
-  Morphosys.Config.t ->
-  Sched.Sched_ctx.t ->
-  (result, string) Stdlib.result
-(** Compat shim: {!run_full} with [Diag.to_string] errors. *)
-
-val schedule_diag :
-  ?retention:bool ->
-  ?cross_set:bool ->
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (result, Diag.t) Stdlib.result
-(** Compat shim: {!run_full} on a fresh context. *)
-
-val schedule_ctx_diag :
-  ?retention:bool ->
-  ?cross_set:bool ->
-  Morphosys.Config.t ->
-  Sched.Sched_ctx.t ->
-  (result, Diag.t) Stdlib.result
-(** Compat shim: {!run_full} with the historical argument order. *)
-
 val retention_warnings : Retention.decision -> Diag.t list
 (** One [Warning]-severity [Retention_rejected] diagnostic per candidate
     the retention pass declined, carrying the data name and the reason. *)
-
-val retention_diags : Retention.decision -> Diag.t list
-(** Compat shim for {!retention_warnings}. *)
 
 val schedule_reference :
   ?retention:bool ->
@@ -105,7 +66,7 @@ val schedule_reference :
   Kernel_ir.Application.t ->
   Kernel_ir.Cluster.clustering ->
   (result, string) Stdlib.result
-(** The original list-based implementation, retained verbatim: the
-    equivalence oracle for the indexed path and the baseline the scaling
-    bench times against. Produces results byte-identical to
-    {!schedule}. *)
+(** The original list-based implementation, retained verbatim as the
+    equivalence oracle for the indexed path (the test suite and the
+    benchmark's correctness check). Produces results byte-identical to
+    {!run_full}'s, with [Diag.to_string] errors. *)

@@ -26,85 +26,63 @@ let run ?(validate = true) ?(retention = true) ?(cross_set = false)
     ?(degrade = false) ?(ladder = default_ladder) config app clustering =
   (* one analysis context serves every scheduler in the registry *)
   let ctx = Sched.Sched_ctx.make app clustering in
-  if not degrade then
-    let basic =
-      Result.map
-        (simulate ~validate config)
-        (Result.map_error Diag.to_string
-           (Sched.Scheduler_registry.run "basic" ctx config))
-    in
-    let ds =
-      Result.map
-        (simulate ~validate config)
-        (Result.map_error Diag.to_string
-           (Sched.Scheduler_registry.run "ds" ctx config))
-    in
-    let cds =
-      Result.map
-        (fun (r : Complete_data_scheduler.result) ->
-          (simulate ~validate config r.Complete_data_scheduler.schedule, r))
-        (Result.map_error Diag.to_string
-           (Complete_data_scheduler.run_full ~retention ~cross_set ctx config))
-    in
-    { app; config; clustering; basic; ds; cds; degradation = None }
-  else
-    (* Graceful mode: nothing raises. Validation failures (and any other
-       exception a tier's path throws) become that tier's diagnostic and
-       the comparison records the degradation chain down the ladder
-       (default CDS -> DS -> Basic). *)
-    let sim ~scheduler schedule =
+  (* Graceful mode: nothing raises. Validation failures (and any other
+     exception a tier's path throws) become that tier's diagnostic and
+     the comparison records the degradation chain down the ladder
+     (default CDS -> DS -> Basic). Otherwise a validation failure raises. *)
+  let sim ~scheduler schedule =
+    if degrade then
       Diag.protect ~scheduler ~code:Diag.Sim_divergence (fun () ->
           simulate ~validate config schedule)
-    in
-    let basic_d =
-      Result.bind
-        (Sched.Scheduler_registry.run "basic" ctx config)
-        (sim ~scheduler:"basic")
-    in
-    let ds_d =
-      Result.bind
-        (Sched.Scheduler_registry.run "ds" ctx config)
-        (sim ~scheduler:"ds")
-    in
-    let cds_d =
-      Result.bind
-        (Complete_data_scheduler.run_full ~retention ~cross_set ctx config)
-        (fun (r : Complete_data_scheduler.result) ->
-          Result.map
-            (fun s -> (s, r))
-            (sim ~scheduler:"cds" r.Complete_data_scheduler.schedule))
-    in
-    (* The three standard tiers above are reused when the ladder names
-       them; any other name dispatches through the registry, so a custom
-       ladder (say ["cds-xset"; "ds"]) degrades — and reports — exactly
-       the tiers the caller asked for. *)
-    let attempt name =
-      match name with
-      | "basic" -> basic_d
-      | "ds" -> ds_d
-      | "cds" -> Result.map fst cds_d
-      | _ ->
-        Result.bind
-          (Sched.Scheduler_registry.run name ctx config)
-          (sim ~scheduler:name)
-    in
-    let rec walk acc = function
-      | [] -> { delivered = None; chain = List.rev acc; fallback = None }
-      | name :: rest -> (
-        match attempt name with
-        | Ok s ->
-          { delivered = Some name; chain = List.rev acc; fallback = Some s }
-        | Error d -> walk ((name, d) :: acc) rest)
-    in
-    {
-      app;
-      config;
-      clustering;
-      basic = Result.map_error Diag.to_string basic_d;
-      ds = Result.map_error Diag.to_string ds_d;
-      cds = Result.map_error Diag.to_string cds_d;
-      degradation = Some (walk [] ladder);
-    }
+    else Ok (simulate ~validate config schedule)
+  in
+  let tier name =
+    Result.bind
+      (Sched.Scheduler_registry.run name ctx config)
+      (sim ~scheduler:name)
+  in
+  let basic = tier "basic" in
+  let ds = tier "ds" in
+  let cds =
+    Result.bind
+      (Complete_data_scheduler.run_full ~retention ~cross_set ctx config)
+      (fun (r : Complete_data_scheduler.result) ->
+        Result.map
+          (fun s -> (s, r))
+          (sim ~scheduler:"cds" r.Complete_data_scheduler.schedule))
+  in
+  let degradation =
+    if not degrade then None
+    else
+      (* The three standard tiers above are reused when the ladder names
+         them; any other name dispatches through the registry, so a custom
+         ladder (say ["cds-xset"; "ds"]) degrades — and reports — exactly
+         the tiers the caller asked for. *)
+      let attempt = function
+        | "basic" -> basic
+        | "ds" -> ds
+        | "cds" -> Result.map fst cds
+        | name -> tier name
+      in
+      let rec walk acc = function
+        | [] -> { delivered = None; chain = List.rev acc; fallback = None }
+        | name :: rest -> (
+          match attempt name with
+          | Ok s ->
+            { delivered = Some name; chain = List.rev acc; fallback = Some s }
+          | Error d -> walk ((name, d) :: acc) rest)
+      in
+      Some (walk [] ladder)
+  in
+  {
+    app;
+    config;
+    clustering;
+    basic = Result.map_error Diag.to_string basic;
+    ds = Result.map_error Diag.to_string ds;
+    cds = Result.map_error Diag.to_string cds;
+    degradation;
+  }
 
 let degraded_schedule t =
   match t.degradation with

@@ -56,7 +56,9 @@ val run :
     with the tier that finally delivered ({!degraded_schedule}). Ladder
     entries beyond the standard three are resolved through
     {!Sched.Scheduler_registry}; unknown names fail that rung with an
-    [Invalid_config] diagnostic and the walk continues.
+    [Invalid_config] diagnostic and the walk continues. Whenever
+    validation passes, [degrade] changes only [degradation]: the
+    [basic] / [ds] / [cds] fields equal those of a default run.
     @raise Failure if validation finds a violation (a scheduler bug) and
     [degrade] is false. *)
 

@@ -33,8 +33,6 @@ let overflow_cluster config fps =
   in
   go 0 fps
 
-(* The single implementation: every public entry point below is a thin
-   shim over [run]. *)
 let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
   match Engine.Faults.hit "sched" with
   | exception Engine.Faults.Injected site ->
@@ -58,14 +56,6 @@ let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
              ~generators:
                (Xfer_gen.store_everything_ctx (Sched_ctx.analysis ctx))
              ~scheduler:"basic")))
-
-(* compat shims *)
-let schedule_ctx_diag config ctx = run ctx config
-let schedule_ctx config ctx = Result.map_error Diag.to_string (run ctx config)
-let schedule_diag config app clustering = run (Sched_ctx.make app clustering) config
-
-let schedule config app clustering =
-  Result.map_error Diag.to_string (run (Sched_ctx.make app clustering) config)
 
 let scheduler : Scheduler_intf.t =
   (module struct

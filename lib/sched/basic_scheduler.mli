@@ -8,8 +8,7 @@
     not resident in the CM are reloaded on every iteration. *)
 
 val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
-(** The canonical entry point ({!Scheduler_intf.S.run}) — the single
-    implementation every other entry point shims over. [Error] is an
+(** The canonical entry point ({!Scheduler_intf.S.run}). [Error] is an
     [Fb_overflow] or [Cm_overflow] diagnostic naming the offending
     cluster when its no-replacement footprint exceeds the FB set size or
     its contexts exceed the CM — the paper notes Basic cannot run MPEG
@@ -18,28 +17,6 @@ val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
 val scheduler : Scheduler_intf.t
 (** The Basic scheduler as a first-class value, registered in
     {!Scheduler_registry} under ["basic"]. *)
-
-val schedule :
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (Schedule.t, string) result
-(** Compat shim: {!run} on a fresh context, [Diag.to_string] errors. *)
-
-val schedule_ctx :
-  Morphosys.Config.t -> Sched_ctx.t -> (Schedule.t, string) result
-(** Compat shim: {!run} with [Diag.to_string] errors. *)
-
-val schedule_diag :
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (Schedule.t, Diag.t) result
-(** Compat shim: {!run} on a fresh context. *)
-
-val schedule_ctx_diag :
-  Morphosys.Config.t -> Sched_ctx.t -> (Schedule.t, Diag.t) result
-(** Compat shim: {!run} with the historical argument order. *)
 
 val schedule_reference :
   Morphosys.Config.t ->

@@ -73,8 +73,6 @@ let schedule_reference ?(alloc_efficiency = default_efficiency) config app
                ~generators:(Xfer_gen.plain app clustering)
                ~scheduler:"ds")))
 
-(* The single implementation: every public entry point below is a thin
-   shim over [run_with] / [run]. *)
 let run_with ?(alloc_efficiency = default_efficiency) (ctx : Sched_ctx.t)
     (config : Morphosys.Config.t) =
   match Engine.Faults.hit "sched" with
@@ -127,20 +125,6 @@ let run_with ?(alloc_efficiency = default_efficiency) (ctx : Sched_ctx.t)
            ~scheduler:"ds")))
 
 let run ctx config = run_with ctx config
-
-(* compat shims *)
-let schedule_ctx_diag ?alloc_efficiency config ctx =
-  run_with ?alloc_efficiency ctx config
-
-let schedule_ctx ?alloc_efficiency config ctx =
-  Result.map_error Diag.to_string (run_with ?alloc_efficiency ctx config)
-
-let schedule_diag ?alloc_efficiency config app clustering =
-  run_with ?alloc_efficiency (Sched_ctx.make app clustering) config
-
-let schedule ?alloc_efficiency config app clustering =
-  Result.map_error Diag.to_string
-    (run_with ?alloc_efficiency (Sched_ctx.make app clustering) config)
 
 let scheduler : Scheduler_intf.t =
   (module struct

@@ -24,10 +24,10 @@ val run_with :
   Sched_ctx.t ->
   Morphosys.Config.t ->
   (Schedule.t, Diag.t) result
-(** The single implementation every other entry point shims over.
-    [Error] is a [No_feasible_rf] or [Cm_overflow] diagnostic when even
-    RF = 1 does not fit (some [DS(C)] exceeds the packable fraction of
-    the FB set) or the context memory cannot hold some cluster.
+(** The Data Scheduler at a given allocation efficiency. [Error] is a
+    [No_feasible_rf] or [Cm_overflow] diagnostic when even RF = 1 does
+    not fit (some [DS(C)] exceeds the packable fraction of the FB set) or
+    the context memory cannot hold some cluster.
     @raise Invalid_argument if [alloc_efficiency] is outside (0, 1]. *)
 
 val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
@@ -38,38 +38,6 @@ val scheduler : Scheduler_intf.t
 (** The Data Scheduler as a first-class value, registered in
     {!Scheduler_registry} under ["ds"]. *)
 
-val schedule :
-  ?alloc_efficiency:float ->
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (Schedule.t, string) result
-(** Compat shim: {!run_with} on a fresh context, [Diag.to_string] errors.
-    Callers scheduling the same [(app, clustering)] repeatedly should
-    build one {!Sched_ctx} and use {!run_with}. *)
-
-val schedule_ctx :
-  ?alloc_efficiency:float ->
-  Morphosys.Config.t ->
-  Sched_ctx.t ->
-  (Schedule.t, string) result
-(** Compat shim: {!run_with} with [Diag.to_string] errors. *)
-
-val schedule_diag :
-  ?alloc_efficiency:float ->
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (Schedule.t, Diag.t) result
-(** Compat shim: {!run_with} on a fresh context. *)
-
-val schedule_ctx_diag :
-  ?alloc_efficiency:float ->
-  Morphosys.Config.t ->
-  Sched_ctx.t ->
-  (Schedule.t, Diag.t) result
-(** Compat shim: {!run_with} with the historical argument order. *)
-
 val schedule_reference :
   ?alloc_efficiency:float ->
   Morphosys.Config.t ->
@@ -77,9 +45,9 @@ val schedule_reference :
   Kernel_ir.Cluster.clustering ->
   (Schedule.t, string) result
 (** The original list-based implementation, retained verbatim as the
-    equivalence oracle for the indexed path (and as the baseline the
-    scaling bench times against). Produces schedules byte-identical to
-    {!schedule}. *)
+    equivalence oracle for the indexed path (the test suite and the
+    benchmark's correctness check). Produces schedules byte-identical to
+    {!run_with}'s, with [Diag.to_string] errors. *)
 
 val footprints :
   Kernel_ir.Application.t -> Kernel_ir.Cluster.clustering -> int list

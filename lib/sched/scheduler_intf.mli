@@ -9,9 +9,7 @@
     Every scheduler in the stack implements this one module type and is a
     first-class value ({!t}) registered in {!Scheduler_registry}; the
     pipeline, the DSE sweep, the fuzzers and the CLI all dispatch through
-    it. The historical per-scheduler entry points
-    ([schedule] / [schedule_ctx] / [*_diag]) survive only as thin,
-    byte-identical compat shims over {!S.run}. *)
+    it. *)
 
 module type S = sig
   val name : string

@@ -27,21 +27,9 @@ let all () =
   (* sorted by name: deterministic regardless of link / registration order *)
   List.filter_map (fun n -> Hashtbl.find_opt table n) (names ())
 
-let mem name = Hashtbl.mem table name
-
 let unknown name =
   Diag.v Diag.Invalid_config "unknown scheduler %S (have: %s)" name
     (String.concat ", " (names ()))
-
-let find_exn name =
-  match find name with
-  | Some m -> m
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Scheduler_registry.find_exn: unknown scheduler %S \
-                       (have: %s)"
-         name
-         (String.concat ", " (names ())))
 
 let run name ctx config =
   match find name with

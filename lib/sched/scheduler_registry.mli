@@ -15,9 +15,6 @@ val register : Scheduler_intf.t -> unit
 
 val find : string -> Scheduler_intf.t option
 
-val find_exn : string -> Scheduler_intf.t
-(** @raise Invalid_argument on an unknown name, listing the known ones. *)
-
 val run :
   string ->
   Sched_ctx.t ->
@@ -33,5 +30,3 @@ val all : unit -> Scheduler_intf.t list
 
 val names : unit -> string list
 (** [List.map Scheduler_intf.name (all ())]. *)
-
-val mem : string -> bool

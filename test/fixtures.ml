@@ -51,3 +51,12 @@ let default_config = Morphosys.Config.m1 ~fb_set_size:1024
 
 let big_config = Morphosys.Config.m1 ~fb_set_size:65536
 (* roomy machine for property tests: every random app is feasible *)
+
+(* The canonical entry points with [Diag.to_string] errors, so a test that
+   only wants a schedule (or a failure message) stays one line long. *)
+let run name ctx config =
+  Result.map_error Diag.to_string (Sched.Scheduler_registry.run name ctx config)
+
+let cds ?retention ?cross_set ctx config =
+  Result.map_error Diag.to_string
+    (Cds.Complete_data_scheduler.run_full ?retention ?cross_set ctx config)

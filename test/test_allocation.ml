@@ -6,7 +6,7 @@ module AA = Cds.Allocation_algorithm
 module IE = Kernel_ir.Info_extractor
 
 let run_alloc config app clustering =
-  match Cds.Complete_data_scheduler.schedule config app clustering with
+  match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok r ->
     ( r,
@@ -78,7 +78,7 @@ let test_capture_filter () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
   let config = Fixtures.default_config in
-  match Cds.Complete_data_scheduler.schedule config app clustering with
+  match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok r ->
     let result =
@@ -117,7 +117,7 @@ let prop_allocator_succeeds =
   QCheck.Test.make ~name:"allocator places every object" ~count:75
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
       let config = Fixtures.big_config in
-      match Cds.Complete_data_scheduler.schedule config app clustering with
+      match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
       | Error _ -> false
       | Ok r ->
         let result =

@@ -155,28 +155,39 @@ let prop_retention (app, clustering) =
         [ false; true ])
     [ 1024; 4096 ]
 
-(* End-to-end: the three schedulers' indexed paths must return the very
-   schedule (or the very error string) of the reference paths. *)
+(* End-to-end: every registered scheduler, dispatched by name, must return
+   the very schedule (or the very error string) of its reference path. *)
 let prop_schedulers (app, clustering) =
   let config = Morphosys.Config.m1 ~fb_set_size:4096 in
-  let ok name b =
-    if b then true else QCheck.Test.fail_reportf "%s schedule differs" name
+  let ctx = Sched.Sched_ctx.make app clustering in
+  let reference = function
+    | "basic" -> Sched.Basic_scheduler.schedule_reference config app clustering
+    | "ds" -> Sched.Data_scheduler.schedule_reference config app clustering
+    | name ->
+      Result.map
+        (fun r -> r.Cds.Complete_data_scheduler.schedule)
+        (Cds.Complete_data_scheduler.schedule_reference
+           ~cross_set:(name = "cds-xset") config app clustering)
   in
-  ok "basic"
-    (Sched.Basic_scheduler.schedule config app clustering
-    = Sched.Basic_scheduler.schedule_reference config app clustering)
-  && ok "ds"
-       (Sched.Data_scheduler.schedule config app clustering
-       = Sched.Data_scheduler.schedule_reference config app clustering)
-  && List.for_all
-       (fun cross_set ->
-         ok
-           (if cross_set then "cds-xset" else "cds")
-           (Cds.Complete_data_scheduler.schedule ~cross_set config app
-              clustering
-           = Cds.Complete_data_scheduler.schedule_reference ~cross_set config
-               app clustering))
-       [ false; true ]
+  List.for_all
+    (fun name ->
+      match
+        ( Result.map_error Diag.to_string
+            (Sched.Scheduler_registry.run name ctx config),
+          reference name )
+      with
+      | Ok a, Ok b ->
+        a = b || QCheck.Test.fail_reportf "%s: schedule differs" name
+      | Error a, Error b ->
+        a = b
+        || QCheck.Test.fail_reportf "%s: errors differ: %S vs %S" name a b
+      | Ok _, Error e ->
+        QCheck.Test.fail_reportf "%s: registry Ok but reference Error %S"
+          name e
+      | Error e, Ok _ ->
+        QCheck.Test.fail_reportf "%s: registry Error %S but reference Ok"
+          name e)
+    [ "basic"; "ds"; "cds"; "cds-xset" ]
 
 (* The estimate used by the RF searches must equal the cost of the
    materialised schedule, for both traffic shapes and several factors. *)

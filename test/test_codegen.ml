@@ -9,7 +9,7 @@ let config = Morphosys.Config.m1 ~fb_set_size:1024
 let ds_schedule () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
-  match Sched.Data_scheduler.schedule config app clustering with
+  match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
@@ -65,18 +65,18 @@ let test_interp_matches_executor_table1 () =
           (e.Workloads.Table1.id ^ "/" ^ s.Sched.Schedule.scheduler)
           m.Msim.Metrics.total_cycles r.Codegen.Interp.cycles
       in
-      let app = e.Workloads.Table1.app
-      and clustering = e.Workloads.Table1.clustering
-      and config = e.Workloads.Table1.config in
-      (match Sched.Basic_scheduler.schedule config app clustering with
-      | Ok s -> check s
-      | Error _ -> ());
-      (match Sched.Data_scheduler.schedule config app clustering with
-      | Ok s -> check s
-      | Error _ -> ());
-      match Cds.Complete_data_scheduler.schedule config app clustering with
-      | Ok r -> check r.Cds.Complete_data_scheduler.schedule
-      | Error _ -> ())
+      let ctx =
+        Sched.Sched_ctx.make e.Workloads.Table1.app
+          e.Workloads.Table1.clustering
+      in
+      List.iter
+        (fun name ->
+          match
+            Sched.Scheduler_registry.run name ctx e.Workloads.Table1.config
+          with
+          | Ok s -> check s
+          | Error _ -> ())
+        [ "basic"; "ds"; "cds" ])
     (Workloads.Table1.all ())
 
 let test_interp_fault_on_bad_store () =
@@ -171,7 +171,8 @@ let test_asm_parse_errors () =
 let prop_asm_round_trip =
   QCheck.Test.make ~name:"emitted programs round-trip through asm" ~count:50
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
-      match Sched.Data_scheduler.schedule Fixtures.big_config app clustering with
+      let ctx = Sched.Sched_ctx.make app clustering in
+      match Fixtures.run "ds" ctx Fixtures.big_config with
       | Error _ -> false
       | Ok s -> (
         let program = Codegen.Emit.program s in
@@ -183,7 +184,7 @@ let prop_interp_matches_executor =
   QCheck.Test.make ~name:"interpreter = executor on random apps" ~count:75
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
       let config = Fixtures.big_config in
-      match Cds.Complete_data_scheduler.schedule config app clustering with
+      match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
       | Error _ -> false
       | Ok r ->
         let s = r.Cds.Complete_data_scheduler.schedule in
@@ -197,7 +198,7 @@ let test_looped_unrolls_to_unrolled () =
       let app = e.Workloads.Table1.app
       and clustering = e.Workloads.Table1.clustering
       and config = e.Workloads.Table1.config in
-      match Cds.Complete_data_scheduler.schedule config app clustering with
+      match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
       | Error _ -> ()
       | Ok r ->
         let s = r.Cds.Complete_data_scheduler.schedule in
@@ -220,10 +221,10 @@ let test_looped_unrolls_to_unrolled () =
 let test_looped_compresses () =
   (* MPEG at 2K runs 30 rounds: the looped program must be much smaller *)
   let e = Workloads.Table1.by_id "MPEG" in
-  match
-    Cds.Complete_data_scheduler.schedule e.Workloads.Table1.config
-      e.Workloads.Table1.app e.Workloads.Table1.clustering
-  with
+  let ctx =
+    Sched.Sched_ctx.make e.Workloads.Table1.app e.Workloads.Table1.clustering
+  in
+  match Fixtures.cds ctx e.Workloads.Table1.config with
   | Error err -> Alcotest.fail err
   | Ok r ->
     let s = r.Cds.Complete_data_scheduler.schedule in
@@ -253,7 +254,7 @@ let prop_looped_interp_matches =
   QCheck.Test.make ~name:"looped program = executor on random apps" ~count:50
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
       let config = Fixtures.big_config in
-      match Cds.Complete_data_scheduler.schedule config app clustering with
+      match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
       | Error _ -> false
       | Ok r ->
         let s = r.Cds.Complete_data_scheduler.schedule in
@@ -268,9 +269,8 @@ let prop_looped_interp_matches =
 let prop_looped_asm_round_trip =
   QCheck.Test.make ~name:"looped programs round-trip through asm" ~count:50
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
-      match
-        Sched.Data_scheduler.schedule Fixtures.big_config app clustering
-      with
+      let ctx = Sched.Sched_ctx.make app clustering in
+      match Fixtures.run "ds" ctx Fixtures.big_config with
       | Error _ -> false
       | Ok s -> (
         let program = Codegen.Emit.program_looped s in

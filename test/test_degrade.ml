@@ -50,6 +50,18 @@ let prop_degrade_always_delivers (app, clustering) =
     QCheck.Test.fail_report "CDS in the chain but the cds field is Ok"
   | None, Error _ ->
     QCheck.Test.fail_report "cds failed but is missing from the chain");
+  (* ~degrade only adds the degradation record: whenever validation passes
+     (a default run raises otherwise), the tier fields equal a default
+     run's *)
+  (match Pipeline.run config app clustering with
+  | exception Failure _ -> ()
+  | plain ->
+    let differs field =
+      QCheck.Test.fail_reportf "%s differs under ~degrade" field
+    in
+    if plain.Pipeline.basic <> c.Pipeline.basic then differs "basic";
+    if plain.Pipeline.ds <> c.Pipeline.ds then differs "ds";
+    if plain.Pipeline.cds <> c.Pipeline.cds then differs "cds");
   (* every recorded failure is an error-severity structured diagnostic *)
   List.for_all (fun (_, diag) -> Diag.is_error diag) d.Pipeline.chain
 

@@ -8,14 +8,10 @@ module Dse = Report.Dse
 let config = Morphosys.Config.m1 ~fb_set_size:4096
 
 let schedules (app, clustering) =
-  [
-    ("basic", Sched.Basic_scheduler.schedule config app clustering);
-    ("ds", Sched.Data_scheduler.schedule config app clustering);
-    ( "cds",
-      Result.map
-        (fun r -> r.Cds.Complete_data_scheduler.schedule)
-        (Cds.Complete_data_scheduler.schedule config app clustering) );
-  ]
+  let ctx = Sched.Sched_ctx.make app clustering in
+  List.map
+    (fun name -> (name, Fixtures.run name ctx config))
+    [ "basic"; "ds"; "cds" ]
 
 (* Each scheduler either declares the instance infeasible or produces a
    schedule the referee accepts. *)

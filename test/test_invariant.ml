@@ -58,7 +58,7 @@ let test_ds_loads_once_per_round () =
   let app = app_with_table () in
   let clustering = clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:1024 in
-  match Sched.Data_scheduler.schedule config app clustering with
+  match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok s ->
     Msim.Validate.check_exn s;
@@ -83,7 +83,7 @@ let test_cds_retains_across_rounds () =
   let app = app_with_table () in
   let clustering = clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:1024 in
-  match Cds.Complete_data_scheduler.schedule config app clustering with
+  match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok r ->
     let s = r.Cds.Complete_data_scheduler.schedule in
@@ -108,7 +108,7 @@ let test_cds_retains_across_rounds () =
     in
     Alcotest.(check int) "loaded exactly once for the whole run" 1 tbl_loads;
     (* and the CDS beats DS thanks to the table *)
-    (match Sched.Data_scheduler.schedule config app clustering with
+    (match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
     | Ok ds ->
       let cycles x = (Msim.Executor.run config x).Msim.Metrics.total_cycles in
       Alcotest.(check bool) "cds faster than ds" true (cycles s < cycles ds)
@@ -162,7 +162,7 @@ let test_looped_program_with_invariant () =
   let config = Morphosys.Config.m1 ~fb_set_size:640 in
   (* small FB: several rounds, so the reroller must keep the constant
      table's absolute reference inside the loop *)
-  match Sched.Data_scheduler.schedule config app clustering with
+  match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok s ->
     let unrolled = Codegen.Emit.program s in

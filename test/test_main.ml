@@ -5,7 +5,6 @@ let () =
     [
       Test_listx.tests;
       Test_interval.tests;
-      Test_stats.tests;
       Test_pretty.tests;
       Test_morphosys.tests;
       Test_kernel_ir.tests;

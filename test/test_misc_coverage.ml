@@ -27,7 +27,7 @@ let test_trace_timeline_consistency () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
   let config = Fixtures.default_config in
-  match Sched.Data_scheduler.schedule config app clustering with
+  match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok s ->
     let metrics, timeline = Msim.Executor.run_timed config s in
@@ -47,7 +47,8 @@ let test_trace_timeline_consistency () =
 let test_schedule_pp () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
-  match Sched.Data_scheduler.schedule Fixtures.default_config app clustering with
+  let ctx = Sched.Sched_ctx.make app clustering in
+  match Fixtures.run "ds" ctx Fixtures.default_config with
   | Error e -> Alcotest.fail e
   | Ok s ->
     let text = Format.asprintf "%a" Sched.Schedule.pp s in
@@ -63,7 +64,7 @@ let test_figure5_snapshot_order () =
   let app = Workloads.Synthetic.figure5 () in
   let clustering = Workloads.Synthetic.figure5_clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:512 in
-  match Cds.Complete_data_scheduler.schedule config app clustering with
+  match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok r ->
     let focus = Workloads.Synthetic.figure5_focus_cluster in
@@ -90,10 +91,10 @@ let test_interp_eviction_on_real_workload () =
   (* E3 has 3.5K context words against a 2K CM: the interpreter must evict
      context sets while replaying, and still match the executor *)
   let e = Workloads.Table1.by_id "E3" in
-  match
-    Cds.Complete_data_scheduler.schedule e.Workloads.Table1.config
-      e.Workloads.Table1.app e.Workloads.Table1.clustering
-  with
+  let ctx =
+    Sched.Sched_ctx.make e.Workloads.Table1.app e.Workloads.Table1.clustering
+  in
+  match Fixtures.cds ctx e.Workloads.Table1.config with
   | Error err -> Alcotest.fail err
   | Ok r ->
     let s = r.Cds.Complete_data_scheduler.schedule in

@@ -140,17 +140,6 @@ let test_rc_array () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad efficiency"
 
-let test_machine () =
-  let m = Machine.create (Config.m1 ~fb_set_size:64) in
-  Frame_buffer.place m.Machine.frame_buffer ~set:Frame_buffer.Set_a ~label:"x"
-    [ iv 0 8 ];
-  let m2 = Machine.reset m in
-  Alcotest.(check int) "reset clears FB" 0
-    (Frame_buffer.used_words m2.Machine.frame_buffer ~set:Frame_buffer.Set_a);
-  let summary = Format.asprintf "%a" Machine.pp_summary m in
-  Alcotest.(check bool) "summary mentions FB" true
-    (Astring_contains.contains summary "FB")
-
 let tests =
   ( "morphosys",
     [
@@ -163,5 +152,4 @@ let tests =
       Alcotest.test_case "context memory" `Quick test_cm;
       Alcotest.test_case "dma cost model" `Quick test_dma_cost;
       Alcotest.test_case "rc array timing" `Quick test_rc_array;
-      Alcotest.test_case "machine bundle" `Quick test_machine;
     ] )

@@ -1,7 +1,7 @@
-(* The scheduler registry: deterministic listing, duplicate rejection, and
-   the central equivalence property — dispatching any registered scheduler
-   through [Scheduler_registry.run] produces results byte-identical to the
-   scheduler's own legacy [schedule] entry point on the same inputs. *)
+(* The scheduler registry: deterministic listing, lookup, duplicate
+   rejection and the unknown-name diagnostic. That dispatching a scheduler
+   by name reproduces its reference schedules is a property in
+   [Test_analysis]. *)
 
 module Registry = Sched.Scheduler_registry
 module Intf = Sched.Scheduler_intf
@@ -22,22 +22,16 @@ let test_names_deterministic () =
   (* the three paper tiers plus the cross-set variant are registered *)
   List.iter
     (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (Registry.mem n))
+      Alcotest.(check bool)
+        (n ^ " registered") true
+        (List.mem n (Registry.names ())))
     [ "basic"; "ds"; "cds"; "cds-xset" ]
 
 let test_find () =
   (match Registry.find "ds" with
   | Some s -> Alcotest.(check string) "find returns ds" "ds" (Intf.name s)
   | None -> Alcotest.fail "ds must be registered");
-  Alcotest.(check bool) "unknown name" true (Registry.find "no-such" = None);
-  (match Registry.find_exn "basic" with
-  | s -> Alcotest.(check string) "find_exn" "basic" (Intf.name s)
-  | exception _ -> Alcotest.fail "find_exn basic must succeed");
-  match Registry.find_exn "no-such" with
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool) "error names the scheduler" true
-      (contains msg "no-such")
-  | _ -> Alcotest.fail "find_exn of an unknown name must raise"
+  Alcotest.(check bool) "unknown name" true (Registry.find "no-such" = None)
 
 let test_duplicate_rejected () =
   let impostor : Intf.t =
@@ -73,53 +67,6 @@ let test_unknown_run_diagnoses () =
     Alcotest.(check bool) "message lists the known names" true
       (contains d.Diag.message "basic")
 
-(* ---------- equivalence: registry dispatch = legacy entry points ------- *)
-
-(* The legacy string-API call each registry name shims over. *)
-let legacy_of name config app clustering =
-  match name with
-  | "basic" -> Sched.Basic_scheduler.schedule config app clustering
-  | "ds" -> Sched.Data_scheduler.schedule config app clustering
-  | "cds" ->
-    Result.map
-      (fun r -> r.Cds.Complete_data_scheduler.schedule)
-      (Cds.Complete_data_scheduler.schedule config app clustering)
-  | "cds-xset" ->
-    Result.map
-      (fun r -> r.Cds.Complete_data_scheduler.schedule)
-      (Cds.Complete_data_scheduler.schedule ~cross_set:true config app
-         clustering)
-  | n -> invalid_arg ("legacy_of: no legacy entry point for " ^ n)
-
-let prop_registry_equals_legacy (app, clustering) =
-  let config = Morphosys.Config.m1 ~fb_set_size:4096 in
-  let ctx = Sched.Sched_ctx.make app clustering in
-  List.for_all
-    (fun name ->
-      let via_registry =
-        Result.map_error Diag.to_string (Registry.run name ctx config)
-      in
-      let via_legacy = legacy_of name config app clustering in
-      match (via_registry, via_legacy) with
-      | Ok a, Ok b ->
-        a = b
-        || QCheck.Test.fail_reportf "%s: registry schedule differs" name
-      | Error a, Error b ->
-        a = b
-        || QCheck.Test.fail_reportf "%s: errors differ: %S vs %S" name a b
-      | Ok _, Error e ->
-        QCheck.Test.fail_reportf "%s: registry Ok but legacy Error %S" name e
-      | Error e, Ok _ ->
-        QCheck.Test.fail_reportf "%s: registry Error %S but legacy Ok" name e)
-    [ "basic"; "ds"; "cds"; "cds-xset" ]
-
-let equivalence_property =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:200
-       ~name:"registry run = legacy schedule (all registered schedulers)"
-       Workloads.Random_app.arb_app_with_clustering
-       prop_registry_equals_legacy)
-
 let tests =
   ( "scheduler_registry",
     [
@@ -130,5 +77,4 @@ let tests =
         test_duplicate_rejected;
       Alcotest.test_case "unknown name diagnosed" `Quick
         test_unknown_run_diagnoses;
-      equivalence_property;
     ] )

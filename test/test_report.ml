@@ -54,7 +54,7 @@ let test_cds_monotone_in_fb () =
       let base_fb = entry.Workloads.Registry.default_fb in
       let cycles fb =
         let config = Morphosys.Config.m1 ~fb_set_size:fb in
-        match Cds.Complete_data_scheduler.schedule config app clustering with
+        match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
         | Ok r ->
           Some
             (Msim.Executor.run config r.Cds.Complete_data_scheduler.schedule)
@@ -81,7 +81,7 @@ let test_interp_with_setup_cost () =
   let config =
     Morphosys.Config.make ~fb_set_size:1024 ~dma_setup_cycles:7 ()
   in
-  match Cds.Complete_data_scheduler.schedule config app clustering with
+  match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok r ->
     let s = r.Cds.Complete_data_scheduler.schedule in

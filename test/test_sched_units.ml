@@ -106,7 +106,7 @@ let test_schedule_rounds () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
   let config = Fixtures.default_config in
-  match Sched.Data_scheduler.schedule config app clustering with
+  match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok s ->
     let total =

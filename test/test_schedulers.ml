@@ -7,16 +7,16 @@ module Metrics = Msim.Metrics
 
 let toy_setup () =
   let app = Fixtures.toy () in
-  let clustering = Fixtures.toy_clustering app in
-  (app, clustering, Fixtures.default_config)
+  let ctx = Sched.Sched_ctx.make app (Fixtures.toy_clustering app) in
+  (ctx, Fixtures.default_config)
 
 let run_ok name = function
   | Ok s -> s
   | Error e -> Alcotest.fail (name ^ ": " ^ e)
 
 let test_basic_structure () =
-  let app, clustering, config = toy_setup () in
-  let s = run_ok "basic" (Sched.Basic_scheduler.schedule config app clustering) in
+  let ctx, config = toy_setup () in
+  let s = run_ok "basic" (Fixtures.run "basic" ctx config) in
   Alcotest.(check int) "rf 1" 1 s.Schedule.rf;
   Alcotest.(check int) "rounds = iterations" 4 (Schedule.rounds s);
   Msim.Validate.check_exn s;
@@ -28,8 +28,8 @@ let test_basic_structure () =
   Alcotest.(check int) "stores" 460 (Schedule.data_words_stored s)
 
 let test_ds_structure () =
-  let app, clustering, config = toy_setup () in
-  let s = run_ok "ds" (Sched.Data_scheduler.schedule config app clustering) in
+  let ctx, config = toy_setup () in
+  let s = run_ok "ds" (Fixtures.run "ds" ctx config) in
   Msim.Validate.check_exn s;
   Alcotest.(check bool) "rf >= 1" true (s.Schedule.rf >= 1);
   (* DS loads are the same as Basic's; stores skip intermediates: cluster 0
@@ -38,10 +38,8 @@ let test_ds_structure () =
   Alcotest.(check int) "stores" 300 (Schedule.data_words_stored s)
 
 let test_cds_structure () =
-  let app, clustering, config = toy_setup () in
-  let r =
-    run_ok "cds" (Cds.Complete_data_scheduler.schedule config app clustering)
-  in
+  let ctx, config = toy_setup () in
+  let r = run_ok "cds" (Fixtures.cds ctx config) in
   let s = r.Cds.Complete_data_scheduler.schedule in
   Msim.Validate.check_exn s;
   (* toy's sharing is all cross-set (clusters 0 and 1), so nothing can be
@@ -52,12 +50,8 @@ let test_cds_structure () =
   Alcotest.(check int) "same loads as ds" 1220 (Schedule.data_words_loaded s)
 
 let test_cds_cross_set () =
-  let app, clustering, config = toy_setup () in
-  let r =
-    run_ok "cds-xset"
-      (Cds.Complete_data_scheduler.schedule ~cross_set:true config app
-         clustering)
-  in
+  let ctx, config = toy_setup () in
+  let r = run_ok "cds-xset" (Fixtures.cds ~cross_set:true ctx config) in
   let s = r.Cds.Complete_data_scheduler.schedule in
   Alcotest.(check bool) "flag recorded" true s.Schedule.cross_set;
   Msim.Validate.check_exn s;
@@ -72,7 +66,7 @@ let test_cds_retention_same_set () =
   let clustering = Fixtures.same_set_clustering app in
   let config = Fixtures.default_config in
   let r =
-    run_ok "cds" (Cds.Complete_data_scheduler.schedule config app clustering)
+    run_ok "cds" (Fixtures.cds (Sched.Sched_ctx.make app clustering) config)
   in
   Msim.Validate.check_exn r.Cds.Complete_data_scheduler.schedule;
   let retained =
@@ -87,35 +81,31 @@ let test_cds_retention_same_set () =
     r.Cds.Complete_data_scheduler.data_words_avoided_per_iteration
 
 let test_basic_infeasible_when_tight () =
-  let app, clustering, _ = toy_setup () in
+  let ctx, _ = toy_setup () in
   (* basic needs 245 words; ds only 220 *)
   let config = Morphosys.Config.m1 ~fb_set_size:230 in
   Alcotest.(check bool) "basic rejected" true
-    (Result.is_error (Sched.Basic_scheduler.schedule config app clustering));
+    (Result.is_error (Sched.Scheduler_registry.run "basic" ctx config));
   Alcotest.(check bool) "ds still fine" true
     (Result.is_ok
-       (Sched.Data_scheduler.schedule ~alloc_efficiency:1.0 config app
-          clustering))
+       (Sched.Data_scheduler.run_with ~alloc_efficiency:1.0 ctx config))
 
 let test_ds_infeasible_when_tighter () =
-  let app, clustering, _ = toy_setup () in
+  let ctx, _ = toy_setup () in
   let config = Morphosys.Config.m1 ~fb_set_size:210 in
   Alcotest.(check bool) "ds rejected" true
     (Result.is_error
-       (Sched.Data_scheduler.schedule ~alloc_efficiency:1.0 config app
-          clustering))
+       (Sched.Data_scheduler.run_with ~alloc_efficiency:1.0 ctx config))
 
 let test_alloc_efficiency_validation () =
-  let app, clustering, config = toy_setup () in
-  match
-    Sched.Data_scheduler.schedule ~alloc_efficiency:1.5 config app clustering
-  with
+  let ctx, config = toy_setup () in
+  match Sched.Data_scheduler.run_with ~alloc_efficiency:1.5 ctx config with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected efficiency validation"
 
 let test_overlap_metrics () =
-  let app, clustering, config = toy_setup () in
-  let s = run_ok "ds" (Sched.Data_scheduler.schedule config app clustering) in
+  let ctx, config = toy_setup () in
+  let s = run_ok "ds" (Fixtures.run "ds" ctx config) in
   let m = Msim.Executor.run config s in
   Alcotest.(check bool) "total >= compute" true
     (m.Metrics.total_cycles >= m.Metrics.compute_cycles);
@@ -132,16 +122,12 @@ let prop_scheduler_ordering =
   QCheck.Test.make ~name:"cycles: cds <= ds <= basic" ~count:100
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
       let config = Fixtures.big_config in
-      match
-        ( Sched.Basic_scheduler.schedule config app clustering,
-          Sched.Data_scheduler.schedule config app clustering,
-          Cds.Complete_data_scheduler.schedule config app clustering )
-      with
+      let ctx = Sched.Sched_ctx.make app clustering in
+      let run name = Sched.Scheduler_registry.run name ctx config in
+      match (run "basic", run "ds", run "cds") with
       | Ok b, Ok d, Ok c ->
         let cycles s = (Msim.Executor.run config s).Metrics.total_cycles in
-        let cb = cycles b
-        and cd = cycles d
-        and cc = cycles c.Cds.Complete_data_scheduler.schedule in
+        let cb = cycles b and cd = cycles d and cc = cycles c in
         cc <= cd && cd <= cb
       | _ -> false (* everything fits the big machine *))
 
@@ -154,12 +140,10 @@ let prop_schedules_validate =
         | Ok s -> Msim.Validate.check s = []
         | Error _ -> false
       in
-      valid (Sched.Basic_scheduler.schedule config app clustering)
-      && valid (Sched.Data_scheduler.schedule config app clustering)
-      && valid
-           (Result.map
-              (fun r -> r.Cds.Complete_data_scheduler.schedule)
-              (Cds.Complete_data_scheduler.schedule config app clustering)))
+      let ctx = Sched.Sched_ctx.make app clustering in
+      List.for_all
+        (fun name -> valid (Sched.Scheduler_registry.run name ctx config))
+        [ "basic"; "ds"; "cds" ])
 
 (* CDS with retention disabled must coincide with DS exactly (same RF would
    require same allocator; compare at full efficiency). *)
@@ -168,11 +152,10 @@ let prop_ablated_cds_equals_ds =
     ~count:100 Workloads.Random_app.arb_app_with_clustering
     (fun (app, clustering) ->
       let config = Fixtures.big_config in
+      let ctx = Sched.Sched_ctx.make app clustering in
       match
-        ( Sched.Data_scheduler.schedule ~alloc_efficiency:1.0 config app
-            clustering,
-          Cds.Complete_data_scheduler.schedule ~retention:false config app
-            clustering )
+        ( Sched.Data_scheduler.run_with ~alloc_efficiency:1.0 ctx config,
+          Cds.Complete_data_scheduler.run_full ~retention:false ctx config )
       with
       | Ok d, Ok c ->
         let s = c.Cds.Complete_data_scheduler.schedule in

@@ -11,7 +11,7 @@ let config = Morphosys.Config.m1 ~fb_set_size:1024
 let ds_schedule () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
-  match Sched.Data_scheduler.schedule config app clustering with
+  match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
   | Ok s -> s
   | Error e -> Alcotest.fail e
 

@@ -10,7 +10,7 @@ let config = Fixtures.default_config
 let test_even_cluster_count_has_no_stalls () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
-  match Sched.Data_scheduler.schedule config app clustering with
+  match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok s ->
     Alcotest.(check int) "no conflict stall steps" 0
@@ -27,7 +27,7 @@ let test_odd_cluster_count_stalls_at_wraparound () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:160 in
-  match Sched.Data_scheduler.schedule config app clustering with
+  match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok s ->
     let stalls =
@@ -50,7 +50,7 @@ let test_odd_cluster_count_stalls_at_wraparound () =
 let test_overlap_legality_in_all_steps () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
-  match Sched.Data_scheduler.schedule config app clustering with
+  match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
   | Error e -> Alcotest.fail e
   | Ok s ->
     List.iter
@@ -117,12 +117,10 @@ let prop_cost_estimate_equals_executor =
           = (Msim.Executor.run config s).Msim.Metrics.total_cycles
         | Error _ -> false
       in
-      agree (Sched.Basic_scheduler.schedule config app clustering)
-      && agree (Sched.Data_scheduler.schedule config app clustering)
-      && agree
-           (Result.map
-              (fun r -> r.Cds.Complete_data_scheduler.schedule)
-              (Cds.Complete_data_scheduler.schedule config app clustering)))
+      let ctx = Sched.Sched_ctx.make app clustering in
+      List.for_all
+        (fun name -> agree (Sched.Scheduler_registry.run name ctx config))
+        [ "basic"; "ds"; "cds" ])
 
 let test_context_partial_pinning () =
   (* four singleton clusters with contexts 100/50/50/50 and a 240-word CM:

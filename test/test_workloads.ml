@@ -92,12 +92,12 @@ let test_mpeg_1k_feasibility () =
   let app = Workloads.Mpeg.app () in
   let clustering = Workloads.Mpeg.clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:1024 in
+  let ctx = Sched.Sched_ctx.make app clustering in
+  let run name = Sched.Scheduler_registry.run name ctx config in
   Alcotest.(check bool) "basic cannot run MPEG at 1K" true
-    (Result.is_error (Sched.Basic_scheduler.schedule config app clustering));
-  Alcotest.(check bool) "ds runs MPEG at 1K" true
-    (Result.is_ok (Sched.Data_scheduler.schedule config app clustering));
-  Alcotest.(check bool) "cds runs MPEG at 1K" true
-    (Result.is_ok (Cds.Complete_data_scheduler.schedule config app clustering))
+    (Result.is_error (run "basic"));
+  Alcotest.(check bool) "ds runs MPEG at 1K" true (Result.is_ok (run "ds"));
+  Alcotest.(check bool) "cds runs MPEG at 1K" true (Result.is_ok (run "cds"))
 
 let test_all_schedules_validate () =
   List.iter
