@@ -1,7 +1,6 @@
-(* Engine microbench: the ATR-SLD design-space sweep run sequentially,
-   on a full worker pool, and through a warm memo cache. Wall-clock,
-   best-of-three — the number an architect sizing a machine actually
-   waits on. *)
+(* Engine microbench: the ATR-SLD design-space sweep run sequentially
+   and on a full worker pool. Wall-clock, best-of-three — the number an
+   architect sizing a machine actually waits on. *)
 
 let sld = Workloads.Atr.sld ()
 let sld_clustering = Workloads.Atr.sld_clustering sld
@@ -9,9 +8,8 @@ let fb_list = [ 1024; 2048; 4096; 8192; 16384 ]
 let cm_list = [ 1024; 2048 ]
 let setup_list = [ 0; 16 ]
 
-let sweep ?cache ~jobs () =
-  Report.Dse.sweep ~jobs ?cache ~cm_list ~setup_list ~fb_list sld
-    sld_clustering
+let sweep ~jobs () =
+  Report.Dse.sweep ~jobs ~cm_list ~setup_list ~fb_list sld sld_clustering
 
 let best_of n f =
   let rec go best i =
@@ -32,12 +30,7 @@ let run () =
     points;
   let seq = best_of 3 (fun () -> sweep ~jobs:1 ()) in
   let par = best_of 3 (fun () -> sweep ~jobs ()) in
-  let cache = Engine.Cache.create () in
-  ignore (sweep ~cache ~jobs:1 ());
-  let cached = best_of 3 (fun () -> sweep ~cache ~jobs:1 ()) in
   Format.printf "sequential (jobs=1)   %8.1f ms@\n" (seq *. 1000.);
   Format.printf "pool (jobs=%-2d)        %8.1f ms   %.2fx@\n" jobs
     (par *. 1000.) (seq /. par);
-  Format.printf "warm cache            %8.1f ms   %.0fx@\n" (cached *. 1000.)
-    (seq /. cached);
   Format.printf "(%d hardware threads available to this process)@\n" jobs

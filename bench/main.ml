@@ -4,7 +4,7 @@
      dune exec bench/main.exe -- --tables    # Table 1 / Figure 6 only
      dune exec bench/main.exe -- --figures   # Figures 3 and 5, allocator
      dune exec bench/main.exe -- --micro     # bechamel microbenchmarks
-     dune exec bench/main.exe -- --dse       # parallel/cached DSE engine
+     dune exec bench/main.exe -- --dse       # parallel DSE engine
      dune exec bench/main.exe -- --no-micro  # legacy: all but microbenches
 
    Selector flags compose: `-- --tables --dse` runs exactly those two.

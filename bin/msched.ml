@@ -8,7 +8,7 @@
      dot       emit the kernel graph as Graphviz DOT
      table1    reproduce the paper's Table 1 + Figure 6
      figures   reproduce Figures 3 and 5 and the allocator-quality table
-     dse       parallel cached design-space exploration (--jobs/--cache/--stats),
+     dse       parallel design-space exploration (--jobs/--stats),
                durable and resumable with --store PATH / --resume
      store     inspect and maintain the on-disk result stores (info/verify/gc)
      fuzz      random-application differential fuzzing against the validator *)
@@ -380,11 +380,12 @@ let fault_seed_arg =
 
 let fault_sites_arg =
   Arg.(
-    value & opt (list ~sep:',' string) []
+    value
+    & opt (list ~sep:',' (enum [ ("pool", "pool"); ("sched", "sched") ])) []
     & info [ "fault-sites" ] ~docv:"SITES"
         ~doc:
           "Restrict injection to these sites (comma-separated out of \
-           $(b,pool), $(b,cache), $(b,sched)); default: all sites.")
+           $(b,pool), $(b,sched)); default: all sites.")
 
 let fault_retries_arg =
   Arg.(
@@ -427,23 +428,6 @@ let dse_cmd =
       & info [ "setup-list" ] ~docv:"CYCLES"
           ~doc:"DMA setup costs to sweep (comma-separated cycles).")
   in
-  let cache_arg =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:
-            "Memoise design points by content digest: points repeated \
-             across sweeps (see $(b,--repeat)) are scheduled once.")
-  in
-  let repeat_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "repeat" ] ~docv:"N"
-          ~doc:
-            "Run the sweep N times (through the same cache when \
-             $(b,--cache) is set) — demonstrates memoisation and \
-             steadies timings.")
-  in
   let store_arg =
     Arg.(
       value
@@ -466,9 +450,8 @@ let dse_cmd =
              recorded in the store. The resulting point list is \
              byte-identical to an uninterrupted run.")
   in
-  let run name file partition fb_list cm_list setup_list jobs use_cache repeat
-      stats csv store_path resume fault_rate fault_seed fault_sites
-      fault_retries =
+  let run name file partition fb_list cm_list setup_list jobs stats csv
+      store_path resume fault_rate fault_seed fault_sites fault_retries =
     match resolve_source ~name ~file with
     | Error e -> `Error (false, e)
     | Ok source -> (
@@ -508,18 +491,11 @@ let dse_cmd =
             arm_faults ~rate:fault_rate ~seed:fault_seed ~sites:fault_sites
           in
           Fun.protect ~finally:Engine.Faults.disarm @@ fun () ->
-          let cache =
-            if use_cache then Some (Engine.Cache.create ()) else None
-          in
           let st = if stats then Some (Engine.Stats.create ()) else None in
-          let sweep () =
-            Report.Dse.sweep ~jobs ~retries:fault_retries ?cache ?stats:st
+          let points =
+            Report.Dse.sweep ~jobs ~retries:fault_retries ?stats:st
               ?store:durable ~cm_list ~setup_list ~fb_list app clustering
           in
-          let points = ref (sweep ()) in
-          for _ = 2 to max 1 repeat do
-            points := sweep ()
-          done;
           (match durable with
           | Some d ->
             Report.Dse.Durable.checkpoint d;
@@ -528,14 +504,14 @@ let dse_cmd =
               (Report.Dse.Durable.warnings d);
             Report.Dse.Durable.close d
           | None -> ());
-          report_points ~csv !points;
+          report_points ~csv points;
           (match st with
           | Some st -> Format.eprintf "%a@." Engine.Stats.pp st
           | None -> ());
           report_faults armed;
           (* A sweep in which nothing is feasible produced no sizing
              information: that is a failed exploration, not a success. *)
-          (match Report.Dse.all_infeasible_diag !points with
+          (match Report.Dse.all_infeasible_diag points with
           | Some d -> `Error (false, Diag.render d)
           | None -> `Ok ())))
   in
@@ -548,9 +524,9 @@ let dse_cmd =
     Term.(
       ret
         (const run $ workload_arg $ file_arg $ partition_arg $ fb_list_arg
-       $ cm_list_arg $ setup_list_arg $ jobs_arg $ cache_arg $ repeat_arg
-       $ stats_arg $ csv_arg $ store_arg $ resume_arg $ fault_rate_arg
-       $ fault_seed_arg $ fault_sites_arg $ fault_retries_arg))
+       $ cm_list_arg $ setup_list_arg $ jobs_arg $ stats_arg $ csv_arg
+       $ store_arg $ resume_arg $ fault_rate_arg $ fault_seed_arg
+       $ fault_sites_arg $ fault_retries_arg))
 
 (* -- store maintenance (Engine.Store) ------------------------------------ *)
 

@@ -124,48 +124,15 @@ let dt_words t =
     Some r.Complete_data_scheduler.data_words_avoided_per_iteration
   | Error _ -> None
 
-let auto_clustering ?store ?(scheduler = "cds") config app =
-  let compute clustering =
-    match
-      Sched.Scheduler_registry.run scheduler
-        (Sched.Sched_ctx.make app clustering)
-        config
-    with
-    | Ok s -> Some (Msim.Executor.run config s).Msim.Metrics.total_cycles
-    | Error _ -> None
-  in
-  let eval clustering =
-    match store with
-    | None -> compute clustering
-    | Some store -> (
-      (* Memoise each candidate's simulated cycle count in the result
-         store, so re-running the search after a crash (or in a later
-         session) only schedules clusterings it has not seen. Anything
-         that goes wrong with the store — an unmarshalable key, a
-         corrupt payload — degrades to recomputation. *)
+let auto_clustering ?(scheduler = "cds") config app =
+  Sched.Kernel_scheduler.best app ~eval:(fun clustering ->
       match
-        Engine.Key.digest_value_result (app, clustering, config, scheduler)
+        Sched.Scheduler_registry.run scheduler
+          (Sched.Sched_ctx.make app clustering)
+          config
       with
-      | Error _ -> compute clustering
-      | Ok digest -> (
-        let key = Engine.Key.combine [ "auto-clustering"; digest ] in
-        let cached =
-          match Engine.Store.find store key with
-          | None -> None
-          | Some payload -> (
-            match (Marshal.from_string payload 0 : int option) with
-            | cycles -> Some cycles
-            | exception _ -> None)
-        in
-        match cached with
-        | Some cycles -> cycles
-        | None ->
-          let cycles = compute clustering in
-          Engine.Store.append store ~key
-            ~payload:(Marshal.to_string (cycles : int option) []);
-          cycles))
-  in
-  Sched.Kernel_scheduler.best app ~eval
+      | Ok s -> Some (Msim.Executor.run config s).Msim.Metrics.total_cycles
+      | Error _ -> None)
 
 let allocation_report config app clustering =
   let ctx = Sched.Sched_ctx.make app clustering in

@@ -82,7 +82,6 @@ val dt_words : comparison -> int option
 (** Data words avoided per iteration by CDS retention (Table 1's DT). *)
 
 val auto_clustering :
-  ?store:Engine.Store.t ->
   ?scheduler:string ->
   Morphosys.Config.t ->
   Kernel_ir.Application.t ->
@@ -90,14 +89,7 @@ val auto_clustering :
 (** Kernel-scheduler search: the clustering minimising the named
     scheduler's simulated cycles (default ["cds"]; any
     {!Sched.Scheduler_registry} name is accepted); [None] when no
-    partition is feasible — or the name is unknown.
-
-    [?store] memoises each candidate clustering's cycle count in an
-    {!Engine.Store}, keyed by (application, clustering, config,
-    scheduler) digest, so an interrupted search resumes without
-    rescheduling candidates it already evaluated. Store failures
-    degrade to recomputation — the search result never depends on the
-    store's health. *)
+    partition is feasible — or the name is unknown. *)
 
 val allocation_report :
   Morphosys.Config.t ->

@@ -8,7 +8,6 @@ type code =
   | Invalid_config
   | Sim_divergence
   | Task_crashed
-  | Task_timeout
   | Fault_injected
   | Store_corrupt
   | Sweep_mismatch
@@ -43,7 +42,6 @@ let code_name = function
   | Invalid_config -> "INVALID_CONFIG"
   | Sim_divergence -> "SIM_DIVERGENCE"
   | Task_crashed -> "TASK_CRASHED"
-  | Task_timeout -> "TASK_TIMEOUT"
   | Fault_injected -> "FAULT_INJECTED"
   | Store_corrupt -> "STORE_CORRUPT"
   | Sweep_mismatch -> "SWEEP_MISMATCH"

@@ -24,7 +24,6 @@ type code =
   | Invalid_config  (** malformed machine configuration *)
   | Sim_divergence  (** the semantic validator rejected a schedule *)
   | Task_crashed  (** a pool task raised an unexpected exception *)
-  | Task_timeout  (** a pool task exceeded its cooperative deadline *)
   | Fault_injected  (** a deterministic injected fault (Engine.Faults) *)
   | Store_corrupt
       (** an on-disk store record (or tail) failed its integrity check and

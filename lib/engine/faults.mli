@@ -10,10 +10,8 @@
 
     Injection sites in this codebase:
     - ["pool"] — entry of every {!Pool} task;
-    - ["cache"] — {!Cache.find} lookups ({!Cache.find_or_add} degrades an
-      injected lookup fault to a miss and recomputes);
-    - ["sched"] — entry of the Basic/DS/CDS scheduler [_diag] paths,
-      which convert the fault into a [Fault_injected] diagnostic. *)
+    - ["sched"] — entry of the Basic/DS/CDS schedulers' [run], which
+      converts the fault into a [Fault_injected] diagnostic. *)
 
 exception Injected of string
 (** [Injected "site#n"] — the injected failure. Transient by

@@ -1,4 +1,4 @@
-(** Content addressing for memo-cache keys.
+(** Content addressing for result-store keys.
 
     A design point is identified by what it computes from — the
     application, the clustering, the machine configuration, the scheduler

@@ -1,68 +1,50 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-exception Deadline_exceeded of float
-
-(* Cooperative cancellation: the worker publishes the running task's
-   deadline in domain-local storage; a well-behaved long task calls
-   [checkpoint] at loop boundaries and is cancelled by the exception. *)
-let deadline_key : float option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let checkpoint () =
-  match Domain.DLS.get deadline_key with
-  | None -> ()
-  | Some d ->
-    let now = Unix.gettimeofday () in
-    if now > d then raise (Deadline_exceeded (now -. d))
-
-(* Run one task to an [(value, (exn, backtrace)) result], enforcing the
-   cooperative deadline and retrying injected (transient) faults up to
-   [retries] times. Deadline overruns are never retried: the task already
-   consumed its time budget. *)
-let attempt ?deadline_s ?(retries = 0) f =
+(* Run one task to an [(value, (exn, backtrace)) result], retrying
+   injected (transient) faults up to [retries] times. *)
+let attempt ~retries f =
   let rec go retries_left =
-    (match deadline_s with
-    | None -> ()
-    | Some s -> Domain.DLS.set deadline_key (Some (Unix.gettimeofday () +. s)));
-    let outcome =
-      match
-        Faults.hit "pool";
-        f ()
-      with
-      | v -> Ok v
-      | exception e -> Error (e, Printexc.get_raw_backtrace ())
-    in
-    Domain.DLS.set deadline_key None;
-    match outcome with
-    | Error (Faults.Injected _, _) when retries_left > 0 ->
+    match
+      Faults.hit "pool";
+      f ()
+    with
+    | v -> Ok v
+    | exception Faults.Injected _ when retries_left > 0 ->
       go (retries_left - 1)
-    | outcome -> outcome
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
   in
   go retries
 
-let check_jobs ~who jobs =
-  if jobs < 1 then
-    invalid_arg
-      (Printf.sprintf "Engine.Pool.%s: jobs must be >= 1 (got %d)" who jobs)
+let diag_of_failure (e, bt) =
+  let backtrace = Printexc.raw_backtrace_to_string bt in
+  match e with
+  | Faults.Injected site ->
+    Diag.v ~backtrace Diag.Fault_injected "injected fault at %s" site
+  | e ->
+    Diag.v ~backtrace Diag.Task_crashed "task raised %s" (Printexc.to_string e)
 
 (* Work-stealing is overkill for coarse scheduler tasks: a shared atomic
    next-task counter gives dynamic load balancing with no queues, and the
    results array (one writer per slot, read only after the joins) keeps the
    output in task order regardless of which domain ran what. *)
-let run_raw ~who ~jobs ?deadline_s ?retries (tasks : (unit -> 'a) array) =
-  check_jobs ~who jobs;
+let run_results ?(jobs = 1) ?(retries = 0) (tasks : (unit -> 'a) array) =
+  if jobs < 1 then
+    invalid_arg
+      (Printf.sprintf "Engine.Pool.run_results: jobs must be >= 1 (got %d)"
+         jobs);
+  let run f = Result.map_error diag_of_failure (attempt ~retries f) in
   let n = Array.length tasks in
   let jobs = min jobs n in
   if jobs <= 1 then
     (* n = 0 lands here too: no domain is ever spawned for an empty array *)
-    Array.map (fun f -> attempt ?deadline_s ?retries f) tasks
+    Array.map run tasks
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let rec worker () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        results.(i) <- Some (attempt ?deadline_s ?retries tasks.(i));
+        results.(i) <- Some (run tasks.(i));
         worker ()
       end
     in
@@ -71,34 +53,3 @@ let run_raw ~who ~jobs ?deadline_s ?retries (tasks : (unit -> 'a) array) =
     List.iter Domain.join helpers;
     Array.map (function Some r -> r | None -> assert false) results
   end
-
-(* Shared completion semantics of [run]/[map]: every task runs exactly
-   once; the exception of the lowest-indexed failing task (with its
-   original backtrace) is what the caller sees. *)
-let extract results =
-  Array.map
-    (function
-      | Ok v -> v
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-    results
-
-let run ?(jobs = 1) tasks = extract (run_raw ~who:"run" ~jobs tasks)
-
-let diag_of_failure (e, bt) =
-  let backtrace = Printexc.raw_backtrace_to_string bt in
-  match e with
-  | Deadline_exceeded over ->
-    Diag.v ~backtrace Diag.Task_timeout
-      "task exceeded its cooperative deadline by %.3fs" over
-  | Faults.Injected site ->
-    Diag.v ~backtrace Diag.Fault_injected "injected fault at %s" site
-  | e ->
-    Diag.v ~backtrace Diag.Task_crashed "task raised %s" (Printexc.to_string e)
-
-let run_results ?(jobs = 1) ?deadline_s ?retries tasks =
-  Array.map
-    (Result.map_error diag_of_failure)
-    (run_raw ~who:"run_results" ~jobs ?deadline_s ?retries tasks)
-
-let map ?jobs f xs =
-  Array.to_list (run ?jobs (Array.of_list (List.map (fun x () -> f x) xs)))

@@ -1,16 +1,15 @@
 (** Fixed-size [Domain]-based worker pool with deterministic result order
     and per-task fault isolation.
 
-    [run ~jobs tasks] evaluates every task exactly once and returns the
-    results in task order, whatever the interleaving of the workers: slot
-    [i] of the output always holds the result of [tasks.(i)]. With
-    [~jobs:1] (the default) the tasks run sequentially in the calling
-    domain — the reference path parallel runs are compared against.
-
-    [run_results] is the fault-isolated variant: one crashing, timed-out
-    or fault-injected task yields an [Error] slot carrying a structured
-    {!Diag.t} (with backtrace) while every other task's result is
-    returned — one bad job never aborts a sweep.
+    [run_results ~jobs tasks] evaluates every task exactly once and
+    returns the results in task order, whatever the interleaving of the
+    workers: slot [i] of the output always holds the result of
+    [tasks.(i)]. With [~jobs:1] (the default) the tasks run sequentially
+    in the calling domain — the reference path parallel runs are
+    compared against. One crashing or fault-injected task yields an
+    [Error] slot carrying a structured {!Diag.t} (with backtrace) while
+    every other task's result is returned — one bad job never aborts a
+    sweep.
 
     Tasks must not themselves spawn domains per task and should be pure
     (or touch only domain-safe state): the pool guarantees each task runs
@@ -21,45 +20,18 @@ val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism
     available to this process. *)
 
-exception Deadline_exceeded of float
-(** Raised by {!checkpoint} inside a task that ran past its cooperative
-    deadline; the payload is the overrun in seconds. *)
+val run_results :
+  ?jobs:int -> ?retries:int -> (unit -> 'a) array -> ('a, Diag.t) result array
+(** [run_results ~jobs tasks] evaluates the tasks on
+    [min jobs (length tasks)] domains (the caller counts as one worker).
+    Slot [i] is [Ok v] or [Error diag], where the diagnostic is
+    [Fault_injected] for an {!Faults.Injected} fault and [Task_crashed]
+    (with backtrace) otherwise. An empty task array returns [[||]]
+    without spawning any domain.
 
-val checkpoint : unit -> unit
-(** Cooperative cancellation point. Inside a pool task started with
-    [~deadline_s], raises {!Deadline_exceeded} once the deadline has
-    passed; a no-op everywhere else. Long-running tasks should call this
-    at loop boundaries. *)
-
-val run : ?jobs:int -> (unit -> 'a) array -> 'a array
-(** [run ~jobs tasks] evaluates the tasks on [min jobs (length tasks)]
-    domains (the caller counts as one worker). If a task raises, every
-    task still completes, then the exception of the lowest-indexed
-    failing task is re-raised with its original backtrace — the same
-    observable failure whatever the job count.
-
-    An empty task array returns [[||]] without spawning any domain.
+    [~retries] (default 0) re-runs a task that failed with an injected
+    fault up to that many times — injected faults are transient by
+    construction, so bounded retry absorbs them; crashes are never
+    retried.
     @raise Invalid_argument if [jobs < 1] (callers mapping "0 = auto"
     must resolve it with {!recommended_jobs} first). *)
-
-val run_results :
-  ?jobs:int ->
-  ?deadline_s:float ->
-  ?retries:int ->
-  (unit -> 'a) array ->
-  ('a, Diag.t) result array
-(** Fault-isolated [run]: slot [i] is [Ok v] or [Error diag], where the
-    diagnostic is [Task_timeout] for a cooperative-deadline overrun
-    (see {!checkpoint}), [Fault_injected] for an {!Faults.Injected}
-    fault, and [Task_crashed] (with backtrace) otherwise.
-
-    [~deadline_s] arms a cooperative per-task deadline. [~retries]
-    (default 0) re-runs a task that failed with an injected fault up to
-    that many times — injected faults are transient by construction, so
-    bounded retry absorbs them; crashes and deadline overruns are never
-    retried.
-    @raise Invalid_argument if [jobs < 1]. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] is [List.map f xs] evaluated on the pool, order
-    preserved. *)

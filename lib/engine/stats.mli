@@ -2,8 +2,8 @@
 
     One [Stats.t] accumulates, thread-safely, a labelled timing series
     (label = scheduler name in the DSE engine): task count, wall and CPU
-    seconds, min/max wall per task — plus cache hit/miss totals reported
-    by the sweep. Feed it to [Report.Dse.sweep ~stats] / [Report.Fuzz.run
+    seconds, min/max wall per task — plus the result-store lookup
+    (hit/miss) and replay totals reported by a durable sweep. Feed it to [Report.Dse.sweep ~stats] / [Report.Fuzz.run
     ~stats] and print it with {!pp} (the [--stats] CLI flag). *)
 
 type entry = {
@@ -27,11 +27,12 @@ val record : t -> label:string -> wall:float -> cpu:float -> unit
 (** Charge an externally measured duration to [label]. *)
 
 val note_cache : t -> hits:int -> misses:int -> unit
-(** Accumulate cache counters observed by one sweep. *)
+(** Accumulate the store lookup counters observed by one durable sweep:
+    design points served from the store (hits) and scheduled (misses). *)
 
 val note_store : t -> replayed:int -> quarantined:int -> unit
 (** Accumulate on-disk store counters observed by one sweep: points
-    rehydrated from the result store into the memo cache, and records
+    replayed from the result store instead of being scheduled, and records
     quarantined (corrupt, truncated, or failing re-validation). *)
 
 val entries : t -> entry list
@@ -42,7 +43,6 @@ val cache_hits : t -> int
 val cache_misses : t -> int
 val store_replayed : t -> int
 val store_quarantined : t -> int
-val total_wall : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** Table of per-label count / total / mean / min / max wall time, CPU

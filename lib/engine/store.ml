@@ -131,8 +131,6 @@ let live_of_records records =
 (* -- the open store ------------------------------------------------------ *)
 
 type t = {
-  path : string;
-  schema : int;
   fd : Unix.file_descr;
   mutex : Mutex.t;
   table : (string, string) Hashtbl.t;
@@ -145,8 +143,6 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let path t = t.path
-let schema t = t.schema
 let warnings t = t.warnings
 
 let close_durably oc =
@@ -212,8 +208,6 @@ let open_ ?(create = true) ~schema path =
         let table, order = live_of_records sc.s_records in
         Ok
           {
-            path;
-            schema;
             fd;
             mutex = Mutex.create ();
             table;

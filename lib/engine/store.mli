@@ -39,9 +39,6 @@ val open_ : ?create:bool -> schema:int -> string -> (t, Diag.t) result
     ([STORE_CORRUPT] or [SWEEP_MISMATCH] diagnostics). An existing empty
     file is treated as a fresh store. *)
 
-val path : t -> string
-val schema : t -> int
-
 val warnings : t -> Diag.t list
 (** Quarantine diagnostics collected while opening, in file order. *)
 

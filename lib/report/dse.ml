@@ -71,14 +71,8 @@ let point_key ~app_digest (fb, cm, setup, scheduler) =
     [ app_digest; string_of_int fb; string_of_int cm; string_of_int setup;
       scheduler ]
 
-(* An injected cache fault degrades the lookup to a miss: the point is
-   recomputed instead of the sweep dying. *)
-let find_safe cache key =
-  try Engine.Cache.find cache key with Engine.Faults.Injected _ -> None
-
-(* A crashed (or timed-out) design-point task is isolated into an
-   infeasible point carrying its diagnostic; the rest of the sweep is
-   unaffected. *)
+(* A crashed design-point task is isolated into an infeasible point
+   carrying its diagnostic; the rest of the sweep is unaffected. *)
 let settle ~combo = function
   | Ok p -> p
   | Error d ->
@@ -105,11 +99,10 @@ module Durable = struct
     path : string;
     identity : string;
     store : Engine.Store.t;
-    cache : point Engine.Cache.t;  (* default cache when the caller has none *)
     mutex : Mutex.t;
     trusted : (string, point) Hashtbl.t;
         (* integrity-checked + re-validated points, grown as the live
-           sweep persists new ones *)
+           sweep persists new ones: the sweep's only memo *)
     mutable run_warnings : Diag.t list;  (* rehydration/persist diags, rev *)
     mutable quarantined : int;
     mutable stats_noted : bool;
@@ -122,24 +115,19 @@ module Durable = struct
   let path t = t.path
   let identity t = t.identity
   let completed t = Engine.Store.length t.store - 1
-  let cache t = t.cache
   let warnings t = Engine.Store.warnings t.store @ List.rev t.run_warnings
 
   (* The sweep identity: everything the on-disk state is a function of.
      Axis values and scheduler names are tagged so reshuffling words
      between axes cannot collide. *)
-  let identity_of ?(cm_list = [ 2048 ]) ?(setup_list = [ 0 ]) ~fb_list app
-      clustering =
-    Result.map
-      (fun app_digest ->
-        Engine.Key.combine
-          ((app_digest :: Printf.sprintf "schema:%d" schema_version
-            :: Printf.sprintf "format:%d" Engine.Store.format_version
-            :: List.map (Printf.sprintf "fb:%d") fb_list)
-          @ List.map (Printf.sprintf "cm:%d") cm_list
-          @ List.map (Printf.sprintf "setup:%d") setup_list
-          @ List.map (Printf.sprintf "sched:%s") schedulers))
-      (Engine.Key.digest_value_result (app, clustering))
+  let identity_of ~app_digest ~cm_list ~setup_list ~fb_list =
+    Engine.Key.combine
+      ((app_digest :: Printf.sprintf "schema:%d" schema_version
+        :: Printf.sprintf "format:%d" Engine.Store.format_version
+        :: List.map (Printf.sprintf "fb:%d") fb_list)
+      @ List.map (Printf.sprintf "cm:%d") cm_list
+      @ List.map (Printf.sprintf "setup:%d") setup_list
+      @ List.map (Printf.sprintf "sched:%s") schedulers)
 
   let quarantine t d =
     t.run_warnings <- d :: t.run_warnings;
@@ -185,11 +173,12 @@ module Durable = struct
                        t.path (short key) (Diag.to_string d)))))
       t.store
 
-  let open_ ?(resume = false) ~path ?cm_list ?setup_list ~fb_list app
-      clustering =
-    match identity_of ?cm_list ?setup_list ~fb_list app clustering with
+  let open_ ?(resume = false) ~path ?(cm_list = [ 2048 ])
+      ?(setup_list = [ 0 ]) ~fb_list app clustering =
+    match Engine.Key.digest_value_result (app, clustering) with
     | Error d -> Error d
-    | Ok identity ->
+    | Ok app_digest ->
+      let identity = identity_of ~app_digest ~cm_list ~setup_list ~fb_list in
       if
         (not resume) && Sys.file_exists path
         && (Unix.stat path).Unix.st_size > 0
@@ -223,7 +212,6 @@ module Durable = struct
                 path;
                 identity;
                 store;
-                cache = Engine.Cache.create ();
                 mutex = Mutex.create ();
                 trusted = Hashtbl.create 256;
                 run_warnings = [];
@@ -243,10 +231,16 @@ module Durable = struct
         (List.assoc_opt identity_key records, List.length points))
       (Engine.Store.contents path)
 
+  let find t key = with_lock t (fun () -> Hashtbl.find_opt t.trusted key)
+
   (* Called from inside pool tasks (any worker domain): a persistence
      failure degrades durability, never the sweep — the point is still
-     returned in memory, with a warning recorded. *)
+     returned in memory, with a warning recorded. An injected scheduler
+     fault is transient, so its placeholder point is never persisted. *)
   let persist t ~key stored_v =
+    match stored_v.stored_point.diag with
+    | Some { Diag.code = Diag.Fault_injected; _ } -> ()
+    | _ -> (
     match Marshal.to_string stored_v [] with
     | exception Invalid_argument msg ->
       with_lock t (fun () ->
@@ -265,18 +259,7 @@ module Durable = struct
             quarantine t
               (Diag.v ~severity:Diag.Warning Diag.Store_corrupt
                  "failed to persist point %s… (%s); continuing without it"
-                 (short key) (Printexc.to_string e))))
-
-  (* Refill a (possibly just-cleared) memo cache from the trusted on-disk
-     points; returns how many entries the replay actually added. *)
-  let replay t cache =
-    let snapshot =
-      with_lock t (fun () ->
-          Hashtbl.fold (fun k p acc -> (k, p) :: acc) t.trusted [])
-    in
-    let before = Engine.Cache.length cache in
-    List.iter (fun (k, p) -> Engine.Cache.add cache k p) snapshot;
-    Engine.Cache.length cache - before
+                 (short key) (Printexc.to_string e)))))
 
   let note_stats t st ~replayed =
     let quarantined =
@@ -295,8 +278,8 @@ module Durable = struct
   let close t = Engine.Store.close t.store
 end
 
-let sweep ?(jobs = 1) ?deadline_s ?retries ?cache ?stats ?store
-    ?(cm_list = [ 2048 ]) ?(setup_list = [ 0 ]) ~fb_list app clustering =
+let sweep ?(jobs = 1) ?retries ?stats ?store ?(cm_list = [ 2048 ])
+    ?(setup_list = [ 0 ]) ~fb_list app clustering =
   let combos =
     List.concat_map
       (fun fb ->
@@ -310,12 +293,52 @@ let sweep ?(jobs = 1) ?deadline_s ?retries ?cache ?stats ?store
           cm_list)
       fb_list
   in
+  (* An axis may repeat a value: each distinct design point runs once. *)
+  let distinct =
+    let seen = Hashtbl.create 64 in
+    List.filter
+      (fun c ->
+        if Hashtbl.mem seen c then false
+        else begin
+          Hashtbl.add seen c ();
+          true
+        end)
+      combos
+  in
+  (* With a store, every distinct point is looked up among the trusted
+     ones first. One key = one design point: the digest covers the
+     application, the clustering and every machine parameter, so a hit
+     is exact. Without a store nothing is digested. *)
+  let lookups =
+    match store with
+    | None -> List.map (fun c -> (c, None, None)) distinct
+    | Some d ->
+      let app_digest =
+        match Engine.Key.digest_value_result (app, clustering) with
+        | Ok app_digest
+          when String.equal (Durable.identity d)
+                 (Durable.identity_of ~app_digest ~cm_list ~setup_list
+                    ~fb_list) ->
+          app_digest
+        | Ok _ | Error _ ->
+          (* the CLI can never get here (Durable.open_ already refused a
+             mismatch), so this is a programmer error *)
+          invalid_arg
+            "Report.Dse.sweep: ~store was opened for a different sweep \
+             (application, clustering or axes mismatch)"
+      in
+      List.map
+        (fun c ->
+          let key = point_key ~app_digest c in
+          (c, Some key, Durable.find d key))
+        distinct
+  in
+  let misses = List.filter (fun (_, _, hit) -> hit = None) lookups in
   (* One immutable analysis context shared by every design point — and,
-     under [~jobs > 1], by every worker domain. *)
+     under [~jobs > 1], by every worker domain. A store makes each point
+     durable the moment its task completes, on whatever domain ran it. *)
   let ctx = Sched.Sched_ctx.make app clustering in
-  (* [persist] (per-combo) makes the point durable the moment its task
-     completes on whatever worker domain ran it. *)
-  let eval ?persist (fb, cm, setup, scheduler) =
+  let task ((fb, cm, setup, scheduler), key, _) () =
     let work () =
       evaluate_full ~ctx ~fb ~cm ~setup ~scheduler app clustering
     in
@@ -324,115 +347,30 @@ let sweep ?(jobs = 1) ?deadline_s ?retries ?cache ?stats ?store
       | None -> work ()
       | Some st -> Engine.Stats.time st ~label:scheduler work
     in
-    (match persist with Some f -> f p schedule | None -> ());
+    (match (store, key) with
+    | Some d, Some key ->
+      Durable.persist d ~key { stored_point = p; stored_schedule = schedule }
+    | _ -> ());
     p
   in
-  (* A store implies a cache: the replayed points land in the caller's
-     cache, or in the store's own when the caller brought none. *)
-  let cache =
-    match (cache, store) with
-    | (Some _ as c), _ -> c
-    | None, Some d -> Some (Durable.cache d)
-    | None, None -> None
+  let slots =
+    Engine.Pool.run_results ~jobs ?retries
+      (Array.of_list (List.map task misses))
   in
-  (match store with
-  | None -> ()
-  | Some d ->
-    (* resuming a store that belongs to a different sweep would silently
-       mix results; the CLI can never get here (Durable.open_ already
-       refused), so a mismatch is a programmer error *)
-    (match Durable.identity_of ~cm_list ~setup_list ~fb_list app clustering with
-    | Ok id when String.equal id (Durable.identity d) -> ()
-    | Ok _ | Error _ ->
-      invalid_arg
-        "Report.Dse.sweep: ~store was opened for a different sweep \
-         (application, clustering or axes mismatch)");
-    let replayed = Durable.replay d (Option.get cache) in
-    match stats with
-    | Some st -> Durable.note_stats d st ~replayed
-    | None -> ());
-  match cache with
-  | None ->
-    let slots =
-      Engine.Pool.run_results ~jobs ?deadline_s ?retries
-        (Array.of_list (List.map (fun c () -> eval c) combos))
-    in
-    List.mapi (fun i combo -> settle ~combo slots.(i)) combos
-  | Some cache ->
-    (* One design point = one key: the digest covers the application, the
-       clustering and every machine parameter, so a hit is exact. Misses
-       are deduped and scheduled once each; results land back in combo
-       order, keeping the output byte-identical to the sequential path. *)
-    let app_digest =
-      match Engine.Key.digest_value_result (app, clustering) with
-      | Ok d -> Some d
-      | Error d ->
-        (* unmarshalable application: with a store this is unreachable
-           (Durable.open_ would have refused); with a plain cache, degrade
-           to the uncached path instead of crashing a worker *)
-        if store <> None then invalid_arg (Diag.to_string d);
-        None
-    in
-    match app_digest with
-    | None ->
-      let slots =
-        Engine.Pool.run_results ~jobs ?deadline_s ?retries
-          (Array.of_list (List.map (fun c () -> eval c) combos))
-      in
-      List.mapi (fun i combo -> settle ~combo slots.(i)) combos
-    | Some app_digest ->
-    let lookups =
-      List.map
-        (fun c ->
-          let key = point_key ~app_digest c in
-          (c, key, find_safe cache key))
-        combos
-    in
-    let missing =
-      let seen = Hashtbl.create 16 in
-      List.filter_map
-        (fun (c, key, hit) ->
-          if hit <> None || Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            Some (c, key)
-          end)
-        lookups
-    in
-    let computed =
-      let task (c, key) () =
-        match store with
-        | None -> eval c
-        | Some d ->
-          eval c
-            ~persist:(fun p schedule ->
-              Durable.persist d ~key
-                { stored_point = p; stored_schedule = schedule })
-      in
-      Engine.Pool.run_results ~jobs ?deadline_s ?retries
-        (Array.of_list (List.map task missing))
-    in
-    let fresh = Hashtbl.create 16 in
-    List.iteri
-      (fun i (combo, key) ->
-        let p = settle ~combo computed.(i) in
-        Hashtbl.replace fresh key p;
-        (* a crashed task's placeholder point is not cached: the failure
-           may be transient (injected fault, deadline) and must not
-           poison later sweeps *)
-        if Result.is_ok computed.(i) then Engine.Cache.add cache key p)
-      missing;
-    (match stats with
-    | Some st ->
-      let hits =
-        List.length (List.filter (fun (_, _, hit) -> hit <> None) lookups)
-      in
-      Engine.Stats.note_cache st ~hits ~misses:(List.length combos - hits)
-    | None -> ());
-    List.map
-      (fun (_, key, hit) ->
-        match hit with Some p -> p | None -> Hashtbl.find fresh key)
-      lookups
+  let points = Hashtbl.create 64 in
+  List.iter (fun (c, _, hit) -> Option.iter (Hashtbl.replace points c) hit)
+    lookups;
+  List.iteri
+    (fun i (combo, _, _) ->
+      Hashtbl.replace points combo (settle ~combo slots.(i)))
+    misses;
+  (match (store, stats) with
+  | Some d, Some st ->
+    let hits = List.length lookups - List.length misses in
+    Engine.Stats.note_cache st ~hits ~misses:(List.length misses);
+    Durable.note_stats d st ~replayed:hits
+  | _ -> ());
+  List.map (Hashtbl.find points) combos
 
 let opt_str f = function Some v -> f v | None -> ""
 

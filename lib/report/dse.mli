@@ -16,7 +16,7 @@ type point = {
   context_words : int option;
   diag : Diag.t option;
       (** why the point is infeasible: a scheduler diagnostic, or a
-          [Task_crashed]/[Task_timeout] when the design-point task died
+          [Task_crashed]/[Fault_injected] when the design-point task died
           and was isolated *)
 }
 
@@ -112,9 +112,7 @@ end
 
 val sweep :
   ?jobs:int ->
-  ?deadline_s:float ->
   ?retries:int ->
-  ?cache:point Engine.Cache.t ->
   ?stats:Engine.Stats.t ->
   ?store:Durable.t ->
   ?cm_list:int list ->
@@ -123,33 +121,32 @@ val sweep :
   Kernel_ir.Application.t ->
   Kernel_ir.Cluster.clustering ->
   point list
-(** Full cross product, three schedulers per configuration, in order.
+(** Full cross product, three schedulers per configuration, in order. A
+    design point repeated by the axis lists is evaluated once.
 
     [~jobs] (default 1) fans the design points out over an
     {!Engine.Pool} of that many domains; the point list (and therefore
     {!to_csv}) is byte-identical to the sequential [~jobs:1] path
-    whatever the interleaving. [~cache] memoises points by
-    (application, clustering, machine config, scheduler) digest, so
-    design points repeated across sweeps are scheduled once. [~stats]
-    accumulates per-scheduler timing and cache counters.
+    whatever the interleaving. [~stats] accumulates per-scheduler timing
+    and, with a store, the hit/miss and replay counters.
 
-    [~store] makes the sweep durable: previously persisted points are
-    replayed into the cache before any scheduling happens (so a resumed
-    sweep recomputes nothing already on disk), and each newly computed
-    point is persisted as it finishes — not at the end — so a crash
-    loses at most the points in flight. The store's sweep
-    identity must match the requested axes and application
-    (@raise Invalid_argument otherwise — open the store with
+    [~store] makes the sweep durable, and is the sweep's only memo:
+    each point is first looked up among the store's trusted points, keyed
+    by (application, clustering, machine config, scheduler) digest, so a
+    resumed sweep — or a second sweep on the same open store — recomputes
+    nothing already on disk. Each newly computed point is persisted as it
+    finishes — not at the end — so a crash loses at most the points in
+    flight. The store's sweep identity must match the requested axes and
+    application (@raise Invalid_argument otherwise — open the store with
     {!Durable.open_} on the same arguments you pass here). A resumed
     sweep returns a point list byte-identical to an uninterrupted run.
-    [~store] implies an in-memory cache even if [~cache] is not given.
 
     The sweep is fault-isolated: a design-point task that crashes (or
-    exceeds [~deadline_s], or exhausts its [~retries] against injected
-    faults) becomes an infeasible point carrying the failure in [diag];
-    every other point is still computed and returned. Crashed points are
-    never written to the cache or the store. An {!Engine.Faults} fault
-    injected into a cache lookup degrades that lookup to a miss. *)
+    exhausts its [~retries] against injected faults) becomes an
+    infeasible point carrying the failure in [diag]; every other point is
+    still computed and returned. Neither a crashed point nor a point
+    felled by an injected {!Engine.Faults} scheduler fault is ever
+    persisted: both are transient, and a later resume recomputes them. *)
 
 val to_csv : point list -> string
 

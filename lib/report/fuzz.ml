@@ -59,12 +59,9 @@ let fuzz_one ~seed ~fb_set_size ?stats index =
       (scheduler, timed scheduler (fun () -> verdict_of ~scheduler config app clustering)))
     [ "basic"; "ds"; "cds" ]
 
-(* Injected faults and deadline kills are absorbed (counted, not failures);
-   anything else that escapes a task is a crash — a real bug. *)
-let absorbed (d : Diag.t) =
-  match d.Diag.code with
-  | Diag.Fault_injected | Diag.Task_timeout -> true
-  | _ -> false
+(* Injected faults are absorbed (counted, not failures); anything else
+   that escapes a task is a crash — a real bug. *)
+let absorbed (d : Diag.t) = d.Diag.code = Diag.Fault_injected
 
 let run ?(jobs = 1) ?retries ?(fb_set_size = 4096) ?stats ~seed ~count () =
   let tasks =
@@ -162,7 +159,7 @@ type hostile_report = {
   h_fb_set_size : int;
   rejected : int;  (** mutants flagged by the validator *)
   survived : int;  (** mutants that validated clean and scheduled safely *)
-  h_faulted : int;  (** pool slots absorbed by injected faults/deadlines *)
+  h_faulted : int;  (** pool slots absorbed by injected faults *)
   h_crashes : case list;  (** uncaught exceptions — validator gaps *)
 }
 

@@ -27,8 +27,7 @@ type report = {
   ordering_failures : case list;
       (** feasible triples where CDS > DS or DS > Basic cycles *)
   faulted : int;
-      (** pool slots absorbed by injected faults or deadline kills — not
-          failures *)
+      (** pool slots absorbed by injected faults — not failures *)
   crashes : case list;
       (** tasks that died on an unexpected exception (isolated by the
           pool) — real bugs *)
@@ -69,7 +68,7 @@ type hostile_report = {
   h_fb_set_size : int;
   rejected : int;  (** mutants flagged by the validator *)
   survived : int;  (** mutants that validated clean and scheduled safely *)
-  h_faulted : int;  (** pool slots absorbed by injected faults/deadlines *)
+  h_faulted : int;  (** pool slots absorbed by injected faults *)
   h_crashes : case list;  (** uncaught exceptions — validator gaps *)
 }
 

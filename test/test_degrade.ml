@@ -156,19 +156,6 @@ let test_sweep_survives_crashing_point () =
          Report.Dse.to_csv
            (Report.Dse.sweep ~jobs:2 ~retries:40 ~fb_list app clustering)))
 
-let test_sweep_cache_fault_degrades_to_miss () =
-  let app = Workloads.Mpeg.app () in
-  let clustering = Workloads.Mpeg.clustering app in
-  let fb_list = [ 2048 ] in
-  let cache = Engine.Cache.create () in
-  let clean = Report.Dse.sweep ~cache ~fb_list app clustering in
-  Engine.Faults.with_plan
-    (Engine.Faults.plan ~sites:[ "cache" ] ~rate:1.0 ~seed:4 ())
-    (fun () ->
-      let again = Report.Dse.sweep ~cache ~fb_list app clustering in
-      Alcotest.(check string) "faulted cache sweep still correct"
-        (Report.Dse.to_csv clean) (Report.Dse.to_csv again))
-
 let tests =
   ( "degrade",
     [
@@ -180,6 +167,4 @@ let tests =
       Alcotest.test_case "hostile fuzz smoke" `Quick test_hostile_smoke;
       Alcotest.test_case "sweep survives crashing points" `Quick
         test_sweep_survives_crashing_point;
-      Alcotest.test_case "cache fault degrades to miss" `Quick
-        test_sweep_cache_fault_degrades_to_miss;
     ] )

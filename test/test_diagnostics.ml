@@ -49,7 +49,6 @@ let test_diag_basics () =
       (Diag.Invalid_config, "INVALID_CONFIG");
       (Diag.Sim_divergence, "SIM_DIVERGENCE");
       (Diag.Task_crashed, "TASK_CRASHED");
-      (Diag.Task_timeout, "TASK_TIMEOUT");
       (Diag.Fault_injected, "FAULT_INJECTED");
       (Diag.Store_corrupt, "STORE_CORRUPT");
       (Diag.Sweep_mismatch, "SWEEP_MISMATCH");

@@ -1,7 +1,7 @@
-(* Determinism of the parallel cached DSE engine: jobs=N must reproduce
-   jobs=1 byte for byte, with and without the memo cache; the cache must
-   actually memoise across sweeps; fuzz reports must not depend on the
-   job count. *)
+(* Determinism of the parallel DSE engine: jobs=N must reproduce jobs=1
+   byte for byte, with and without a result store; a second sweep on the
+   same open store must recompute nothing; fuzz reports must not depend
+   on the job count. *)
 
 module Dse = Report.Dse
 
@@ -11,8 +11,8 @@ let mpeg () =
   let app = Workloads.Mpeg.app () in
   (app, Workloads.Mpeg.clustering app)
 
-let sweep ?jobs ?cache ?stats (app, clustering) =
-  Dse.sweep ?jobs ?cache ?stats ~cm_list:[ 1024; 2048 ]
+let sweep ?jobs ?stats ?store (app, clustering) =
+  Dse.sweep ?jobs ?stats ?store ~cm_list:[ 1024; 2048 ]
     ~setup_list:[ 0; 16 ] ~fb_list:[ 1024; 2048; 3072 ] app clustering
 
 let test_jobs_deterministic () =
@@ -30,49 +30,35 @@ let test_jobs_deterministic () =
         (Dse.to_csv reference) (Dse.to_csv got))
     [ 2; 4 ]
 
-let test_cache_deterministic () =
-  let w = mpeg () in
+let test_store_deterministic () =
+  let ((app, clustering) as w) = mpeg () in
   let reference = sweep ~jobs:1 w in
-  let cache = Engine.Cache.create () in
-  let cold = sweep ~jobs:4 ~cache w in
-  Alcotest.(check string) "cold cache byte-identical" (Dse.to_csv reference)
-    (Dse.to_csv cold);
-  Alcotest.(check int) "cold sweep missed everything" 0
-    (Engine.Cache.hits cache);
-  let stats = Engine.Stats.create () in
-  let warm = sweep ~jobs:4 ~cache ~stats w in
-  Alcotest.(check string) "warm cache byte-identical" (Dse.to_csv reference)
-    (Dse.to_csv warm);
-  Alcotest.(check int) "warm sweep hit everything" 36
-    (Engine.Cache.hits cache);
-  Alcotest.(check int) "stats saw the hits" 36
-    (Engine.Stats.cache_hits stats);
-  Alcotest.(check int) "no task ran on the warm sweep" 0
-    (Engine.Stats.tasks_run stats)
-
-let test_cache_across_sweeps () =
-  (* overlapping fb lists: the shared design points are scheduled once *)
-  let app, clustering = mpeg () in
-  let cache = Engine.Cache.create () in
-  let first = Dse.sweep ~cache ~fb_list:[ 1024; 2048 ] app clustering in
-  let second = Dse.sweep ~cache ~fb_list:[ 2048; 3072 ] app clustering in
-  Alcotest.(check int) "3 shared points served from cache" 3
-    (Engine.Cache.hits cache);
-  Alcotest.(check int) "9 distinct points scheduled" 9
-    (Engine.Cache.length cache);
-  (* the shared fb=2048 rows are literally the same points *)
-  let rows fb pts =
-    List.filter (fun (p : Dse.point) -> p.Dse.fb_set_size = fb) pts
+  let path = Filename.temp_file "msched_parallel" ".store" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  let store =
+    match
+      Dse.Durable.open_ ~path ~cm_list:[ 1024; 2048 ] ~setup_list:[ 0; 16 ]
+        ~fb_list:[ 1024; 2048; 3072 ] app clustering
+    with
+    | Ok d -> d
+    | Error d -> Alcotest.failf "Durable.open_ failed: %s" (Diag.render d)
   in
-  Alcotest.(check (list point)) "shared rows identical" (rows 2048 first)
-    (rows 2048 second);
-  (* and a different clustering must not collide with the cached points *)
-  let singleton = Kernel_ir.Cluster.singleton_per_kernel app in
-  let third = Dse.sweep ~cache ~fb_list:[ 2048 ] app singleton in
-  Alcotest.(check int) "different clustering misses" 3
-    (Engine.Cache.hits cache);
-  Alcotest.(check bool) "different clustering, different points" true
-    (rows 2048 first <> third)
+  Fun.protect ~finally:(fun () -> Dse.Durable.close store) @@ fun () ->
+  let cold = sweep ~jobs:4 ~store w in
+  Alcotest.(check string) "fresh store byte-identical" (Dse.to_csv reference)
+    (Dse.to_csv cold);
+  Alcotest.(check int) "every point persisted" 36
+    (Dse.Durable.completed store);
+  let stats = Engine.Stats.create () in
+  let warm = sweep ~jobs:4 ~store ~stats w in
+  Alcotest.(check string) "second sweep byte-identical"
+    (Dse.to_csv reference) (Dse.to_csv warm);
+  Alcotest.(check int) "second sweep hit everything" 36
+    (Engine.Stats.cache_hits stats);
+  Alcotest.(check int) "no task ran on the second sweep" 0
+    (Engine.Stats.tasks_run stats)
 
 let test_fuzz_jobs_deterministic () =
   let run jobs = Report.Fuzz.run ~jobs ~seed:7 ~count:12 () in
@@ -89,10 +75,8 @@ let tests =
     [
       Alcotest.test_case "jobs=N byte-identical to jobs=1" `Quick
         test_jobs_deterministic;
-      Alcotest.test_case "cache preserves output" `Quick
-        test_cache_deterministic;
-      Alcotest.test_case "cache memoises across sweeps" `Quick
-        test_cache_across_sweeps;
+      Alcotest.test_case "store preserves output at jobs=N" `Quick
+        test_store_deterministic;
       Alcotest.test_case "fuzz independent of job count" `Quick
         test_fuzz_jobs_deterministic;
     ] )

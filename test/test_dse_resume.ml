@@ -100,6 +100,30 @@ let test_crash_resume () =
     (Durable.completed d2);
   Durable.close d2
 
+let test_injected_faults_not_persisted () =
+  let ((app, clustering) as w) = mpeg () in
+  with_path @@ fun path ->
+  let reference = Dse.sweep ~fb_list app clustering in
+  (* every scheduler entry fires: each point comes back infeasible with a
+     FAULT_INJECTED diagnostic, a transient failure that must not be
+     mistaken for a permanent infeasible point on disk *)
+  let d1 = open_exn ~path w in
+  let faulted =
+    Engine.Faults.with_plan
+      (Engine.Faults.plan ~sites:[ "sched" ] ~rate:1.0 ~seed:7 ())
+      (fun () -> Dse.sweep ~store:d1 ~fb_list app clustering)
+  in
+  Alcotest.(check bool) "the faulted run is all infeasible" true
+    (List.for_all (fun (p : Dse.point) -> not p.Dse.feasible) faulted);
+  Alcotest.(check int) "no faulted point was persisted" 0
+    (Durable.completed d1);
+  Durable.close d1;
+  let d2 = open_exn ~resume:true ~path w in
+  let resumed = Dse.sweep ~store:d2 ~fb_list app clustering in
+  Alcotest.(check string) "fault-free resume byte-identical"
+    (Dse.to_csv reference) (Dse.to_csv resumed);
+  Durable.close d2
+
 let test_torn_tail_recomputes_one () =
   let ((app, clustering) as w) = mpeg () in
   with_path @@ fun path ->
@@ -233,29 +257,6 @@ let test_identity_guards () =
       (diag.Diag.code = Diag.Sweep_mismatch);
     Alcotest.(check bool) "points at --resume" true
       (contains (Diag.render diag) "--resume")
-
-let test_cache_clear_replays_from_store () =
-  (* pins the documented Cache.clear contract: clearing empties only the
-     memory, and the next durable sweep repopulates it from disk with
-     zero recomputation *)
-  let ((app, clustering) as w) = mpeg () in
-  with_path @@ fun path ->
-  let d = open_exn ~path w in
-  let cache = Engine.Cache.create () in
-  let first = Dse.sweep ~cache ~store:d ~fb_list app clustering in
-  Engine.Cache.clear cache;
-  Alcotest.(check int) "cache emptied" 0 (Engine.Cache.length cache);
-  let st = Engine.Stats.create () in
-  let second = Dse.sweep ~cache ~store:d ~stats:st ~fb_list app clustering in
-  Alcotest.(check string) "same output after clear" (Dse.to_csv first)
-    (Dse.to_csv second);
-  Alcotest.(check int) "replayed from disk, not recomputed" 0
-    (Engine.Stats.tasks_run st);
-  Alcotest.(check int) "every point a cache hit" n_points
-    (Engine.Stats.cache_hits st);
-  Alcotest.(check int) "replay refilled the cleared cache" n_points
-    (Engine.Stats.store_replayed st);
-  Durable.close d
 
 (* -- the sweep identity is record 0 of the store ------------------------ *)
 
@@ -412,26 +413,6 @@ let test_truncate_around_every_boundary () =
         [ b - 1; b; b + 1 ])
     bounds
 
-let test_auto_clustering_store () =
-  let app = Workloads.Mpeg.app () in
-  let config = Morphosys.Config.m1 ~fb_set_size:4096 in
-  let reference = Cds.Pipeline.auto_clustering config app in
-  with_path @@ fun path ->
-  match Engine.Store.open_ ~schema:1 path with
-  | Error d -> Alcotest.failf "open failed: %s" (Diag.render d)
-  | Ok store ->
-    let first = Cds.Pipeline.auto_clustering ~store config app in
-    Alcotest.(check bool) "store does not change the search result" true
-      (first = reference);
-    let cached = Engine.Store.length store in
-    Alcotest.(check bool) "candidates were memoised" true (cached > 0);
-    (* a rerun against the same store answers from disk alone *)
-    let second = Cds.Pipeline.auto_clustering ~store config app in
-    Alcotest.(check bool) "memoised rerun agrees" true (second = reference);
-    Alcotest.(check int) "no new candidates were evaluated" cached
-      (Engine.Store.length store);
-    Engine.Store.close store
-
 let tests =
   ( "dse_resume",
     [
@@ -439,16 +420,14 @@ let tests =
         test_durable_roundtrip;
       Alcotest.test_case "crash mid-sweep, resume, zero re-work" `Quick
         test_crash_resume;
+      Alcotest.test_case "injected scheduler faults are never persisted" `Quick
+        test_injected_faults_not_persisted;
       Alcotest.test_case "torn tail recomputes exactly one point" `Quick
         test_torn_tail_recomputes_one;
       Alcotest.test_case "forged schedule fails re-validation" `Quick
         test_forged_schedule_fails_revalidation;
       Alcotest.test_case "identity guards every resume path" `Quick
         test_identity_guards;
-      Alcotest.test_case "Cache.clear then replay from store" `Quick
-        test_cache_clear_replays_from_store;
-      Alcotest.test_case "auto-clustering memoises in a store" `Quick
-        test_auto_clustering_store;
       Alcotest.test_case "identity is record 0; reopen keeps points" `Quick
         test_identity_is_record_zero;
       Alcotest.test_case "torn identity: resume reclaims, recomputes" `Quick

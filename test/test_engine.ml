@@ -1,88 +1,22 @@
-(* Engine subsystem units: pool ordering and failure determinism, cache
-   memoisation and counters, content-addressed keys, stats accumulation. *)
+(* Engine subsystem units: pool ordering and fault isolation,
+   content-addressed keys, stats accumulation. *)
 
 let test_pool_ordering () =
   let tasks = Array.init 37 (fun i () -> i * i) in
-  let expected = Array.init 37 (fun i -> i * i) in
+  let expected = Array.init 37 (fun i -> Ok (i * i)) in
+  let slots = Alcotest.(array (result int reject)) in
   List.iter
     (fun jobs ->
-      Alcotest.(check (array int))
+      Alcotest.check slots
         (Printf.sprintf "jobs=%d preserves task order" jobs)
         expected
-        (Engine.Pool.run ~jobs tasks))
+        (Engine.Pool.run_results ~jobs tasks))
     [ 1; 2; 4; 8 ];
-  Alcotest.(check (array int)) "empty" [||] (Engine.Pool.run ~jobs:4 [||]);
-  Alcotest.(check (list int)) "map" [ 2; 4; 6 ]
-    (Engine.Pool.map ~jobs:3 (fun x -> 2 * x) [ 1; 2; 3 ])
-
-let test_pool_exception () =
-  List.iter
-    (fun jobs ->
-      let ran = Array.make 8 false in
-      let tasks =
-        Array.init 8 (fun i () ->
-            ran.(i) <- true;
-            if i = 3 then failwith "boom3";
-            if i = 5 then failwith "boom5";
-            i)
-      in
-      (match Engine.Pool.run ~jobs tasks with
-      | (_ : int array) -> Alcotest.fail "expected an exception"
-      | exception Failure msg ->
-        (* the lowest-indexed failure wins, whatever the interleaving *)
-        Alcotest.(check string)
-          (Printf.sprintf "jobs=%d deterministic failure" jobs)
-          "boom3" msg);
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d every task still ran" jobs)
-        true
-        (Array.for_all Fun.id ran))
-    [ 1; 4 ]
+  Alcotest.check slots "empty" [||] (Engine.Pool.run_results ~jobs:4 [||])
 
 let test_pool_recommended () =
   Alcotest.(check bool) "at least one domain" true
     (Engine.Pool.recommended_jobs () >= 1)
-
-let test_cache_basics () =
-  let c = Engine.Cache.create () in
-  Alcotest.(check (option int)) "miss on empty" None (Engine.Cache.find c "k");
-  Engine.Cache.add c "k" 42;
-  Alcotest.(check (option int)) "hit after add" (Some 42)
-    (Engine.Cache.find c "k");
-  (* first value in wins: a key is never overwritten *)
-  Engine.Cache.add c "k" 99;
-  Alcotest.(check (option int)) "add does not overwrite" (Some 42)
-    (Engine.Cache.find c "k");
-  Alcotest.(check int) "length" 1 (Engine.Cache.length c);
-  Alcotest.(check int) "hits" 2 (Engine.Cache.hits c);
-  Alcotest.(check int) "misses" 1 (Engine.Cache.misses c);
-  Engine.Cache.clear c;
-  Alcotest.(check int) "cleared" 0 (Engine.Cache.length c);
-  Alcotest.(check int) "counters reset" 0 (Engine.Cache.hits c)
-
-let test_cache_find_or_add () =
-  let c = Engine.Cache.create () in
-  let computed = ref 0 in
-  let get () =
-    Engine.Cache.find_or_add c "key" (fun () ->
-        incr computed;
-        !computed)
-  in
-  Alcotest.(check int) "computed once" 1 (get ());
-  Alcotest.(check int) "served from cache" 1 (get ());
-  Alcotest.(check int) "thunk ran once" 1 !computed;
-  (* hammer one key from the pool: every worker must observe the single
-     interned value *)
-  let c2 = Engine.Cache.create () in
-  let values =
-    Engine.Pool.run ~jobs:4
-      (Array.init 16 (fun i () ->
-           Engine.Cache.find_or_add c2 "shared" (fun () -> i)))
-  in
-  let first = values.(0) in
-  Alcotest.(check bool) "consistent across workers" true
-    (Array.for_all (fun v -> v = first) values);
-  Alcotest.(check int) "one entry" 1 (Engine.Cache.length c2)
 
 let test_key_digests () =
   let d1 = Engine.Key.digest_value (1, [ "a"; "b" ], 3.0) in
@@ -134,16 +68,13 @@ let test_stats () =
 let test_pool_bad_jobs () =
   List.iter
     (fun jobs ->
-      match Engine.Pool.run ~jobs [| (fun () -> 1) |] with
-      | (_ : int array) -> Alcotest.fail "expected Invalid_argument"
+      match Engine.Pool.run_results ~jobs [| (fun () -> 1) |] with
+      | (_ : (int, Diag.t) result array) ->
+        Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument msg ->
         Alcotest.(check bool) "message names jobs" true
           (Astring_contains.contains msg "jobs"))
-    [ 0; -1 ];
-  (match Engine.Pool.run_results ~jobs:0 [| (fun () -> 1) |] with
-  | (_ : (int, Diag.t) result array) ->
-    Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
 
 let test_run_results_isolation () =
   List.iter
@@ -172,56 +103,6 @@ let test_run_results_isolation () =
               (Diag.render d))
         slots)
     [ 1; 4 ]
-
-let test_run_results_deadline () =
-  let slots =
-    Engine.Pool.run_results ~jobs:2 ~deadline_s:0.02
-      (Array.init 2 (fun i () ->
-           if i = 0 then
-             (* cooperative long-runner: checkpoints until cancelled *)
-             let rec spin () =
-               Engine.Pool.checkpoint ();
-               Unix.sleepf 0.005;
-               spin ()
-             in
-             spin ()
-           else 7))
-  in
-  (match slots.(0) with
-  | Error d ->
-    Alcotest.(check string) "timeout code" "TASK_TIMEOUT"
-      (Diag.code_name d.Diag.code)
-  | Ok _ -> Alcotest.fail "expected a deadline kill");
-  (match slots.(1) with
-  | Ok v -> Alcotest.(check int) "fast task unaffected" 7 v
-  | Error d -> Alcotest.failf "fast task failed: %s" (Diag.render d));
-  (* outside a pool task, checkpoint is a no-op *)
-  Engine.Pool.checkpoint ()
-
-let test_deadline_sequential () =
-  (* the cooperative deadline must also fire on the jobs=1 in-caller
-     path, not only across worker domains *)
-  let slots =
-    Engine.Pool.run_results ~jobs:1 ~deadline_s:0.02
-      [|
-        (fun () ->
-          let rec spin () =
-            Engine.Pool.checkpoint ();
-            Unix.sleepf 0.005;
-            spin ()
-          in
-          spin ());
-        (fun () -> 42);
-      |]
-  in
-  (match slots.(0) with
-  | Error d ->
-    Alcotest.(check string) "sequential timeout code" "TASK_TIMEOUT"
-      (Diag.code_name d.Diag.code)
-  | Ok _ -> Alcotest.fail "expected a sequential deadline kill");
-  match slots.(1) with
-  | Ok v -> Alcotest.(check int) "later task still runs" 42 v
-  | Error d -> Alcotest.failf "later task failed: %s" (Diag.render d)
 
 let test_digest_guard () =
   (* pure data digests with both entry points *)
@@ -281,7 +162,7 @@ let test_fault_injection () =
     (Engine.Faults.armed () = None);
   (* a site filter keeps other sites quiet *)
   Engine.Faults.with_plan
-    (Engine.Faults.plan ~sites:[ "cache" ] ~rate:1.0 ~seed:11 ())
+    (Engine.Faults.plan ~sites:[ "sched" ] ~rate:1.0 ~seed:11 ())
     (fun () ->
       let slots =
         Engine.Pool.run_results ~jobs:2 (Array.init 4 (fun i () -> i))
@@ -333,45 +214,20 @@ let test_fault_retries () =
   Alcotest.(check bool) "crash reported" true (Result.is_error slots.(0));
   Alcotest.(check int) "no retry for a crash" 1 (Atomic.get attempts)
 
-let test_cache_miss_rollback () =
-  let c = Engine.Cache.create () in
-  (match Engine.Cache.find_or_add c "k" (fun () -> failwith "compute died") with
-  | (_ : int) -> Alcotest.fail "expected the compute exception"
-  | exception Failure _ -> ());
-  Alcotest.(check int) "failed compute is not a miss" 0
-    (Engine.Cache.misses c);
-  Alcotest.(check int) "nothing cached" 0 (Engine.Cache.length c);
-  Alcotest.(check int) "retry computes" 42
-    (Engine.Cache.find_or_add c "k" (fun () -> 42));
-  Alcotest.(check int) "exactly one miss counted" 1 (Engine.Cache.misses c);
-  (* an injected cache fault degrades the lookup to a miss *)
-  Engine.Faults.with_plan
-    (Engine.Faults.plan ~sites:[ "cache" ] ~rate:1.0 ~seed:2 ())
-    (fun () ->
-      Alcotest.(check int) "find_or_add survives injected lookup fault" 42
-        (Engine.Cache.find_or_add c "k" (fun () -> 42)))
-
 let tests =
   ( "engine",
     [
       Alcotest.test_case "pool ordering" `Quick test_pool_ordering;
-      Alcotest.test_case "pool exceptions" `Quick test_pool_exception;
       Alcotest.test_case "pool recommended jobs" `Quick test_pool_recommended;
       Alcotest.test_case "pool bad jobs" `Quick test_pool_bad_jobs;
       Alcotest.test_case "run_results isolation" `Quick
         test_run_results_isolation;
-      Alcotest.test_case "run_results deadline" `Quick
-        test_run_results_deadline;
-      Alcotest.test_case "deadline at jobs=1" `Quick test_deadline_sequential;
       Alcotest.test_case "digest guard on unmarshalable values" `Quick
         test_digest_guard;
       Alcotest.test_case "stats store counters" `Quick
         test_stats_store_counters;
       Alcotest.test_case "fault injection" `Quick test_fault_injection;
       Alcotest.test_case "fault retries" `Quick test_fault_retries;
-      Alcotest.test_case "cache basics" `Quick test_cache_basics;
-      Alcotest.test_case "cache find_or_add" `Quick test_cache_find_or_add;
-      Alcotest.test_case "cache miss rollback" `Quick test_cache_miss_rollback;
       Alcotest.test_case "key digests" `Quick test_key_digests;
       Alcotest.test_case "stats" `Quick test_stats;
     ] )

@@ -72,7 +72,7 @@ let tests =
     [
       Alcotest.test_case "names deterministic and sorted" `Quick
         test_names_deterministic;
-      Alcotest.test_case "find / find_exn" `Quick test_find;
+      Alcotest.test_case "find" `Quick test_find;
       Alcotest.test_case "duplicate registration rejected" `Quick
         test_duplicate_rejected;
       Alcotest.test_case "unknown name diagnosed" `Quick
