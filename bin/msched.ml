@@ -1,17 +1,19 @@
 (* msched — command-line driver for the MorphoSys Complete Data Scheduler.
 
    Subcommands:
-     list      show the bundled workloads
-     run       schedule one workload and print metrics / trace
-     compare   run Basic vs DS vs CDS on one workload
-     alloc     print the Figure 4 allocation trace of the CDS schedule
-     dot       emit the kernel graph as Graphviz DOT
-     table1    reproduce the paper's Table 1 + Figure 6
-     figures   reproduce Figures 3 and 5 and the allocator-quality table
-     dse       parallel design-space exploration (--jobs/--stats),
-               durable and resumable with --store PATH / --resume
-     store     inspect and maintain the on-disk result stores (info/verify/gc)
-     fuzz      random-application differential fuzzing against the validator *)
+     list        show the bundled workloads
+     run         schedule one workload and print metrics / trace
+     compare     run Basic vs DS vs CDS on one workload
+     alloc       print the Figure 4 allocation trace of the CDS schedule
+     dot / asm   emit the kernel graph as DOT / the TinyRISC control program
+     vcd         dump the schedule's activity waveform
+     schedulers  list the registered schedulers
+     dse         parallel design-space exploration (--jobs/--stats),
+                 durable and resumable with --store PATH / --resume
+     store       inspect and maintain the on-disk result stores (info/verify/gc)
+     fuzz        random-application differential fuzzing against the validator
+     table1      reproduce the paper's Table 1 + Figure 6
+     figures     reproduce Figures 3 and 5 and the allocator-quality table *)
 
 open Cmdliner
 
@@ -518,7 +520,7 @@ let dse_cmd =
   Cmd.v
     (Cmd.info "dse"
        ~doc:
-         "Parallel cached design-space exploration: the full (FB, CM, DMA \
+         "Parallel design-space exploration: the full (FB, CM, DMA \
           setup, scheduler) cross product on an engine worker pool, \
           optionally persisted ($(b,--store)) and resumable ($(b,--resume))")
     Term.(
@@ -794,29 +796,6 @@ let schedulers_cmd =
        ~doc:"List the registered schedulers (usable with --scheduler)")
     Term.(const run $ const ())
 
-let kernels_cmd =
-  let run () =
-    let config = Morphosys.Config.m1 ~fb_set_size:1024 in
-    List.iter
-      (fun (e : Rcsim.Kernel_library.entry) ->
-        let status =
-          match e.Rcsim.Kernel_library.demo config with
-          | Some (got, expected) ->
-            if got = expected then "self-check OK" else "SELF-CHECK FAILED"
-          | None -> "no demo on this array size"
-        in
-        Printf.printf "%-12s ctx=%-3d ops/iter=%-4d %-18s %s
-"
-          e.Rcsim.Kernel_library.name e.Rcsim.Kernel_library.context_words
-          e.Rcsim.Kernel_library.ops_per_iteration status
-          e.Rcsim.Kernel_library.description)
-      Rcsim.Kernel_library.all
-  in
-  Cmd.v
-    (Cmd.info "kernels"
-       ~doc:"List the kernel library and run each kernel's array self-check")
-    Term.(const run $ const ())
-
 (* msched --verbose / -v prints scheduler decision logs to stderr; the flag
    is stripped before cmdliner parses the rest *)
 let argv =
@@ -836,7 +815,7 @@ let main =
     (Cmd.info "msched" ~version:"1.0.0" ~doc)
     [
       list_cmd; run_cmd; compare_cmd; alloc_cmd; dot_cmd; asm_cmd; vcd_cmd;
-      kernels_cmd; schedulers_cmd; dse_cmd; store_cmd; fuzz_cmd;
+      schedulers_cmd; dse_cmd; store_cmd; fuzz_cmd;
       table1_cmd; figures_cmd;
     ]
 

@@ -48,7 +48,17 @@ let run_results ?(jobs = 1) ?(retries = 0) (tasks : (unit -> 'a) array) =
         worker ()
       end
     in
-    let helpers = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    (* Domain.spawn fails past the runtime's cap on live domains: stop
+       there and run on the workers that did start, the counter hands
+       them the rest *)
+    let rec spawn k acc =
+      if k = 0 then acc
+      else
+        match Domain.spawn worker with
+        | d -> spawn (k - 1) (d :: acc)
+        | exception Failure _ -> acc
+    in
+    let helpers = spawn (jobs - 1) [] in
     worker ();
     List.iter Domain.join helpers;
     Array.map (function Some r -> r | None -> assert false) results

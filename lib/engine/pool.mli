@@ -23,7 +23,8 @@ val recommended_jobs : unit -> int
 val run_results :
   ?jobs:int -> ?retries:int -> (unit -> 'a) array -> ('a, Diag.t) result array
 (** [run_results ~jobs tasks] evaluates the tasks on
-    [min jobs (length tasks)] domains (the caller counts as one worker).
+    [min jobs (length tasks)] domains (the caller counts as one worker),
+    or on fewer when the runtime cannot spawn that many domains.
     Slot [i] is [Ok v] or [Error diag], where the diagnostic is
     [Fault_injected] for an {!Faults.Injected} fault and [Task_crashed]
     (with backtrace) otherwise. An empty task array returns [[||]]

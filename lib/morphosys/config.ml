@@ -40,8 +40,6 @@ let make ?(cm_capacity = 2048) ?(data_cycles_per_word = 1)
 
 let m1 ~fb_set_size = make ~fb_set_size ()
 
-let rc_count t = t.array_rows * t.array_cols
-
 let pp fmt t =
   Format.fprintf fmt
     "@[<h>{fb_set=%dw; cm=%dw; dma=%d/%d cyc/w +%d; array=%dx%d}@]"

@@ -38,9 +38,6 @@ val make :
 (** General constructor with M1 defaults.
     @raise Invalid_argument on non-positive sizes or costs. *)
 
-val rc_count : t -> int
-(** Number of reconfigurable cells in the array. *)
-
 val validate : t -> (unit, string) result
 (** Checks internal consistency of the configuration. *)
 

@@ -1,11 +1,4 @@
-let cycles_of_ops config ?(efficiency = 0.8) ~ops () =
-  if ops < 0 then invalid_arg "Rc_array.cycles_of_ops: negative ops";
-  if efficiency <= 0. || efficiency > 1. then
-    invalid_arg "Rc_array.cycles_of_ops: efficiency must be in (0,1]";
-  let cells = float_of_int (Config.rc_count config) in
-  let cycles = float_of_int ops /. (cells *. efficiency) in
-  max 1 (int_of_float (ceil cycles))
-
+(* Cycles to broadcast one context word to a row or column of the array. *)
 let broadcast_cycles (_ : Config.t) = 1
 
 let reconfigure_cycles config ~contexts =

@@ -1,21 +1,8 @@
 (** Timing model of the 8x8 reconfigurable-cell array.
 
     At the abstraction level of the schedulers a kernel is characterised by
-    its per-iteration execution cycles; this module provides the estimate
-    used by the information extractor when a kernel is described by raw
-    operation counts instead (each of the [rc_count] cells retires one
-    operation per cycle under perfect parallelisation, degraded by an
-    efficiency factor). *)
-
-val cycles_of_ops : Config.t -> ?efficiency:float -> ops:int -> unit -> int
-(** [cycles_of_ops config ~ops ()] is the estimated execution cycles for a
-    kernel iteration performing [ops] word-level operations.
-    [efficiency] (default 0.8, in (0, 1]) models mapping overheads.
-    @raise Invalid_argument if [ops < 0] or [efficiency] is out of range. *)
-
-val broadcast_cycles : Config.t -> int
-(** Cycles to broadcast one context word to a row or column of the array
-    (context switching cost when changing among CM-resident contexts). *)
+    its per-iteration execution cycles; the array itself only contributes
+    the cost of switching between CM-resident contexts. *)
 
 val reconfigure_cycles : Config.t -> contexts:int -> int
 (** Cycles to switch the array onto a kernel whose contexts are already in

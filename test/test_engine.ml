@@ -76,6 +76,20 @@ let test_pool_bad_jobs () =
           (Astring_contains.contains msg "jobs"))
     [ 0; -1 ]
 
+(* More jobs than the runtime can hold live domains (128 in OCaml 5.1):
+   the pool runs on the workers it could spawn instead of raising. The
+   sleep keeps every spawned helper alive while the next one is spawned. *)
+let test_pool_spawn_cap () =
+  let tasks =
+    Array.init 300 (fun i () ->
+        Unix.sleepf 0.05;
+        i)
+  in
+  Alcotest.(check (array (result int reject)))
+    "every task ran, in task order"
+    (Array.init 300 (fun i -> Ok i))
+    (Engine.Pool.run_results ~jobs:300 tasks)
+
 let test_run_results_isolation () =
   List.iter
     (fun jobs ->
@@ -220,6 +234,8 @@ let tests =
       Alcotest.test_case "pool ordering" `Quick test_pool_ordering;
       Alcotest.test_case "pool recommended jobs" `Quick test_pool_recommended;
       Alcotest.test_case "pool bad jobs" `Quick test_pool_bad_jobs;
+      Alcotest.test_case "pool degrades past the domain cap" `Quick
+        test_pool_spawn_cap;
       Alcotest.test_case "run_results isolation" `Quick
         test_run_results_isolation;
       Alcotest.test_case "digest guard on unmarshalable values" `Quick

@@ -8,7 +8,8 @@ let iv lo hi = Interval.make ~lo ~hi
 let test_config_m1 () =
   let c = Config.m1 ~fb_set_size:2048 in
   Alcotest.(check int) "fb" 2048 c.Config.fb_set_size;
-  Alcotest.(check int) "cells" 64 (Config.rc_count c);
+  Alcotest.(check (pair int int)) "8x8 array" (8, 8)
+    (c.Config.array_rows, c.Config.array_cols);
   Alcotest.(check bool) "valid" true (Config.validate c = Ok ())
 
 let test_config_validation () =
@@ -127,18 +128,11 @@ let test_dma_cost () =
 
 let test_rc_array () =
   let c = Config.m1 ~fb_set_size:64 in
-  Alcotest.(check int) "cycles of ops" 2
-    (Rc_array.cycles_of_ops c ~efficiency:1.0 ~ops:128 ());
-  Alcotest.(check int) "at least one cycle" 1
-    (Rc_array.cycles_of_ops c ~ops:1 ());
   Alcotest.(check int) "reconfigure row-parallel" 12
     (Rc_array.reconfigure_cycles c ~contexts:96);
-  (match Rc_array.cycles_of_ops c ~ops:(-1) () with
+  match Rc_array.reconfigure_cycles c ~contexts:(-1) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative ops");
-  match Rc_array.cycles_of_ops c ~efficiency:1.5 ~ops:10 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bad efficiency"
+  | _ -> Alcotest.fail "negative contexts"
 
 let tests =
   ( "morphosys",
