@@ -51,28 +51,48 @@ let resolve_source ~name ~file =
   | Some name, None -> Result.map source_of_workload (find_workload name)
   | None, None -> Error "give a workload name or --file SPEC"
 
-let config_of source ~fb ~cm =
-  let fb_set_size =
-    match (fb, source.spec_fb) with
-    | Some n, _ -> n
-    | None, Some n -> n
-    | None, None -> source.default_fb
-  in
-  match (cm, source.spec_cm) with
-  | Some cm_capacity, _ | None, Some cm_capacity ->
-    Morphosys.Config.make ~fb_set_size ~cm_capacity ()
-  | None, None -> Morphosys.Config.m1 ~fb_set_size
+let ( let* ) = Result.bind
 
-let clustering_of source ~partition ~auto ~config =
+(* The one path from the command line to a scheduling problem. Flags
+   override the spec's values, which override the workload's defaults; the
+   machine and the partition then go through their own checks
+   ([Config.validate], [Cluster.check_partition]), so a bad value is a
+   usage error that prints its diagnostic instead of an exception. *)
+let problem_of ~name ~file ~fb ~cm ~partition ~auto =
+  let* source = resolve_source ~name ~file in
   let app = source.app in
-  match (partition, source.spec_partition, auto) with
-  | Some sizes, _, _ | None, Some sizes, _ ->
-    Ok (Kernel_ir.Cluster.of_partition app sizes)
-  | None, None, true -> (
-    match Cds.Pipeline.auto_clustering config app with
-    | Some (clustering, _) -> Ok clustering
-    | None -> Error "kernel scheduler found no feasible clustering")
-  | None, None, false -> Ok (source.default_clustering app)
+  let pick flag spec default =
+    Option.value ~default (if Option.is_some flag then flag else spec)
+  in
+  let m1 = Morphosys.Config.m1 ~fb_set_size:source.default_fb in
+  let config =
+    {
+      m1 with
+      fb_set_size = pick fb source.spec_fb m1.fb_set_size;
+      cm_capacity = pick cm source.spec_cm m1.cm_capacity;
+    }
+  in
+  let* () =
+    Result.map_error
+      (fun msg -> Diag.render (Diag.v Diag.Invalid_config "%s" msg))
+      (Morphosys.Config.validate config)
+  in
+  let* clustering =
+    match (partition, source.spec_partition, auto) with
+    | Some sizes, _, _ | None, Some sizes, _ -> (
+      match
+        Kernel_ir.Cluster.check_partition
+          ~n_kernels:(Kernel_ir.Application.n_kernels app) sizes
+      with
+      | [] -> Ok (Kernel_ir.Cluster.of_partition app sizes)
+      | diags -> Error (String.concat "\n" (List.map Diag.render diags)))
+    | None, None, true -> (
+      match Cds.Pipeline.auto_clustering config app with
+      | Some (clustering, _) -> Ok clustering
+      | None -> Error "kernel scheduler found no feasible clustering")
+    | None, None, false -> Ok (source.default_clustering app)
+  in
+  Ok (app, config, clustering)
 
 (* -- arguments ---------------------------------------------------------- *)
 
@@ -155,40 +175,35 @@ let list_cmd =
 let run_cmd =
   let run name file fb cm partition auto scheduler trace gantt cross_set
       no_retention =
-    match resolve_source ~name ~file with
+    match problem_of ~name ~file ~fb ~cm ~partition ~auto with
     | Error e -> `Error (false, e)
-    | Ok source -> (
-      let app = source.app in
-      let config = config_of source ~fb ~cm in
-      match clustering_of source ~partition ~auto ~config with
+    | Ok (app, config, clustering) -> (
+      let schedule =
+        match scheduler with
+        | "cds" ->
+          (* the rich CDS path: honours --cross-set/--no-retention and
+             prints the retention decision before the metrics *)
+          Result.map
+            (fun (r : Cds.Complete_data_scheduler.result) ->
+              Format.printf "%a@." Cds.Retention.pp_decision
+                r.Cds.Complete_data_scheduler.retention;
+              r.Cds.Complete_data_scheduler.schedule)
+            (Result.map_error Diag.to_string
+               (Cds.Complete_data_scheduler.run_full ~cross_set
+                  ~retention:(not no_retention)
+                  (Sched.Sched_ctx.make app clustering)
+                  config))
+        | name -> schedule_via_registry ~scheduler:name config app clustering
+      in
+      match schedule with
       | Error e -> `Error (false, e)
-      | Ok clustering -> (
-        let schedule =
-          match scheduler with
-          | "cds" ->
-            (* the rich CDS path: honours --cross-set/--no-retention and
-               prints the retention decision before the metrics *)
-            Result.map
-              (fun (r : Cds.Complete_data_scheduler.result) ->
-                Format.printf "%a@." Cds.Retention.pp_decision
-                  r.Cds.Complete_data_scheduler.retention;
-                r.Cds.Complete_data_scheduler.schedule)
-              (Result.map_error Diag.to_string
-                 (Cds.Complete_data_scheduler.run_full ~cross_set
-                    ~retention:(not no_retention)
-                    (Sched.Sched_ctx.make app clustering)
-                    config))
-          | name -> schedule_via_registry ~scheduler:name config app clustering
-        in
-        match schedule with
-        | Error e -> `Error (false, e)
-        | Ok s ->
-          Msim.Validate.check_exn s;
-          Format.printf "%a@." Sched.Schedule.pp_summary s;
-          Format.printf "%a@." Msim.Metrics.pp (Msim.Executor.run config s);
-          if trace then print_string (Msim.Trace.render config s);
-          if gantt then print_string (Msim.Trace.render_gantt config s);
-          `Ok ()))
+      | Ok s ->
+        Msim.Validate.check_exn s;
+        Format.printf "%a@." Sched.Schedule.pp_summary s;
+        Format.printf "%a@." Msim.Metrics.pp (Msim.Executor.run config s);
+        if trace then print_string (Msim.Trace.render config s);
+        if gantt then print_string (Msim.Trace.render_gantt config s);
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Schedule one workload and print metrics")
@@ -219,34 +234,29 @@ let compare_cmd =
              $(b,msched schedulers)).")
   in
   let run name file fb cm partition auto degrade ladder =
-    match resolve_source ~name ~file with
+    match problem_of ~name ~file ~fb ~cm ~partition ~auto with
     | Error e -> `Error (false, e)
-    | Ok source -> (
-      let app = source.app in
-      let config = config_of source ~fb ~cm in
-      match clustering_of source ~partition ~auto ~config with
-      | Error e -> `Error (false, e)
-      | Ok clustering ->
-        let c = Cds.Pipeline.run ~degrade ?ladder config app clustering in
-        let report label = function
-          | Ok (s : Cds.Pipeline.scheduled) ->
-            Format.printf "%-6s %a@." label Msim.Metrics.pp
-              s.Cds.Pipeline.metrics
-          | Error e -> Format.printf "%-6s infeasible: %s@." label e
-        in
-        Format.printf "clusters: %a@." Kernel_ir.Cluster.pp_clustering
-          clustering;
-        report "basic" c.Cds.Pipeline.basic;
-        report "ds" c.Cds.Pipeline.ds;
-        report "cds" (Result.map fst c.Cds.Pipeline.cds);
-        (match (Cds.Pipeline.improvement c `Ds, Cds.Pipeline.improvement c `Cds) with
-        | Some ds, Some cds ->
-          Format.printf "improvement over basic: ds %.1f%%, cds %.1f%%@." ds cds
-        | _ -> ());
-        (match c.Cds.Pipeline.degradation with
-        | Some d -> Format.printf "%a" Cds.Pipeline.pp_degradation d
-        | None -> ());
-        `Ok ())
+    | Ok (app, config, clustering) ->
+      let c = Cds.Pipeline.run ~degrade ?ladder config app clustering in
+      let report label = function
+        | Ok (s : Cds.Pipeline.scheduled) ->
+          Format.printf "%-6s %a@." label Msim.Metrics.pp
+            s.Cds.Pipeline.metrics
+        | Error e -> Format.printf "%-6s infeasible: %s@." label e
+      in
+      Format.printf "clusters: %a@." Kernel_ir.Cluster.pp_clustering
+        clustering;
+      report "basic" c.Cds.Pipeline.basic;
+      report "ds" c.Cds.Pipeline.ds;
+      report "cds" (Result.map fst c.Cds.Pipeline.cds);
+      (match (Cds.Pipeline.improvement c `Ds, Cds.Pipeline.improvement c `Cds) with
+      | Some ds, Some cds ->
+        Format.printf "improvement over basic: ds %.1f%%, cds %.1f%%@." ds cds
+      | _ -> ());
+      (match c.Cds.Pipeline.degradation with
+      | Some d -> Format.printf "%a" Cds.Pipeline.pp_degradation d
+      | None -> ());
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run Basic vs DS vs CDS on one workload")
@@ -257,35 +267,30 @@ let compare_cmd =
 
 let alloc_cmd =
   let run name file fb cm partition =
-    match resolve_source ~name ~file with
+    match problem_of ~name ~file ~fb ~cm ~partition ~auto:false with
     | Error e -> `Error (false, e)
-    | Ok source -> (
-      let app = source.app in
-      let config = config_of source ~fb ~cm in
-      match clustering_of source ~partition ~auto:false ~config with
+    | Ok (app, config, clustering) -> (
+      match Cds.Pipeline.allocation_report config app clustering with
       | Error e -> `Error (false, e)
-      | Ok clustering -> (
-        match Cds.Pipeline.allocation_report config app clustering with
-        | Error e -> `Error (false, e)
-        | Ok r ->
-          let labels =
-            List.map
-              (fun (s : Cds.Allocation_algorithm.snapshot) ->
-                s.Cds.Allocation_algorithm.caption)
-              r.Cds.Allocation_algorithm.snapshots
-          in
-          let cells =
-            List.map
-              (fun (s : Cds.Allocation_algorithm.snapshot) ->
-                s.Cds.Allocation_algorithm.cells)
-              r.Cds.Allocation_algorithm.snapshots
-          in
-          print_string
-            (Fb_alloc.Layout.render_snapshots ~cell_width:8 ~labels cells);
-          Format.printf "splits: %d  failures: %d@."
-            r.Cds.Allocation_algorithm.splits
-            (List.length r.Cds.Allocation_algorithm.failures);
-          `Ok ()))
+      | Ok r ->
+        let labels =
+          List.map
+            (fun (s : Cds.Allocation_algorithm.snapshot) ->
+              s.Cds.Allocation_algorithm.caption)
+            r.Cds.Allocation_algorithm.snapshots
+        in
+        let cells =
+          List.map
+            (fun (s : Cds.Allocation_algorithm.snapshot) ->
+              s.Cds.Allocation_algorithm.cells)
+            r.Cds.Allocation_algorithm.snapshots
+        in
+        print_string
+          (Fb_alloc.Layout.render_snapshots ~cell_width:8 ~labels cells);
+        Format.printf "splits: %d  failures: %d@."
+          r.Cds.Allocation_algorithm.splits
+          (List.length r.Cds.Allocation_algorithm.failures);
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "alloc"
@@ -454,68 +459,63 @@ let dse_cmd =
   in
   let run name file partition fb_list cm_list setup_list jobs stats csv
       store_path resume fault_rate fault_seed fault_sites fault_retries =
-    match resolve_source ~name ~file with
+    match problem_of ~name ~file ~fb:None ~cm:None ~partition ~auto:false with
     | Error e -> `Error (false, e)
-    | Ok source -> (
-      let app = source.app in
-      let config = config_of source ~fb:None ~cm:None in
-      match clustering_of source ~partition ~auto:false ~config with
-      | Error e -> `Error (false, e)
-      | Ok clustering -> (
-        let jobs = resolve_jobs jobs in
-        let durable =
-          match store_path with
-          | None -> Ok None
-          | Some path ->
-            Result.map Option.some
-              (Report.Dse.Durable.open_ ~resume ~path ~cm_list ~setup_list
-                 ~fb_list app clustering)
+    | Ok (app, _, clustering) -> (
+      let jobs = resolve_jobs jobs in
+      let durable =
+        match store_path with
+        | None -> Ok None
+        | Some path ->
+          Result.map Option.some
+            (Report.Dse.Durable.open_ ~resume ~path ~cm_list ~setup_list
+               ~fb_list app clustering)
+      in
+      match durable with
+      | Error d -> `Error (false, Diag.render d)
+      | Ok durable ->
+        (* On Ctrl-C / TERM, flush the store before dying: every
+           persisted point survives and --resume picks up from there.
+           (checkpoint is lock-free, so this is safe even if a worker
+           domain is mid-append.) *)
+        (match durable with
+        | Some d ->
+          let flush_and_exit code =
+            Sys.Signal_handle
+              (fun _ ->
+                Report.Dse.Durable.checkpoint d;
+                exit code)
+          in
+          Sys.set_signal Sys.sigint (flush_and_exit 130);
+          Sys.set_signal Sys.sigterm (flush_and_exit 143)
+        | None -> ());
+        let armed =
+          arm_faults ~rate:fault_rate ~seed:fault_seed ~sites:fault_sites
         in
-        match durable with
-        | Error d -> `Error (false, Diag.render d)
-        | Ok durable ->
-          (* On Ctrl-C / TERM, flush the store before dying: every
-             persisted point survives and --resume picks up from there.
-             (checkpoint is lock-free, so this is safe even if a worker
-             domain is mid-append.) *)
-          (match durable with
-          | Some d ->
-            let flush_and_exit code =
-              Sys.Signal_handle
-                (fun _ ->
-                  Report.Dse.Durable.checkpoint d;
-                  exit code)
-            in
-            Sys.set_signal Sys.sigint (flush_and_exit 130);
-            Sys.set_signal Sys.sigterm (flush_and_exit 143)
-          | None -> ());
-          let armed =
-            arm_faults ~rate:fault_rate ~seed:fault_seed ~sites:fault_sites
-          in
-          Fun.protect ~finally:Engine.Faults.disarm @@ fun () ->
-          let st = if stats then Some (Engine.Stats.create ()) else None in
-          let points =
-            Report.Dse.sweep ~jobs ~retries:fault_retries ?stats:st
-              ?store:durable ~cm_list ~setup_list ~fb_list app clustering
-          in
-          (match durable with
-          | Some d ->
-            Report.Dse.Durable.checkpoint d;
-            List.iter
-              (fun w -> Format.eprintf "%s@." (Diag.render w))
-              (Report.Dse.Durable.warnings d);
-            Report.Dse.Durable.close d
-          | None -> ());
-          report_points ~csv points;
-          (match st with
-          | Some st -> Format.eprintf "%a@." Engine.Stats.pp st
-          | None -> ());
-          report_faults armed;
-          (* A sweep in which nothing is feasible produced no sizing
-             information: that is a failed exploration, not a success. *)
-          (match Report.Dse.all_infeasible_diag points with
-          | Some d -> `Error (false, Diag.render d)
-          | None -> `Ok ())))
+        Fun.protect ~finally:Engine.Faults.disarm @@ fun () ->
+        let st = if stats then Some (Engine.Stats.create ()) else None in
+        let points =
+          Report.Dse.sweep ~jobs ~retries:fault_retries ?stats:st
+            ?store:durable ~cm_list ~setup_list ~fb_list app clustering
+        in
+        (match durable with
+        | Some d ->
+          Report.Dse.Durable.checkpoint d;
+          List.iter
+            (fun w -> Format.eprintf "%s@." (Diag.render w))
+            (Report.Dse.Durable.warnings d);
+          Report.Dse.Durable.close d
+        | None -> ());
+        report_points ~csv points;
+        (match st with
+        | Some st -> Format.eprintf "%a@." Engine.Stats.pp st
+        | None -> ());
+        report_faults armed;
+        (* A sweep in which nothing is feasible produced no sizing
+           information: that is a failed exploration, not a success. *)
+        (match Report.Dse.all_infeasible_diag points with
+        | Some d -> `Error (false, Diag.render d)
+        | None -> `Ok ()))
   in
   Cmd.v
     (Cmd.info "dse"
@@ -725,30 +725,25 @@ let asm_cmd =
           ~doc:"Reroll uniform rounds into a hardware loop (compact code).")
   in
   let run name file fb cm partition scheduler looped =
-    match resolve_source ~name ~file with
+    match problem_of ~name ~file ~fb ~cm ~partition ~auto:false with
     | Error e -> `Error (false, e)
-    | Ok source -> (
-      let app = source.app in
-      let config = config_of source ~fb ~cm in
-      match clustering_of source ~partition ~auto:false ~config with
+    | Ok (app, config, clustering) -> (
+      match schedule_via_registry ~scheduler config app clustering with
       | Error e -> `Error (false, e)
-      | Ok clustering -> (
-        match schedule_via_registry ~scheduler config app clustering with
-        | Error e -> `Error (false, e)
-        | Ok s -> (
-          let program =
-            if looped then Diag.guard (fun () -> Codegen.Emit.program_looped s)
-            else Codegen.Emit.program_result s
-          in
-          match program with
-          | Error d -> `Error (false, Diag.render d)
-          | Ok program -> (
-            print_string (Codegen.Asm.to_string program);
-            match Codegen.Interp.run_result config program with
-            | Ok r ->
-              Format.eprintf "; interpreted: %a@." Codegen.Interp.pp_result r;
-              `Ok ()
-            | Error d -> `Error (false, Diag.render d)))))
+      | Ok s -> (
+        let program =
+          if looped then Diag.guard (fun () -> Codegen.Emit.program_looped s)
+          else Codegen.Emit.program_result s
+        in
+        match program with
+        | Error d -> `Error (false, Diag.render d)
+        | Ok program -> (
+          print_string (Codegen.Asm.to_string program);
+          match Codegen.Interp.run_result config program with
+          | Ok r ->
+            Format.eprintf "; interpreted: %a@." Codegen.Interp.pp_result r;
+            `Ok ()
+          | Error d -> `Error (false, Diag.render d))))
   in
   Cmd.v
     (Cmd.info "asm"
@@ -760,19 +755,14 @@ let asm_cmd =
 
 let vcd_cmd =
   let run name file fb cm partition scheduler =
-    match resolve_source ~name ~file with
+    match problem_of ~name ~file ~fb ~cm ~partition ~auto:false with
     | Error e -> `Error (false, e)
-    | Ok source -> (
-      let app = source.app in
-      let config = config_of source ~fb ~cm in
-      match clustering_of source ~partition ~auto:false ~config with
+    | Ok (app, config, clustering) -> (
+      match schedule_via_registry ~scheduler config app clustering with
       | Error e -> `Error (false, e)
-      | Ok clustering -> (
-        match schedule_via_registry ~scheduler config app clustering with
-        | Error e -> `Error (false, e)
-        | Ok s ->
-          print_string (Msim.Vcd.of_schedule config s);
-          `Ok ()))
+      | Ok s ->
+        print_string (Msim.Vcd.of_schedule config s);
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "vcd"

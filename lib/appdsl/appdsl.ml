@@ -9,7 +9,7 @@ type spec = {
 
 type accum = {
   mutable builder : B.t option;
-  mutable acc_partition : int list option;
+  mutable acc_partition : (int * int list) option;  (** line, sizes *)
   mutable acc_fb : int option;
   mutable acc_cm : int option;
 }
@@ -41,6 +41,11 @@ let split_arrow toks =
   in
   loop [] toks
 
+(* A machine size is checked by [Config.validate], its one statement, on
+   the M1 machine with just that field replaced. *)
+let machine_check update =
+  Morphosys.Config.validate (update (Morphosys.Config.m1 ~fb_set_size:1024))
+
 let with_builder acc f =
   match acc.builder with
   | None -> Error "the first directive must be 'app NAME iterations N'"
@@ -49,7 +54,7 @@ let with_builder acc f =
     acc.builder <- Some b';
     Ok ()
 
-let parse_directive acc toks =
+let parse_directive acc lineno toks =
   match toks with
   | [] -> Ok ()
   | "app" :: name :: "iterations" :: n :: [] ->
@@ -104,14 +109,16 @@ let parse_directive acc toks =
             Ok (n :: l))
           (Ok []) sizes
       in
-      acc.acc_partition <- Some (List.rev sizes);
+      acc.acc_partition <- Some (lineno, List.rev sizes);
       Ok ()
   | [ "fb"; n ] ->
     let* words = int_tok "fb" n in
+    let* () = machine_check (fun c -> { c with fb_set_size = words }) in
     acc.acc_fb <- Some words;
     Ok ()
   | [ "cm"; n ] ->
     let* words = int_tok "cm" n in
+    let* () = machine_check (fun c -> { c with cm_capacity = words }) in
     acc.acc_cm <- Some words;
     Ok ()
   | first :: _ -> Error (Printf.sprintf "unrecognised directive %S" first)
@@ -124,7 +131,7 @@ let parse text =
   let rec loop lineno = function
     | [] -> Ok ()
     | line :: rest -> (
-      match parse_directive acc (tokens line) with
+      match parse_directive acc lineno (tokens line) with
       | Ok () -> loop (lineno + 1) rest
       | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
@@ -133,15 +140,18 @@ let parse text =
   | None -> Error "empty specification (no 'app' directive)"
   | Some b -> (
     match B.build b with
-    | app ->
-      Ok
-        {
-          app;
-          partition = acc.acc_partition;
-          fb_set_size = acc.acc_fb;
-          cm_capacity = acc.acc_cm;
-        }
-    | exception Invalid_argument msg -> Error msg)
+    | exception Invalid_argument msg -> Error msg
+    | app -> (
+      let fb_set_size = acc.acc_fb and cm_capacity = acc.acc_cm in
+      let spec partition = Ok { app; partition; fb_set_size; cm_capacity } in
+      match acc.acc_partition with
+      | None -> spec None
+      | Some (lineno, sizes) -> (
+        let n_kernels = Kernel_ir.Application.n_kernels app in
+        match Kernel_ir.Cluster.check_partition ~n_kernels sizes with
+        | [] -> spec (Some sizes)
+        | d :: _ ->
+          Error (Printf.sprintf "line %d: %s" lineno (Diag.to_string d)))))
 
 let load_file path =
   match In_channel.with_open_text path In_channel.input_all with

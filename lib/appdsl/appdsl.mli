@@ -37,7 +37,11 @@ type spec = {
 }
 
 val parse : string -> (spec, string) result
-(** Errors carry the offending line number. *)
+(** Errors carry the offending line number. A [partition] must pass
+    [Kernel_ir.Cluster.check_partition] against the kernel count, and
+    [fb] / [cm] must pass [Morphosys.Config.validate], so {!clustering}
+    and {!config} (at a positive [default_fb]) never raise on a parsed
+    spec. *)
 
 val load_file : string -> (spec, string) result
 

@@ -15,46 +15,18 @@ type t = {
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
-(* The whole module indexes by cluster id, so the ids must be the positions
-   0..n-1 — exactly what [Cluster.validate] checks. We re-check here so a
-   hand-built clustering that skipped validation fails loudly instead of
-   silently reading the wrong profile (the failure mode of the old
-   [List.nth profiles cluster.id] convention). *)
-let clusters_array clustering =
-  let clusters = Array.of_list clustering in
-  if Array.length clusters = 0 then fail "Analysis.make: empty clustering";
-  Array.iteri
-    (fun i (c : Cluster.t) ->
-      if c.Cluster.id <> i then
-        fail
-          "Analysis.make: cluster ids are not consecutive (cluster at \
-           position %d has id %d; run Cluster.validate)"
-          i c.Cluster.id)
-    clusters;
-  clusters
-
+(* [Cluster.check] guarantees every kernel is in exactly one cluster and
+   the ids are the positions 0..n-1, the indexing convention of the whole
+   module. *)
 let kernel_cluster_array app clusters =
-  let n = Application.n_kernels app in
-  let owner = Array.make n (-1) in
+  let owner = Array.make (Application.n_kernels app) 0 in
   Array.iter
     (fun (c : Cluster.t) ->
-      List.iter
-        (fun kid ->
-          if kid < 0 || kid >= n then
-            fail "Analysis.make: cluster %d references unknown kernel %d"
-              c.Cluster.id kid;
-          if owner.(kid) >= 0 then
-            fail "Analysis.make: kernel %d appears in clusters %d and %d" kid
-              owner.(kid) c.Cluster.id;
-          owner.(kid) <- c.Cluster.id)
-        c.Cluster.kernels)
+      List.iter (fun kid -> owner.(kid) <- c.Cluster.id) c.Cluster.kernels)
     clusters;
-  Array.iteri
-    (fun kid cid ->
-      if cid < 0 then fail "Analysis.make: kernel %d is in no cluster" kid)
-    owner;
   owner
 
+(* [Application.check] guarantees data ids are unique and non-negative. *)
 let data_index_array (app : Application.t) =
   let max_id =
     List.fold_left (fun acc (d : Data.t) -> max acc d.Data.id) (-1)
@@ -62,12 +34,7 @@ let data_index_array (app : Application.t) =
   in
   let index = Array.make (max_id + 1) None in
   List.iter
-    (fun (d : Data.t) ->
-      match index.(d.Data.id) with
-      | Some (prev : Data.t) ->
-        fail "Analysis.make: data objects %S and %S share id %d" prev.Data.name
-          d.Data.name d.Data.id
-      | None -> index.(d.Data.id) <- Some d)
+    (fun (d : Data.t) -> index.(d.Data.id) <- Some d)
     app.Application.data;
   index
 
@@ -198,7 +165,10 @@ let sharing_of (app : Application.t) ~kernel_cluster =
     app.Application.data
 
 let make app clustering =
-  let clusters = clusters_array clustering in
+  (match Cluster.check app clustering with
+  | [] -> ()
+  | d :: _ -> fail "Analysis.make: %s" (Diag.to_string d));
+  let clusters = Array.of_list clustering in
   let kernel_cluster = kernel_cluster_array app clusters in
   let n_clusters = Array.length clusters in
   let consumed, produced, produced_by_kernel =

@@ -35,9 +35,9 @@ type t = private {
 
 val make : Application.t -> Cluster.clustering -> t
 (** Builds the context in near-linear time.
-    @raise Invalid_argument when cluster ids are not consecutive positions
-    (the [Cluster.validate] invariant — the error says so explicitly), when
-    a kernel is covered by zero or two clusters, or when data ids collide. *)
+    @raise Invalid_argument with the first diagnostic of {!Cluster.check}:
+    the whole module indexes by cluster id, so a hand-built clustering
+    with shifted ids fails loudly instead of reading the wrong profile. *)
 
 val n_clusters : t -> int
 

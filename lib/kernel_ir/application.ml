@@ -5,43 +5,64 @@ type t = {
   iterations : int;
 }
 
-let fail fmt = Format.kasprintf invalid_arg fmt
+let duplicates names =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun name ->
+      let dup = Hashtbl.mem seen name in
+      Hashtbl.replace seen name ();
+      dup)
+    names
+  |> List.sort_uniq compare
 
-let check_unique what names =
-  let sorted = List.sort String.compare names in
-  let rec loop = function
-    | a :: (b :: _ as rest) ->
-      if String.equal a b then fail "Application.make: duplicate %s name %S" what a
-      else loop rest
-    | _ -> ()
+let check ~kernels ~data ~iterations =
+  let n = List.length kernels in
+  let err ?kernel ?data fmt = Diag.v ?kernel ?data Diag.Invalid_app fmt in
+  let position i (k : Kernel.t) =
+    if k.id <> i then
+      [ err ~kernel:k.name "kernel %S has id %d at position %d" k.name k.id i ]
+    else []
   in
-  loop sorted
+  let range (d : Data.t) what kid =
+    if kid < 0 || kid >= n then
+      [
+        err ~data:d.name "data %S references unknown %s kernel %d" d.name what
+          kid;
+      ]
+    else []
+  in
+  List.concat
+    [
+      (if iterations <= 0 then
+         [ err "iterations must be positive (got %d)" iterations ]
+       else []);
+      (if kernels = [] then [ err "no kernels" ] else []);
+      List.concat
+        (List.mapi (fun i k -> position i k @ Kernel.check k) kernels);
+      List.map
+        (fun name -> err ~kernel:name "duplicate kernel name %S" name)
+        (duplicates (List.map (fun (k : Kernel.t) -> k.name) kernels));
+      List.concat_map
+        (fun (d : Data.t) ->
+          Data.check d
+          @ Option.fold ~none:[] ~some:(range d "producer")
+              (Data.producer_kernel d)
+          @ List.concat_map (range d "consumer") d.consumers)
+        data;
+      List.map
+        (fun name -> err ~data:name "duplicate data name %S" name)
+        (duplicates (List.map (fun (d : Data.t) -> d.name) data));
+      List.map
+        (fun id -> err "duplicate data id %d" id)
+        (duplicates (List.map (fun (d : Data.t) -> d.id) data));
+    ]
 
 let make ~name ~kernels ~data ~iterations =
-  if iterations <= 0 then fail "Application.make: iterations must be positive";
-  if kernels = [] then fail "Application.make: no kernels";
-  List.iteri
-    (fun i (k : Kernel.t) ->
-      if k.id <> i then
-        fail "Application.make: kernel %S has id %d at position %d" k.name k.id i)
-    kernels;
-  check_unique "kernel" (List.map (fun (k : Kernel.t) -> k.name) kernels);
-  check_unique "data" (List.map (fun (d : Data.t) -> d.name) data);
-  let n = List.length kernels in
-  let check_kid what (d : Data.t) kid =
-    if kid < 0 || kid >= n then
-      fail "Application.make: data %S references unknown %s kernel %d" d.name
-        what kid
-  in
-  List.iter
-    (fun (d : Data.t) ->
-      (match d.producer with
-      | Data.External -> ()
-      | Data.Produced_by k -> check_kid "producer" d k);
-      List.iter (check_kid "consumer" d) d.consumers)
-    data;
-  let data = List.sort (fun (a : Data.t) b -> compare a.id b.id) data in
-  { name; kernels = Array.of_list kernels; data; iterations }
+  match check ~kernels ~data ~iterations with
+  | d :: _ -> invalid_arg ("Application.make: " ^ Diag.to_string d)
+  | [] ->
+    let data = List.sort (fun (a : Data.t) b -> compare a.id b.id) data in
+    { name; kernels = Array.of_list kernels; data; iterations }
 
 let n_kernels t = Array.length t.kernels
 

@@ -11,13 +11,18 @@ type t = private {
   iterations : int;  (** total iterations [n] of the kernel sequence *)
 }
 
+val check :
+  kernels:Kernel.t list -> data:Data.t list -> iterations:int -> Diag.t list
+(** Every violation of the application rules, as [Invalid_app]
+    diagnostics: [iterations > 0]; a non-empty kernel sequence whose ids are
+    exactly [0 .. len-1] in order; {!Kernel.check} and {!Data.check} of
+    every element; unique kernel names, data names and data ids; every
+    producer/consumer id refers to an existing kernel. [[]] exactly when
+    {!make} accepts the ingredients. Never raises. *)
+
 val make :
   name:string -> kernels:Kernel.t list -> data:Data.t list -> iterations:int -> t
-(** Validates the whole application:
-    kernel ids are exactly [0 .. len-1] in order, kernel and data names are
-    unique, every consumer/producer id refers to an existing kernel,
-    [iterations > 0].
-    @raise Invalid_argument with a diagnostic otherwise. *)
+(** @raise Invalid_argument with the first diagnostic of {!check}. *)
 
 val n_kernels : t -> int
 val kernel : t -> Kernel.id -> Kernel.t

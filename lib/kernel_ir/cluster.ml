@@ -5,16 +5,25 @@ type clustering = t list
 
 let set_of_index i = if i mod 2 = 0 then Fb.Set_a else Fb.Set_b
 
+let check_partition ~n_kernels sizes =
+  let err fmt = Diag.v Diag.Invalid_clustering fmt in
+  let sum = Msutil.Listx.sum sizes in
+  List.filter_map
+    (fun s ->
+      if s <= 0 then Some (err "non-positive cluster size %d" s) else None)
+    sizes
+  @
+  if sum <> n_kernels then
+    [
+      err "cluster sizes sum to %d but the application has %d kernels" sum
+        n_kernels;
+    ]
+  else []
+
 let of_partition app sizes =
-  let n = Application.n_kernels app in
-  if List.exists (fun s -> s <= 0) sizes then
-    invalid_arg "Cluster.of_partition: non-positive cluster size";
-  if Msutil.Listx.sum sizes <> n then
-    invalid_arg
-      (Printf.sprintf
-         "Cluster.of_partition: sizes sum to %d but the application has %d \
-          kernels"
-         (Msutil.Listx.sum sizes) n);
+  (match check_partition ~n_kernels:(Application.n_kernels app) sizes with
+  | [] -> ()
+  | d :: _ -> invalid_arg ("Cluster.of_partition: " ^ Diag.to_string d));
   let rec loop id start = function
     | [] -> []
     | size :: rest ->
@@ -32,20 +41,29 @@ let singleton_per_kernel app =
 
 let whole_application app = of_partition app [ Application.n_kernels app ]
 
-let validate app clustering =
+let check app clustering =
   let n = Application.n_kernels app in
-  let all = List.concat_map (fun c -> c.kernels) clustering in
-  let expected = List.init n (fun i -> i) in
-  if all <> expected then Error "clusters do not cover the kernel sequence"
-  else if
-    List.exists
-      (fun c -> c.fb_set <> set_of_index c.id)
-      clustering
-  then Error "cluster set assignment does not alternate"
-  else if
-    List.mapi (fun i c -> c.id = i) clustering |> List.exists not
-  then Error "cluster ids are not consecutive"
-  else Ok ()
+  let err ?cluster fmt = Diag.v ?cluster Diag.Invalid_clustering fmt in
+  let per_cluster i c =
+    (if c.id <> i then
+       [
+         err ~cluster:c.id
+           "cluster ids are not consecutive (id %d at position %d)" c.id i;
+       ]
+     else [])
+    @
+    if c.fb_set <> set_of_index c.id then
+      [
+        err ~cluster:c.id "cluster %d breaks the alternating FB-set assignment"
+          c.id;
+      ]
+    else []
+  in
+  let covered = List.concat_map (fun c -> c.kernels) clustering in
+  (if covered <> List.init n Fun.id then
+     [ err "clusters do not cover the kernel sequence 0..%d in order" (n - 1) ]
+   else [])
+  @ List.concat (List.mapi per_cluster clustering)
 
 let cluster_of_kernel_opt clustering kid =
   List.find_opt (fun c -> List.mem kid c.kernels) clustering

@@ -14,8 +14,13 @@ val of_partition : Application.t -> int list -> clustering
 (** [of_partition app sizes] splits the kernel sequence into consecutive
     clusters of the given sizes; cluster 0 gets set A, cluster 1 set B,
     alternating (the hardware double-buffering discipline).
-    @raise Invalid_argument if the sizes are not positive or do not sum to
-    the kernel count. *)
+    @raise Invalid_argument with the first diagnostic of
+    {!check_partition}. *)
+
+val check_partition : n_kernels:int -> int list -> Diag.t list
+(** Every violation of a cluster-size partition, as [Invalid_clustering]
+    diagnostics: positive sizes summing to [n_kernels]. [[]] exactly when
+    {!of_partition} accepts the sizes. *)
 
 val singleton_per_kernel : Application.t -> clustering
 (** One cluster per kernel — the Basic Scheduler's degenerate clustering. *)
@@ -23,9 +28,11 @@ val singleton_per_kernel : Application.t -> clustering
 val whole_application : Application.t -> clustering
 (** A single cluster holding every kernel. *)
 
-val validate : Application.t -> clustering -> (unit, string) result
-(** Checks coverage (every kernel in exactly one cluster, in order),
-    consecutive ids, and alternating set assignment. *)
+val check : Application.t -> clustering -> Diag.t list
+(** Every violation of a built clustering, as [Invalid_clustering]
+    diagnostics: the clusters cover the kernel sequence [0 .. n-1] in
+    order (so every kernel is in exactly one cluster), ids are the
+    positions [0 .. len-1], and FB sets alternate. *)
 
 val cluster_of_kernel : clustering -> Kernel.id -> t
 (** @raise Invalid_argument naming the kernel id if it is in no

@@ -10,24 +10,49 @@ type t = {
   invariant : bool;
 }
 
+let check t =
+  let e fmt = Diag.v ~data:t.name Diag.Invalid_app fmt in
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> a < b && sorted rest
+    | _ -> true
+  in
+  List.concat
+    [
+      (if t.id < 0 then [ e "data %S has negative id %d" t.name t.id ] else []);
+      (if t.name = "" then
+         [ Diag.v Diag.Invalid_app "data object %d has an empty name" t.id ]
+       else []);
+      (if t.size <= 0 then [ e "data %S has non-positive size %d" t.name t.size ]
+       else []);
+      (match t.producer with
+      | External ->
+        if t.consumers = [] then [ e "external data %S has no consumers" t.name ]
+        else []
+      | Produced_by k ->
+        (if t.consumers = [] && not t.final then
+           [ e "result %S is dead (no consumer, not final)" t.name ]
+         else [])
+        @ (if List.mem k t.consumers then
+             [ e "kernel %d consumes its own result %S" k t.name ]
+           else [])
+        @
+        if List.exists (fun c -> c < k) t.consumers then
+          [ e "a consumer of %S precedes its producer" t.name ]
+        else []);
+      (if t.invariant && t.producer <> External then
+         [ e "produced data %S cannot be iteration-invariant" t.name ]
+       else []);
+      (if not (sorted t.consumers) then
+         [ e "consumers of %S are not sorted and unique" t.name ]
+       else []);
+    ]
+
 let make ?(invariant = false) ~id ~name ~size ~producer ~consumers ~final () =
-  if name = "" then invalid_arg "Data.make: empty name";
-  if size <= 0 then invalid_arg ("Data.make: size must be positive: " ^ name);
-  if invariant && producer <> External then
-    invalid_arg ("Data.make: only external data can be invariant: " ^ name);
   let consumers = List.sort_uniq compare consumers in
-  (match producer with
-  | External ->
-    if consumers = [] then
-      invalid_arg ("Data.make: external data without consumers: " ^ name)
-  | Produced_by k ->
-    if consumers = [] && not final then
-      invalid_arg ("Data.make: dead result (no consumer, not final): " ^ name);
-    if List.exists (fun c -> c = k) consumers then
-      invalid_arg ("Data.make: kernel consumes its own result: " ^ name);
-    if List.exists (fun c -> c < k) consumers then
-      invalid_arg ("Data.make: consumer precedes producer: " ^ name));
-  { id; name; size; producer; consumers; final; invariant }
+  let t = { id; name; size; producer; consumers; final; invariant } in
+  match check t with
+  | [] -> t
+  | d :: _ -> invalid_arg ("Data.make: " ^ Diag.to_string d)
 
 let instance_iter t g = if t.invariant then 0 else g
 

@@ -27,6 +27,16 @@ type t = {
           the whole run — and never multiplied by the reuse factor *)
 }
 
+val check : t -> Diag.t list
+(** Every violation of the per-object rules, as [Invalid_app]
+    diagnostics: non-negative id, non-empty name, positive size; external
+    data must have consumers; a produced result must be consumed or final;
+    a kernel cannot consume its own result; consumers of a produced result
+    come after the producer; only external data can be [invariant];
+    [consumers] sorted and unique. Kernel-id ranges need the application
+    and are checked by {!Application.check}. [[]] for a well-formed
+    object. *)
+
 val make :
   ?invariant:bool ->
   id:int ->
@@ -37,12 +47,8 @@ val make :
   final:bool ->
   unit ->
   t
-(** Normalises [consumers] (sorts, dedups) and validates:
-    positive size; external data must have consumers; a produced result must
-    be consumed or final; a kernel cannot consume its own result; consumers
-    of a produced result must come after the producer; only external data
-    can be [invariant].
-    @raise Invalid_argument otherwise. *)
+(** Normalises [consumers] (sorts, dedups), then validates with {!check}.
+    @raise Invalid_argument with the first diagnostic of {!check}. *)
 
 val instance_iter : t -> int -> int
 (** The iteration index identifying this object's FB instance: the global

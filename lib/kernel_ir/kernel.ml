@@ -2,13 +2,28 @@ type id = int
 
 type t = { id : id; name : string; contexts : int; exec_cycles : int }
 
+let check t =
+  let e fmt = Diag.v ~kernel:t.name Diag.Invalid_app fmt in
+  let positive what n =
+    if n <= 0 then [ e "kernel %S has non-positive %s (%d)" t.name what n ]
+    else []
+  in
+  List.concat
+    [
+      (if t.id < 0 then [ e "kernel %S has negative id %d" t.name t.id ]
+       else []);
+      (if t.name = "" then
+         [ Diag.v Diag.Invalid_app "kernel %d has an empty name" t.id ]
+       else []);
+      positive "context words" t.contexts;
+      positive "exec cycles" t.exec_cycles;
+    ]
+
 let make ~id ~name ~contexts ~exec_cycles =
-  if id < 0 then invalid_arg "Kernel.make: negative id";
-  if name = "" then invalid_arg "Kernel.make: empty name";
-  if contexts <= 0 then invalid_arg "Kernel.make: contexts must be positive";
-  if exec_cycles <= 0 then
-    invalid_arg "Kernel.make: exec_cycles must be positive";
-  { id; name; contexts; exec_cycles }
+  let t = { id; name; contexts; exec_cycles } in
+  match check t with
+  | [] -> t
+  | d :: _ -> invalid_arg ("Kernel.make: " ^ Diag.to_string d)
 
 let pp fmt t =
   Format.fprintf fmt "%s#%d(ctx=%d,cyc=%d)" t.name t.id t.contexts

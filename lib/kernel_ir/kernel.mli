@@ -15,9 +15,13 @@ type t = {
   exec_cycles : int;  (** RC-array cycles for one iteration *)
 }
 
+val check : t -> Diag.t list
+(** Every violation of the per-kernel rules, as [Invalid_app]
+    diagnostics: non-negative id, non-empty name, positive contexts and
+    cycles. [[]] for a well-formed kernel. *)
+
 val make : id:id -> name:string -> contexts:int -> exec_cycles:int -> t
-(** @raise Invalid_argument on negative id, empty name, or non-positive
-    contexts / cycles. *)
+(** @raise Invalid_argument with the first diagnostic of {!check}. *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -1,96 +1,5 @@
-module Interval = Msutil.Interval
-
 type set = Set_a | Set_b
 
 let other = function Set_a -> Set_b | Set_b -> Set_a
 let set_to_string = function Set_a -> "A" | Set_b -> "B"
 let pp_set fmt s = Format.pp_print_string fmt (set_to_string s)
-
-type bank = (string, Interval.t list) Hashtbl.t
-
-type t = { size : int; bank_a : bank; bank_b : bank }
-
-let create (config : Config.t) =
-  {
-    size = config.fb_set_size;
-    bank_a = Hashtbl.create 64;
-    bank_b = Hashtbl.create 64;
-  }
-
-let set_size t = t.size
-let bank t = function Set_a -> t.bank_a | Set_b -> t.bank_b
-
-let check_bounds t iv =
-  if Interval.(iv.lo) < 0 || Interval.(iv.hi) > t.size then
-    invalid_arg
-      (Format.asprintf "Frame_buffer.place: interval %a out of bounds [0,%d)"
-         Interval.pp iv t.size)
-
-let check_overlap b label ivs =
-  Hashtbl.iter
-    (fun other_label other_ivs ->
-      List.iter
-        (fun iv ->
-          List.iter
-            (fun other_iv ->
-              if Interval.overlaps iv other_iv then
-                invalid_arg
-                  (Format.asprintf
-                     "Frame_buffer.place: %s at %a overlaps resident %s at %a"
-                     label Interval.pp iv other_label Interval.pp other_iv))
-            other_ivs)
-        ivs)
-    b
-
-let place t ~set ~label ivs =
-  let b = bank t set in
-  if Hashtbl.mem b label then
-    invalid_arg ("Frame_buffer.place: already resident: " ^ label);
-  if ivs = [] then invalid_arg "Frame_buffer.place: empty interval list";
-  List.iter (check_bounds t) ivs;
-  check_overlap b label ivs;
-  Hashtbl.replace b label ivs
-
-let evict t ~set ~label =
-  let b = bank t set in
-  if not (Hashtbl.mem b label) then raise Not_found;
-  Hashtbl.remove b label
-
-let resident t ~set ~label = Hashtbl.mem (bank t set) label
-
-let intervals_of t ~set ~label =
-  match Hashtbl.find_opt (bank t set) label with
-  | Some ivs -> ivs
-  | None -> raise Not_found
-
-let used_words t ~set =
-  Hashtbl.fold
-    (fun _ ivs acc -> acc + Msutil.Listx.sum_by Interval.length ivs)
-    (bank t set) 0
-
-let free_words t ~set = t.size - used_words t ~set
-
-let residents t ~set =
-  let entries =
-    Hashtbl.fold (fun label ivs acc -> (label, ivs) :: acc) (bank t set) []
-  in
-  let first_lo (_, ivs) =
-    Msutil.Listx.max_by (fun _ -> 0) ivs |> ignore;
-    match ivs with [] -> 0 | iv :: _ -> Interval.(iv.lo)
-  in
-  List.sort (fun a b -> compare (first_lo a) (first_lo b)) entries
-
-let clear_set t ~set = Hashtbl.reset (bank t set)
-
-let occupancy_map t ~set =
-  let map = Array.make t.size None in
-  Hashtbl.iter
-    (fun label ivs ->
-      List.iter
-        (fun iv ->
-          for addr = Interval.(iv.lo) to Interval.(iv.hi) - 1 do
-            map.(addr) <- Some label
-          done)
-        ivs)
-    (bank t set);
-  map

@@ -1,52 +1,11 @@
-(** Mutable model of the MorphoSys frame buffer.
-
-    The frame buffer has two independent sets so that the RC array computes
-    out of one set while the DMA fills/drains the other. Each set is a flat
-    word-addressable memory; residency is tracked as labelled address
-    intervals. The *placement* decisions are made by the allocator in
-    [Fb_alloc]; this module only records and checks them, and is used by the
-    simulator to enforce the residency invariant ("a kernel executes only if
-    its inputs are in its set"). *)
+(** The two MorphoSys frame-buffer sets: the RC array computes out of one
+    set while the DMA fills/drains the other. Placement inside a set is
+    [Fb_alloc.Layout]'s; the schedule validator ([Msim.Validate]) and the
+    control-program interpreter ([Codegen.Interp]) keep their own residency
+    tables. This module only names the sets. *)
 
 type set = Set_a | Set_b
 
 val other : set -> set
 val set_to_string : set -> string
 val pp_set : Format.formatter -> set -> unit
-
-type t
-
-val create : Config.t -> t
-(** Fresh, empty frame buffer for the given machine. *)
-
-val set_size : t -> int
-(** Words per set, from the machine configuration. *)
-
-val place : t -> set:set -> label:string -> Msutil.Interval.t list -> unit
-(** [place t ~set ~label ivs] records the object [label] as resident in
-    [set], occupying intervals [ivs] (several intervals when the allocator
-    had to split the object).
-    @raise Invalid_argument if [label] is already resident in [set], an
-    interval is out of bounds, or it overlaps another resident object. *)
-
-val evict : t -> set:set -> label:string -> unit
-(** Removes a resident object.
-    @raise Not_found if [label] is not resident in [set]. *)
-
-val resident : t -> set:set -> label:string -> bool
-
-val intervals_of : t -> set:set -> label:string -> Msutil.Interval.t list
-(** @raise Not_found if not resident. *)
-
-val used_words : t -> set:set -> int
-val free_words : t -> set:set -> int
-val residents : t -> set:set -> (string * Msutil.Interval.t list) list
-(** Snapshot of the set's contents, sorted by first interval address. *)
-
-val clear_set : t -> set:set -> unit
-(** Evicts everything from one set. *)
-
-val occupancy_map : t -> set:set -> string option array
-(** [occupancy_map t ~set] is a word-by-word view of the set: cell [i] holds
-    the label of the object occupying address [i], if any. Used to render
-    Figure 5-style snapshots. *)

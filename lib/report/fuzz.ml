@@ -2,7 +2,6 @@ module Kernel = Kernel_ir.Kernel
 module Data = Kernel_ir.Data
 module Application = Kernel_ir.Application
 module Cluster = Kernel_ir.Cluster
-module Validate = Kernel_ir.Validate
 
 type case = { index : int; scheduler : string; message : string }
 
@@ -143,7 +142,8 @@ let pp ppf r =
 (* ------------------------------------------------------------------ *)
 (* Hostile mode: mutate valid random applications into (mostly) invalid
    ones and assert the stack never throws — every malformed input is
-   either flagged by the total validator or survives scheduling. *)
+   either flagged by the input checks ([Application.check],
+   [Cluster.check_partition]) or survives scheduling. *)
 
 type raw = {
   raw_name : string;
@@ -157,10 +157,10 @@ type hostile_report = {
   h_seed : int;
   h_count : int;
   h_fb_set_size : int;
-  rejected : int;  (** mutants flagged by the validator *)
-  survived : int;  (** mutants that validated clean and scheduled safely *)
+  rejected : int;  (** mutants flagged by the input checks *)
+  survived : int;  (** mutants that checked clean and scheduled safely *)
   h_faulted : int;  (** pool slots absorbed by injected faults *)
-  h_crashes : case list;  (** uncaught exceptions — validator gaps *)
+  h_crashes : case list;  (** uncaught exceptions past a clean check *)
 }
 
 let raw_of_app (app : Application.t) clustering =
@@ -332,10 +332,10 @@ let mutators :
 
 type hostile_outcome = Rejected | Survived | Crashed of string
 
-(* Validator-first discipline: a mutant the validator flags is rejected
-   without ever reaching a constructor; a mutant that validates clean
-   must construct and schedule without an exception — if it throws
-   anyway, the validator has a gap and the mutant is a crash case. *)
+(* Check-first discipline: a mutant the input checks flag is rejected
+   without ever reaching a constructor; a mutant that checks clean must
+   construct and schedule without an exception — if it throws anyway, a
+   rule is missing from the checks and the mutant is a crash case. *)
 let hostile_one ~seed ~fb_set_size index =
   let rand = Random.State.make [| 0xba5e; seed; index |] in
   let app, clustering =
@@ -346,9 +346,10 @@ let hostile_one ~seed ~fb_set_size index =
   let mname, mutate = List.nth mutators (index mod List.length mutators) in
   let raw = match mutate rand base with Some r -> r | None -> base in
   let diags =
-    Validate.application ~name:raw.raw_name ~kernels:raw.kernels
-      ~data:raw.data ~iterations:raw.iterations
-    @ Validate.partition ~n_kernels:(List.length raw.kernels) raw.partition
+    Application.check ~kernels:raw.kernels ~data:raw.data
+      ~iterations:raw.iterations
+    @ Cluster.check_partition ~n_kernels:(List.length raw.kernels)
+        raw.partition
   in
   if diags <> [] then (mname, Rejected)
   else

@@ -57,19 +57,21 @@ val pp : Format.formatter -> report -> unit
 
     Mutates valid random applications into (mostly) malformed ones and
     asserts the stack is exception-free: every mutant is either flagged
-    by the total validator ({!Kernel_ir.Validate}) before construction,
-    or — validating clean — constructs, schedules and simulates without
-    an uncaught exception. A mutant that throws after clean validation
-    is a validator gap and fails the run. *)
+    before construction by the input checks the constructors raise on
+    ({!Kernel_ir.Application.check} and
+    {!Kernel_ir.Cluster.check_partition}), or — checking clean —
+    constructs, schedules and simulates without an uncaught exception. A
+    mutant that throws after a clean check marks a rule missing from the
+    checks and fails the run. *)
 
 type hostile_report = {
   h_seed : int;
   h_count : int;
   h_fb_set_size : int;
-  rejected : int;  (** mutants flagged by the validator *)
-  survived : int;  (** mutants that validated clean and scheduled safely *)
+  rejected : int;  (** mutants flagged by the input checks *)
+  survived : int;  (** mutants that checked clean and scheduled safely *)
   h_faulted : int;  (** pool slots absorbed by injected faults *)
-  h_crashes : case list;  (** uncaught exceptions — validator gaps *)
+  h_crashes : case list;  (** uncaught exceptions past a clean check *)
 }
 
 val run_hostile :

@@ -19,7 +19,7 @@ type t = {
 val make : Kernel_ir.Application.t -> Kernel_ir.Cluster.clustering -> t
 (** Builds the analysis context and the formula arrays.
     @raise Invalid_argument under the {!Kernel_ir.Analysis.make}
-    conditions (non-consecutive cluster ids, uncovered kernels). *)
+    condition (a clustering that fails {!Kernel_ir.Cluster.check}). *)
 
 val of_analysis : Kernel_ir.Analysis.t -> t
 

@@ -60,12 +60,15 @@ let test_bad_clustering_backstop () =
   in
   Alcotest.check_raises "non-consecutive ids"
     (Invalid_argument
-       "Analysis.make: cluster ids are not consecutive (cluster at position \
-        0 has id 1; run Cluster.validate)")
+       "Analysis.make: cluster ids are not consecutive (id 1 at position 0)")
     (fun () -> ignore (Analysis.make app shifted));
   Alcotest.check_raises "empty clustering"
-    (Invalid_argument "Analysis.make: empty clustering") (fun () ->
-      ignore (Analysis.make app []));
+    (Invalid_argument
+       (Printf.sprintf
+          "Analysis.make: clusters do not cover the kernel sequence 0..%d in \
+           order"
+          (Application.n_kernels app - 1)))
+    (fun () -> ignore (Analysis.make app []));
   let a = Analysis.make app clustering in
   Alcotest.check_raises "bad cluster id"
     (Invalid_argument

@@ -61,6 +61,30 @@ let test_parse_errors () =
   expect_error "unknown kernel"
     "app a iterations 1\nkernel k contexts 1 cycles 1\ninput d size 4 -> ghost"
 
+(* A bad [partition], [fb] or [cm] is a parse error at its own line, so
+   [Appdsl.config] and [Appdsl.clustering] never raise on a parsed spec. *)
+let test_bad_values () =
+  let head = "app a iterations 2\nkernel k contexts 4 cycles 5\n\
+              kernel l contexts 4 cycles 5\ninput d size 4 -> k l\n" in
+  let expect line fragment text =
+    match Appdsl.parse (head ^ text) with
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error %S is at line %d and mentions %S" msg line
+           fragment)
+        true
+        (String.starts_with ~prefix:(Printf.sprintf "line %d: " line) msg
+        && Astring_contains.contains msg fragment)
+    | Ok _ -> Alcotest.fail ("expected parse failure for: " ^ text)
+  in
+  expect 5 "sum to 3 but the application has 2 kernels" "partition 1 2\n";
+  expect 6 "non-positive cluster size 0" "\npartition 0 2";
+  expect 5 "fb_set_size must be positive" "fb 0\n";
+  expect 6 "cm_capacity must be positive" "fb 512\ncm -4\n";
+  let spec = parse_ok (head ^ "partition 1 1\nfb 512\ncm 64\n") in
+  Alcotest.(check int) "good values still parse" 2
+    (Kernel_ir.Cluster.n_clusters (Appdsl.clustering spec))
+
 let test_round_trip () =
   let spec = parse_ok sample in
   let spec2 = parse_ok (Appdsl.render spec) in
@@ -124,6 +148,7 @@ let tests =
     [
       Alcotest.test_case "parse sample" `Quick test_parse_sample;
       Alcotest.test_case "parse errors" `Quick test_parse_errors;
+      Alcotest.test_case "bad partition, fb and cm" `Quick test_bad_values;
       Alcotest.test_case "round trip" `Quick test_round_trip;
       Alcotest.test_case "schedule parsed spec" `Quick test_schedule_parsed_spec;
       Alcotest.test_case "defaults" `Quick test_defaults;

@@ -1,10 +1,11 @@
-(* Structured diagnostics and the total pre-flight validator. *)
+(* Structured diagnostics and the total input checks ([Kernel.check],
+   [Data.check], [Application.check], [Cluster.check_partition],
+   [Cluster.check]) that the constructors raise on. *)
 
 module Kernel = Kernel_ir.Kernel
 module Data = Kernel_ir.Data
 module Application = Kernel_ir.Application
 module Cluster = Kernel_ir.Cluster
-module Validate = Kernel_ir.Validate
 
 let contains = Astring_contains.contains
 
@@ -109,9 +110,7 @@ let test_validate_collects_all () =
       };
     ]
   in
-  let diags =
-    Validate.application ~name:"broken" ~kernels ~data ~iterations:0
-  in
+  let diags = Application.check ~kernels ~data ~iterations:0 in
   Alcotest.(check bool)
     (Printf.sprintf "many violations collected (got %d)" (List.length diags))
     true
@@ -159,38 +158,66 @@ let valid_ingredients () =
 let test_validate_clean () =
   let kernels, data = valid_ingredients () in
   Alcotest.(check int) "clean ingredients produce no diagnostics" 0
+    (List.length (Application.check ~kernels ~data ~iterations:4));
+  let app = Application.make ~name:"ok" ~kernels ~data ~iterations:4 in
+  Alcotest.(check int) "constructed" 2 (Application.n_kernels app);
+  Alcotest.(check int) "audit of a built app is clean" 0
     (List.length
-       (Validate.application ~name:"ok" ~kernels ~data ~iterations:4));
-  match Validate.application_checked ~name:"ok" ~kernels ~data ~iterations:4 with
-  | Ok app ->
-    Alcotest.(check int) "constructed" 2 (Application.n_kernels app);
-    Alcotest.(check int) "audit of a built app is clean" 0
-      (List.length (Validate.app app));
-    let cl = Cluster.of_partition app [ 1; 1 ] in
-    Alcotest.(check int) "well-built clustering is clean" 0
-      (List.length (Validate.clustering app cl));
-    Alcotest.(check int) "whole problem is clean" 0
-      (List.length
-         (Validate.all ~config:(Morphosys.Config.m1 ~fb_set_size:1024) app cl))
-  | Error diags ->
-    Alcotest.failf "expected Ok, got %d diagnostics" (List.length diags)
+       (Application.check
+          ~kernels:(Array.to_list app.Application.kernels)
+          ~data:app.Application.data ~iterations:app.Application.iterations));
+  let cl = Cluster.of_partition app [ 1; 1 ] in
+  Alcotest.(check int) "well-built clustering is clean" 0
+    (List.length (Cluster.check app cl))
 
-let test_validate_checked_rejects () =
+let test_application_check_rejects () =
   let kernels, data = valid_ingredients () in
-  match
-    Validate.application_checked ~name:"bad" ~kernels ~data ~iterations:0
-  with
-  | Ok _ -> Alcotest.fail "expected Error"
-  | Error diags ->
-    Alcotest.(check bool) "at least the iterations diagnostic" true
-      (List.exists
-         (fun d -> contains (Diag.to_string d) "iterations")
-         diags)
+  Alcotest.(check bool) "at least the iterations diagnostic" true
+    (List.exists
+       (fun d -> contains (Diag.to_string d) "iterations")
+       (Application.check ~kernels ~data ~iterations:0));
+  Alcotest.check_raises "make raises the first diagnostic"
+    (Invalid_argument
+       "Application.make: iterations must be positive (got 0)")
+    (fun () ->
+      ignore (Application.make ~name:"bad" ~kernels ~data ~iterations:0))
+
+(* Inputs that crash (or silently run) deeper in the stack when they get
+   past construction: a negative data id, a duplicate data id and a record
+   literal with a non-positive size. The rejection must come from
+   [Application.make] itself, so [Sched_ctx.make] never sees them. *)
+let test_rejected_before_sched_ctx () =
+  let kernels, data = valid_ingredients () in
+  let with_data id f =
+    List.map (fun (d : Data.t) -> if d.id = id then f d else d) data
+  in
+  List.iter
+    (fun (needle, data) ->
+      match
+        Diag.guard (fun () ->
+            let app =
+              Application.make ~name:"bad" ~kernels ~data ~iterations:4
+            in
+            Sched.Sched_ctx.make app (Cluster.singleton_per_kernel app))
+      with
+      | Ok _ -> Alcotest.failf "expected Application.make to reject %S" needle
+      | Error d ->
+        Alcotest.(check string)
+          "Application.make's first diagnostic"
+          ("Application.make: " ^ needle)
+          (Diag.to_string d))
+    [
+      ( {|data "out" has negative id -1|},
+        with_data 2 (fun d -> { d with Data.id = -1 }) );
+      ("duplicate data id 1", with_data 2 (fun d -> { d with Data.id = 1 }));
+      ( {|data "mid" has non-positive size -3|},
+        with_data 1 (fun d -> { d with Data.size = -3 }) );
+    ]
 
 let test_validate_partition () =
   Alcotest.(check int) "good partition" 0
-    (List.length (Validate.partition ~n_kernels:4 [ 2; 2 ]));
-  let diags = Validate.partition ~n_kernels:4 [ 0; 3 ] in
+    (List.length (Cluster.check_partition ~n_kernels:4 [ 2; 2 ]));
+  let diags = Cluster.check_partition ~n_kernels:4 [ 0; 3 ] in
   let messages = String.concat "\n" (List.map Diag.to_string diags) in
   Alcotest.(check bool) "zero size flagged" true
     (contains messages "non-positive cluster size");
@@ -199,8 +226,8 @@ let test_validate_partition () =
     (List.for_all (fun d -> d.Diag.code = Diag.Invalid_clustering) diags)
 
 let test_validate_config () =
-  Alcotest.(check int) "m1 is clean" 0
-    (List.length (Validate.config (Morphosys.Config.m1 ~fb_set_size:1024)))
+  Alcotest.(check bool) "m1 is clean" true
+    (Morphosys.Config.validate (Morphosys.Config.m1 ~fb_set_size:1024) = Ok ())
 
 let tests =
   ( "diagnostics",
@@ -210,8 +237,10 @@ let tests =
       Alcotest.test_case "validate collects all" `Quick
         test_validate_collects_all;
       Alcotest.test_case "validate clean" `Quick test_validate_clean;
-      Alcotest.test_case "application_checked rejects" `Quick
-        test_validate_checked_rejects;
+      Alcotest.test_case "application check rejects" `Quick
+        test_application_check_rejects;
+      Alcotest.test_case "rejected before Sched_ctx" `Quick
+        test_rejected_before_sched_ctx;
       Alcotest.test_case "validate partition" `Quick test_validate_partition;
       Alcotest.test_case "validate config" `Quick test_validate_config;
     ] )

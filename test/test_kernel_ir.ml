@@ -120,8 +120,7 @@ let test_cluster_partition () =
   Alcotest.(check (list int)) "second cluster kernels" [ 1; 2; 3 ] c1.Cluster.kernels;
   Alcotest.(check bool) "sets alternate" true
     (c1.Cluster.fb_set = Morphosys.Frame_buffer.Set_b);
-  Alcotest.(check bool) "validate ok" true
-    (Cluster.validate app clustering = Ok ());
+  Alcotest.(check bool) "check ok" true (Cluster.check app clustering = []);
   Alcotest.(check int) "cluster of kernel 2" 1
     (Cluster.cluster_of_kernel clustering 2).Cluster.id;
   expect_invalid "bad sizes" (fun () -> Cluster.of_partition app [ 2; 3 ]);
@@ -141,10 +140,10 @@ let test_cluster_validate_rejects () =
       clustering
   in
   Alcotest.(check bool) "non-alternating rejected" true
-    (Result.is_error (Cluster.validate app broken));
+    (Cluster.check app broken <> []);
   let missing = [ List.hd clustering ] in
   Alcotest.(check bool) "coverage rejected" true
-    (Result.is_error (Cluster.validate app missing))
+    (Cluster.check app missing <> [])
 
 (* -- Dot ----------------------------------------------------------------- *)
 

@@ -20,7 +20,6 @@ let () =
       Test_workloads.tests;
       Test_pipeline.tests;
       Test_codegen.tests;
-      Test_rcsim.tests;
       Test_appdsl.tests;
       Test_report.tests;
       Test_step_builder.tests;

@@ -15,10 +15,11 @@ let test_registry () =
       (fun (entry : Workloads.Registry.entry) ->
         let app = entry.Workloads.Registry.app () in
         match
-          Kernel_ir.Cluster.validate app (entry.Workloads.Registry.clustering app)
+          Kernel_ir.Cluster.check app (entry.Workloads.Registry.clustering app)
         with
-        | Ok () -> ()
-        | Error msg -> Alcotest.fail (entry.Workloads.Registry.name ^ ": " ^ msg))
+        | [] -> ()
+        | d :: _ ->
+          Alcotest.fail (entry.Workloads.Registry.name ^ ": " ^ Diag.to_string d))
       Workloads.Registry.all
   | None -> Alcotest.fail "mpeg missing");
   Alcotest.(check bool) "unknown name" true (Workloads.Registry.find "nope" = None)

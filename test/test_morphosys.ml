@@ -1,7 +1,4 @@
 open Morphosys
-module Interval = Msutil.Interval
-
-let iv lo hi = Interval.make ~lo ~hi
 
 (* -- Config ---------------------------------------------------------- *)
 
@@ -23,63 +20,6 @@ let test_config_validation () =
   expect_invalid (fun () ->
       Config.make ~fb_set_size:1024 ~data_cycles_per_word:0 ());
   expect_invalid (fun () -> Config.make ~fb_set_size:1024 ~array_rows:0 ())
-
-(* -- Frame buffer ---------------------------------------------------- *)
-
-let fb () = Frame_buffer.create (Config.m1 ~fb_set_size:64)
-
-let test_fb_place_evict () =
-  let t = fb () in
-  Frame_buffer.place t ~set:Frame_buffer.Set_a ~label:"x" [ iv 0 10 ];
-  Alcotest.(check bool) "resident" true
-    (Frame_buffer.resident t ~set:Frame_buffer.Set_a ~label:"x");
-  Alcotest.(check bool) "other set empty" false
-    (Frame_buffer.resident t ~set:Frame_buffer.Set_b ~label:"x");
-  Alcotest.(check int) "used" 10
-    (Frame_buffer.used_words t ~set:Frame_buffer.Set_a);
-  Alcotest.(check int) "free" 54
-    (Frame_buffer.free_words t ~set:Frame_buffer.Set_a);
-  Frame_buffer.evict t ~set:Frame_buffer.Set_a ~label:"x";
-  Alcotest.(check bool) "gone" false
-    (Frame_buffer.resident t ~set:Frame_buffer.Set_a ~label:"x")
-
-let test_fb_errors () =
-  let t = fb () in
-  Frame_buffer.place t ~set:Frame_buffer.Set_a ~label:"x" [ iv 0 10 ];
-  (match
-     Frame_buffer.place t ~set:Frame_buffer.Set_a ~label:"y" [ iv 5 15 ]
-   with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected overlap rejection");
-  (match
-     Frame_buffer.place t ~set:Frame_buffer.Set_a ~label:"z" [ iv 60 70 ]
-   with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected bounds rejection");
-  (match Frame_buffer.place t ~set:Frame_buffer.Set_a ~label:"x" [ iv 20 22 ] with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected duplicate rejection");
-  (match Frame_buffer.evict t ~set:Frame_buffer.Set_b ~label:"x" with
-  | exception Not_found -> ()
-  | () -> Alcotest.fail "expected Not_found")
-
-let test_fb_occupancy () =
-  let t = fb () in
-  Frame_buffer.place t ~set:Frame_buffer.Set_a ~label:"x" [ iv 2 4 ];
-  let map = Frame_buffer.occupancy_map t ~set:Frame_buffer.Set_a in
-  Alcotest.(check (option string)) "cell 2" (Some "x") map.(2);
-  Alcotest.(check (option string)) "cell 4 empty" None map.(4);
-  Frame_buffer.clear_set t ~set:Frame_buffer.Set_a;
-  Alcotest.(check int) "cleared" 0
-    (Frame_buffer.used_words t ~set:Frame_buffer.Set_a)
-
-let test_fb_split_placement () =
-  let t = fb () in
-  Frame_buffer.place t ~set:Frame_buffer.Set_a ~label:"s" [ iv 0 4; iv 10 14 ];
-  Alcotest.(check int) "split used" 8
-    (Frame_buffer.used_words t ~set:Frame_buffer.Set_a);
-  Alcotest.(check int) "intervals" 2
-    (List.length (Frame_buffer.intervals_of t ~set:Frame_buffer.Set_a ~label:"s"))
 
 (* -- Context memory --------------------------------------------------- *)
 
@@ -139,10 +79,6 @@ let tests =
     [
       Alcotest.test_case "config m1" `Quick test_config_m1;
       Alcotest.test_case "config validation" `Quick test_config_validation;
-      Alcotest.test_case "fb place/evict" `Quick test_fb_place_evict;
-      Alcotest.test_case "fb errors" `Quick test_fb_errors;
-      Alcotest.test_case "fb occupancy" `Quick test_fb_occupancy;
-      Alcotest.test_case "fb split placement" `Quick test_fb_split_placement;
       Alcotest.test_case "context memory" `Quick test_cm;
       Alcotest.test_case "dma cost model" `Quick test_dma_cost;
       Alcotest.test_case "rc array timing" `Quick test_rc_array;

@@ -42,9 +42,9 @@ let test_table1_ids () =
 let test_clusterings_valid () =
   List.iter
     (fun (e : T1.experiment) ->
-      match Kernel_ir.Cluster.validate e.T1.app e.T1.clustering with
-      | Ok () -> ()
-      | Error msg -> Alcotest.fail (e.T1.id ^ ": " ^ msg))
+      match Kernel_ir.Cluster.check e.T1.app e.T1.clustering with
+      | [] -> ()
+      | d :: _ -> Alcotest.fail (e.T1.id ^ ": " ^ Diag.to_string d))
     (T1.all ())
 
 (* The reproduction's headline checks: the measured RF equals the paper's
@@ -125,9 +125,9 @@ let test_random_app_generator_sane () =
   let rand = Random.State.make [| 42 |] in
   for _ = 1 to 50 do
     let app, clustering = QCheck.Gen.generate1 ~rand gen in
-    match Kernel_ir.Cluster.validate app clustering with
-    | Ok () -> ()
-    | Error msg -> Alcotest.fail msg
+    match Kernel_ir.Cluster.check app clustering with
+    | [] -> ()
+    | d :: _ -> Alcotest.fail (Diag.to_string d)
   done
 
 let tests =
