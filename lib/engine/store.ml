@@ -134,7 +134,6 @@ type t = {
   fd : Unix.file_descr;
   mutex : Mutex.t;
   table : (string, string) Hashtbl.t;
-  mutable order : string list;  (* first-seen key order, reversed *)
   mutable warnings : Diag.t list;  (* quarantine diags from open, in order *)
   mutable closed : bool;
 }
@@ -205,30 +204,14 @@ let open_ ?(create = true) ~schema path =
         | Some _ -> Unix.ftruncate fd sc.s_good_bytes
         | None -> ());
         ignore (Unix.lseek fd 0 Unix.SEEK_END);
-        let table, order = live_of_records sc.s_records in
-        Ok
-          {
-            fd;
-            mutex = Mutex.create ();
-            table;
-            order = List.rev order;
-            warnings;
-            closed = false;
-          }
+        let table, _ = live_of_records sc.s_records in
+        Ok { fd; mutex = Mutex.create (); table; warnings; closed = false }
       end
   end
 
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 let mem t key = with_lock t (fun () -> Hashtbl.mem t.table key)
 let find t key = with_lock t (fun () -> Hashtbl.find_opt t.table key)
-
-let iter f t =
-  (* [t.order] is newest-first; rev_map restores first-seen order *)
-  let snapshot =
-    with_lock t (fun () ->
-        List.rev_map (fun key -> (key, Hashtbl.find t.table key)) t.order)
-  in
-  List.iter (fun (key, payload) -> f ~key ~payload) snapshot
 
 let write_fully fd s =
   let n = String.length s in
@@ -242,10 +225,9 @@ let append t ~key ~payload =
       if t.closed then invalid_arg "Engine.Store.append: store is closed";
       match Hashtbl.find_opt t.table key with
       | Some live when String.equal live payload -> ()  (* already durable *)
-      | existing ->
+      | _ ->
         write_fully t.fd (frame ~key ~payload);
-        Hashtbl.replace t.table key payload;
-        if existing = None then t.order <- key :: t.order)
+        Hashtbl.replace t.table key payload)
 
 (* Deliberately lock-free: fsync needs no shared state, so a SIGINT/SIGTERM
    handler may call this while worker domains are mid-append without any

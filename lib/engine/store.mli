@@ -49,9 +49,6 @@ val mem : t -> string -> bool
 val find : t -> string -> string option
 (** The live (latest) payload for a key. *)
 
-val iter : (key:string -> payload:string -> unit) -> t -> unit
-(** Live records in first-seen key order. *)
-
 val append : t -> key:string -> payload:string -> unit
 (** Durably append one record (single full write; no userspace
     buffering). A no-op when the key's live payload is identical; a new

@@ -42,19 +42,20 @@ let point_of_schedule config ~fb ~cm ~setup ~scheduler = function
       diag = None;
     }
 
+let machine ~fb ~cm ~setup =
+  Morphosys.Config.make ~fb_set_size:fb ~cm_capacity:cm ~dma_setup_cycles:setup
+    ()
+
 (* The default sweep axis: the paper's three tiers. Other registered
    schedulers (e.g. "cds-xset") can be swept by passing an explicit
    [~scheduler] to {!evaluate}. *)
 let schedulers = [ "basic"; "ds"; "cds" ]
 
 (* The point plus the schedule that produced it: what the durable store
-   persists, so a rehydrated feasible point can be re-validated against
-   the semantic checker before it is trusted. *)
+   persists, so a resumed feasible point can be re-validated against the
+   semantic checker before it is trusted. *)
 let evaluate_full ?ctx ~fb ~cm ~setup ~scheduler app clustering =
-  let config =
-    Morphosys.Config.make ~fb_set_size:fb ~cm_capacity:cm
-      ~dma_setup_cycles:setup ()
-  in
+  let config = machine ~fb ~cm ~setup in
   let ctx =
     match ctx with
     | Some c -> c
@@ -70,14 +71,6 @@ let point_key ~app_digest (fb, cm, setup, scheduler) =
   Engine.Key.combine
     [ app_digest; string_of_int fb; string_of_int cm; string_of_int setup;
       scheduler ]
-
-(* A crashed design-point task is isolated into an infeasible point
-   carrying its diagnostic; the rest of the sweep is unaffected. *)
-let settle ~combo = function
-  | Ok p -> p
-  | Error d ->
-    let fb, cm, setup, scheduler = combo in
-    infeasible ~fb ~cm ~setup ~scheduler d
 
 (* -- durable persistence ------------------------------------------------- *)
 
@@ -101,11 +94,10 @@ module Durable = struct
     store : Engine.Store.t;
     mutex : Mutex.t;
     trusted : (string, point) Hashtbl.t;
-        (* integrity-checked + re-validated points, grown as the live
-           sweep persists new ones: the sweep's only memo *)
-    mutable run_warnings : Diag.t list;  (* rehydration/persist diags, rev *)
-    mutable quarantined : int;
-    mutable stats_noted : bool;
+        (* points re-validated or persisted in this session, grown by
+           every sweep on the store: the sweep's only memo *)
+    mutable run_warnings : Diag.t list;  (* re-validation/persist diags, rev *)
+    mutable noted : int;  (* STORE_CORRUPT warnings given to a Stats *)
   }
 
   let with_lock t f =
@@ -129,49 +121,50 @@ module Durable = struct
       @ List.map (Printf.sprintf "setup:%d") setup_list
       @ List.map (Printf.sprintf "sched:%s") schedulers)
 
-  let quarantine t d =
-    t.run_warnings <- d :: t.run_warnings;
-    t.quarantined <- t.quarantined + 1
-
   let short key = if String.length key <= 12 then key else String.sub key 0 12
 
-  (* Replay the store. Each record was appended in one write and passed
-     its MD5 on open, so a record that is there is complete; it is trusted
-     once it deserialises and its feasible schedule still satisfies the
-     semantic validator. Everything else is quarantined (superseded on
-     disk once the point is recomputed and re-persisted). *)
-  let rehydrate t =
-    Engine.Store.iter
-      (fun ~key ~payload ->
-        if not (String.equal key identity_key) then
-          match (Marshal.from_string payload 0 : stored) with
-          | exception _ ->
-            quarantine t
-              (Diag.v ~severity:Diag.Warning Diag.Store_corrupt
-                 "store %s: record %s… does not deserialise (schema drift?); \
-                  quarantined — the point will be recomputed"
-                 t.path (short key))
-          | { stored_point = p; stored_schedule } -> (
-            if not p.feasible then Hashtbl.replace t.trusted key p
-            else
-              match stored_schedule with
-              | None ->
-                quarantine t
-                  (Diag.v ~severity:Diag.Warning Diag.Store_corrupt
-                     "store %s: feasible point %s… has no schedule to \
-                      re-validate; quarantined — the point will be recomputed"
-                     t.path (short key))
-              | Some s -> (
-                match Msim.Validate.check_result s with
-                | Ok () -> Hashtbl.replace t.trusted key p
-                | Error d ->
-                  quarantine t
-                    (Diag.v ~severity:Diag.Warning Diag.Store_corrupt
-                       "store %s: rehydrated schedule %s… failed semantic \
-                        validation (%s); quarantined — the point will be \
-                        recomputed"
-                       t.path (short key) (Diag.to_string d)))))
-      t.store
+  (* Whether the stored payload of design point [(fb, cm, setup,
+     scheduler)] may stand in for computing it, on a pool domain. The record
+     passed its MD5 on open, so it is complete. It is trusted if it is what
+     this sweep would compute: an infeasible point carries its own axes; a
+     feasible point's schedule is for this application, clustering and
+     scheduler, validates, and simulates back to exactly the stored point.
+     Otherwise the caller recomputes the point and reports the warning. *)
+  let revalidate t ~key app clustering (fb, cm, setup, scheduler) payload =
+    let verdict =
+      match (Marshal.from_string payload 0 : stored) with
+      | exception _ -> Error "does not deserialise (schema drift?)"
+      | { stored_point = { diag = Some d; _ } as p; stored_schedule = None }
+        when p = infeasible ~fb ~cm ~setup ~scheduler d ->
+        Ok p
+      | { stored_schedule = None; _ } -> Error "does not match its design point"
+      | { stored_schedule = Some s; _ }
+        when not
+               (String.equal s.Sched.Schedule.scheduler scheduler
+               && s.Sched.Schedule.app = app
+               && s.Sched.Schedule.clustering = clustering) ->
+        Error "holds a schedule for another application, clustering or \
+               scheduler"
+      | { stored_point = p; stored_schedule = Some s } -> (
+        match Msim.Validate.check_result s with
+        | Error d ->
+          Error ("failed semantic validation (" ^ Diag.to_string d ^ ")")
+        | Ok () ->
+          if point_of_schedule (machine ~fb ~cm ~setup) ~fb ~cm ~setup
+               ~scheduler (Ok s) = p
+          then Ok p
+          else Error "does not simulate to its stored point")
+    in
+    match verdict with
+    | Ok p ->
+      with_lock t (fun () -> Hashtbl.replace t.trusted key p);
+      Ok p
+    | Error reason ->
+      Error
+        (Diag.v ~severity:Diag.Warning Diag.Store_corrupt
+           "store %s: record %s… %s; quarantined — the point will be \
+            recomputed"
+           t.path (short key) reason)
 
   let open_ ?(resume = false) ~path ?(cm_list = [ 2048 ])
       ?(setup_list = [ 0 ]) ~fb_list app clustering =
@@ -215,11 +208,9 @@ module Durable = struct
                 mutex = Mutex.create ();
                 trusted = Hashtbl.create 256;
                 run_warnings = [];
-                quarantined = 0;
-                stats_noted = false;
+                noted = 0;
               }
             in
-            rehydrate t;
             Ok t)
 
   let inspect path =
@@ -235,44 +226,40 @@ module Durable = struct
 
   (* Called from inside pool tasks (any worker domain): a persistence
      failure degrades durability, never the sweep — the point is still
-     returned in memory, with a warning recorded. An injected scheduler
-     fault is transient, so its placeholder point is never persisted. *)
+     returned in memory, and the warning to report is returned. An
+     injected scheduler fault is transient, so its placeholder point is
+     never persisted. *)
   let persist t ~key stored_v =
     match stored_v.stored_point.diag with
-    | Some { Diag.code = Diag.Fault_injected; _ } -> ()
+    | Some { Diag.code = Diag.Fault_injected; _ } -> []
     | _ -> (
     match Marshal.to_string stored_v [] with
     | exception Invalid_argument msg ->
-      with_lock t (fun () ->
-          quarantine t
-            (Diag.v ~severity:Diag.Warning Diag.Store_corrupt
-               "point %s… is not serialisable (%s); continuing without \
-                persisting it"
-               (short key) msg))
+      [ Diag.v ~severity:Diag.Warning Diag.Store_corrupt
+          "point %s… is not serialisable (%s); continuing without \
+           persisting it"
+          (short key) msg ]
     | payload -> (
       match Engine.Store.append t.store ~key ~payload with
       | () ->
         with_lock t (fun () ->
-            Hashtbl.replace t.trusted key stored_v.stored_point)
+            Hashtbl.replace t.trusted key stored_v.stored_point);
+        []
       | exception e ->
-        with_lock t (fun () ->
-            quarantine t
-              (Diag.v ~severity:Diag.Warning Diag.Store_corrupt
-                 "failed to persist point %s… (%s); continuing without it"
-                 (short key) (Printexc.to_string e)))))
+        [ Diag.v ~severity:Diag.Warning Diag.Store_corrupt
+            "failed to persist point %s… (%s); continuing without it"
+            (short key) (Printexc.to_string e) ]))
+
+  (* After the pool joins, in task order: the same list at any [~jobs]. *)
+  let add_warnings t ws = t.run_warnings <- List.rev_append ws t.run_warnings
 
   let note_stats t st ~replayed =
-    let quarantined =
-      if t.stats_noted then 0
-      else begin
-        t.stats_noted <- true;
-        List.length
-          (List.filter
-             (fun d -> d.Diag.code = Diag.Store_corrupt)
-             (warnings t))
-      end
+    let corrupt =
+      List.length
+        (List.filter (fun d -> d.Diag.code = Diag.Store_corrupt) (warnings t))
     in
-    Engine.Stats.note_store st ~replayed ~quarantined
+    Engine.Stats.note_store st ~replayed ~quarantined:(corrupt - t.noted);
+    t.noted <- corrupt
 
   let checkpoint t = Engine.Store.checkpoint t.store
   let close t = Engine.Store.close t.store
@@ -305,13 +292,14 @@ let sweep ?(jobs = 1) ?retries ?stats ?store ?(cm_list = [ 2048 ])
         end)
       combos
   in
-  (* With a store, every distinct point is looked up among the trusted
-     ones first. One key = one design point: the digest covers the
-     application, the clustering and every machine parameter, so a hit
-     is exact. Without a store nothing is digested. *)
-  let lookups =
+  (* With a store, every distinct point is first looked up among the
+     points trusted in this session, and the calling domain fetches the
+     stored payload of every other one. One key = one design point: the
+     digest covers the application, the clustering and every machine
+     parameter, so a hit is exact. Without a store nothing is digested. *)
+  let trusted, pending =
     match store with
-    | None -> List.map (fun c -> (c, None, None)) distinct
+    | None -> ([], List.map (fun c -> (c, None)) distinct)
     | Some d ->
       let app_digest =
         match Engine.Key.digest_value_result (app, clustering) with
@@ -327,49 +315,75 @@ let sweep ?(jobs = 1) ?retries ?stats ?store ?(cm_list = [ 2048 ])
             "Report.Dse.sweep: ~store was opened for a different sweep \
              (application, clustering or axes mismatch)"
       in
-      List.map
+      List.partition_map
         (fun c ->
           let key = point_key ~app_digest c in
-          (c, Some key, Durable.find d key))
+          match Durable.find d key with
+          | Some p -> Either.Left (c, p)
+          | None ->
+            Either.Right
+              (c, Some (d, key, Engine.Store.find d.Durable.store key)))
         distinct
   in
-  let misses = List.filter (fun (_, _, hit) -> hit = None) lookups in
-  (* One immutable analysis context shared by every design point — and,
-     under [~jobs > 1], by every worker domain. A store makes each point
-     durable the moment its task completes, on whatever domain ran it. *)
+  (* One pool task per pending point, all sharing one immutable analysis
+     context. A stored payload that re-validates is a hit; every other
+     point is scheduled and, with a store, made durable the moment its task
+     completes, on whatever domain ran it. Tasks return their warnings
+     rather than record them, so the store sees them in task order. *)
   let ctx = Sched.Sched_ctx.make app clustering in
-  let task ((fb, cm, setup, scheduler), key, _) () =
-    let work () =
-      evaluate_full ~ctx ~fb ~cm ~setup ~scheduler app clustering
+  let task (((fb, cm, setup, scheduler) as combo), on_disk) () =
+    let evaluate warnings =
+      let work () =
+        evaluate_full ~ctx ~fb ~cm ~setup ~scheduler app clustering
+      in
+      let p, schedule =
+        match stats with
+        | None -> work ()
+        | Some st -> Engine.Stats.time st ~label:scheduler work
+      in
+      match on_disk with
+      | Some (d, key, _) ->
+        let v = { stored_point = p; stored_schedule = schedule } in
+        (p, false, warnings @ Durable.persist d ~key v)
+      | None -> (p, false, warnings)
     in
-    let p, schedule =
-      match stats with
-      | None -> work ()
-      | Some st -> Engine.Stats.time st ~label:scheduler work
-    in
-    (match (store, key) with
-    | Some d, Some key ->
-      Durable.persist d ~key { stored_point = p; stored_schedule = schedule }
-    | _ -> ());
-    p
+    match on_disk with
+    | Some (d, key, Some payload) -> (
+      match Durable.revalidate d ~key app clustering combo payload with
+      | Ok p -> (p, true, [])
+      | Error w -> evaluate [ w ])
+    | _ -> evaluate []
   in
   let slots =
     Engine.Pool.run_results ~jobs ?retries
-      (Array.of_list (List.map task misses))
+      (Array.of_list (List.map task pending))
+  in
+  (* A crashed task is isolated into an infeasible point carrying its
+     diagnostic; the rest of the sweep is unaffected. *)
+  let settled =
+    List.mapi
+      (fun i (((fb, cm, setup, scheduler) as combo), _) ->
+        match slots.(i) with
+        | Ok (p, replayed, ws) -> (combo, p, replayed, ws)
+        | Error d -> (combo, infeasible ~fb ~cm ~setup ~scheduler d, false, []))
+      pending
   in
   let points = Hashtbl.create 64 in
-  List.iter (fun (c, _, hit) -> Option.iter (Hashtbl.replace points c) hit)
-    lookups;
-  List.iteri
-    (fun i (combo, _, _) ->
-      Hashtbl.replace points combo (settle ~combo slots.(i)))
-    misses;
-  (match (store, stats) with
-  | Some d, Some st ->
-    let hits = List.length lookups - List.length misses in
-    Engine.Stats.note_cache st ~hits ~misses:(List.length misses);
-    Durable.note_stats d st ~replayed:hits
-  | _ -> ());
+  List.iter (fun (c, p) -> Hashtbl.replace points c p) trusted;
+  List.iter (fun (c, p, _, _) -> Hashtbl.replace points c p) settled;
+  (match store with
+  | Some d ->
+    Durable.add_warnings d (List.concat_map (fun (_, _, _, ws) -> ws) settled);
+    Option.iter
+      (fun st ->
+        let hits =
+          List.length trusted
+          + List.length (List.filter (fun (_, _, r, _) -> r) settled)
+        in
+        Engine.Stats.note_cache st ~hits ~misses:(List.length distinct - hits);
+        Durable.note_stats d st ~replayed:hits)
+      stats
+  | None -> ());
   List.map (Hashtbl.find points) combos
 
 let opt_str f = function Some v -> f v | None -> ""

@@ -48,11 +48,9 @@ val evaluate :
     {!identity}, and every later record holds one design point's result.
     A record that verifies is complete: appends are single writes framed
     by an MD5, so a crash can only tear the tail, which the store
-    quarantines on open. Opening with [~resume:true] replays whatever
-    survived a crash; each rehydrated feasible point is re-validated
-    against the simulator ([Msim.Validate.check_result]) and quarantined
-    — recomputed, with a [STORE_CORRUPT] warning — if it no longer
-    checks out. *)
+    quarantines on open. Opening checks only those bytes and the sweep
+    identity; the surviving points are re-validated later, by {!sweep},
+    on its worker pool. *)
 module Durable : sig
   type t
 
@@ -79,10 +77,10 @@ module Durable : sig
       refused with a [SWEEP_MISMATCH] diagnostic — overwriting a
       previous run must be asked for. With [~resume:true] the store is
       opened, its recorded sweep identity is checked against the
-      requested one (mismatch: [SWEEP_MISMATCH]), and surviving points
-      are rehydrated. Corruption anywhere — a torn tail, a failed
-      checksum, a point that fails re-validation — is quarantined and
-      reported via {!warnings}, never fatal. *)
+      requested one (mismatch: [SWEEP_MISMATCH]); the surviving points
+      stay on disk until {!sweep} re-validates them. A torn tail or a
+      failed checksum is quarantined and reported via {!warnings}, never
+      fatal. *)
 
   val path : t -> string
   val identity : t -> string
@@ -95,7 +93,9 @@ module Durable : sig
 
   val warnings : t -> Diag.t list
   (** Quarantine and recovery warnings accumulated since {!open_}:
-      store-level corruption, rehydration failures, persist failures. *)
+      store-level corruption found on open, then each sweep's
+      re-validation and persist failures, in design-point order (the same
+      list at any [~jobs]). *)
 
   val checkpoint : t -> unit
   (** Fsync the store. Async-signal-tolerant: takes no locks, so it is
@@ -130,23 +130,33 @@ val sweep :
     whatever the interleaving. [~stats] accumulates per-scheduler timing
     and, with a store, the hit/miss and replay counters.
 
-    [~store] makes the sweep durable, and is the sweep's only memo:
-    each point is first looked up among the store's trusted points, keyed
-    by (application, clustering, machine config, scheduler) digest, so a
-    resumed sweep — or a second sweep on the same open store — recomputes
-    nothing already on disk. Each newly computed point is persisted as it
-    finishes — not at the end — so a crash loses at most the points in
-    flight. The store's sweep identity must match the requested axes and
-    application (@raise Invalid_argument otherwise — open the store with
-    {!Durable.open_} on the same arguments you pass here). A resumed
-    sweep returns a point list byte-identical to an uninterrupted run.
+    [~store] makes the sweep durable, and is the sweep's only memo: each
+    point is keyed by (application, clustering, machine config, scheduler)
+    digest. A point already trusted in this session is a hit and runs no
+    task. Every other point is one pool task, which first re-validates
+    the point's stored record, if any: it is trusted (a hit) only if it
+    deserialises and is what this sweep would compute — an infeasible
+    point with its own axes, or a schedule for this application,
+    clustering and scheduler that passes [Msim.Validate.check_result] and
+    simulates back to exactly the stored point. Otherwise it is
+    quarantined with a [STORE_CORRUPT] warning and the point recomputed.
+    Replay does not check the contents of step clusters, transfer words
+    or compute cycles: a record altered there, with its point re-derived
+    to match, is trusted if it validates. Each newly computed point is
+    persisted as it finishes — not at the end — so a crash loses at most
+    the points in flight. The store's sweep identity must match the
+    requested axes and application (@raise Invalid_argument otherwise —
+    open the store with {!Durable.open_} on the same arguments you pass
+    here). A resumed sweep returns a point list byte-identical to an
+    uninterrupted run.
 
     The sweep is fault-isolated: a design-point task that crashes (or
     exhausts its [~retries] against injected faults) becomes an
     infeasible point carrying the failure in [diag]; every other point is
     still computed and returned. Neither a crashed point nor a point
-    felled by an injected {!Engine.Faults} scheduler fault is ever
-    persisted: both are transient, and a later resume recomputes them. *)
+    felled by an injected {!Engine.Faults} fault is ever persisted or
+    quarantined: both are transient, and a later resume recomputes (or
+    replays) them. *)
 
 val to_csv : point list -> string
 

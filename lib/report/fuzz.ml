@@ -24,13 +24,8 @@ type verdict =
   | Valid of int  (** simulated total cycles *)
   | Violated of string
 
-let schedule_of ~scheduler config app clustering =
-  Sched.Scheduler_registry.run scheduler
-    (Sched.Sched_ctx.make app clustering)
-    config
-
-let verdict_of ~scheduler config app clustering =
-  match schedule_of ~scheduler config app clustering with
+let verdict_of ~scheduler config ctx =
+  match Sched.Scheduler_registry.run scheduler ctx config with
   | Error { Diag.code = Diag.Fault_injected; _ } -> Faulted
   | Error _ -> Infeasible
   | Ok s -> (
@@ -48,6 +43,7 @@ let fuzz_one ~seed ~fb_set_size ?stats index =
       (Workloads.Random_app.gen_app_with_clustering ())
   in
   let config = Morphosys.Config.m1 ~fb_set_size in
+  let ctx = Sched.Sched_ctx.make app clustering in
   let timed scheduler f =
     match stats with
     | None -> f ()
@@ -55,7 +51,7 @@ let fuzz_one ~seed ~fb_set_size ?stats index =
   in
   List.map
     (fun scheduler ->
-      (scheduler, timed scheduler (fun () -> verdict_of ~scheduler config app clustering)))
+      (scheduler, timed scheduler (fun () -> verdict_of ~scheduler config ctx)))
     [ "basic"; "ds"; "cds" ]
 
 (* Injected faults are absorbed (counted, not failures); anything else
@@ -361,9 +357,10 @@ let hostile_one ~seed ~fb_set_size index =
           in
           let clustering = Cluster.of_partition app raw.partition in
           let config = Morphosys.Config.m1 ~fb_set_size in
+          let ctx = Sched.Sched_ctx.make app clustering in
           List.iter
             (fun scheduler ->
-              match schedule_of ~scheduler config app clustering with
+              match Sched.Scheduler_registry.run scheduler ctx config with
               | Ok s -> ignore (Msim.Validate.check s)
               | Error (_ : Diag.t) -> ())
             [ "basic"; "ds"; "cds" ])

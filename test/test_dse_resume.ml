@@ -166,50 +166,92 @@ type forged = {
   f_schedule : Sched.Schedule.t option;
 }
 
-let test_forged_schedule_fails_revalidation () =
-  let ((app, clustering) as w) = mpeg () in
-  with_path @@ fun path ->
-  let reference = Dse.sweep ~fb_list app clustering in
+(* A complete store of the sweep, with one feasible record rewritten *in
+   content* by [f]: checksums pass and the payload deserialises, so only
+   re-validation can catch it. *)
+let forge_one_record ~path ((app, clustering) as w) f =
   let d = open_exn ~path w in
   ignore (Dse.sweep ~store:d ~fb_list app clustering);
   Durable.close d;
-  (* corrupt one record *in content*: checksums pass, the payload
-     deserialises, but the schedule no longer satisfies the semantic
-     validator — only re-validation can catch this *)
-  let key, f =
+  let key, (record, schedule) =
     match Engine.Store.contents path with
     | Error diag -> Alcotest.failf "contents: %s" (Diag.render diag)
     | Ok [] -> Alcotest.fail "empty store"
     | Ok (_identity :: points) -> (
       (* record 0 is the sweep identity, a hex digest: not a point *)
-      let forge (key, payload) =
+      let feasible (key, payload) =
         match (Marshal.from_string payload 0 : forged) with
-        | { f_schedule = Some _; _ } as f -> Some (key, f)
+        | { f_schedule = Some s; _ } as r -> Some (key, (r, s))
         | _ -> None
       in
-      match List.find_map forge points with
-      | Some kf -> kf
+      match List.find_map feasible points with
+      | Some kr -> kr
       | None -> Alcotest.fail "no feasible record to forge")
   in
-  (match Engine.Store.open_ ~schema:Durable.schema_version path with
+  match Engine.Store.open_ ~schema:Durable.schema_version path with
   | Error diag -> Alcotest.failf "reopen: %s" (Diag.render diag)
   | Ok store ->
-    let broken =
-      match f.f_schedule with
-      | Some s -> { f with f_schedule = Some { s with Sched.Schedule.steps = [] } }
-      | None -> assert false
-    in
-    Engine.Store.append store ~key ~payload:(Marshal.to_string broken []);
-    Engine.Store.close store);
+    Engine.Store.append store ~key
+      ~payload:(Marshal.to_string (f record schedule) []);
+    Engine.Store.close store
+
+(* What one resume reports, compared across [~jobs]. *)
+type outcome = {
+  csv : string;
+  warnings : string list;
+  tasks_run : int;
+  cache_hits : int;
+  store_quarantined : int;
+}
+
+(* Resume a store holding [bytes], from a fresh copy each time, at
+   [~jobs:1] and [~jobs:4]: both report exactly the same. *)
+let resume_at_jobs_1_and_4 ~path bytes ((app, clustering) as w) =
+  let resume jobs =
+    Store_frames.write_file path bytes;
+    if Sys.file_exists (path ^ ".quarantine") then
+      Sys.remove (path ^ ".quarantine");
+    let d = open_exn ~resume:true ~path w in
+    let st = Engine.Stats.create () in
+    let points = Dse.sweep ~jobs ~store:d ~stats:st ~fb_list app clustering in
+    let warnings = List.map Diag.render (Durable.warnings d) in
+    Durable.close d;
+    {
+      csv = Dse.to_csv points;
+      warnings;
+      tasks_run = Engine.Stats.tasks_run st;
+      cache_hits = Engine.Stats.cache_hits st;
+      store_quarantined = Engine.Stats.store_quarantined st;
+    }
+  in
+  let one = resume 1 and four = resume 4 in
+  Alcotest.(check string) "CSV at jobs 1 and 4" one.csv four.csv;
+  Alcotest.(check (list string)) "warnings at jobs 1 and 4" one.warnings
+    four.warnings;
+  Alcotest.(check int) "tasks_run at jobs 1 and 4" one.tasks_run
+    four.tasks_run;
+  Alcotest.(check int) "cache_hits at jobs 1 and 4" one.cache_hits
+    four.cache_hits;
+  Alcotest.(check int) "store_quarantined at jobs 1 and 4"
+    one.store_quarantined four.store_quarantined;
+  one
+
+let test_forged_schedule_fails_revalidation () =
+  let ((app, clustering) as w) = mpeg () in
+  with_path @@ fun path ->
+  let reference = Dse.sweep ~fb_list app clustering in
+  (* the schedule no longer satisfies the semantic validator *)
+  forge_one_record ~path w (fun r s ->
+      { r with f_schedule = Some { s with Sched.Schedule.steps = [] } });
   let d = open_exn ~resume:true ~path w in
+  let st = Engine.Stats.create () in
+  let resumed = Dse.sweep ~jobs:1 ~store:d ~stats:st ~fb_list app clustering in
   Alcotest.(check bool) "re-validation quarantines the forged schedule" true
     (List.exists
        (fun (diag : Diag.t) ->
          diag.Diag.code = Diag.Store_corrupt
          && contains (Diag.render diag) "semantic validation")
        (Durable.warnings d));
-  let st = Engine.Stats.create () in
-  let resumed = Dse.sweep ~jobs:1 ~store:d ~stats:st ~fb_list app clustering in
   Alcotest.(check string) "recovered run byte-identical"
     (Dse.to_csv reference) (Dse.to_csv resumed);
   Alcotest.(check int) "exactly the forged point is recomputed" 1
@@ -217,6 +259,61 @@ let test_forged_schedule_fails_revalidation () =
   Alcotest.(check int) "stats report the quarantine" 1
     (Engine.Stats.store_quarantined st);
   Durable.close d
+
+(* A forged record must be quarantined and recomputed, identically at any
+   [~jobs]. *)
+let check_forgery_recomputed forgery () =
+  let ((app, clustering) as w) = mpeg () in
+  with_path @@ fun path ->
+  let reference = Dse.to_csv (Dse.sweep ~fb_list app clustering) in
+  forge_one_record ~path w (forgery app);
+  let o = resume_at_jobs_1_and_4 ~path (Store_frames.read_file path) w in
+  Alcotest.(check string) "recovered run byte-identical" reference o.csv;
+  Alcotest.(check int) "exactly the forged point is recomputed" 1 o.tasks_run;
+  Alcotest.(check int) "stats report the quarantine" 1 o.store_quarantined;
+  Alcotest.(check bool) "the quarantine is a warning" true
+    (List.exists (fun w -> contains w "STORE_CORRUPT") o.warnings)
+
+(* A schedule that validates only against the app copy inside the record:
+   no steps, no clusters, no data, and a fake cycle count. *)
+let test_forged_app_copy =
+  check_forgery_recomputed (fun app r s ->
+      let empty =
+        Kernel_ir.Application.make ~name:app.Kernel_ir.Application.name
+          ~kernels:(Array.to_list app.Kernel_ir.Application.kernels)
+          ~data:[] ~iterations:app.Kernel_ir.Application.iterations
+      in
+      {
+        f_point = { r.f_point with Dse.total_cycles = Some 1 };
+        f_schedule =
+          Some
+            { s with Sched.Schedule.steps = []; clustering = []; app = empty };
+      })
+
+(* An intact schedule under a stored point it does not simulate to. *)
+let test_forged_point =
+  check_forgery_recomputed (fun _ r _ ->
+      {
+        r with
+        f_point =
+          {
+            r.f_point with
+            Dse.total_cycles = Option.map succ r.f_point.Dse.total_cycles;
+          };
+      })
+
+let test_torn_tail_agrees_across_jobs () =
+  let ((app, clustering) as w) = mpeg () in
+  with_path @@ fun path ->
+  let reference = Dse.to_csv (Dse.sweep ~fb_list app clustering) in
+  let d = open_exn ~path w in
+  ignore (Dse.sweep ~store:d ~fb_list app clustering);
+  Durable.close d;
+  let pristine = Store_frames.read_file path in
+  let torn = String.sub pristine 0 (String.length pristine - 13) in
+  let o = resume_at_jobs_1_and_4 ~path torn w in
+  Alcotest.(check string) "recovered run byte-identical" reference o.csv;
+  Alcotest.(check int) "exactly the torn point is recomputed" 1 o.tasks_run
 
 let test_identity_guards () =
   let ((app, clustering) as w) = mpeg () in
@@ -277,6 +374,40 @@ let resume_stats ~path ((app, clustering) as w) =
   let points = Dse.sweep ~jobs:1 ~store:d ~stats:st ~fb_list app clustering in
   Durable.close d;
   (Dse.to_csv points, st)
+
+(* A replay task felled by an injected pool fault is transient: its point
+   comes back FAULT_INJECTED, and neither the store nor its warnings
+   change, so the next resume replays everything. *)
+let test_felled_replays_change_nothing () =
+  let ((app, clustering) as w) = mpeg () in
+  with_path @@ fun path ->
+  let reference = Dse.to_csv (Dse.sweep ~fb_list app clustering) in
+  ignore (resume_stats ~path w);
+  let size = file_size path in
+  let d = open_exn ~resume:true ~path w in
+  let st = Engine.Stats.create () in
+  let felled =
+    Engine.Faults.with_plan
+      (Engine.Faults.plan ~sites:[ "pool" ] ~rate:1.0 ~seed:5 ())
+      (fun () -> Dse.sweep ~jobs:2 ~store:d ~stats:st ~fb_list app clustering)
+  in
+  Alcotest.(check bool) "every felled replay is FAULT_INJECTED" true
+    (List.for_all
+       (fun (p : Dse.point) ->
+         match p.Dse.diag with
+         | Some { Diag.code = Diag.Fault_injected; _ } -> true
+         | _ -> false)
+       felled);
+  Alcotest.(check int) "nothing is recomputed" 0 (Engine.Stats.tasks_run st);
+  Alcotest.(check int) "nothing is quarantined" 0
+    (Engine.Stats.store_quarantined st);
+  Alcotest.(check int) "no warnings" 0 (List.length (Durable.warnings d));
+  Durable.close d;
+  Alcotest.(check int) "nothing is persisted" size (file_size path);
+  let csv, st = resume_stats ~path w in
+  Alcotest.(check string) "fault-free resume byte-identical" reference csv;
+  Alcotest.(check int) "fault-free resume replays every point" 0
+    (Engine.Stats.tasks_run st)
 
 let test_identity_is_record_zero () =
   let w = mpeg () in
@@ -426,6 +557,14 @@ let tests =
         test_torn_tail_recomputes_one;
       Alcotest.test_case "forged schedule fails re-validation" `Quick
         test_forged_schedule_fails_revalidation;
+      Alcotest.test_case "forged app copy is quarantined" `Quick
+        test_forged_app_copy;
+      Alcotest.test_case "forged stored point is quarantined" `Quick
+        test_forged_point;
+      Alcotest.test_case "torn-tail resume agrees at jobs 1 and 4" `Quick
+        test_torn_tail_agrees_across_jobs;
+      Alcotest.test_case "felled replays persist and quarantine nothing"
+        `Quick test_felled_replays_change_nothing;
       Alcotest.test_case "identity guards every resume path" `Quick
         test_identity_guards;
       Alcotest.test_case "identity is record 0; reopen keeps points" `Quick

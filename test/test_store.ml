@@ -28,6 +28,11 @@ let reopen ?(schema = 7) path =
   | Error d -> Alcotest.failf "reopen failed: %s" (Diag.render d)
   | Ok t -> t
 
+let contents path =
+  match Store.contents path with
+  | Error d -> Alcotest.failf "contents failed: %s" (Diag.render d)
+  | Ok records -> records
+
 let file_size path = (Unix.stat path).Unix.st_size
 
 let test_roundtrip () =
@@ -48,11 +53,9 @@ let test_roundtrip () =
     (Store.find t "gamma");
   Alcotest.(check int) "clean reopen has no warnings" 0
     (List.length (Store.warnings t));
-  (* iteration is in first-seen key order *)
-  let keys = ref [] in
-  Store.iter (fun ~key ~payload:_ -> keys := key :: !keys) t;
+  (* the live records are in first-seen key order *)
   Alcotest.(check (list string)) "first-seen order"
-    [ "alpha"; "beta"; "gamma" ] (List.rev !keys);
+    [ "alpha"; "beta"; "gamma" ] (List.map fst (contents path));
   Store.close t
 
 let test_last_record_wins () =
@@ -68,10 +71,8 @@ let test_last_record_wins () =
   Alcotest.(check (option string)) "latest survives reopen" (Some "v2")
     (Store.find t "k");
   (* superseding keeps the key's first-seen position *)
-  let keys = ref [] in
-  Store.iter (fun ~key ~payload:_ -> keys := key :: !keys) t;
   Alcotest.(check (list string)) "order is first-seen" [ "k"; "other" ]
-    (List.rev !keys);
+    (List.map fst (contents path));
   Store.close t
 
 let test_identical_append_is_noop () =
@@ -232,14 +233,19 @@ let check_damaged ~what path damaged ~header ~kept ~cut =
     Store.close t;
     Alcotest.failf "%s: header damage must be refused" what
   | Ok t ->
-    let live = ref [] in
-    Store.iter (fun ~key ~payload -> live := (key, payload) :: !live) t;
+    let live = contents path in
+    let served =
+      Store.length t = List.length live
+      && List.for_all (fun (key, v) -> Store.find t key = Some v) live
+    in
     let warnings = List.length (Store.warnings t) in
     Store.close t;
     let damaged_len = String.length damaged in
     Alcotest.(check (list (pair string string)))
       (what ^ ": records before the damage survive")
-      (List.filteri (fun i _ -> i < kept) fuzz_records) (List.rev !live);
+      (List.filteri (fun i _ -> i < kept) fuzz_records) live;
+    Alcotest.(check bool) (what ^ ": the open store serves exactly those")
+      true served;
     Alcotest.(check int) (what ^ ": one warning per quarantine")
       (if cut < damaged_len then 1 else 0)
       warnings;
