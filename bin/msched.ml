@@ -5,7 +5,7 @@
      run         schedule one workload and print metrics / trace
      compare     run Basic vs DS vs CDS on one workload
      alloc       print the Figure 4 allocation trace of the CDS schedule
-     dot / asm   emit the kernel graph as DOT / the TinyRISC control program
+     dot         emit the kernel graph as Graphviz DOT
      vcd         dump the schedule's activity waveform
      schedulers  list the registered schedulers
      dse         parallel design-space exploration (--jobs/--stats),
@@ -717,42 +717,6 @@ let figures_cmd =
        ~doc:"Reproduce Figures 3 and 5 and the allocator-quality table")
     Term.(const run $ const ())
 
-let asm_cmd =
-  let looped_arg =
-    Arg.(
-      value & flag
-      & info [ "looped" ]
-          ~doc:"Reroll uniform rounds into a hardware loop (compact code).")
-  in
-  let run name file fb cm partition scheduler looped =
-    match problem_of ~name ~file ~fb ~cm ~partition ~auto:false with
-    | Error e -> `Error (false, e)
-    | Ok (app, config, clustering) -> (
-      match schedule_via_registry ~scheduler config app clustering with
-      | Error e -> `Error (false, e)
-      | Ok s -> (
-        let program =
-          if looped then Diag.guard (fun () -> Codegen.Emit.program_looped s)
-          else Codegen.Emit.program_result s
-        in
-        match program with
-        | Error d -> `Error (false, Diag.render d)
-        | Ok program -> (
-          print_string (Codegen.Asm.to_string program);
-          match Codegen.Interp.run_result config program with
-          | Ok r ->
-            Format.eprintf "; interpreted: %a@." Codegen.Interp.pp_result r;
-            `Ok ()
-          | Error d -> `Error (false, Diag.render d))))
-  in
-  Cmd.v
-    (Cmd.info "asm"
-       ~doc:"Emit the TinyRISC control program for a schedule")
-    Term.(
-      ret
-        (const run $ workload_arg $ file_arg $ fb_arg $ cm_arg $ partition_arg
-       $ scheduler_arg $ looped_arg))
-
 let vcd_cmd =
   let run name file fb cm partition scheduler =
     match problem_of ~name ~file ~fb ~cm ~partition ~auto:false with
@@ -804,7 +768,7 @@ let main =
   Cmd.group
     (Cmd.info "msched" ~version:"1.0.0" ~doc)
     [
-      list_cmd; run_cmd; compare_cmd; alloc_cmd; dot_cmd; asm_cmd; vcd_cmd;
+      list_cmd; run_cmd; compare_cmd; alloc_cmd; dot_cmd; vcd_cmd;
       schedulers_cmd; dse_cmd; store_cmd; fuzz_cmd;
       table1_cmd; figures_cmd;
     ]

@@ -67,7 +67,14 @@ let parse_directive acc lineno toks =
     with_builder acc (fun b ->
         let* contexts = int_tok "contexts" c in
         let* cycles = int_tok "cycles" cy in
-        Ok (B.kernel name ~contexts ~cycles b))
+        (* [Kernel.check] is the rule's one statement; the builder assigns
+           the id, so any valid one judges just this line's values *)
+        let k =
+          { Kernel_ir.Kernel.id = 0; name; contexts; exec_cycles = cycles }
+        in
+        match Kernel_ir.Kernel.check k with
+        | [] -> Ok (B.kernel name ~contexts ~cycles b)
+        | d :: _ -> Error (Diag.to_string d))
   | "input" :: name :: "size" :: s :: rest ->
     with_builder acc (fun b ->
         let* size = int_tok "size" s in
@@ -211,14 +218,3 @@ let render spec =
   | Some n -> Buffer.add_string buf (Printf.sprintf "cm %d\n" n)
   | None -> ());
   Buffer.contents buf
-
-let config ?(default_fb = 1024) spec =
-  let fb_set_size = Option.value ~default:default_fb spec.fb_set_size in
-  match spec.cm_capacity with
-  | Some cm_capacity -> Morphosys.Config.make ~fb_set_size ~cm_capacity ()
-  | None -> Morphosys.Config.m1 ~fb_set_size
-
-let clustering spec =
-  match spec.partition with
-  | Some sizes -> Kernel_ir.Cluster.of_partition spec.app sizes
-  | None -> Kernel_ir.Cluster.singleton_per_kernel spec.app

@@ -37,21 +37,15 @@ type spec = {
 }
 
 val parse : string -> (spec, string) result
-(** Errors carry the offending line number. A [partition] must pass
+(** Never raises: every failure is an [Error] (property-tested on mutated
+    text), and one in a directive carries its line number. A [kernel]
+    must pass [Kernel_ir.Kernel.check], a [partition] must pass
     [Kernel_ir.Cluster.check_partition] against the kernel count, and
-    [fb] / [cm] must pass [Morphosys.Config.validate], so {!clustering}
-    and {!config} (at a positive [default_fb]) never raise on a parsed
-    spec. *)
+    [fb] / [cm] must pass [Morphosys.Config.validate], so building the
+    clustering and machine from a parsed spec never raises either. *)
 
 val load_file : string -> (spec, string) result
 
 val render : spec -> string
 (** Pretty-print a spec back to the textual format ([parse] of the result
     yields an equivalent spec — property-tested). *)
-
-val config : ?default_fb:int -> spec -> Morphosys.Config.t
-(** Machine from the spec's [fb]/[cm] directives (defaults: [default_fb]
-    or 1024, CM 2048). *)
-
-val clustering : spec -> Kernel_ir.Cluster.clustering
-(** The spec's partition, or one cluster per kernel when absent. *)

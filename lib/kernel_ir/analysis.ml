@@ -7,8 +7,6 @@ type t = {
   kernel_cluster : int array;
   data_index : Data.t option array;
   profiles : IE.cluster_profile array;
-  consumed_by_cluster : Data.t list array;
-  produced_by_cluster : Data.t list array;
   sharing : IE.shared list;
   tds : int;
 }
@@ -187,8 +185,6 @@ let make app clustering =
     kernel_cluster;
     data_index = data_index_array app;
     profiles;
-    consumed_by_cluster = consumed;
-    produced_by_cluster = produced;
     sharing = sharing_of app ~kernel_cluster;
     tds = Application.total_data_words app;
   }
@@ -219,14 +215,6 @@ let data t id =
   let bad () = fail "Analysis.data: unknown data id %d" id in
   if id < 0 || id >= Array.length t.data_index then bad ();
   match t.data_index.(id) with Some d -> d | None -> bad ()
-
-let consumed_in_cluster t id =
-  check_cluster_id t "consumed_in_cluster" id;
-  t.consumed_by_cluster.(id)
-
-let produced_in_cluster t id =
-  check_cluster_id t "produced_in_cluster" id;
-  t.produced_by_cluster.(id)
 
 let profiles_list t = Array.to_list t.profiles
 let sharing t = t.sharing

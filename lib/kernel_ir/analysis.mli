@@ -23,11 +23,6 @@ type t = private {
   data_index : Data.t option array;  (** data id -> object *)
   profiles : Info_extractor.cluster_profile array;
       (** indexed by cluster id; equal to [Info_extractor.profiles] *)
-  consumed_by_cluster : Data.t list array;
-      (** per cluster: every object some kernel of the cluster consumes,
-          in application declaration order *)
-  produced_by_cluster : Data.t list array;
-      (** per cluster: every object produced inside it, declaration order *)
   sharing : Info_extractor.shared list;
       (** equal to [Info_extractor.sharing] *)
   tds : int;  (** total data words ({!Time_factor} denominator) *)
@@ -54,13 +49,8 @@ val profiles_list : t -> Info_extractor.cluster_profile list
 val cluster_of_kernel : t -> Kernel.id -> Cluster.t
 (** O(1) counterpart of [Cluster.cluster_of_kernel]. *)
 
-val cluster_id_of_kernel : t -> Kernel.id -> int
-
 val data : t -> int -> Data.t
 (** By data id. @raise Invalid_argument on an unknown id. *)
-
-val consumed_in_cluster : t -> int -> Data.t list
-val produced_in_cluster : t -> int -> Data.t list
 
 val sharing : t -> Info_extractor.shared list
 val tds : t -> int

@@ -45,9 +45,6 @@ val find : clustering -> int -> t
 
 val find_opt : clustering -> int -> t option
 
-val set_of_index : int -> Morphosys.Frame_buffer.set
-(** The FB set the alternating discipline assigns to cluster [id]. *)
-
 val same_set : t -> t -> bool
 val n_clusters : clustering -> int
 val partition_sizes : clustering -> int list

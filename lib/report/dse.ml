@@ -46,26 +46,16 @@ let machine ~fb ~cm ~setup =
   Morphosys.Config.make ~fb_set_size:fb ~cm_capacity:cm ~dma_setup_cycles:setup
     ()
 
-(* The default sweep axis: the paper's three tiers. Other registered
-   schedulers (e.g. "cds-xset") can be swept by passing an explicit
-   [~scheduler] to {!evaluate}. *)
+(* The sweep axis: the paper's three tiers. *)
 let schedulers = [ "basic"; "ds"; "cds" ]
 
-(* The point plus the schedule that produced it: what the durable store
-   persists, so a resumed feasible point can be re-validated against the
-   semantic checker before it is trusted. *)
-let evaluate_full ?ctx ~fb ~cm ~setup ~scheduler app clustering =
+(* One design point plus the schedule that produced it: what the durable
+   store persists, so a resumed feasible point can be re-validated against
+   the semantic checker before it is trusted. *)
+let evaluate_full ~ctx ~fb ~cm ~setup ~scheduler =
   let config = machine ~fb ~cm ~setup in
-  let ctx =
-    match ctx with
-    | Some c -> c
-    | None -> Sched.Sched_ctx.make app clustering
-  in
   let r = Sched.Scheduler_registry.run scheduler ctx config in
   (point_of_schedule config ~fb ~cm ~setup ~scheduler r, Result.to_option r)
-
-let evaluate ?ctx ~fb ~cm ~setup ~scheduler app clustering =
-  fst (evaluate_full ?ctx ~fb ~cm ~setup ~scheduler app clustering)
 
 let point_key ~app_digest (fb, cm, setup, scheduler) =
   Engine.Key.combine
@@ -333,9 +323,7 @@ let sweep ?(jobs = 1) ?retries ?stats ?store ?(cm_list = [ 2048 ])
   let ctx = Sched.Sched_ctx.make app clustering in
   let task (((fb, cm, setup, scheduler) as combo), on_disk) () =
     let evaluate warnings =
-      let work () =
-        evaluate_full ~ctx ~fb ~cm ~setup ~scheduler app clustering
-      in
+      let work () = evaluate_full ~ctx ~fb ~cm ~setup ~scheduler in
       let p, schedule =
         match stats with
         | None -> work ()

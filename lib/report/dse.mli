@@ -22,24 +22,7 @@ type point = {
 
 val schedulers : string list
 (** [["basic"; "ds"; "cds"]] — the registry names the sweep crosses
-    with the machine axes. Other registered schedulers can be evaluated
-    point-wise with {!evaluate}. *)
-
-val evaluate :
-  ?ctx:Sched.Sched_ctx.t ->
-  fb:int ->
-  cm:int ->
-  setup:int ->
-  scheduler:string ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  point
-(** One design point: build the machine config, dispatch [scheduler]
-    through {!Sched.Scheduler_registry} and simulate the result. An
-    unknown scheduler name yields an infeasible point carrying the
-    registry's [Invalid_config] diagnostic. [?ctx] reuses a precomputed
-    scheduling context (it must belong to the given application and
-    clustering). *)
+    with the machine axes. *)
 
 (** Durable sweep state: an on-disk, crash-recoverable record of a
     sweep's completed design points.

@@ -196,39 +196,6 @@ let dma_setup_sensitivity () =
     "(retention also removes whole transfers, so its advantage grows with \
      the per-transfer cost)@\n"
 
-(* -- control-code size ------------------------------------------------------ *)
-
-let code_size () =
-  Format.fprintf fmt
-    "@\n== Control-code size: unrolled vs loop-rerolled programs ==@\n@\n";
-  let header = [ "exp"; "unrolled"; "looped"; "ratio" ] in
-  let rows =
-    List.filter_map
-      (fun (e : T1.experiment) ->
-        match
-          Cds.Complete_data_scheduler.run_full
-            (Sched.Sched_ctx.make e.T1.app e.T1.clustering)
-            e.T1.config
-        with
-        | Error _ -> None
-        | Ok r ->
-          let s = r.Cds.Complete_data_scheduler.schedule in
-          let unrolled = Codegen.Instruction.size (Codegen.Emit.program s) in
-          let looped =
-            Codegen.Instruction.size (Codegen.Emit.program_looped s)
-          in
-          Some
-            [
-              e.T1.id;
-              string_of_int unrolled;
-              string_of_int looped;
-              Printf.sprintf "%.1fx"
-                (float_of_int unrolled /. float_of_int looped);
-            ])
-      (T1.all ())
-  in
-  Msutil.Pretty.table ~header ~rows fmt
-
 (* -- kernel-scheduler heuristic quality ---------------------------------- *)
 
 let heuristic_quality () =
@@ -286,5 +253,4 @@ let run () =
   ablations ();
   tf_ordering ();
   dma_setup_sensitivity ();
-  code_size ();
   heuristic_quality ()

@@ -1,30 +1,10 @@
 (** Textual reproductions of the paper's Figures 3 and 5, the §6 allocator
     quality claims, and the (non-paper) ablation study. *)
 
-val figure5 : unit -> unit
-(** Figure 5: frame-buffer snapshots of the 3-kernel cluster at RF=2. *)
-
-val figure3 : unit -> unit
-(** Figure 3: DOT graphs before and after loop fission. *)
-
-val allocator_quality : unit -> unit
-(** Splits / failures / peak usage of the Figure 4 allocator on the twelve
-    experiments. *)
-
-val ablations : unit -> unit
-(** CDS with retention disabled and with cross-set reuse enabled. *)
-
-val tf_ordering : unit -> unit
-(** Words avoided by retention under the TF order vs naive candidate
-    orders, swept over the frame-buffer size (design-choice ablation). *)
-
-val dma_setup_sensitivity : unit -> unit
-(** DS/CDS improvement as the per-transfer DMA setup cost grows (ours). *)
-
-val code_size : unit -> unit
-(** Unrolled vs loop-rerolled control-program sizes per experiment. *)
-
-val heuristic_quality : unit -> unit
-(** Greedy and beam kernel-scheduler searches vs the exhaustive optimum. *)
-
 val run : unit -> unit
+(** Print every section to stdout, in order: Figure 5 (frame-buffer
+    snapshots of the 3-kernel cluster at RF=2), Figure 3 (DOT graphs
+    before and after loop fission), allocator quality on the twelve
+    experiments, the retention and cross-set ablations, the TF-ordering
+    ablation, the DMA setup-cost sensitivity, and the kernel-scheduler
+    heuristics against exhaustive search. *)

@@ -40,17 +40,3 @@ val generators_of_selectors :
     lists: one transfer per (object, iteration) instance, one total for an
     invariant object. *)
 
-val loads_for_objects :
-  set:Morphosys.Frame_buffer.set ->
-  objects:Kernel_ir.Data.t list ->
-  iters:int ->
-  base_iter:int ->
-  Morphosys.Dma.t list
-(** One load per (object, iteration) instance, labelled ["name@iter"]. *)
-
-val stores_for_objects :
-  set:Morphosys.Frame_buffer.set ->
-  objects:Kernel_ir.Data.t list ->
-  iters:int ->
-  base_iter:int ->
-  Morphosys.Dma.t list

@@ -37,9 +37,8 @@ let test_parse_sample () =
     (half.Kernel_ir.Data.consumers <> []);
   Alcotest.(check (option (list int))) "partition" (Some [ 1; 1 ])
     spec.Appdsl.partition;
-  let config = Appdsl.config spec in
-  Alcotest.(check int) "fb" 2048 config.Morphosys.Config.fb_set_size;
-  Alcotest.(check int) "cm" 4096 config.Morphosys.Config.cm_capacity
+  Alcotest.(check (option int)) "fb" (Some 2048) spec.Appdsl.fb_set_size;
+  Alcotest.(check (option int)) "cm" (Some 4096) spec.Appdsl.cm_capacity
 
 let test_parse_errors () =
   let expect_error fragment text =
@@ -61,8 +60,9 @@ let test_parse_errors () =
   expect_error "unknown kernel"
     "app a iterations 1\nkernel k contexts 1 cycles 1\ninput d size 4 -> ghost"
 
-(* A bad [partition], [fb] or [cm] is a parse error at its own line, so
-   [Appdsl.config] and [Appdsl.clustering] never raise on a parsed spec. *)
+(* A bad [kernel], [partition], [fb] or [cm] is a parse error at its own
+   line, so the machine and clustering built from a parsed spec never
+   raise. *)
 let test_bad_values () =
   let head = "app a iterations 2\nkernel k contexts 4 cycles 5\n\
               kernel l contexts 4 cycles 5\ninput d size 4 -> k l\n" in
@@ -81,9 +81,15 @@ let test_bad_values () =
   expect 6 "non-positive cluster size 0" "\npartition 0 2";
   expect 5 "fb_set_size must be positive" "fb 0\n";
   expect 6 "cm_capacity must be positive" "fb 512\ncm -4\n";
+  expect 5 "kernel \"m\" has non-positive context words (0)"
+    "kernel m contexts 0 cycles 5\n";
+  expect 6 "kernel \"m\" has non-positive exec cycles (-1)"
+    "\nkernel m contexts 4 cycles -1\n";
   let spec = parse_ok (head ^ "partition 1 1\nfb 512\ncm 64\n") in
   Alcotest.(check int) "good values still parse" 2
-    (Kernel_ir.Cluster.n_clusters (Appdsl.clustering spec))
+    (Kernel_ir.Cluster.n_clusters
+       (Kernel_ir.Cluster.of_partition spec.Appdsl.app
+          (Option.get spec.Appdsl.partition)))
 
 let test_round_trip () =
   let spec = parse_ok sample in
@@ -103,8 +109,16 @@ let test_round_trip () =
 
 let test_schedule_parsed_spec () =
   let spec = parse_ok sample in
-  let config = Appdsl.config spec in
-  let clustering = Appdsl.clustering spec in
+  let config =
+    Morphosys.Config.make
+      ~fb_set_size:(Option.get spec.Appdsl.fb_set_size)
+      ~cm_capacity:(Option.get spec.Appdsl.cm_capacity)
+      ()
+  in
+  let clustering =
+    Kernel_ir.Cluster.of_partition spec.Appdsl.app
+      (Option.get spec.Appdsl.partition)
+  in
   let c = Cds.Pipeline.run config spec.Appdsl.app clustering in
   Alcotest.(check bool) "cds feasible" true (Result.is_ok c.Cds.Pipeline.cds);
   match Cds.Pipeline.improvement c `Cds with
@@ -113,10 +127,10 @@ let test_schedule_parsed_spec () =
 
 let test_defaults () =
   let spec = parse_ok "app a iterations 2\nkernel k contexts 4 cycles 5\ninput d size 4 -> k\nfinal o size 4 from k" in
-  Alcotest.(check int) "default fb" 512
-    (Appdsl.config ~default_fb:512 spec).Morphosys.Config.fb_set_size;
-  Alcotest.(check int) "singleton clustering" 1
-    (Kernel_ir.Cluster.n_clusters (Appdsl.clustering spec))
+  Alcotest.(check (option int)) "no fb" None spec.Appdsl.fb_set_size;
+  Alcotest.(check (option int)) "no cm" None spec.Appdsl.cm_capacity;
+  Alcotest.(check (option (list int))) "no partition" None
+    spec.Appdsl.partition
 
 (* round-trip property over random applications: render a spec from any
    random app, reparse, compare the IR piecewise *)
@@ -143,6 +157,123 @@ let prop_render_parse_round_trip =
              b.Kernel_ir.Application.data
         && spec2.Appdsl.partition = spec.Appdsl.partition)
 
+(* Hostile text: byte overwrites, truncations and token swaps of the
+   bundled spec and of rendered random apps. [parse] must answer [Ok] or
+   [Error], never raise, and a spec it accepts must build its machine and
+   clustering. *)
+let edge_detect =
+  lazy
+    (In_channel.with_open_text "../examples/specs/edge_detect.app"
+       In_channel.input_all)
+
+type mutation =
+  | Overwrite of int * char  (* the byte at a position *)
+  | Truncate of int
+  | Swap of int * int  (* two tokens (see [map_tokens]) *)
+  | Replace of int * string  (* a token by a hostile one *)
+  | Renumber of int * string  (* an integer token by a hostile one *)
+
+let hostile_tokens = [ "-"; "->"; "final"; "invariant"; "#"; "" ]
+
+let hostile_numbers =
+  [ "0"; "-1"; "1"; "99999999999999999999"; string_of_int max_int ]
+
+let is_int t = int_of_string_opt t <> None
+
+(* [f k t] rewrites [t], the [k]-th space-separated token satisfying
+   [only], counted across lines *)
+let map_tokens ?(only = fun _ -> true) f text =
+  let k = ref (-1) in
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+         String.split_on_char ' ' line
+         |> List.map (fun t ->
+                if only t then begin
+                  incr k;
+                  f !k t
+                end
+                else t)
+         |> String.concat " ")
+  |> String.concat "\n"
+
+let mutate text m =
+  let n = String.length text in
+  let tokens =
+    String.split_on_char '\n' text
+    |> List.concat_map (String.split_on_char ' ')
+    |> Array.of_list
+  in
+  let nt = Array.length tokens in
+  let ni = Array.fold_left (fun n t -> if is_int t then n + 1 else n) 0 tokens in
+  match m with
+  | _ when n = 0 -> text
+  | Overwrite (p, c) ->
+    String.mapi (fun i b -> if i = p mod n then c else b) text
+  | Truncate p -> String.sub text 0 (p mod n)
+  | Replace (i, tok) ->
+    map_tokens (fun k t -> if k = i mod nt then tok else t) text
+  | Renumber (_, _) when ni = 0 -> text
+  | Renumber (i, tok) ->
+    map_tokens ~only:is_int (fun k t -> if k = i mod ni then tok else t) text
+  | Swap (i, j) ->
+    let i = i mod nt and j = j mod nt in
+    map_tokens
+      (fun k t ->
+        if k = i then tokens.(j) else if k = j then tokens.(i) else t)
+      text
+
+let gen_hostile_text =
+  let open QCheck.Gen in
+  let base =
+    oneof
+      [
+        map (fun () -> Lazy.force edge_detect) unit;
+        map
+          (fun (app, clustering) ->
+            Appdsl.render
+              {
+                Appdsl.app;
+                partition = Some (Kernel_ir.Cluster.partition_sizes clustering);
+                fb_set_size = Some 2048;
+                cm_capacity = Some 4096;
+              })
+          (Workloads.Random_app.gen_app_with_clustering ());
+      ]
+  in
+  let mutation =
+    oneof
+      [
+        map2
+          (fun p c -> Overwrite (p, c))
+          nat
+          (oneofl (List.of_seq (String.to_seq "0-1 9\n#>x")));
+        map (fun p -> Truncate p) nat;
+        map2 (fun i j -> Swap (i, j)) nat nat;
+        map2 (fun i t -> Replace (i, t)) nat (oneofl hostile_tokens);
+        map2 (fun i t -> Renumber (i, t)) nat (oneofl hostile_numbers);
+      ]
+  in
+  map2 (List.fold_left mutate) base (list_size (int_range 1 4) mutation)
+
+let prop_parse_hostile_text =
+  QCheck.Test.make ~name:"parse never raises on hostile text" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_hostile_text)
+    (fun text ->
+      match Appdsl.parse text with
+      | Error _ -> true
+      | Ok spec ->
+        let fb_set_size =
+          Option.value ~default:1024 spec.Appdsl.fb_set_size
+        in
+        ignore
+          (Morphosys.Config.make ?cm_capacity:spec.Appdsl.cm_capacity
+             ~fb_set_size ());
+        Option.iter
+          (fun sizes ->
+            ignore (Kernel_ir.Cluster.of_partition spec.Appdsl.app sizes))
+          spec.Appdsl.partition;
+        true)
+
 let tests =
   ( "appdsl",
     [
@@ -153,4 +284,5 @@ let tests =
       Alcotest.test_case "schedule parsed spec" `Quick test_schedule_parsed_spec;
       Alcotest.test_case "defaults" `Quick test_defaults;
       QCheck_alcotest.to_alcotest prop_render_parse_round_trip;
+      QCheck_alcotest.to_alcotest prop_parse_hostile_text;
     ] )

@@ -156,30 +156,6 @@ let test_dsl_invariant_round_trip () =
         (Kernel_ir.Application.data_by_name spec2.Appdsl.app "tbl").Data.invariant
     | Error e -> Alcotest.fail e)
 
-let test_looped_program_with_invariant () =
-  let app = app_with_table () in
-  let clustering = clustering app in
-  let config = Morphosys.Config.m1 ~fb_set_size:640 in
-  (* small FB: several rounds, so the reroller must keep the constant
-     table's absolute reference inside the loop *)
-  match Fixtures.run "ds" (Sched.Sched_ctx.make app clustering) config with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-    let unrolled = Codegen.Emit.program s in
-    let looped = Codegen.Emit.program_looped s in
-    let strip =
-      List.filter (function Codegen.Instruction.Comment _ -> false | _ -> true)
-    in
-    Alcotest.(check bool) "compressed" true
-      (Codegen.Instruction.size looped < Codegen.Instruction.size unrolled);
-    Alcotest.(check bool) "unrolls identically" true
-      (List.for_all2 Codegen.Instruction.equal (strip unrolled)
-         (strip (Codegen.Instruction.unroll looped)));
-    let cycles p =
-      (Codegen.Interp.run config p).Codegen.Interp.cycles
-    in
-    Alcotest.(check int) "same cycles" (cycles unrolled) (cycles looped)
-
 let tests =
   ( "invariant_data",
     [
@@ -192,6 +168,4 @@ let tests =
       Alcotest.test_case "allocation single copy" `Quick
         test_allocation_single_copy;
       Alcotest.test_case "dsl round trip" `Quick test_dsl_invariant_round_trip;
-      Alcotest.test_case "looped program" `Quick
-        test_looped_program_with_invariant;
     ] )

@@ -100,13 +100,13 @@ let test_interp_eviction_on_real_workload () =
   | Ok r ->
     let s = r.Cds.Complete_data_scheduler.schedule in
     let interp =
-      Codegen.Interp.run e.Workloads.Table1.config (Codegen.Emit.program s)
+      Interp.run e.Workloads.Table1.config (Emit.program s)
     in
     Alcotest.(check bool) "evictions happened" true
-      (interp.Codegen.Interp.context_evictions > 0);
+      (interp.Interp.context_evictions > 0);
     Alcotest.(check int) "still cycle-exact"
       (Msim.Executor.run e.Workloads.Table1.config s).Msim.Metrics.total_cycles
-      interp.Codegen.Interp.cycles
+      interp.Interp.cycles
 
 let test_improvement_helpers_on_infeasible_cds () =
   (* a machine too small for anything: every helper degrades gracefully *)
@@ -121,16 +121,14 @@ let test_improvement_helpers_on_infeasible_cds () =
   Alcotest.(check (option int)) "no rf" None (Cds.Pipeline.ds_rf c)
 
 let test_spec_file_loads () =
-  (* the shipped sample spec parses and schedules *)
-  let path = "../../../examples/specs/edge_detect.app" in
-  match Appdsl.load_file path with
-  | Error _ ->
-    (* dune sandboxes tests in _build; fall back to an inline copy check *)
-    Alcotest.(check bool) "missing file reported" true
-      (Result.is_error (Appdsl.load_file "/nonexistent.app"))
+  (* the shipped sample spec parses (a test dependency in test/dune) *)
+  (match Appdsl.load_file "../examples/specs/edge_detect.app" with
+  | Error e -> Alcotest.fail e
   | Ok spec ->
     Alcotest.(check string) "name" "edge_detect"
-      spec.Appdsl.app.Kernel_ir.Application.name
+      spec.Appdsl.app.Kernel_ir.Application.name);
+  Alcotest.(check bool) "missing file reported" true
+    (Result.is_error (Appdsl.load_file "/nonexistent.app"))
 
 let tests =
   ( "misc_coverage",

@@ -86,9 +86,9 @@ let test_interp_with_setup_cost () =
   | Ok r ->
     let s = r.Cds.Complete_data_scheduler.schedule in
     let m = Msim.Executor.run config s in
-    let interp = Codegen.Interp.run config (Codegen.Emit.program s) in
+    let interp = Interp.run config (Emit.program s) in
     Alcotest.(check int) "cycles agree" m.Msim.Metrics.total_cycles
-      interp.Codegen.Interp.cycles
+      interp.Interp.cycles
 
 let tests =
   ( "report",
