@@ -45,14 +45,12 @@ let selectors_of ~profile_of (decision : Retention.decision) =
   in
   { Sched.Step_builder.load_objects; store_objects }
 
-let generators_of ~profile_of decision =
-  Sched.Xfer_gen.generators_of_selectors (selectors_of ~profile_of decision)
-
 let generators app clustering decision =
   let profiles = IE.profiles app clustering in
-  generators_of
-    ~profile_of:(fun (c : Cluster.t) -> List.nth profiles c.Cluster.id)
-    decision
+  Sched.Step_builder.generators_of_selectors
+    (selectors_of
+       ~profile_of:(fun (c : Cluster.t) -> List.nth profiles c.Cluster.id)
+       decision)
 
 let ctx_profile_of (analysis : Kernel_ir.Analysis.t) (c : Cluster.t) =
   Kernel_ir.Analysis.profile analysis c.Cluster.id
@@ -94,13 +92,11 @@ let selectors_indexed ~profile_of (decision : Retention.decision) =
 let selectors_ctx analysis decision =
   selectors_indexed ~profile_of:(ctx_profile_of analysis) decision
 
-let generators_ctx analysis decision =
-  Sched.Xfer_gen.generators_of_selectors (selectors_ctx analysis decision)
-
 let schedule_reference ?(retention = true) ?(cross_set = false)
     (config : Morphosys.Config.t) app clustering =
+  let scheduler_name = if cross_set then "cds-xset" else "cds" in
   match Sched.Context_scheduler.plan_app config app clustering with
-  | Error d -> Error ("cds: " ^ Diag.to_string d)
+  | Error d -> Error (scheduler_name ^ ": " ^ Diag.to_string d)
   | Ok ctx_plan -> (
     (* The CDS allocator packs the whole set (paper §5: minimal memory, no
        fragmentation), so its RF bound is computed against the full FB
@@ -114,11 +110,9 @@ let schedule_reference ?(retention = true) ?(cross_set = false)
     with
     | 0 ->
       Error
-        (Printf.sprintf
-           "cds: some cluster's DS(C) exceeds the FB set of %dw"
-           config.fb_set_size)
+        (Printf.sprintf "%s: some cluster's DS(C) exceeds the FB set of %dw"
+           scheduler_name config.fb_set_size)
     | rf_max ->
-      let scheduler_name = if cross_set then "cds-xset" else "cds" in
       let candidate rf =
         let decision =
           if retention then
@@ -155,110 +149,66 @@ let schedule_reference ?(retention = true) ?(cross_set = false)
             decision.Retention.avoided_words_per_iteration;
         })
 
-let run_full ?(retention = true) ?(cross_set = false)
-    (ctx : Sched.Sched_ctx.t) (config : Morphosys.Config.t) =
-  match Engine.Faults.hit "sched" with
-  | exception Engine.Faults.Injected site ->
-    Error
-      (Diag.v ~scheduler:"cds" Diag.Fault_injected
-         "injected fault at scheduler entry (%s)" site)
-  | () -> (
-  let app = Sched.Sched_ctx.app ctx in
-  let clustering = Sched.Sched_ctx.clustering ctx in
-  let analysis = Sched.Sched_ctx.analysis ctx in
-  match Sched.Context_scheduler.plan_of_analysis config analysis with
-  | Error d -> Error (Diag.with_scheduler "cds" d)
-  | Ok ctx_plan -> (
-    match
-      Sched.Reuse_factor.common_split ~fb_set_size:config.fb_set_size
-        ~footprints:(Sched.Sched_ctx.splits_list ctx)
-        ~iterations:app.Kernel_ir.Application.iterations
-    with
-    | 0 ->
-      Error
-        (Diag.v ~scheduler:"cds" Diag.No_feasible_rf
-           "some cluster's DS(C) exceeds the FB set of %dw"
-           config.fb_set_size)
-    | rf_max ->
-      let scheduler_name = if cross_set then "cds-xset" else "cds" in
-      (* RF search without materialising a schedule per candidate factor:
-         each RF is costed with [Step_builder.estimate] (exactly the
-         cycles [Schedule_cost] would report for the built schedule) and
-         only the winner is built. Retention ablated means the decision is
-         RF-independent — computed once. *)
-      let none_decision = if retention then None else Some Retention.none in
-      let decision_for rf =
-        match none_decision with
-        | Some d -> d
-        | None -> Retention.choose_ctx ~cross_set config ctx ~rf
-      in
-      let chosen_rf, decision =
-        (* keep the fastest; ties prefer the larger RF *)
-        List.fold_left
-          (fun acc rf ->
-            let decision = decision_for rf in
-            let cycles =
-              Sched.Step_builder.estimate config app clustering ~rf ~ctx_plan
-                ~selectors:(selectors_ctx analysis decision)
-            in
-            match acc with
-            | Some (_, _, best_cycles) when best_cycles < cycles -> acc
-            | _ -> Some (rf, decision, cycles))
-          None
-          (List.init rf_max (fun i -> i + 1))
-        |> Option.get
-        |> fun (rf, d, _) -> (rf, d)
-      in
-      let chosen =
-        Sched.Step_builder.build ~cross_set config app clustering
-          ~rf:chosen_rf ~ctx_plan
-          ~generators:(generators_ctx analysis decision)
-          ~scheduler:scheduler_name
-      in
-      Ok
-        {
-          schedule = chosen;
-          retention = decision;
-          rf = chosen.Sched.Schedule.rf;
-          data_words_avoided_per_iteration =
-            decision.Retention.avoided_words_per_iteration;
-        }))
+(* The CDS allocator packs the whole set (paper §5: minimal memory, no
+   fragmentation), so the RF bound is computed against the full FB size.
+   Retention is recomputed per candidate RF, since pinned copies scale
+   with RF; ablated, the decision is empty at every RF. *)
+let policy ~retention ~cross_set =
+  {
+    Sched.Step_builder.name = (if cross_set then "cds-xset" else "cds");
+    cross_set;
+    rf_bound =
+      (fun ctx (config : Morphosys.Config.t) ->
+        match
+          Sched.Reuse_factor.common_split ~fb_set_size:config.fb_set_size
+            ~footprints:(Sched.Sched_ctx.splits_list ctx)
+            ~iterations:
+              (Sched.Sched_ctx.app ctx).Kernel_ir.Application.iterations
+        with
+        | 0 ->
+          Error
+            (Diag.v Diag.No_feasible_rf
+               "some cluster's DS(C) exceeds the FB set of %dw"
+               config.fb_set_size)
+        | rf_max -> Ok rf_max);
+    selectors =
+      (fun ctx config ~rf ->
+        let decision =
+          if retention then Retention.choose_ctx ~cross_set config ctx ~rf
+          else Retention.none
+        in
+        (decision, selectors_ctx (Sched.Sched_ctx.analysis ctx) decision));
+  }
 
-let run ctx config = Result.map (fun r -> r.schedule) (run_full ctx config)
-
-(* Warning-severity diagnostics for retention candidates the TF test turned
-   down — surfaced by the pipeline's verbose mode, never fatal. *)
-let retention_warnings (decision : Retention.decision) =
-  List.map
-    (fun (cand, reason) ->
-      let d = Sharing.data cand in
-      Diag.v ~severity:Diag.Warning ~scheduler:"cds" ~data:d.Data.name
-        Diag.Retention_rejected "candidate %S not retained: %s" d.Data.name
-        reason)
-    decision.Retention.rejected
-
-let scheduler : Sched.Scheduler_intf.t =
-  (module struct
-    let name = "cds"
-
-    let describe =
-      "Complete Data Scheduler (DATE'02): fragmentation-free allocation + \
-       TF-driven retention of shared data"
-
-    let run = run
-  end)
-
-let scheduler_xset : Sched.Scheduler_intf.t =
-  (module struct
-    let name = "cds-xset"
-
-    let describe =
-      "Complete Data Scheduler with the future-work cross-set reuse enabled"
-
-    let run ctx config =
-      Result.map (fun r -> r.schedule) (run_full ~cross_set:true ctx config)
-  end)
+let run_full ?(retention = true) ?(cross_set = false) ctx config =
+  Result.map
+    (fun (schedule, decision) ->
+      {
+        schedule;
+        retention = decision;
+        rf = schedule.Sched.Schedule.rf;
+        data_words_avoided_per_iteration =
+          decision.Retention.avoided_words_per_iteration;
+      })
+    (Sched.Step_builder.search (policy ~retention ~cross_set) ctx config)
 
 let () =
-  Sched.Scheduler_registry.register scheduler;
-  Sched.Scheduler_registry.register scheduler_xset
+  List.iter
+    (fun (cross_set, describe) ->
+      let policy = policy ~retention:true ~cross_set in
+      Sched.Scheduler_registry.register
+        {
+          name = policy.name;
+          describe;
+          run =
+            (fun ctx config ->
+              Result.map fst (Sched.Step_builder.search policy ctx config));
+        })
+    [
+      ( false,
+        "Complete Data Scheduler (DATE'02): fragmentation-free allocation + \
+         TF-driven retention of shared data" );
+      ( true,
+        "Complete Data Scheduler with the future-work cross-set reuse enabled"
+      );
+    ]

@@ -36,28 +36,11 @@ val run_full :
     reports need. [Error] is a [No_feasible_rf] or [Cm_overflow]
     diagnostic under the same conditions as the Data Scheduler (some
     [DS(C)] exceeding the FB set even at RF = 1, or context-memory
-    overflow). Profile and DS-formula lookups are O(1) through the
-    context; the retention pass runs incrementally
-    ({!Retention.choose_ctx}). *)
-
-val run :
-  Sched.Sched_ctx.t ->
-  Morphosys.Config.t ->
-  (Sched.Schedule.t, Diag.t) Stdlib.result
-(** The canonical entry point ({!Sched.Scheduler_intf.S.run}):
-    {!run_full} projected onto its schedule. *)
-
-val scheduler : Sched.Scheduler_intf.t
-(** The Complete Data Scheduler as a first-class value, registered in
-    {!Sched.Scheduler_registry} under ["cds"]. *)
-
-val scheduler_xset : Sched.Scheduler_intf.t
-(** {!run_full} with [~cross_set:true], registered under ["cds-xset"] —
-    the future-work cross-set reuse as a separately selectable policy. *)
-
-val retention_warnings : Retention.decision -> Diag.t list
-(** One [Warning]-severity [Retention_rejected] diagnostic per candidate
-    the retention pass declined, carrying the data name and the reason. *)
+    overflow), tagged ["cds-xset"] when [cross_set] and ["cds"]
+    otherwise. It is {!Sched.Step_builder.search} over a policy whose RF
+    bound is the full FB set and whose per-RF selection skips what
+    {!Retention.choose_ctx} retains. The registry holds it under ["cds"]
+    and, with [~cross_set:true], under ["cds-xset"]. *)
 
 val schedule_reference :
   ?retention:bool ->

@@ -2,7 +2,6 @@ type code =
   | Fb_overflow
   | Cm_overflow
   | No_feasible_rf
-  | Retention_rejected
   | Invalid_app
   | Invalid_clustering
   | Invalid_config
@@ -36,7 +35,6 @@ let code_name = function
   | Fb_overflow -> "FB_OVERFLOW"
   | Cm_overflow -> "CM_OVERFLOW"
   | No_feasible_rf -> "NO_FEASIBLE_RF"
-  | Retention_rejected -> "RETENTION_REJECTED"
   | Invalid_app -> "INVALID_APP"
   | Invalid_clustering -> "INVALID_CLUSTERING"
   | Invalid_config -> "INVALID_CONFIG"

@@ -18,7 +18,6 @@ type code =
   | Fb_overflow  (** a cluster footprint exceeds the FB set even at RF=1 *)
   | Cm_overflow  (** a cluster's context words exceed the context memory *)
   | No_feasible_rf  (** no reuse factor >= 1 satisfies [DS(C) <= FBS] *)
-  | Retention_rejected  (** a retention candidate was declined (warning) *)
   | Invalid_app  (** malformed application: kernels, data, iterations *)
   | Invalid_clustering  (** malformed clustering or partition *)
   | Invalid_config  (** malformed machine configuration *)

@@ -33,38 +33,32 @@ let overflow_cluster config fps =
   in
   go 0 fps
 
-let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
-  match Engine.Faults.hit "sched" with
-  | exception Engine.Faults.Injected site ->
-    Error
-      (Diag.v ~scheduler:"basic" Diag.Fault_injected
-         "injected fault at scheduler entry (%s)" site)
-  | () -> (
-    let app = Sched_ctx.app ctx and clustering = Sched_ctx.clustering ctx in
-    match Context_scheduler.plan_of_analysis config (Sched_ctx.analysis ctx) with
-    | Error d -> Error (Diag.with_scheduler "basic" d)
-    | Ok ctx_plan -> (
-      match overflow_cluster config (Sched_ctx.basic_footprints_list ctx) with
-      | Some (cid, fp) ->
-        Error
-          (Diag.v ~scheduler:"basic" ~cluster:cid Diag.Fb_overflow
-             "cluster footprint %dw exceeds FB set of %dw (no replacement)"
-             fp config.Morphosys.Config.fb_set_size)
-      | None ->
-        Ok
-          (Step_builder.build config app clustering ~rf:1 ~ctx_plan
-             ~generators:
-               (Xfer_gen.store_everything_ctx (Sched_ctx.analysis ctx))
-             ~scheduler:"basic")))
+(* RF is fixed at 1; the only question is whether every cluster's
+   no-replacement footprint fits one FB set. *)
+let policy =
+  {
+    Step_builder.name = "basic";
+    cross_set = false;
+    rf_bound =
+      (fun ctx config ->
+        match overflow_cluster config (Sched_ctx.basic_footprints_list ctx) with
+        | Some (cid, fp) ->
+          Error
+            (Diag.v ~cluster:cid Diag.Fb_overflow
+               "cluster footprint %dw exceeds FB set of %dw (no replacement)"
+               fp config.Morphosys.Config.fb_set_size)
+        | None -> Ok 1);
+    selectors =
+      (fun ctx _ ~rf:_ ->
+        ((), Xfer_gen.store_everything_selectors_ctx (Sched_ctx.analysis ctx)));
+  }
 
-let scheduler : Scheduler_intf.t =
-  (module struct
-    let name = "basic"
-
-    let describe =
-      "Basic Scheduler (DATE'99 baseline): no data reuse, RF fixed at 1"
-
-    let run = run
-  end)
-
-let () = Scheduler_registry.register scheduler
+let () =
+  Scheduler_registry.register
+    {
+      name = policy.name;
+      describe =
+        "Basic Scheduler (DATE'99 baseline): no data reuse, RF fixed at 1";
+      run =
+        (fun ctx config -> Result.map fst (Step_builder.search policy ctx config));
+    }

@@ -5,18 +5,13 @@
     written back (no liveness analysis), dead data is never replaced in
     place (so the whole cluster footprint — all inputs plus all results —
     must fit one FB set), and the reuse factor is fixed at 1, so contexts
-    not resident in the CM are reloaded on every iteration. *)
+    not resident in the CM are reloaded on every iteration.
 
-val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
-(** The canonical entry point ({!Scheduler_intf.S.run}). [Error] is an
-    [Fb_overflow] or [Cm_overflow] diagnostic naming the offending
-    cluster when its no-replacement footprint exceeds the FB set size or
-    its contexts exceed the CM — the paper notes Basic cannot run MPEG
-    with a 1K frame buffer. *)
-
-val scheduler : Scheduler_intf.t
-(** The Basic scheduler as a first-class value, registered in
-    {!Scheduler_registry} under ["basic"]. *)
+    It registers itself in {!Scheduler_registry} under ["basic"]. Its
+    diagnostics are an [Fb_overflow] naming the first cluster whose
+    no-replacement footprint exceeds the FB set (the paper notes Basic
+    cannot run MPEG with a 1K frame buffer) and the context plan's
+    [Cm_overflow]. *)
 
 val schedule_reference :
   Morphosys.Config.t ->

@@ -1,19 +1,21 @@
-module type S = sig
-  val name : string
-  val describe : string
-  val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
-end
+(** The scheduler interface.
 
-type t = (module S)
+    A {e scheduler} is the unit the paper's evaluation compares (Basic vs.
+    DS vs. CDS, Figure 6 / Table 1): a policy that maps one
+    [(application, clustering)] scheduling context and one machine
+    configuration to either a complete {!Schedule.t} or a structured
+    {!Diag.t} explaining why the policy is infeasible there. Each one is
+    a {!Step_builder.policy} run through {!Step_builder.search}, published
+    as a {!t} in {!Scheduler_registry}; the pipeline, the DSE sweep, the
+    fuzzers and the CLI all dispatch through it. *)
 
-let name (m : t) =
-  let module M = (val m) in
-  M.name
-
-let describe (m : t) =
-  let module M = (val m) in
-  M.describe
-
-let run (m : t) ctx config =
-  let module M = (val m) in
-  M.run ctx config
+type t = {
+  name : string;
+      (** Unique registry key, e.g. ["basic"], ["ds"], ["cds"]. Also the
+          [scheduler] tag carried by schedules and diagnostics. *)
+  describe : string;  (** One human-readable line for [msched schedulers]. *)
+  run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result;
+      (** Schedule the context's application on the given machine. Never
+          raises on malformed-but-constructed input: every expected
+          failure is a diagnostic. *)
+}

@@ -8,8 +8,8 @@
 let lock = Mutex.create ()
 let table : (string, Scheduler_intf.t) Hashtbl.t = Hashtbl.create 8
 
-let register m =
-  let name = Scheduler_intf.name m in
+let register (m : Scheduler_intf.t) =
+  let name = m.name in
   Mutex.protect lock (fun () ->
       if Hashtbl.mem table name then
         invalid_arg
@@ -33,5 +33,5 @@ let unknown name =
 
 let run name ctx config =
   match find name with
-  | Some m -> Scheduler_intf.run m ctx config
+  | Some m -> m.Scheduler_intf.run ctx config
   | None -> Error (unknown name)

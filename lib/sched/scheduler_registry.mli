@@ -1,4 +1,4 @@
-(** Registry of the first-class schedulers ({!Scheduler_intf.S}).
+(** Registry of the schedulers ({!Scheduler_intf.t}).
 
     Basic and DS register themselves here when [lib/sched] is linked; CDS
     (and its cross-set variant) when [lib/cds] is. Everything downstream —
@@ -29,4 +29,4 @@ val all : unit -> Scheduler_intf.t list
     of link or registration order. *)
 
 val names : unit -> string list
-(** [List.map Scheduler_intf.name (all ())]. *)
+(** The names of {!all}. *)

@@ -1,44 +1,4 @@
 module IE = Kernel_ir.Info_extractor
-module Data = Kernel_ir.Data
-module Dma = Morphosys.Dma
-
-let instances ~objects ~iters ~base_iter f =
-  List.concat_map
-    (fun (d : Data.t) ->
-      if d.Data.invariant then
-        (* one constant copy serves every iteration of the round *)
-        [ f ~label:(Schedule.instance_label d.name ~iter:0) ~words:d.size ]
-      else
-        List.init iters (fun i ->
-            f ~label:(Schedule.instance_label d.name ~iter:(base_iter + i))
-              ~words:d.size))
-    objects
-
-let loads_for_objects ~set ~objects ~iters ~base_iter =
-  instances ~objects ~iters ~base_iter (fun ~label ~words ->
-      Dma.data_load ~set ~label ~words)
-
-let stores_for_objects ~set ~objects ~iters ~base_iter =
-  instances ~objects ~iters ~base_iter (fun ~label ~words ->
-      Dma.data_store ~set ~label ~words)
-
-(* Every generator is the mechanical expansion of a [Step_builder.selectors]
-   — same object choice, one labelled transfer per instance — so the
-   selectors stay the single source of truth for both the transfer lists
-   and the schedulers' cheap cost estimates. *)
-let generators_of_selectors (sel : Step_builder.selectors) =
-  {
-    Step_builder.loads =
-      (fun c ~round ~iters ~base_iter ->
-        loads_for_objects ~set:c.Kernel_ir.Cluster.fb_set
-          ~objects:(sel.Step_builder.load_objects c ~round)
-          ~iters ~base_iter);
-    stores =
-      (fun c ~round ~iters ~base_iter ->
-        stores_for_objects ~set:c.Kernel_ir.Cluster.fb_set
-          ~objects:(sel.Step_builder.store_objects c ~round)
-          ~iters ~base_iter);
-  }
 
 let selectors_of ~profile_of ~stored_objects =
   {
@@ -48,7 +8,7 @@ let selectors_of ~profile_of ~stored_objects =
   }
 
 let generators_of ~profile_of ~stored_objects =
-  generators_of_selectors (selectors_of ~profile_of ~stored_objects)
+  Step_builder.generators_of_selectors (selectors_of ~profile_of ~stored_objects)
 
 let make_generators app clustering ~stored_objects =
   let profiles = IE.profiles app clustering in
@@ -59,9 +19,6 @@ let make_generators app clustering ~stored_objects =
 
 let ctx_profile_of (analysis : Kernel_ir.Analysis.t) (c : Kernel_ir.Cluster.t) =
   Kernel_ir.Analysis.profile analysis c.Kernel_ir.Cluster.id
-
-let make_generators_ctx analysis ~stored_objects =
-  generators_of ~profile_of:(ctx_profile_of analysis) ~stored_objects
 
 let stored_outliving (p : IE.cluster_profile) = p.IE.outliving
 
@@ -77,10 +34,8 @@ let store_everything app clustering =
   make_generators app clustering ~stored_objects:stored_everything
 
 let plain_ctx analysis =
-  make_generators_ctx analysis ~stored_objects:stored_outliving
-
-let store_everything_ctx analysis =
-  make_generators_ctx analysis ~stored_objects:stored_everything
+  generators_of ~profile_of:(ctx_profile_of analysis)
+    ~stored_objects:stored_outliving
 
 let plain_selectors_ctx analysis =
   selectors_of

@@ -21,22 +21,17 @@ val store_everything :
 val plain_ctx : Kernel_ir.Analysis.t -> Step_builder.generators
 (** {!plain} over a precomputed analysis context: profiles come from the
     context's O(1) by-id array instead of a fresh
-    {!Kernel_ir.Info_extractor.profiles} list walk. *)
-
-val store_everything_ctx : Kernel_ir.Analysis.t -> Step_builder.generators
-(** {!store_everything} over a precomputed analysis context. *)
+    {!Kernel_ir.Info_extractor.profiles} list walk. The schedulers build
+    through {!Step_builder.search} from the selectors below; this is the
+    same expansion of {!plain_selectors_ctx}, for callers that build a
+    schedule by hand. *)
 
 val plain_selectors_ctx : Kernel_ir.Analysis.t -> Step_builder.selectors
 (** The object selection behind {!plain_ctx}, for
-    {!Step_builder.estimate}. *)
+    {!Step_builder.estimate} and {!Step_builder.search}: the Data
+    Scheduler's transfers. *)
 
 val store_everything_selectors_ctx :
   Kernel_ir.Analysis.t -> Step_builder.selectors
-(** The object selection behind {!store_everything_ctx}. *)
-
-val generators_of_selectors :
-  Step_builder.selectors -> Step_builder.generators
-(** Mechanical expansion of an object selection into labelled transfer
-    lists: one transfer per (object, iteration) instance, one total for an
-    invariant object. *)
-
+(** The object selection behind {!store_everything}, over a precomputed
+    analysis context: the Basic Scheduler's transfers. *)

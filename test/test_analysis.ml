@@ -207,7 +207,7 @@ let prop_estimate (app, clustering) =
           Sched.Xfer_gen.plain_ctx a );
         ( "store_everything",
           Sched.Xfer_gen.store_everything_selectors_ctx a,
-          Sched.Xfer_gen.store_everything_ctx a );
+          Sched.Xfer_gen.store_everything app clustering );
       ]
     in
     List.for_all

@@ -18,7 +18,7 @@ let test_names_deterministic () =
     "stable across calls" names (Registry.names ());
   Alcotest.(check (list string))
     "all () agrees with names ()" names
-    (List.map Intf.name (Registry.all ()));
+    (List.map (fun (s : Intf.t) -> s.name) (Registry.all ()));
   (* the three paper tiers plus the cross-set variant are registered *)
   List.iter
     (fun n ->
@@ -29,17 +29,17 @@ let test_names_deterministic () =
 
 let test_find () =
   (match Registry.find "ds" with
-  | Some s -> Alcotest.(check string) "find returns ds" "ds" (Intf.name s)
+  | Some s -> Alcotest.(check string) "find returns ds" "ds" s.Intf.name
   | None -> Alcotest.fail "ds must be registered");
   Alcotest.(check bool) "unknown name" true (Registry.find "no-such" = None)
 
 let test_duplicate_rejected () =
-  let impostor : Intf.t =
-    (module struct
-      let name = "cds"
-      let describe = "an impostor under an already-taken name"
-      let run _ _ = assert false
-    end)
+  let impostor =
+    {
+      Intf.name = "cds";
+      describe = "an impostor under an already-taken name";
+      run = (fun _ _ -> assert false);
+    }
   in
   (match Registry.register impostor with
   | exception Invalid_argument msg ->
@@ -50,7 +50,7 @@ let test_duplicate_rejected () =
   match Registry.find "cds" with
   | Some s ->
     Alcotest.(check bool) "original describe survives" false
-      (Intf.describe s = "an impostor under an already-taken name")
+      (s.Intf.describe = "an impostor under an already-taken name")
   | None -> Alcotest.fail "cds must still be registered"
 
 let test_unknown_run_diagnoses () =

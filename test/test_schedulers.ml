@@ -14,6 +14,30 @@ let run_ok name = function
   | Ok s -> s
   | Error e -> Alcotest.fail (name ^ ": " ^ e)
 
+(* The Data Scheduler's transfers under the CDS allocator's full-set RF
+   bound: the Data Scheduler at full allocation efficiency. *)
+let ds_full_set ctx config =
+  let rf_bound ctx (config : Morphosys.Config.t) =
+    match
+      Sched.Reuse_factor.common_split ~fb_set_size:config.fb_set_size
+        ~footprints:(Sched.Sched_ctx.splits_list ctx)
+        ~iterations:(Sched.Sched_ctx.app ctx).Kernel_ir.Application.iterations
+    with
+    | 0 -> Error (Diag.v Diag.No_feasible_rf "no RF fits the FB set")
+    | rf_max -> Ok rf_max
+  in
+  Result.map fst
+    (Sched.Step_builder.search
+       {
+         Sched.Step_builder.name = "ds";
+         cross_set = false;
+         rf_bound;
+         selectors =
+           (fun ctx _ ~rf:_ ->
+             ((), Sched.Xfer_gen.plain_selectors_ctx (Sched.Sched_ctx.analysis ctx)));
+       }
+       ctx config)
+
 let test_basic_structure () =
   let ctx, config = toy_setup () in
   let s = run_ok "basic" (Fixtures.run "basic" ctx config) in
@@ -87,21 +111,13 @@ let test_basic_infeasible_when_tight () =
   Alcotest.(check bool) "basic rejected" true
     (Result.is_error (Sched.Scheduler_registry.run "basic" ctx config));
   Alcotest.(check bool) "ds still fine" true
-    (Result.is_ok
-       (Sched.Data_scheduler.run_with ~alloc_efficiency:1.0 ctx config))
+    (Result.is_ok (ds_full_set ctx config))
 
 let test_ds_infeasible_when_tighter () =
   let ctx, _ = toy_setup () in
   let config = Morphosys.Config.m1 ~fb_set_size:210 in
   Alcotest.(check bool) "ds rejected" true
-    (Result.is_error
-       (Sched.Data_scheduler.run_with ~alloc_efficiency:1.0 ctx config))
-
-let test_alloc_efficiency_validation () =
-  let ctx, config = toy_setup () in
-  match Sched.Data_scheduler.run_with ~alloc_efficiency:1.5 ctx config with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected efficiency validation"
+    (Result.is_error (ds_full_set ctx config))
 
 let test_overlap_metrics () =
   let ctx, config = toy_setup () in
@@ -154,7 +170,7 @@ let prop_ablated_cds_equals_ds =
       let config = Fixtures.big_config in
       let ctx = Sched.Sched_ctx.make app clustering in
       match
-        ( Sched.Data_scheduler.run_with ~alloc_efficiency:1.0 ctx config,
+        ( ds_full_set ctx config,
           Cds.Complete_data_scheduler.run_full ~retention:false ctx config )
       with
       | Ok d, Ok c ->
@@ -177,8 +193,6 @@ let tests =
         test_basic_infeasible_when_tight;
       Alcotest.test_case "ds infeasible when tighter" `Quick
         test_ds_infeasible_when_tighter;
-      Alcotest.test_case "alloc efficiency validation" `Quick
-        test_alloc_efficiency_validation;
       Alcotest.test_case "overlap metrics" `Quick test_overlap_metrics;
       QCheck_alcotest.to_alcotest prop_scheduler_ordering;
       QCheck_alcotest.to_alcotest prop_schedules_validate;
