@@ -41,6 +41,32 @@ let split_arrow toks =
   in
   loop [] toks
 
+let no_diag = function [] -> Ok () | d :: _ -> Error (Diag.to_string d)
+
+(* A line's values are judged by the model's own checks, each rule's one
+   statement, on a probe that is valid in everything else: a one-kernel
+   application for [iterations], an external datum for a size. *)
+let probe_kernel =
+  { Kernel_ir.Kernel.id = 0; name = "k"; contexts = 1; exec_cycles = 1 }
+
+let iterations_check iterations =
+  no_diag
+    (Kernel_ir.Application.check ~kernels:[ probe_kernel ] ~data:[]
+       ~iterations)
+
+let size_check name size =
+  no_diag
+    (Kernel_ir.Data.check
+       {
+         Kernel_ir.Data.id = 0;
+         name;
+         size;
+         producer = External;
+         consumers = [ 0 ];
+         final = false;
+         invariant = false;
+       })
+
 (* A machine size is checked by [Config.validate], its one statement, on
    the M1 machine with just that field replaced. *)
 let machine_check update =
@@ -61,23 +87,25 @@ let parse_directive acc lineno toks =
     if acc.builder <> None then Error "duplicate 'app' directive"
     else
       let* iterations = int_tok "iterations" n in
+      let* () = iterations_check iterations in
       acc.builder <- Some (B.create name ~iterations);
       Ok ()
   | "kernel" :: name :: "contexts" :: c :: "cycles" :: cy :: [] ->
     with_builder acc (fun b ->
         let* contexts = int_tok "contexts" c in
         let* cycles = int_tok "cycles" cy in
-        (* [Kernel.check] is the rule's one statement; the builder assigns
-           the id, so any valid one judges just this line's values *)
-        let k =
-          { Kernel_ir.Kernel.id = 0; name; contexts; exec_cycles = cycles }
+        (* the builder assigns the id, so any valid one judges just this
+           line's values *)
+        let* () =
+          no_diag
+            (Kernel_ir.Kernel.check
+               { probe_kernel with name; contexts; exec_cycles = cycles })
         in
-        match Kernel_ir.Kernel.check k with
-        | [] -> Ok (B.kernel name ~contexts ~cycles b)
-        | d :: _ -> Error (Diag.to_string d))
+        Ok (B.kernel name ~contexts ~cycles b))
   | "input" :: name :: "size" :: s :: rest ->
     with_builder acc (fun b ->
         let* size = int_tok "size" s in
+        let* () = size_check name size in
         let invariant, rest =
           match rest with
           | "invariant" :: rest -> (true, rest)
@@ -90,6 +118,7 @@ let parse_directive acc lineno toks =
   | "result" :: name :: "size" :: s :: "from" :: producer :: rest ->
     with_builder acc (fun b ->
         let* size = int_tok "size" s in
+        let* () = size_check name size in
         let* before, after = split_arrow rest in
         if before <> [] then Error "unexpected tokens before '->'"
         else
@@ -104,6 +133,7 @@ let parse_directive acc lineno toks =
   | "final" :: name :: "size" :: s :: "from" :: producer :: [] ->
     with_builder acc (fun b ->
         let* size = int_tok "size" s in
+        let* () = size_check name size in
         Ok (B.final name ~size ~producer b))
   | "partition" :: sizes ->
     if sizes = [] then Error "partition needs at least one size"

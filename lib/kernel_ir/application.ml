@@ -15,6 +15,10 @@ let duplicates names =
     names
   |> List.sort_uniq compare
 
+(* Bounds the products with per-transfer costs (see
+   [Morphosys.Config.max_quantity]) and the per-iteration work of a build. *)
+let max_iterations = 1 lsl 16
+
 let check ~kernels ~data ~iterations =
   let n = List.length kernels in
   let err ?kernel ?data fmt = Diag.v ?kernel ?data Diag.Invalid_app fmt in
@@ -35,6 +39,8 @@ let check ~kernels ~data ~iterations =
     [
       (if iterations <= 0 then
          [ err "iterations must be positive (got %d)" iterations ]
+       else if iterations > max_iterations then
+         [ err "iterations must be at most %d (got %d)" max_iterations iterations ]
        else []);
       (if kernels = [] then [ err "no kernels" ] else []);
       List.concat

@@ -14,7 +14,7 @@ type t = private {
 val check :
   kernels:Kernel.t list -> data:Data.t list -> iterations:int -> Diag.t list
 (** Every violation of the application rules, as [Invalid_app]
-    diagnostics: [iterations > 0]; a non-empty kernel sequence whose ids are
+    diagnostics: [0 < iterations <= 2^16]; a non-empty kernel sequence whose ids are
     exactly [0 .. len-1] in order; {!Kernel.check} and {!Data.check} of
     every element; unique kernel names, data names and data ids; every
     producer/consumer id refers to an existing kernel. [[]] exactly when

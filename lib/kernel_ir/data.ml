@@ -23,6 +23,11 @@ let check t =
          [ Diag.v Diag.Invalid_app "data object %d has an empty name" t.id ]
        else []);
       (if t.size <= 0 then [ e "data %S has non-positive size %d" t.name t.size ]
+       else if t.size > Morphosys.Config.max_quantity then
+         [
+           e "data %S has size %d above the bound %d" t.name t.size
+             Morphosys.Config.max_quantity;
+         ]
        else []);
       (match t.producer with
       | External ->

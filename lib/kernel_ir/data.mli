@@ -29,7 +29,8 @@ type t = {
 
 val check : t -> Diag.t list
 (** Every violation of the per-object rules, as [Invalid_app]
-    diagnostics: non-negative id, non-empty name, positive size; external
+    diagnostics: non-negative id, non-empty name, size in
+    [1 .. Morphosys.Config.max_quantity] ([2^20] words); external
     data must have consumers; a produced result must be consumed or final;
     a kernel cannot consume its own result; consumers of a produced result
     come after the producer; only external data can be [invariant];

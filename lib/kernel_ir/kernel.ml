@@ -6,6 +6,11 @@ let check t =
   let e fmt = Diag.v ~kernel:t.name Diag.Invalid_app fmt in
   let positive what n =
     if n <= 0 then [ e "kernel %S has non-positive %s (%d)" t.name what n ]
+    else if n > Morphosys.Config.max_quantity then
+      [
+        e "kernel %S has %s %d above the bound %d" t.name what n
+          Morphosys.Config.max_quantity;
+      ]
     else []
   in
   List.concat

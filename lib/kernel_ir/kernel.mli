@@ -17,8 +17,9 @@ type t = {
 
 val check : t -> Diag.t list
 (** Every violation of the per-kernel rules, as [Invalid_app]
-    diagnostics: non-negative id, non-empty name, positive contexts and
-    cycles. [[]] for a well-formed kernel. *)
+    diagnostics: non-negative id, non-empty name, contexts and cycles in
+    [1 .. Morphosys.Config.max_quantity] ([2^20]). [[]] for a well-formed
+    kernel. *)
 
 val make : id:id -> name:string -> contexts:int -> exec_cycles:int -> t
 (** @raise Invalid_argument with the first diagnostic of {!check}. *)

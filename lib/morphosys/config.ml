@@ -8,6 +8,11 @@ type t = {
   array_cols : int;
 }
 
+let max_quantity = 1 lsl 20
+
+(* per-word DMA costs and array dimensions *)
+let max_factor = 1 lsl 10
+
 let validate t =
   if t.fb_set_size <= 0 then Error "fb_set_size must be positive"
   else if t.cm_capacity <= 0 then Error "cm_capacity must be positive"
@@ -18,7 +23,22 @@ let validate t =
   else if t.dma_setup_cycles < 0 then Error "dma_setup_cycles must be >= 0"
   else if t.array_rows <= 0 || t.array_cols <= 0 then
     Error "array dimensions must be positive"
-  else Ok ()
+  else
+    match
+      List.find_opt
+        (fun (_, n, bound) -> n > bound)
+        [
+          ("fb_set_size", t.fb_set_size, max_quantity);
+          ("cm_capacity", t.cm_capacity, max_quantity);
+          ("data_cycles_per_word", t.data_cycles_per_word, max_factor);
+          ("context_cycles_per_word", t.context_cycles_per_word, max_factor);
+          ("dma_setup_cycles", t.dma_setup_cycles, max_quantity);
+          ("array dimensions", max t.array_rows t.array_cols, max_factor);
+        ]
+    with
+    | Some (what, _, bound) ->
+      Error (Printf.sprintf "%s must be at most %d" what bound)
+    | None -> Ok ()
 
 let make ?(cm_capacity = 2048) ?(data_cycles_per_word = 1)
     ?(context_cycles_per_word = 1) ?(dma_setup_cycles = 0) ?(array_rows = 8)

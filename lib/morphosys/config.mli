@@ -36,10 +36,23 @@ val make :
   unit ->
   t
 (** General constructor with M1 defaults.
-    @raise Invalid_argument on non-positive sizes or costs. *)
+    @raise Invalid_argument when {!validate} fails. *)
+
+val max_quantity : int
+(** [2^20]: the largest word count (FB set, CM, data object, kernel
+    contexts), cycle count (kernel execution) or DMA setup cost any input
+    may carry. With per-word DMA costs and array dimensions at most
+    [2^10] ({!validate}) and iterations at most [2^16]
+    ({!Kernel_ir.Application.check}), one transfer costs below [2^31]
+    cycles, a round of it below [2^47], and every product the schedulers,
+    [Step_builder.estimate] and the executor form stays below [2^47], far
+    under [max_int] ([2^62 - 1]). *)
 
 val validate : t -> (unit, string) result
-(** Checks internal consistency of the configuration. *)
+(** Checks internal consistency of the configuration: sizes and
+    per-word costs positive, setup cost non-negative; FB set size, CM
+    capacity and setup cost at most {!max_quantity}; per-word costs and
+    array dimensions at most [2^10]. *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -85,6 +85,18 @@ let test_bad_values () =
     "kernel m contexts 0 cycles 5\n";
   expect 6 "kernel \"m\" has non-positive exec cycles (-1)"
     "\nkernel m contexts 4 cycles -1\n";
+  (* every integer that enters a product is bounded *)
+  let huge = string_of_int (max_int / 2) in
+  expect 5 "data \"e\" has size 2305843009213693951 above the bound 1048576"
+    ("input e size " ^ huge ^ " -> k\n");
+  expect 5 "kernel \"m\" has exec cycles 2305843009213693951 above the bound"
+    ("kernel m contexts 4 cycles " ^ huge ^ "\n");
+  expect 5 "fb_set_size must be at most 1048576" ("fb " ^ huge ^ "\n");
+  (match Appdsl.parse "app a iterations 100000\n" with
+  | Error msg ->
+    Alcotest.(check string) "iterations bound at line 1"
+      "line 1: iterations must be at most 65536 (got 100000)" msg
+  | Ok _ -> Alcotest.fail "expected the iteration bound");
   let spec = parse_ok (head ^ "partition 1 1\nfb 512\ncm 64\n") in
   Alcotest.(check int) "good values still parse" 2
     (Kernel_ir.Cluster.n_clusters
