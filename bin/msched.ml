@@ -151,12 +151,11 @@ let gantt_arg =
   let doc = "Print an ASCII Gantt chart of RC array vs DMA channel." in
   Arg.(value & flag & info [ "gantt" ] ~doc)
 
-let cross_set_arg =
-  let doc = "Enable the future-work cross-set retention." in
-  Arg.(value & flag & info [ "cross-set" ] ~doc)
-
 let no_retention_arg =
-  let doc = "Disable inter-cluster retention (ablated CDS)." in
+  let doc =
+    "Disable inter-cluster retention (ablated CDS); only with $(b,cds) or \
+     $(b,cds-xset)."
+  in
   Arg.(value & flag & info [ "no-retention" ] ~doc)
 
 (* -- commands ----------------------------------------------------------- *)
@@ -174,71 +173,54 @@ let list_cmd =
     Term.(const run $ const ())
 
 let run_cmd =
-  let run name file fb cm partition auto scheduler trace gantt cross_set
-      no_retention =
-    match problem_of ~name ~file ~fb ~cm ~partition ~auto with
-    | Error e -> `Error (false, e)
-    | Ok (app, config, clustering) -> (
-      let schedule =
-        match scheduler with
-        | "cds" ->
-          (* the rich CDS path: honours --cross-set/--no-retention and
-             prints the retention decision before the metrics *)
-          Result.map
-            (fun (r : Cds.Complete_data_scheduler.result) ->
-              Format.printf "%a@." Cds.Retention.pp_decision
-                r.Cds.Complete_data_scheduler.retention;
-              r.Cds.Complete_data_scheduler.schedule)
-            (Result.map_error Diag.to_string
-               (Cds.Complete_data_scheduler.run_full ~cross_set
-                  ~retention:(not no_retention)
-                  (Sched.Sched_ctx.make app clustering)
-                  config))
-        | name -> schedule_via_registry ~scheduler:name config app clustering
-      in
-      match schedule with
+  let run name file fb cm partition auto scheduler trace gantt no_retention =
+    let cds = scheduler = "cds" || scheduler = "cds-xset" in
+    if no_retention && not cds then
+      `Error (false, "--no-retention applies only to -s cds and -s cds-xset")
+    else
+      match problem_of ~name ~file ~fb ~cm ~partition ~auto with
       | Error e -> `Error (false, e)
-      | Ok s ->
-        Msim.Validate.check_exn s;
-        Format.printf "%a@." Sched.Schedule.pp_summary s;
-        Format.printf "%a@." Msim.Metrics.pp (Msim.Executor.run config s);
-        if trace then print_string (Msim.Trace.render config s);
-        if gantt then print_string (Msim.Trace.render_gantt config s);
-        `Ok ())
+      | Ok (app, config, clustering) -> (
+        let schedule =
+          if cds then
+            (* CDS's own path: honours --no-retention and prints the
+               retention decision before the metrics *)
+            Result.map
+              (fun (r : Cds.Complete_data_scheduler.result) ->
+                Format.printf "%a@." Cds.Retention.pp_decision
+                  r.Cds.Complete_data_scheduler.retention;
+                r.Cds.Complete_data_scheduler.schedule)
+              (Result.map_error Diag.to_string
+                 (Cds.Complete_data_scheduler.run_full
+                    ~cross_set:(scheduler = "cds-xset")
+                    ~retention:(not no_retention)
+                    (Sched.Sched_ctx.make app clustering)
+                    config))
+          else schedule_via_registry ~scheduler config app clustering
+        in
+        match schedule with
+        | Error e -> `Error (false, e)
+        | Ok s ->
+          Msim.Validate.check_exn s;
+          Format.printf "%a@." Sched.Schedule.pp_summary s;
+          Format.printf "%a@." Msim.Metrics.pp (Msim.Executor.run config s);
+          if trace then print_string (Msim.Trace.render config s);
+          if gantt then print_string (Msim.Trace.render_gantt config s);
+          `Ok ())
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Schedule one workload and print metrics")
     Term.(
       ret
         (const run $ workload_arg $ file_arg $ fb_arg $ cm_arg $ partition_arg
-       $ auto_arg $ scheduler_arg $ trace_arg $ gantt_arg $ cross_set_arg
-       $ no_retention_arg))
+       $ auto_arg $ scheduler_arg $ trace_arg $ gantt_arg $ no_retention_arg))
 
 let compare_cmd =
-  let degrade_arg =
-    Arg.(
-      value & flag
-      & info [ "degrade" ]
-          ~doc:
-            "Graceful degradation: never abort — fall back down the \
-             scheduler ladder (default cds, ds, basic) and print the \
-             degradation chain with each tier's structured diagnostic.")
-  in
-  let ladder_arg =
-    Arg.(
-      value
-      & opt (some (list ~sep:',' string)) None
-      & info [ "ladder" ] ~docv:"NAMES"
-          ~doc:
-            "With $(b,--degrade): the ordered list of registry scheduler \
-             names to fall back through, best first (see \
-             $(b,msched schedulers)).")
-  in
-  let run name file fb cm partition auto degrade ladder =
+  let run name file fb cm partition auto =
     match problem_of ~name ~file ~fb ~cm ~partition ~auto with
     | Error e -> `Error (false, e)
     | Ok (app, config, clustering) ->
-      let c = Cds.Pipeline.run ~degrade ?ladder config app clustering in
+      let c = Cds.Pipeline.run config app clustering in
       let report label = function
         | Ok (s : Cds.Pipeline.scheduled) ->
           Format.printf "%-6s %a@." label Msim.Metrics.pp
@@ -254,9 +236,6 @@ let compare_cmd =
       | Some ds, Some cds ->
         Format.printf "improvement over basic: ds %.1f%%, cds %.1f%%@." ds cds
       | _ -> ());
-      (match c.Cds.Pipeline.degradation with
-      | Some d -> Format.printf "%a" Cds.Pipeline.pp_degradation d
-      | None -> ());
       `Ok ()
   in
   Cmd.v
@@ -264,7 +243,7 @@ let compare_cmd =
     Term.(
       ret
         (const run $ workload_arg $ file_arg $ fb_arg $ cm_arg $ partition_arg
-       $ auto_arg $ degrade_arg $ ladder_arg))
+       $ auto_arg))
 
 let alloc_cmd =
   let run name file fb cm partition =
@@ -395,14 +374,6 @@ let fault_sites_arg =
           "Restrict injection to these sites (comma-separated out of \
            $(b,pool), $(b,sched)); default: all sites.")
 
-let fault_retries_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "fault-retries" ] ~docv:"N"
-        ~doc:
-          "Retry a pool task felled by an injected fault up to N times \
-           (injected faults are transient by construction).")
-
 let arm_faults ~rate ~seed ~sites =
   if rate > 0. then begin
     Engine.Faults.arm (Engine.Faults.plan ~sites ~rate ~seed ());
@@ -459,27 +430,17 @@ let dse_cmd =
              byte-identical to an uninterrupted run.")
   in
   let run name file partition fb_list cm_list setup_list jobs stats csv
-      store_path resume fault_rate fault_seed fault_sites fault_retries =
-    (* every axis value passes the machine check before the store is
-       opened or the pool started, so a bad one is a usage error rather
-       than a crash in every design point that uses it *)
-    let axes_ok () =
-      let m1 = Morphosys.Config.m1 ~fb_set_size:1024 in
-      List.fold_left
-        (fun acc config ->
-          let* () = acc in
-          validate_config config)
-        (Ok ())
-        (List.map (fun fb -> { m1 with fb_set_size = fb }) fb_list
-        @ List.map (fun cm -> { m1 with cm_capacity = cm }) cm_list
-        @ List.map (fun setup -> { m1 with dma_setup_cycles = setup }) setup_list
-        )
-    in
+      store_path resume fault_rate fault_seed fault_sites =
     match
       let* problem =
         problem_of ~name ~file ~fb:None ~cm:None ~partition ~auto:false
       in
-      let* () = axes_ok () in
+      (* every axis value passes the machine check before the store is
+         opened or the pool started: a bad one is a usage error *)
+      let* () =
+        Result.map_error Diag.render
+          (Report.Dse.check_axes ~fb_list ~cm_list ~setup_list)
+      in
       Ok problem
     with
     | Error e -> `Error (false, e)
@@ -517,7 +478,7 @@ let dse_cmd =
         Fun.protect ~finally:Engine.Faults.disarm @@ fun () ->
         let st = if stats then Some (Engine.Stats.create ()) else None in
         let points =
-          Report.Dse.sweep ~jobs ~retries:fault_retries ?stats:st
+          Report.Dse.sweep ~jobs ?stats:st
             ?store:durable ~cm_list ~setup_list ~fb_list app clustering
         in
         (match durable with
@@ -550,7 +511,7 @@ let dse_cmd =
         (const run $ workload_arg $ file_arg $ partition_arg $ fb_list_arg
        $ cm_list_arg $ setup_list_arg $ jobs_arg $ stats_arg $ csv_arg
        $ store_arg $ resume_arg $ fault_rate_arg $ fault_seed_arg
-       $ fault_sites_arg $ fault_retries_arg))
+       $ fault_sites_arg))
 
 (* -- store maintenance (Engine.Store) ------------------------------------ *)
 
@@ -666,8 +627,7 @@ let fuzz_cmd =
              ones and assert every failure is a structured diagnostic — \
              any uncaught exception fails the run.")
   in
-  let run seed count fb jobs stats hostile fault_rate fault_seed fault_sites
-      fault_retries =
+  let run seed count fb jobs stats hostile fault_rate fault_seed fault_sites =
     if count < 0 then `Error (false, "--count must be non-negative")
     else if fb <= 0 then `Error (false, "--fb must be positive")
     else begin
@@ -678,7 +638,7 @@ let fuzz_cmd =
     Fun.protect ~finally:Engine.Faults.disarm @@ fun () ->
     if hostile then begin
       let report =
-        Report.Fuzz.run_hostile ~jobs ~retries:fault_retries ~fb_set_size:fb
+        Report.Fuzz.run_hostile ~jobs ~fb_set_size:fb
           ~seed ~count ()
       in
       Format.printf "%a@." Report.Fuzz.pp_hostile report;
@@ -691,8 +651,7 @@ let fuzz_cmd =
     else begin
       let st = if stats then Some (Engine.Stats.create ()) else None in
       let report =
-        Report.Fuzz.run ~jobs ~retries:fault_retries ~fb_set_size:fb
-          ?stats:st ~seed ~count ()
+        Report.Fuzz.run ~jobs ~fb_set_size:fb ?stats:st ~seed ~count ()
       in
       Format.printf "%a@." Report.Fuzz.pp report;
       (match st with
@@ -714,8 +673,7 @@ let fuzz_cmd =
     Term.(
       ret
         (const run $ seed_arg $ count_arg $ fb_arg $ jobs_arg $ stats_arg
-       $ hostile_arg $ fault_rate_arg $ fault_seed_arg $ fault_sites_arg
-       $ fault_retries_arg))
+       $ hostile_arg $ fault_rate_arg $ fault_seed_arg $ fault_sites_arg))
 
 let table1_cmd =
   let csv_arg =

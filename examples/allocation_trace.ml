@@ -23,7 +23,8 @@ let () =
     let result =
       AA.run
         ~capture:(fun ~cluster_id -> cluster_id = focus)
-        config app clustering ~rf:r.Cds.Complete_data_scheduler.rf
+        config ~analysis:(Sched.Sched_ctx.analysis ctx)
+        ~rf:r.Cds.Complete_data_scheduler.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
     in
     let labels = List.map (fun s -> s.AA.caption) result.AA.snapshots in

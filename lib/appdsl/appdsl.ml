@@ -9,6 +9,9 @@ type spec = {
 
 type accum = {
   mutable builder : B.t option;
+  kernels : (string, unit) Hashtbl.t;  (** kernel names declared so far *)
+  mutable uses : (int * string list) list;
+      (** line, kernels a data line names; latest first *)
   mutable acc_partition : (int * int list) option;  (** line, sizes *)
   mutable acc_fb : int option;
   mutable acc_cm : int option;
@@ -80,6 +83,22 @@ let with_builder acc f =
     acc.builder <- Some b';
     Ok ()
 
+(* A data line may name a kernel declared further down, so its kernel
+   names are checked once the whole spec is read ([unknown_kernel]). *)
+let uses acc lineno kernels b =
+  acc.uses <- (lineno, kernels) :: acc.uses;
+  Ok b
+
+let unknown_kernel acc =
+  List.find_map
+    (fun (lineno, kernels) ->
+      List.find_map
+        (fun k ->
+          if Hashtbl.mem acc.kernels k then None
+          else Some (Printf.sprintf "line %d: unknown kernel %S" lineno k))
+        kernels)
+    (List.rev acc.uses)
+
 let parse_directive acc lineno toks =
   match toks with
   | [] -> Ok ()
@@ -101,7 +120,12 @@ let parse_directive acc lineno toks =
             (Kernel_ir.Kernel.check
                { probe_kernel with name; contexts; exec_cycles = cycles })
         in
-        Ok (B.kernel name ~contexts ~cycles b))
+        if Hashtbl.mem acc.kernels name then
+          Error (Printf.sprintf "duplicate kernel name %S" name)
+        else begin
+          Hashtbl.replace acc.kernels name ();
+          Ok (B.kernel name ~contexts ~cycles b)
+        end)
   | "input" :: name :: "size" :: s :: rest ->
     with_builder acc (fun b ->
         let* size = int_tok "size" s in
@@ -114,7 +138,8 @@ let parse_directive acc lineno toks =
         let* before, consumers = split_arrow rest in
         if before <> [] then Error "unexpected tokens before '->'"
         else if consumers = [] then Error "input needs at least one consumer"
-        else Ok (B.input ~invariant name ~size ~consumers b))
+        else
+          uses acc lineno consumers (B.input ~invariant name ~size ~consumers b))
   | "result" :: name :: "size" :: s :: "from" :: producer :: rest ->
     with_builder acc (fun b ->
         let* size = int_tok "size" s in
@@ -129,12 +154,14 @@ let parse_directive acc lineno toks =
           in
           if consumers = [] then
             Error "result needs at least one consumer (or use 'final')"
-          else Ok (B.result ~final name ~size ~producer ~consumers b))
+          else
+            uses acc lineno (producer :: consumers)
+              (B.result ~final name ~size ~producer ~consumers b))
   | "final" :: name :: "size" :: s :: "from" :: producer :: [] ->
     with_builder acc (fun b ->
         let* size = int_tok "size" s in
         let* () = size_check name size in
-        Ok (B.final name ~size ~producer b))
+        uses acc lineno [ producer ] (B.final name ~size ~producer b))
   | "partition" :: sizes ->
     if sizes = [] then Error "partition needs at least one size"
     else
@@ -162,7 +189,14 @@ let parse_directive acc lineno toks =
 
 let parse text =
   let acc =
-    { builder = None; acc_partition = None; acc_fb = None; acc_cm = None }
+    {
+      builder = None;
+      kernels = Hashtbl.create 16;
+      uses = [];
+      acc_partition = None;
+      acc_fb = None;
+      acc_cm = None;
+    }
   in
   let lines = String.split_on_char '\n' text in
   let rec loop lineno = function
@@ -173,6 +207,7 @@ let parse text =
       | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
   let* () = loop 1 lines in
+  let* () = Option.fold ~none:(Ok ()) ~some:Result.error (unknown_kernel acc) in
   match acc.builder with
   | None -> Error "empty specification (no 'app' directive)"
   | Some b -> (

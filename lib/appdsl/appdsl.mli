@@ -39,7 +39,9 @@ type spec = {
 val parse : string -> (spec, string) result
 (** Never raises: every failure is an [Error] (property-tested on mutated
     text), and one in a directive carries its line number. A [kernel]
-    must pass [Kernel_ir.Kernel.check], a [partition] must pass
+    must pass [Kernel_ir.Kernel.check] and not repeat an earlier kernel's
+    name, every kernel a data line names must be declared somewhere in
+    the spec, a [partition] must pass
     [Kernel_ir.Cluster.check_partition] against the kernel count, and
     [fb] / [cm] must pass [Morphosys.Config.validate], so building the
     clustering and machine from a parsed spec never raises either. *)

@@ -66,9 +66,9 @@ let is_retained state (d : Data.t) set =
       c.Sharing.set = set && (Sharing.data c).Data.id = d.Data.id)
     state.retained
 
-let run ?analysis ?(capture = fun ~cluster_id:_ -> true)
-    (config : Morphosys.Config.t) app clustering ~rf
-    ~(retention : Retention.decision) ~round =
+let run ?(capture = fun ~cluster_id:_ -> true) (config : Morphosys.Config.t)
+    ~(analysis : Kernel_ir.Analysis.t) ~rf ~(retention : Retention.decision)
+    ~round =
   if rf < 1 then invalid_arg "Allocation_algorithm.run: rf must be >= 1";
   if round < 0 then invalid_arg "Allocation_algorithm.run: negative round";
   let state =
@@ -86,11 +86,7 @@ let run ?analysis ?(capture = fun ~cluster_id:_ -> true)
     if d.Data.invariant then [ 0 ] else List.init rf (fun i -> base + i)
   in
   let iters g_fun = List.iter g_fun (List.init rf (fun i -> base + i)) in
-  let profiles =
-    match analysis with
-    | Some a -> Kernel_ir.Analysis.profiles_list a
-    | None -> IE.profiles app clustering
-  in
+  let app = analysis.Kernel_ir.Analysis.app in
   List.iter
     (fun (prof : IE.cluster_profile) ->
       let c = prof.IE.cluster in
@@ -206,7 +202,7 @@ let run ?analysis ?(capture = fun ~cluster_id:_ -> true)
         (Layout.placements lay);
       state.peaks <- (cid, !peak) :: state.peaks;
       if cap then snap state set (Printf.sprintf "post-Cl%d" cid))
-    profiles;
+    (Kernel_ir.Analysis.profiles_list analysis);
   {
     snapshots = List.rev state.snapshots;
     stats =

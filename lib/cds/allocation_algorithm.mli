@@ -35,16 +35,14 @@ type result = {
 }
 
 val run :
-  ?analysis:Kernel_ir.Analysis.t ->
   ?capture:(cluster_id:int -> bool) ->
   Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
+  analysis:Kernel_ir.Analysis.t ->
   rf:int ->
   retention:Retention.decision ->
   round:int ->
   result
 (** [capture] selects the clusters whose snapshots are recorded (default:
-    all). [analysis] supplies precomputed cluster profiles (must belong to
-    the same [(app, clustering)]); without it the profiles are re-derived.
+    all). [analysis] is the application and clustering to allocate, with
+    their cluster profiles.
     @raise Invalid_argument if [rf < 1] or [round < 0]. *)

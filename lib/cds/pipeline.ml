@@ -1,13 +1,5 @@
 type scheduled = { schedule : Sched.Schedule.t; metrics : Msim.Metrics.t }
 
-let default_ladder = [ "cds"; "ds"; "basic" ]
-
-type degradation = {
-  delivered : string option;
-  chain : (string * Diag.t) list;
-  fallback : scheduled option;
-}
-
 type comparison = {
   app : Kernel_ir.Application.t;
   config : Morphosys.Config.t;
@@ -15,64 +7,25 @@ type comparison = {
   basic : (scheduled, string) result;
   ds : (scheduled, string) result;
   cds : (scheduled * Complete_data_scheduler.result, string) result;
-  degradation : degradation option;
 }
 
-let simulate ~validate config schedule =
-  if validate then Msim.Validate.check_exn schedule;
+let simulate config schedule =
+  Msim.Validate.check_exn schedule;
   { schedule; metrics = Msim.Executor.run config schedule }
 
-let run ?(validate = true) ?(retention = true) ?(cross_set = false)
-    ?(degrade = false) ?(ladder = default_ladder) config app clustering =
-  (* one analysis context serves every scheduler in the registry *)
+let run ?(retention = true) ?(cross_set = false) config app clustering =
+  (* one analysis context serves every scheduler *)
   let ctx = Sched.Sched_ctx.make app clustering in
-  (* Graceful mode: nothing raises. Validation failures (and any other
-     exception a tier's path throws) become that tier's diagnostic and
-     the comparison records the degradation chain down the ladder
-     (default CDS -> DS -> Basic). Otherwise a validation failure raises. *)
-  let sim ~scheduler schedule =
-    if degrade then
-      Diag.protect ~scheduler ~code:Diag.Sim_divergence (fun () ->
-          simulate ~validate config schedule)
-    else Ok (simulate ~validate config schedule)
-  in
   let tier name =
-    Result.bind
-      (Sched.Scheduler_registry.run name ctx config)
-      (sim ~scheduler:name)
+    Result.map (simulate config) (Sched.Scheduler_registry.run name ctx config)
   in
   let basic = tier "basic" in
   let ds = tier "ds" in
   let cds =
-    Result.bind
-      (Complete_data_scheduler.run_full ~retention ~cross_set ctx config)
+    Result.map
       (fun (r : Complete_data_scheduler.result) ->
-        Result.map
-          (fun s -> (s, r))
-          (sim ~scheduler:"cds" r.Complete_data_scheduler.schedule))
-  in
-  let degradation =
-    if not degrade then None
-    else
-      (* The three standard tiers above are reused when the ladder names
-         them; any other name dispatches through the registry, so a custom
-         ladder (say ["cds-xset"; "ds"]) degrades — and reports — exactly
-         the tiers the caller asked for. *)
-      let attempt = function
-        | "basic" -> basic
-        | "ds" -> ds
-        | "cds" -> Result.map fst cds
-        | name -> tier name
-      in
-      let rec walk acc = function
-        | [] -> { delivered = None; chain = List.rev acc; fallback = None }
-        | name :: rest -> (
-          match attempt name with
-          | Ok s ->
-            { delivered = Some name; chain = List.rev acc; fallback = Some s }
-          | Error d -> walk ((name, d) :: acc) rest)
-      in
-      Some (walk [] ladder)
+        (simulate config r.Complete_data_scheduler.schedule, r))
+      (Complete_data_scheduler.run_full ~retention ~cross_set ctx config)
   in
   {
     app;
@@ -81,22 +34,7 @@ let run ?(validate = true) ?(retention = true) ?(cross_set = false)
     basic = Result.map_error Diag.to_string basic;
     ds = Result.map_error Diag.to_string ds;
     cds = Result.map_error Diag.to_string cds;
-    degradation;
   }
-
-let degraded_schedule t =
-  match t.degradation with
-  | Some { delivered = Some name; fallback = Some s; _ } -> Some (name, s)
-  | _ -> None
-
-let pp_degradation fmt d =
-  List.iter
-    (fun (name, diag) ->
-      Format.fprintf fmt "%s unavailable: %s@." name (Diag.render diag))
-    d.chain;
-  match d.delivered with
-  | Some name -> Format.fprintf fmt "delivered by %s@." name
-  | None -> Format.fprintf fmt "no scheduler tier is feasible@."
 
 let improvement t which =
   match (t.basic, which) with
@@ -124,10 +62,10 @@ let dt_words t =
     Some r.Complete_data_scheduler.data_words_avoided_per_iteration
   | Error _ -> None
 
-let auto_clustering ?(scheduler = "cds") config app =
+let auto_clustering config app =
   Sched.Kernel_scheduler.best app ~eval:(fun clustering ->
       match
-        Sched.Scheduler_registry.run scheduler
+        Sched.Scheduler_registry.run "cds"
           (Sched.Sched_ctx.make app clustering)
           config
       with
@@ -138,8 +76,8 @@ let allocation_report config app clustering =
   let ctx = Sched.Sched_ctx.make app clustering in
   Result.map
     (fun (r : Complete_data_scheduler.result) ->
-      Allocation_algorithm.run ~analysis:(Sched.Sched_ctx.analysis ctx) config
-        app clustering ~rf:r.Complete_data_scheduler.rf
+      Allocation_algorithm.run config ~analysis:(Sched.Sched_ctx.analysis ctx)
+        ~rf:r.Complete_data_scheduler.rf
         ~retention:r.Complete_data_scheduler.retention ~round:0)
     (Result.map_error Diag.to_string
        (Complete_data_scheduler.run_full ctx config))

@@ -33,20 +33,6 @@ let pinned_for ~retained ~cluster =
 
 type ranking = [ `Tf | `Fifo | `Smallest_first | `Largest_first ]
 
-let order ranking ~tds candidates =
-  let size c = (Sharing.data c).Data.size in
-  let data_id c = (Sharing.data c).Data.id in
-  match ranking with
-  | `Tf -> Time_factor.rank ~tds candidates
-  | `Fifo ->
-    List.sort (fun a b -> compare (data_id a) (data_id b)) candidates
-  | `Smallest_first ->
-    List.sort (fun a b -> compare (size a, data_id a) (size b, data_id b))
-      candidates
-  | `Largest_first ->
-    List.sort (fun a b -> compare (size b, data_id a) (size a, data_id b))
-      candidates
-
 (* Words of external traffic a retained candidate avoids, averaged per
    iteration. Ordinary shared objects save transfers within every iteration
    (the static [avoided_words]); an invariant table is loaded once for the
@@ -59,6 +45,30 @@ let effective_avoided ~rf ~iterations (candidate : Sharing.t) =
     d.Data.size * (loads_without - 1) / iterations
   else candidate.Sharing.avoided_words
 
+(* The paper's order: rank by traffic actually avoided at this rf (reduces
+   to the TF order when no invariant data is involved). *)
+let tf_order ~rf ~iterations ~tds candidates =
+  List.stable_sort
+    (fun a b ->
+      compare
+        (effective_avoided ~rf ~iterations b)
+        (effective_avoided ~rf ~iterations a))
+    (Time_factor.rank ~tds candidates)
+
+let order ranking ~rf ~iterations ~tds candidates =
+  let size c = (Sharing.data c).Data.size in
+  let data_id c = (Sharing.data c).Data.id in
+  match ranking with
+  | `Tf -> tf_order ~rf ~iterations ~tds candidates
+  | `Fifo ->
+    List.sort (fun a b -> compare (data_id a) (data_id b)) candidates
+  | `Smallest_first ->
+    List.sort (fun a b -> compare (size a, data_id a) (size b, data_id b))
+      candidates
+  | `Largest_first ->
+    List.sort (fun a b -> compare (size b, data_id a) (size a, data_id b))
+      candidates
+
 let choose ?(cross_set = false) ?(ranking = `Tf)
     (config : Morphosys.Config.t) app clustering ~rf =
   if rf < 1 then invalid_arg "Retention.choose: rf must be >= 1";
@@ -67,18 +77,8 @@ let choose ?(cross_set = false) ?(ranking = `Tf)
   let profile_of id = List.nth profiles id in
   let tds = Time_factor.tds app in
   let ranked =
-    match ranking with
-    | `Tf ->
-      (* rank by traffic actually avoided at this rf (reduces to the TF
-         order when no invariant data is involved) *)
-      List.stable_sort
-        (fun a b ->
-          compare
-            (effective_avoided ~rf ~iterations b)
-            (effective_avoided ~rf ~iterations a))
-        (Time_factor.rank ~tds (Sharing.candidates ~cross_set app clustering))
-    | ranking ->
-      order ranking ~tds (Sharing.candidates ~cross_set app clustering)
+    order ranking ~rf ~iterations ~tds
+      (Sharing.candidates ~cross_set app clustering)
   in
   let fits retained (candidate : Sharing.t) =
     (* Re-check every same-set cluster the candidate occupies space during
@@ -271,7 +271,7 @@ let commit_pin st (d : Data.t) =
    affected cluster's pinned set and DS split from scratch per candidate.
    Rejected candidates never touch the state, so cached splits stay
    exact. *)
-let choose_ctx ?(cross_set = false) ?(ranking = `Tf)
+let choose_ctx ?(cross_set = false)
     (config : Morphosys.Config.t) (ctx : Sched.Sched_ctx.t) ~rf =
   if rf < 1 then invalid_arg "Retention.choose: rf must be >= 1";
   let analysis = Sched.Sched_ctx.analysis ctx in
@@ -279,16 +279,7 @@ let choose_ctx ?(cross_set = false) ?(ranking = `Tf)
   let iterations = app.Kernel_ir.Application.iterations in
   let tds = Kernel_ir.Analysis.tds analysis in
   let ranked =
-    match ranking with
-    | `Tf ->
-      List.stable_sort
-        (fun a b ->
-          compare
-            (effective_avoided ~rf ~iterations b)
-            (effective_avoided ~rf ~iterations a))
-        (Time_factor.rank ~tds (Sharing.candidates_ctx ~cross_set analysis))
-    | ranking ->
-      order ranking ~tds (Sharing.candidates_ctx ~cross_set analysis)
+    tf_order ~rf ~iterations ~tds (Sharing.candidates_ctx ~cross_set analysis)
   in
   let n = Kernel_ir.Analysis.n_clusters analysis in
   let states =

@@ -40,13 +40,12 @@ val choose :
 
 val choose_ctx :
   ?cross_set:bool ->
-  ?ranking:ranking ->
   Morphosys.Config.t ->
   Sched.Sched_ctx.t ->
   rf:int ->
   decision
-(** Same decision as {!choose} (identical retained/rejected lists and
-    rejection strings), computed incrementally over a precomputed
+(** Same decision as {!choose} in the paper's [`Tf] ranking (identical
+    retained/rejected lists and rejection strings), computed incrementally over a precomputed
     scheduling context: each cluster keeps the sweep arrays of the DS
     closed form, pins update them in place, and a candidate's feasibility
     is an O(cluster kernels) query instead of a from-scratch profile walk.

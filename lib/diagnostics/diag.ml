@@ -99,12 +99,3 @@ let guard ?scheduler f =
   | exception e ->
     let backtrace = Printexc.get_backtrace () in
     Error (of_exn ?scheduler ~backtrace e)
-
-let protect ?scheduler ~code f =
-  match f () with
-  | x -> Ok x
-  | exception e ->
-    let backtrace = Printexc.get_backtrace () in
-    Error
-      (v ?scheduler ~backtrace code "%s"
-         (match e with Failure m | Invalid_argument m -> m | e -> Printexc.to_string e))

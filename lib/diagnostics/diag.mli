@@ -2,8 +2,8 @@
 
     Every failure the stack can produce — legitimate infeasibility (a
     cluster's footprint exceeding the frame buffer, no feasible reuse
-    factor), malformed inputs, simulator divergence, crashed or timed-out
-    pool tasks, injected faults — is described by one {!t}: a
+    factor), malformed inputs, simulator divergence, crashed pool tasks,
+    injected faults, damaged stores — is described by one {!t}: a
     machine-readable {!code}, the cluster/kernel/data context it refers
     to, a severity, and a human rendering. Producers build diagnostics
     with {!v}; consumers either match on {!code} (machine path) or print
@@ -86,7 +86,3 @@ val of_exn : ?scheduler:string -> ?backtrace:string -> exn -> t
 val guard : ?scheduler:string -> (unit -> 'a) -> ('a, t) result
 (** Run the thunk, converting any exception into a diagnostic via
     {!of_exn} with the backtrace captured. *)
-
-val protect : ?scheduler:string -> code:code -> (unit -> 'a) -> ('a, t) result
-(** Like {!guard} but forces the resulting code — e.g.
-    [protect ~code:Sim_divergence] around the semantic validator. *)

@@ -15,8 +15,8 @@
 
 exception Injected of string
 (** [Injected "site#n"] — the injected failure. Transient by
-    construction: the visit counter has advanced, so a bounded retry
-    (see {!Pool.run_results}) usually succeeds. *)
+    construction: the visit counter has advanced, so nothing that depends
+    on it may be persisted; a resumed sweep recomputes a felled point. *)
 
 type plan = { seed : int; rate : float; sites : string list }
 

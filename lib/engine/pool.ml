@@ -1,50 +1,44 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-(* Run one task to an [(value, (exn, backtrace)) result], retrying
-   injected (transient) faults up to [retries] times. *)
-let attempt ~retries f =
-  let rec go retries_left =
-    match
-      Faults.hit "pool";
-      f ()
-    with
-    | v -> Ok v
-    | exception Faults.Injected _ when retries_left > 0 ->
-      go (retries_left - 1)
-    | exception e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  go retries
-
-let diag_of_failure (e, bt) =
-  let backtrace = Printexc.raw_backtrace_to_string bt in
-  match e with
-  | Faults.Injected site ->
-    Diag.v ~backtrace Diag.Fault_injected "injected fault at %s" site
-  | e ->
-    Diag.v ~backtrace Diag.Task_crashed "task raised %s" (Printexc.to_string e)
+(* Run one task behind the "pool" fault site; a failure becomes its
+   diagnostic. *)
+let attempt f =
+  match
+    Faults.hit "pool";
+    f ()
+  with
+  | v -> Ok v
+  | exception e -> (
+    let backtrace = Printexc.get_backtrace () in
+    match e with
+    | Faults.Injected site ->
+      Error (Diag.v ~backtrace Diag.Fault_injected "injected fault at %s" site)
+    | e ->
+      Error
+        (Diag.v ~backtrace Diag.Task_crashed "task raised %s"
+           (Printexc.to_string e)))
 
 (* Work-stealing is overkill for coarse scheduler tasks: a shared atomic
    next-task counter gives dynamic load balancing with no queues, and the
    results array (one writer per slot, read only after the joins) keeps the
    output in task order regardless of which domain ran what. *)
-let run_results ?(jobs = 1) ?(retries = 0) (tasks : (unit -> 'a) array) =
+let run_results ?(jobs = 1) (tasks : (unit -> 'a) array) =
   if jobs < 1 then
     invalid_arg
       (Printf.sprintf "Engine.Pool.run_results: jobs must be >= 1 (got %d)"
          jobs);
-  let run f = Result.map_error diag_of_failure (attempt ~retries f) in
   let n = Array.length tasks in
   let jobs = min jobs n in
   if jobs <= 1 then
     (* n = 0 lands here too: no domain is ever spawned for an empty array *)
-    Array.map run tasks
+    Array.map attempt tasks
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let rec worker () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        results.(i) <- Some (run tasks.(i));
+        results.(i) <- Some (attempt tasks.(i));
         worker ()
       end
     in

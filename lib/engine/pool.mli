@@ -13,26 +13,20 @@
 
     Tasks must not themselves spawn domains per task and should be pure
     (or touch only domain-safe state): the pool guarantees each task runs
-    once (plus bounded retries when requested), but makes no promise
-    about which domain runs it. *)
+    once, but makes no promise about which domain runs it. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism
     available to this process. *)
 
 val run_results :
-  ?jobs:int -> ?retries:int -> (unit -> 'a) array -> ('a, Diag.t) result array
+  ?jobs:int -> (unit -> 'a) array -> ('a, Diag.t) result array
 (** [run_results ~jobs tasks] evaluates the tasks on
     [min jobs (length tasks)] domains (the caller counts as one worker),
     or on fewer when the runtime cannot spawn that many domains.
     Slot [i] is [Ok v] or [Error diag], where the diagnostic is
     [Fault_injected] for an {!Faults.Injected} fault and [Task_crashed]
     (with backtrace) otherwise. An empty task array returns [[||]]
-    without spawning any domain.
-
-    [~retries] (default 0) re-runs a task that failed with an injected
-    fault up to that many times — injected faults are transient by
-    construction, so bounded retry absorbs them; crashes are never
-    retried.
+    without spawning any domain. A failed task is never re-run.
     @raise Invalid_argument if [jobs < 1] (callers mapping "0 = auto"
     must resolve it with {!recommended_jobs} first). *)

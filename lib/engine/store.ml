@@ -173,41 +173,37 @@ let quarantine_tail path raw ~from =
   output_string oc tail;
   close_durably oc
 
-let open_ ?(create = true) ~schema path =
+let open_ ~schema path =
   let fresh =
     (not (Sys.file_exists path))
     || (Unix.stat path).Unix.st_size = 0 (* a pre-touched empty file *)
   in
-  if fresh && not create then
-    Error (corrupt ~severity:Diag.Error "no store at %s" path)
-  else begin
-    if fresh then write_atomically path [ header schema ];
-    match scan path with
-    | Error d -> Error d
-    | Ok (sc, raw) ->
-      if sc.s_schema <> schema then
-        Error
-          (Diag.v Diag.Sweep_mismatch
-             "store %s has schema version %d; this code reads schema %d — \
-              refusing to mix them"
-             path sc.s_schema schema)
-      else begin
-        let warnings =
-          match sc.s_corruption with
-          | None -> []
-          | Some d ->
-            quarantine_tail path raw ~from:sc.s_good_bytes;
-            [ d ]
-        in
-        let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-        (match sc.s_corruption with
-        | Some _ -> Unix.ftruncate fd sc.s_good_bytes
-        | None -> ());
-        ignore (Unix.lseek fd 0 Unix.SEEK_END);
-        let table, _ = live_of_records sc.s_records in
-        Ok { fd; mutex = Mutex.create (); table; warnings; closed = false }
-      end
-  end
+  if fresh then write_atomically path [ header schema ];
+  match scan path with
+  | Error d -> Error d
+  | Ok (sc, raw) ->
+    if sc.s_schema <> schema then
+      Error
+        (Diag.v Diag.Sweep_mismatch
+           "store %s has schema version %d; this code reads schema %d — \
+            refusing to mix them"
+           path sc.s_schema schema)
+    else begin
+      let warnings =
+        match sc.s_corruption with
+        | None -> []
+        | Some d ->
+          quarantine_tail path raw ~from:sc.s_good_bytes;
+          [ d ]
+      in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+      (match sc.s_corruption with
+      | Some _ -> Unix.ftruncate fd sc.s_good_bytes
+      | None -> ());
+      ignore (Unix.lseek fd 0 Unix.SEEK_END);
+      let table, _ = live_of_records sc.s_records in
+      Ok { fd; mutex = Mutex.create (); table; warnings; closed = false }
+    end
 
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 let mem t key = with_lock t (fun () -> Hashtbl.mem t.table key)

@@ -31,8 +31,8 @@ type t
 val format_version : int
 (** Version of the file framing itself (header + record layout). *)
 
-val open_ : ?create:bool -> schema:int -> string -> (t, Diag.t) result
-(** Open (or with [create], default [true], create) the store at a path.
+val open_ : schema:int -> string -> (t, Diag.t) result
+(** Open (or create) the store at a path.
     [schema] is the caller's payload schema version, checked against the
     header. Tail corruption is quarantined (see above) and reported via
     {!warnings}; header/format/schema problems are returned as [Error]

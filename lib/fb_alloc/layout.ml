@@ -30,11 +30,6 @@ let placement_of_opt t ~label =
     (fun intervals -> { label; intervals })
     (Hashtbl.find_opt t.placed_table label)
 
-let placement_of t ~label =
-  match placement_of_opt t ~label with
-  | Some p -> p
-  | None -> invalid_arg ("Layout.placement_of: not placed: " ^ label)
-
 let placements t =
   Hashtbl.fold
     (fun label intervals acc -> { label; intervals } :: acc)

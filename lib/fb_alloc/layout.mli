@@ -33,9 +33,6 @@ val placed : t -> label:string -> bool
 
 val placement_of_opt : t -> label:string -> placement option
 
-val placement_of : t -> label:string -> placement
-(** @raise Invalid_argument naming the label if it is not placed. *)
-
 val placements : t -> placement list
 (** Sorted by first interval address. *)
 

@@ -38,8 +38,6 @@ val cluster_of_kernel : clustering -> Kernel.id -> t
 (** @raise Invalid_argument naming the kernel id if it is in no
     cluster. *)
 
-val cluster_of_kernel_opt : clustering -> Kernel.id -> t option
-
 val find : clustering -> int -> t
 (** Cluster by id. @raise Invalid_argument naming the id. *)
 

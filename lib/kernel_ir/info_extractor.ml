@@ -107,11 +107,6 @@ type shared =
 let shared_of_data = function
   | Shared_data { data; _ } | Shared_result { data; _ } -> data
 
-let clusters_involved = function
-  | Shared_data { consumer_clusters; _ } -> consumer_clusters
-  | Shared_result { producer_cluster; consumer_clusters; _ } ->
-    producer_cluster :: consumer_clusters
-
 let sharing app clustering =
   List.filter_map
     (fun (d : Data.t) ->

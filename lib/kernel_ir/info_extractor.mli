@@ -42,7 +42,6 @@ val profile :
 val profiles : Application.t -> Cluster.clustering -> cluster_profile list
 
 val produced_in : Cluster.t -> Data.t -> bool
-val consumed_in : Cluster.t -> Data.t -> bool
 
 val last_consumer_in : Cluster.t -> Data.t -> Kernel.id option
 (** Last consumer of the object among the cluster's kernels. *)
@@ -71,8 +70,5 @@ val shared_of_data : shared -> Data.t
 val sharing : Application.t -> Cluster.clustering -> shared list
 (** All sharing candidates, regardless of FB-set compatibility (the
     retention pass filters by set). *)
-
-val clusters_involved : shared -> int list
-(** Producer (if any) followed by consumer clusters, ascending. *)
 
 val pp_shared : Format.formatter -> shared -> unit

@@ -46,6 +46,22 @@ let machine ~fb ~cm ~setup =
   Morphosys.Config.make ~fb_set_size:fb ~cm_capacity:cm ~dma_setup_cycles:setup
     ()
 
+(* Each axis value is judged by [Config.validate] on the M1 machine with
+   just that field replaced, so a bad value is one diagnostic rather than a
+   failure in every design point that uses it. *)
+let check_axes ~fb_list ~cm_list ~setup_list =
+  let m1 = Morphosys.Config.m1 ~fb_set_size:1024 in
+  List.fold_left
+    (fun acc config ->
+      Result.bind acc (fun () ->
+          Result.map_error
+            (fun msg -> Diag.v Diag.Invalid_config "%s" msg)
+            (Morphosys.Config.validate config)))
+    (Ok ())
+    (List.map (fun fb -> { m1 with fb_set_size = fb }) fb_list
+    @ List.map (fun cm -> { m1 with cm_capacity = cm }) cm_list
+    @ List.map (fun setup -> { m1 with dma_setup_cycles = setup }) setup_list)
+
 (* The sweep axis: the paper's three tiers. *)
 let schedulers = [ "basic"; "ds"; "cds" ]
 
@@ -158,7 +174,10 @@ module Durable = struct
 
   let open_ ?(resume = false) ~path ?(cm_list = [ 2048 ])
       ?(setup_list = [ 0 ]) ~fb_list app clustering =
-    match Engine.Key.digest_value_result (app, clustering) with
+    match
+      Result.bind (check_axes ~fb_list ~cm_list ~setup_list) (fun () ->
+          Engine.Key.digest_value_result (app, clustering))
+    with
     | Error d -> Error d
     | Ok app_digest ->
       let identity = identity_of ~app_digest ~cm_list ~setup_list ~fb_list in
@@ -255,8 +274,11 @@ module Durable = struct
   let close t = Engine.Store.close t.store
 end
 
-let sweep ?(jobs = 1) ?retries ?stats ?store ?(cm_list = [ 2048 ])
+let sweep ?(jobs = 1) ?stats ?store ?(cm_list = [ 2048 ])
     ?(setup_list = [ 0 ]) ~fb_list app clustering =
+  (match check_axes ~fb_list ~cm_list ~setup_list with
+  | Ok () -> ()
+  | Error d -> invalid_arg ("Report.Dse.sweep: " ^ Diag.to_string d));
   let combos =
     List.concat_map
       (fun fb ->
@@ -343,8 +365,7 @@ let sweep ?(jobs = 1) ?retries ?stats ?store ?(cm_list = [ 2048 ])
     | _ -> evaluate []
   in
   let slots =
-    Engine.Pool.run_results ~jobs ?retries
-      (Array.of_list (List.map task pending))
+    Engine.Pool.run_results ~jobs (Array.of_list (List.map task pending))
   in
   (* A crashed task is isolated into an infeasible point carrying its
      diagnostic; the rest of the sweep is unaffected. *)

@@ -24,6 +24,17 @@ val schedulers : string list
 (** [["basic"; "ds"; "cds"]] — the registry names the sweep crosses
     with the machine axes. *)
 
+val check_axes :
+  fb_list:int list ->
+  cm_list:int list ->
+  setup_list:int list ->
+  (unit, Diag.t) result
+(** The sweep's input check: every axis value must pass
+    {!Morphosys.Config.validate} on the M1 machine with just that field
+    replaced. [Error] is the first failure's [INVALID_CONFIG] diagnostic,
+    FB values first, then CM, then DMA setup. {!Durable.open_} returns it
+    and {!sweep} raises on it. *)
+
 (** Durable sweep state: an on-disk, crash-recoverable record of a
     sweep's completed design points.
 
@@ -54,7 +65,8 @@ module Durable : sig
   (** Open (or create) the store at [path] for the sweep identified by
       the given application, clustering and axis lists. A store without
       an identity record (fresh, or with record 0 torn) is claimed by
-      appending this sweep's identity.
+      appending this sweep's identity. Bad axis values are refused first,
+      with {!check_axes}'s [INVALID_CONFIG] diagnostic.
 
       Without [~resume] (the default) an existing non-empty [path] is
       refused with a [SWEEP_MISMATCH] diagnostic — overwriting a
@@ -95,7 +107,6 @@ end
 
 val sweep :
   ?jobs:int ->
-  ?retries:int ->
   ?stats:Engine.Stats.t ->
   ?store:Durable.t ->
   ?cm_list:int list ->
@@ -130,13 +141,12 @@ val sweep :
     the points in flight. The store's sweep identity must match the
     requested axes and application (@raise Invalid_argument otherwise —
     open the store with {!Durable.open_} on the same arguments you pass
-    here). A resumed sweep returns a point list byte-identical to an
+    here). It raises [Invalid_argument] too when {!check_axes} fails. A resumed sweep returns a point list byte-identical to an
     uninterrupted run.
 
-    The sweep is fault-isolated: a design-point task that crashes (or
-    exhausts its [~retries] against injected faults) becomes an
-    infeasible point carrying the failure in [diag]; every other point is
-    still computed and returned. Neither a crashed point nor a point
+    The sweep is fault-isolated: a design-point task that crashes or is
+    felled by an injected fault becomes an infeasible point carrying the
+    failure in [diag]; every other point is still computed and returned. Neither a crashed point nor a point
     felled by an injected {!Engine.Faults} fault is ever persisted or
     quarantined: both are transient, and a later resume recomputes (or
     replays) them. *)

@@ -58,11 +58,11 @@ let fuzz_one ~seed ~fb_set_size ?stats index =
    that escapes a task is a crash — a real bug. *)
 let absorbed (d : Diag.t) = d.Diag.code = Diag.Fault_injected
 
-let run ?(jobs = 1) ?retries ?(fb_set_size = 4096) ?stats ~seed ~count () =
+let run ?(jobs = 1) ?(fb_set_size = 4096) ?stats ~seed ~count () =
   let tasks =
     Array.init count (fun i () -> fuzz_one ~seed ~fb_set_size ?stats i)
   in
-  let outcomes = Engine.Pool.run_results ~jobs ?retries tasks in
+  let outcomes = Engine.Pool.run_results ~jobs tasks in
   let checked = ref 0 and infeasible = ref 0 and faulted = ref 0 in
   let violations = ref [] and ordering = ref [] and crashes = ref [] in
   Array.iteri
@@ -368,11 +368,11 @@ let hostile_one ~seed ~fb_set_size index =
     | Ok () -> (mname, Survived)
     | Error d -> (mname, Crashed (Diag.render d))
 
-let run_hostile ?(jobs = 1) ?retries ?(fb_set_size = 4096) ~seed ~count () =
+let run_hostile ?(jobs = 1) ?(fb_set_size = 4096) ~seed ~count () =
   let tasks =
     Array.init count (fun i () -> hostile_one ~seed ~fb_set_size i)
   in
-  let outcomes = Engine.Pool.run_results ~jobs ?retries tasks in
+  let outcomes = Engine.Pool.run_results ~jobs tasks in
   let rejected = ref 0 and survived = ref 0 and faulted = ref 0 in
   let crashes = ref [] in
   Array.iteri

@@ -35,7 +35,6 @@ type report = {
 
 val run :
   ?jobs:int ->
-  ?retries:int ->
   ?fb_set_size:int ->
   ?stats:Engine.Stats.t ->
   seed:int ->
@@ -45,8 +44,8 @@ val run :
 (** [run ~seed ~count ()] fuzzes [count] random applications on an M1
     configuration with [fb_set_size] (default 4096) words per set.
     A task that crashes is isolated into [crashes] — the remaining
-    applications are still fuzzed. [~retries] retransmits tasks felled by
-    transient injected faults ({!Engine.Faults}). *)
+    applications are still fuzzed; a task felled by an injected fault
+    ({!Engine.Faults}) is counted in [faulted]. *)
 
 val ok : report -> bool
 (** No violations, no ordering failures and no crashes. *)
@@ -76,7 +75,6 @@ type hostile_report = {
 
 val run_hostile :
   ?jobs:int ->
-  ?retries:int ->
   ?fb_set_size:int ->
   seed:int ->
   count:int ->

@@ -14,9 +14,6 @@ val run_rows : unit -> row list
 val table1 : row list -> unit
 (** Print the Table 1 reproduction to stdout. *)
 
-val figure6 : row list -> unit
-(** Print the Figure 6 bar chart to stdout. *)
-
 val infeasibility : unit -> unit
 (** Print the MPEG-at-1K feasibility check (paper §6). *)
 

@@ -108,9 +108,3 @@ let load_words_for_round plan ~app ~cluster ~round =
     if round > 0 && resident.(id) then 0 else words.(id)
   else if round > 0 && List.mem id plan.pinned then 0
   else context_words app cluster
-
-let pp_plan fmt t =
-  Format.fprintf fmt "pinned=[%s] reloaded=[%s] reserve=%dw"
-    (String.concat ";" (List.map string_of_int t.pinned))
-    (String.concat ";" (List.map string_of_int t.reloaded))
-    t.reserve

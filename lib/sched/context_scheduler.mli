@@ -48,5 +48,3 @@ val load_words_for_round :
     full context set on round 0, afterwards only if it is not pinned. O(1)
     when cluster ids are 0..n-1 (a validated clustering); otherwise the
     words come from [app] and residency from [pinned]. *)
-
-val pp_plan : Format.formatter -> plan -> unit

@@ -5,19 +5,16 @@
     caller (the paper's framework evaluates candidates the same way).
 
     Partitions are compositions of the kernel count into consecutive runs;
-    there are [2^(n-1)] of them, so exhaustive search is used up to
-    {!exhaustive_limit} kernels and a hill-climbing merge/split heuristic
+    there are [2^(n-1)] of them, so exhaustive search is used up to 14
+    kernels (8192 partitions) and a hill-climbing merge/split heuristic
     beyond. *)
 
 type evaluation = Kernel_ir.Cluster.clustering -> int option
 (** Estimated total cycles of a candidate clustering; [None] = infeasible. *)
 
-val exhaustive_limit : int
-(** Maximum kernel count for exhaustive enumeration (14: 8192 partitions). *)
-
 val enumerate : Kernel_ir.Application.t -> Kernel_ir.Cluster.clustering list
 (** Every partition of the kernel sequence into consecutive clusters.
-    @raise Invalid_argument beyond {!exhaustive_limit} kernels. *)
+    @raise Invalid_argument beyond 14 kernels. *)
 
 val best :
   Kernel_ir.Application.t ->

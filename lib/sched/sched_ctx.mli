@@ -21,8 +21,6 @@ val make : Kernel_ir.Application.t -> Kernel_ir.Cluster.clustering -> t
     @raise Invalid_argument under the {!Kernel_ir.Analysis.make}
     condition (a clustering that fails {!Kernel_ir.Cluster.check}). *)
 
-val of_analysis : Kernel_ir.Analysis.t -> t
-
 val analysis : t -> Kernel_ir.Analysis.t
 val app : t -> Kernel_ir.Application.t
 val clustering : t -> Kernel_ir.Cluster.clustering

@@ -2,11 +2,10 @@
 
     Basic and DS register themselves here when [lib/sched] is linked; CDS
     (and its cross-set variant) when [lib/cds] is. Everything downstream —
-    {!Cds.Pipeline} (including the degradation ladder), [Report.Dse],
-    [Report.Fuzz] and the [msched] CLI ([--scheduler NAME],
-    [msched schedulers]) — dispatches by name through this table, so adding
-    a fourth scheduling policy is one [register] call, not a three-surface
-    fork. *)
+    {!Cds.Pipeline}, [Report.Dse], [Report.Fuzz] and the [msched] CLI
+    ([--scheduler NAME], [msched schedulers]) — dispatches by name through
+    this table, so adding a fourth scheduling policy is one [register]
+    call, not a three-surface fork. *)
 
 val register : Scheduler_intf.t -> unit
 (** Publish a scheduler under its [name].
@@ -21,8 +20,9 @@ val run :
   Morphosys.Config.t ->
   (Schedule.t, Diag.t) result
 (** [run name ctx config] dispatches to the named scheduler; an unknown
-    name yields an [Invalid_config] diagnostic (never raises), which is
-    what a degradation ladder built from user-supplied tier names wants. *)
+    name yields an [Invalid_config] diagnostic (never raises), so a
+    user-supplied name such as [msched run -s NAME] needs no check of its
+    own. *)
 
 val all : unit -> Scheduler_intf.t list
 (** Every registered scheduler, sorted by name — deterministic regardless

@@ -62,8 +62,6 @@ let group_consecutive eq l =
   in
   match l with [] -> [] | _ -> loop [] [] l
 
-let init_list n f = List.init n f
-
 let rec pairs = function
   | [] -> []
   | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest

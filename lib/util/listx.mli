@@ -37,8 +37,5 @@ val compositions : int -> int list list
 val group_consecutive : ('a -> 'a -> bool) -> 'a list -> 'a list list
 (** [group_consecutive eq l] groups adjacent elements equal w.r.t. [eq]. *)
 
-val init_list : int -> (int -> 'a) -> 'a list
-(** [init_list n f] is [[f 0; ...; f (n-1)]]. *)
-
 val pairs : 'a list -> ('a * 'a) list
 (** [pairs l] is all ordered pairs [(x, y)] with [x] before [y] in [l]. *)

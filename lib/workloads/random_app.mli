@@ -2,18 +2,6 @@
     clusterings, used by the property-based tests (scheduler invariants,
     DS(C) formula agreement, allocator soundness). *)
 
-val gen_app :
-  ?min_kernels:int ->
-  ?max_kernels:int ->
-  ?max_data:int ->
-  ?max_size:int ->
-  unit ->
-  Kernel_ir.Application.t QCheck.Gen.t
-(** Random kernel chain with random external inputs, intermediate chains,
-    shared data and final results. Every application validates; every
-    kernel consumes at least one object and every object has a legal
-    producer/consumer relation. *)
-
 val large :
   kernels:int -> data:int -> seed:int -> Kernel_ir.Application.t
 (** Deterministic large application for scaling benchmarks: the same
@@ -28,10 +16,6 @@ val pairs_clustering :
 (** Kernels grouped two by two in execution order (trailing singleton when
     the count is odd) — a deterministic clustering for benchmarks. *)
 
-val gen_clustering :
-  Kernel_ir.Application.t -> Kernel_ir.Cluster.clustering QCheck.Gen.t
-(** A random partition of the application's kernel sequence. *)
-
 val gen_app_with_clustering :
   ?min_kernels:int ->
   ?max_kernels:int ->
@@ -39,6 +23,11 @@ val gen_app_with_clustering :
   ?max_size:int ->
   unit ->
   (Kernel_ir.Application.t * Kernel_ir.Cluster.clustering) QCheck.Gen.t
+(** A random kernel chain with random external inputs, intermediate
+    chains, shared data and final results, and a random partition of its
+    kernel sequence. Every application validates; every kernel consumes
+    at least one object and every object has a legal producer/consumer
+    relation. *)
 
 val arb_app_with_clustering :
   (Kernel_ir.Application.t * Kernel_ir.Cluster.clustering) QCheck.arbitrary

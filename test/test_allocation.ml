@@ -5,12 +5,16 @@
 module AA = Cds.Allocation_algorithm
 module IE = Kernel_ir.Info_extractor
 
+let analysis app clustering = Kernel_ir.Analysis.make app clustering
+
 let run_alloc config app clustering =
-  match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
+  let ctx = Sched.Sched_ctx.make app clustering in
+  match Fixtures.cds ctx config with
   | Error e -> Alcotest.fail e
   | Ok r ->
     ( r,
-      AA.run config app clustering ~rf:r.Cds.Complete_data_scheduler.rf
+      AA.run config ~analysis:(Sched.Sched_ctx.analysis ctx)
+        ~rf:r.Cds.Complete_data_scheduler.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0 )
 
 let test_same_set_allocation () =
@@ -78,13 +82,15 @@ let test_capture_filter () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
   let config = Fixtures.default_config in
-  match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
+  let ctx = Sched.Sched_ctx.make app clustering in
+  match Fixtures.cds ctx config with
   | Error e -> Alcotest.fail e
   | Ok r ->
     let result =
       AA.run
         ~capture:(fun ~cluster_id -> cluster_id = 1)
-        config app clustering ~rf:r.Cds.Complete_data_scheduler.rf
+        config ~analysis:(Sched.Sched_ctx.analysis ctx)
+        ~rf:r.Cds.Complete_data_scheduler.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
     in
     Alcotest.(check bool) "only cluster 1 captured" true
@@ -100,12 +106,14 @@ let test_validation_args () =
   let clustering = Fixtures.same_set_clustering app in
   let config = Fixtures.default_config in
   (match
-     AA.run config app clustering ~rf:0 ~retention:Cds.Retention.none ~round:0
+     AA.run config ~analysis:(analysis app clustering) ~rf:0
+       ~retention:Cds.Retention.none ~round:0
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "rf validation");
   match
-    AA.run config app clustering ~rf:1 ~retention:Cds.Retention.none ~round:(-1)
+    AA.run config ~analysis:(analysis app clustering) ~rf:1
+      ~retention:Cds.Retention.none ~round:(-1)
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "round validation"
@@ -117,11 +125,13 @@ let prop_allocator_succeeds =
   QCheck.Test.make ~name:"allocator places every object" ~count:75
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
       let config = Fixtures.big_config in
-      match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
+      let ctx = Sched.Sched_ctx.make app clustering in
+      match Fixtures.cds ctx config with
       | Error _ -> false
       | Ok r ->
         let result =
-          AA.run config app clustering ~rf:r.Cds.Complete_data_scheduler.rf
+          AA.run config ~analysis:(Sched.Sched_ctx.analysis ctx)
+            ~rf:r.Cds.Complete_data_scheduler.rf
             ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
         in
         result.AA.failures = [])

@@ -56,9 +56,20 @@ let test_parse_errors () =
   expect_error "consumer" "app a iterations 1\nkernel k contexts 1 cycles 1\ninput d size 4 ->";
   expect_error "duplicate" "app a iterations 1\napp b iterations 2";
   expect_error "'->'" "app a iterations 1\nkernel k contexts 1 cycles 1\ninput d size 4 k";
-  (* IR-level validation surfaces too: unknown kernel name *)
-  expect_error "unknown kernel"
-    "app a iterations 1\nkernel k contexts 1 cycles 1\ninput d size 4 -> ghost"
+  (* kernel names are checked at the line that names them *)
+  expect_error "line 3: unknown kernel \"ghost\""
+    "app a iterations 1\nkernel k contexts 1 cycles 1\ninput d size 4 -> ghost";
+  expect_error "line 3: duplicate kernel name \"k\""
+    "app a iterations 1\nkernel k contexts 1 cycles 1\n\
+     kernel k contexts 1 cycles 1\ninput d size 4 -> k";
+  (* a data line may name a kernel declared further down *)
+  match
+    Appdsl.parse
+      "app a iterations 1\ninput d size 4 -> k\nkernel k contexts 1 cycles 1\n\
+       final o size 4 from k"
+  with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail ("forward kernel reference rejected: " ^ msg)
 
 (* A bad [kernel], [partition], [fb] or [cm] is a parse error at its own
    line, so the machine and clustering built from a parsed spec never

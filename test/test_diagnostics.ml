@@ -70,12 +70,7 @@ let test_of_exn () =
     Alcotest.(check bool) "guard tags the scheduler" true
       (d.Diag.scheduler = Some "ds");
     Alcotest.(check bool) "guard keeps the message" true
-      (contains (Diag.to_string d) "boom"));
-  match Diag.protect ~code:Diag.Sim_divergence (fun () -> failwith "bad") with
-  | Ok _ -> Alcotest.fail "expected an error"
-  | Error d ->
-    Alcotest.(check bool) "protect forces the code" true
-      (d.Diag.code = Diag.Sim_divergence)
+      (contains (Diag.to_string d) "boom"))
 
 (* A hand-broken application: every field violates something. The total
    checker must report all of them in one pass. *)
@@ -248,7 +243,7 @@ let tests =
   ( "diagnostics",
     [
       Alcotest.test_case "diag basics" `Quick test_diag_basics;
-      Alcotest.test_case "of_exn / guard / protect" `Quick test_of_exn;
+      Alcotest.test_case "of_exn and guard" `Quick test_of_exn;
       Alcotest.test_case "validate collects all" `Quick
         test_validate_collects_all;
       Alcotest.test_case "validate clean" `Quick test_validate_clean;

@@ -84,6 +84,37 @@ let test_cm_and_setup_axes () =
     Alcotest.(check bool) "setup cost slows down" true (priced > free)
   | _ -> Alcotest.fail "expected feasible points"
 
+(* A bad axis value is refused before any design point runs, by the one
+   check the CLI uses too. *)
+let test_bad_axes () =
+  let app = Workloads.Mpeg.app () in
+  let clustering = Workloads.Mpeg.clustering app in
+  let expected = "fb_set_size must be positive" in
+  (match Dse.check_axes ~fb_list:[ 0 ] ~cm_list:[ 2048 ] ~setup_list:[ 0 ] with
+  | Error d ->
+    Alcotest.(check string) "check_axes" "INVALID_CONFIG"
+      (Diag.code_name d.Diag.code);
+    Alcotest.(check string) "message" expected d.Diag.message
+  | Ok () -> Alcotest.fail "check_axes accepted fb 0");
+  (match Dse.sweep ~fb_list:[ 0; 2048 ] app clustering with
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "sweep names the check" true
+      (Astring_contains.contains msg expected)
+  | _ -> Alcotest.fail "sweep accepted fb 0");
+  let path = Filename.temp_file "dse_axes" ".store" in
+  Sys.remove path;
+  (match
+     Dse.Durable.open_ ~path ~setup_list:[ -5 ] ~fb_list:[ 2048 ] app
+       clustering
+   with
+  | Error d ->
+    Alcotest.(check string) "open_" "INVALID_CONFIG"
+      (Diag.code_name d.Diag.code)
+  | Ok d ->
+    Dse.Durable.close d;
+    Alcotest.fail "Durable.open_ accepted setup -5");
+  Alcotest.(check bool) "no store created" false (Sys.file_exists path)
+
 let tests =
   ( "dse",
     [
@@ -92,4 +123,5 @@ let tests =
       Alcotest.test_case "pareto frontier" `Quick test_pareto;
       Alcotest.test_case "csv" `Quick test_csv;
       Alcotest.test_case "cm and setup axes" `Quick test_cm_and_setup_axes;
+      Alcotest.test_case "bad axes are refused" `Quick test_bad_axes;
     ] )

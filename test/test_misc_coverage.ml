@@ -65,14 +65,16 @@ let test_figure5_snapshot_order () =
   let app = Workloads.Synthetic.figure5 () in
   let clustering = Workloads.Synthetic.figure5_clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:512 in
-  match Fixtures.cds (Sched.Sched_ctx.make app clustering) config with
+  let ctx = Sched.Sched_ctx.make app clustering in
+  match Fixtures.cds ctx config with
   | Error e -> Alcotest.fail e
   | Ok r ->
     let focus = Workloads.Synthetic.figure5_focus_cluster in
     let result =
       Cds.Allocation_algorithm.run
         ~capture:(fun ~cluster_id -> cluster_id = focus)
-        config app clustering ~rf:r.Cds.Complete_data_scheduler.rf
+        config ~analysis:(Sched.Sched_ctx.analysis ctx)
+        ~rf:r.Cds.Complete_data_scheduler.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
     in
     let captions =

@@ -34,23 +34,19 @@ let test_improvement_none_when_infeasible () =
 
 let test_auto_clustering () =
   let app, _, config = setup () in
-  (match P.auto_clustering config app with
-  | Some (clustering, cycles) ->
+  match P.auto_clustering config app with
+  | Some (clustering, cycles) -> (
     Alcotest.(check bool) "valid clustering" true
       (Kernel_ir.Cluster.check app clustering = []);
     Alcotest.(check bool) "positive cycles" true (cycles > 0);
     (* auto must be at least as good as the fixed partition *)
     let fixed = P.run config app (Fixtures.same_set_clustering app) in
-    (match fixed.P.cds with
+    match fixed.P.cds with
     | Ok (s, _) ->
       Alcotest.(check bool) "auto <= fixed" true
         (cycles <= s.P.metrics.Msim.Metrics.total_cycles)
     | Error e -> Alcotest.fail e)
-  | None -> Alcotest.fail "no feasible clustering found");
-  (* basic objective also works *)
-  match P.auto_clustering ~scheduler:"basic" config app with
-  | Some _ -> ()
-  | None -> Alcotest.fail "basic auto-clustering failed"
+  | None -> Alcotest.fail "no feasible clustering found"
 
 let test_auto_clustering_infeasible () =
   let app, _, _ = setup () in

@@ -104,7 +104,7 @@ let test_all_schedules_validate () =
     (fun (e : T1.experiment) ->
       (* Pipeline.run validates internally and raises on violations *)
       let (_ : Cds.Pipeline.comparison) =
-        Cds.Pipeline.run ~validate:true e.T1.config e.T1.app e.T1.clustering
+        Cds.Pipeline.run e.T1.config e.T1.app e.T1.clustering
       in
       ())
     (T1.all ())
