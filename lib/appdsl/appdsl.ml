@@ -9,9 +9,12 @@ type spec = {
 
 type accum = {
   mutable builder : B.t option;
-  kernels : (string, unit) Hashtbl.t;  (** kernel names declared so far *)
-  mutable uses : (int * string list) list;
-      (** line, kernels a data line names; latest first *)
+  kernels : (string, int) Hashtbl.t;
+      (** kernel names declared so far, with their ids (declaration order) *)
+  data_names : (string, unit) Hashtbl.t;  (** data names declared so far *)
+  mutable uses : (int * string option * string list * Kernel_ir.Data.t) list;
+      (** line, producer and consumers a data line names, and the line's
+          datum with its kernels still unresolved; latest first *)
   mutable acc_partition : (int * int list) option;  (** line, sizes *)
   mutable acc_fb : int option;
   mutable acc_cm : int option;
@@ -57,18 +60,18 @@ let iterations_check iterations =
     (Kernel_ir.Application.check ~kernels:[ probe_kernel ] ~data:[]
        ~iterations)
 
-let size_check name size =
-  no_diag
-    (Kernel_ir.Data.check
-       {
-         Kernel_ir.Data.id = 0;
-         name;
-         size;
-         producer = External;
-         consumers = [ 0 ];
-         final = false;
-         invariant = false;
-       })
+let probe_data ?(invariant = false) ?(final = false) name size =
+  {
+    Kernel_ir.Data.id = 0;
+    name;
+    size;
+    producer = External;
+    consumers = [ 0 ];
+    final;
+    invariant;
+  }
+
+let size_check name size = no_diag (Kernel_ir.Data.check (probe_data name size))
 
 (* A machine size is checked by [Config.validate], its one statement, on
    the M1 machine with just that field replaced. *)
@@ -84,19 +87,46 @@ let with_builder acc f =
     Ok ()
 
 (* A data line may name a kernel declared further down, so its kernel
-   names are checked once the whole spec is read ([unknown_kernel]). *)
-let uses acc lineno kernels b =
-  acc.uses <- (lineno, kernels) :: acc.uses;
-  Ok b
+   names, and the rules that depend on kernel order (a consumer follows
+   its producer), are checked once the whole spec is read
+   ([data_error]). Its name is checked at once. *)
+let uses acc lineno ?producer ~consumers datum b =
+  let name = datum.Kernel_ir.Data.name in
+  if Hashtbl.mem acc.data_names name then
+    Error (Printf.sprintf "duplicate data name %S" name)
+  else begin
+    Hashtbl.replace acc.data_names name ();
+    acc.uses <- (lineno, producer, consumers, datum) :: acc.uses;
+    Ok b
+  end
 
-let unknown_kernel acc =
+(* The first data line, in spec order, that names an unknown kernel or
+   fails [Data.check] once its kernel names are resolved to ids. *)
+let data_error acc =
   List.find_map
-    (fun (lineno, kernels) ->
-      List.find_map
-        (fun k ->
-          if Hashtbl.mem acc.kernels k then None
-          else Some (Printf.sprintf "line %d: unknown kernel %S" lineno k))
-        kernels)
+    (fun (lineno, producer, consumers, datum) ->
+      let at msg = Some (Printf.sprintf "line %d: %s" lineno msg) in
+      match
+        List.find_opt
+          (fun k -> not (Hashtbl.mem acc.kernels k))
+          (Option.to_list producer @ consumers)
+      with
+      | Some k -> at (Printf.sprintf "unknown kernel %S" k)
+      | None -> (
+        let id = Hashtbl.find acc.kernels in
+        let datum =
+          {
+            datum with
+            Kernel_ir.Data.producer =
+              (match producer with
+              | None -> Kernel_ir.Data.External
+              | Some k -> Kernel_ir.Data.Produced_by (id k));
+            consumers = List.sort_uniq compare (List.map id consumers);
+          }
+        in
+        match Kernel_ir.Data.check datum with
+        | [] -> None
+        | d :: _ -> at (Diag.to_string d)))
     (List.rev acc.uses)
 
 let parse_directive acc lineno toks =
@@ -123,7 +153,7 @@ let parse_directive acc lineno toks =
         if Hashtbl.mem acc.kernels name then
           Error (Printf.sprintf "duplicate kernel name %S" name)
         else begin
-          Hashtbl.replace acc.kernels name ();
+          Hashtbl.replace acc.kernels name (Hashtbl.length acc.kernels);
           Ok (B.kernel name ~contexts ~cycles b)
         end)
   | "input" :: name :: "size" :: s :: rest ->
@@ -139,7 +169,9 @@ let parse_directive acc lineno toks =
         if before <> [] then Error "unexpected tokens before '->'"
         else if consumers = [] then Error "input needs at least one consumer"
         else
-          uses acc lineno consumers (B.input ~invariant name ~size ~consumers b))
+          uses acc lineno ~consumers
+            (probe_data ~invariant name size)
+            (B.input ~invariant name ~size ~consumers b))
   | "result" :: name :: "size" :: s :: "from" :: producer :: rest ->
     with_builder acc (fun b ->
         let* size = int_tok "size" s in
@@ -155,13 +187,16 @@ let parse_directive acc lineno toks =
           if consumers = [] then
             Error "result needs at least one consumer (or use 'final')"
           else
-            uses acc lineno (producer :: consumers)
+            uses acc lineno ~producer ~consumers
+              (probe_data ~final name size)
               (B.result ~final name ~size ~producer ~consumers b))
   | "final" :: name :: "size" :: s :: "from" :: producer :: [] ->
     with_builder acc (fun b ->
         let* size = int_tok "size" s in
         let* () = size_check name size in
-        uses acc lineno [ producer ] (B.final name ~size ~producer b))
+        uses acc lineno ~producer ~consumers:[]
+          (probe_data ~final:true name size)
+          (B.final name ~size ~producer b))
   | "partition" :: sizes ->
     if sizes = [] then Error "partition needs at least one size"
     else
@@ -192,6 +227,7 @@ let parse text =
     {
       builder = None;
       kernels = Hashtbl.create 16;
+      data_names = Hashtbl.create 16;
       uses = [];
       acc_partition = None;
       acc_fb = None;
@@ -207,7 +243,7 @@ let parse text =
       | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
   let* () = loop 1 lines in
-  let* () = Option.fold ~none:(Ok ()) ~some:Result.error (unknown_kernel acc) in
+  let* () = Option.fold ~none:(Ok ()) ~some:Result.error (data_error acc) in
   match acc.builder with
   | None -> Error "empty specification (no 'app' directive)"
   | Some b -> (

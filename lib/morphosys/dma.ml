@@ -9,13 +9,22 @@ type t = { label : string; kind : kind; words : int }
 let check_words words =
   if words <= 0 then invalid_arg "Dma: transfer words must be positive"
 
+(* The four data kinds are immutable constants, shared by every transfer
+   of that set and direction instead of allocated once per transfer. *)
+let load_a = Data { set = Frame_buffer.Set_a; direction = Load }
+let load_b = Data { set = Frame_buffer.Set_b; direction = Load }
+let store_a = Data { set = Frame_buffer.Set_a; direction = Store }
+let store_b = Data { set = Frame_buffer.Set_b; direction = Store }
+
 let data_load ~set ~label ~words =
   check_words words;
-  { label; kind = Data { set; direction = Load }; words }
+  let kind = match set with Frame_buffer.Set_a -> load_a | Set_b -> load_b in
+  { label; kind; words }
 
 let data_store ~set ~label ~words =
   check_words words;
-  { label; kind = Data { set; direction = Store }; words }
+  let kind = match set with Frame_buffer.Set_a -> store_a | Set_b -> store_b in
+  { label; kind; words }
 
 let context_load ~kernel ~words =
   check_words words;
@@ -30,11 +39,6 @@ let cost (config : Config.t) t =
 
 let total_cost config transfers =
   Msutil.Listx.sum_by (cost config) transfers
-
-let words_of_kind pred transfers =
-  Msutil.Listx.sum_by
-    (fun t -> if pred t.kind then t.words else 0)
-    transfers
 
 let is_data = function Data _ -> true | Context -> false
 let is_context = function Context -> true | Data _ -> false

@@ -28,9 +28,6 @@ val cost : Config.t -> t -> int
 val total_cost : Config.t -> t list -> int
 (** Serial cost of a batch: the channel processes requests one at a time. *)
 
-val words_of_kind : (kind -> bool) -> t list -> int
-(** Total words of the transfers whose kind satisfies the predicate. *)
-
 val is_data : kind -> bool
 val is_context : kind -> bool
 val pp : Format.formatter -> t -> unit

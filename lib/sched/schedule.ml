@@ -18,7 +18,28 @@ type t = {
   steps : step list;
 }
 
-let instance_label name ~iter = Printf.sprintf "%s@%d" name iter
+(* Number of decimal digits of [m <= 0]. *)
+let rec digits m acc = if m > -10 then acc else digits (m / 10) (acc + 1)
+
+(* Writes the digits of [m <= 0] into [b], the last one at [i]. *)
+let rec write_digits b m i =
+  Bytes.unsafe_set b i (Char.unsafe_chr (Char.code '0' - (m mod 10)));
+  if m <= -10 then write_digits b (m / 10) (i - 1)
+
+(* What [Printf.sprintf "%s@%d" name iter] prints, written straight into
+   the one string it returns: one label is made per data transfer, and
+   the format interpreter costs several times the label itself. The
+   digits are taken from the non-positive side, so [min_int] renders
+   too. *)
+let instance_label name ~iter =
+  let neg = if iter < 0 then iter else -iter in
+  let nlen = String.length name and sign = if iter < 0 then 1 else 0 in
+  let b = Bytes.create (nlen + 1 + sign + digits neg 1) in
+  Bytes.blit_string name 0 b 0 nlen;
+  Bytes.set b nlen '@';
+  if iter < 0 then Bytes.set b (nlen + 1) '-';
+  write_digits b neg (Bytes.length b - 1);
+  Bytes.unsafe_to_string b
 
 let parse_label label =
   match String.rindex_opt label '@' with

@@ -39,7 +39,9 @@ type t = {
 }
 
 val instance_label : string -> iter:int -> string
-(** [instance_label "d1" ~iter:3] is ["d1@3"]. *)
+(** [instance_label "d1" ~iter:3] is ["d1@3"]: the same bytes as
+    [Printf.sprintf "%s@%d"], built without the format machinery (one
+    label is rendered per data transfer). *)
 
 val parse_label : string -> (string * int) option
 (** Inverse of {!instance_label}; [None] for labels without an ["@"] (e.g.
@@ -47,7 +49,6 @@ val parse_label : string -> (string * int) option
 
 val data_words_loaded : t -> int
 val data_words_stored : t -> int
-val context_words_loaded : t -> int
 val total_dma_words : t -> int
 val n_steps : t -> int
 val rounds : t -> int

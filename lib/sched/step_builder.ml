@@ -20,17 +20,26 @@ type selectors = {
   store_objects : Cluster.t -> round:int -> Kernel_ir.Data.t list;
 }
 
-let instances ~objects ~iters ~base_iter f =
-  List.concat_map
-    (fun (d : Kernel_ir.Data.t) ->
-      if d.Kernel_ir.Data.invariant then
-        (* one constant copy serves every iteration of the round *)
-        [ f ~label:(Schedule.instance_label d.name ~iter:0) ~words:d.size ]
-      else
-        List.init iters (fun i ->
-            f ~label:(Schedule.instance_label d.name ~iter:(base_iter + i))
-              ~words:d.size))
-    objects
+(* One labelled transfer per instance, object by object and iteration by
+   iteration, made in one pass: each object's instances are consed onto
+   the transfers of the objects after it, so no per-object list is built
+   and then concatenated, and no closure is made per object. *)
+let rec instances ~objects ~iters ~base_iter f =
+  match objects with
+  | [] -> []
+  | (d : Kernel_ir.Data.t) :: rest ->
+    let tail = instances ~objects:rest ~iters ~base_iter f in
+    if d.Kernel_ir.Data.invariant then
+      (* one constant copy serves every iteration of the round *)
+      f ~label:(Schedule.instance_label d.name ~iter:0) ~words:d.size :: tail
+    else expand f d ~first:base_iter (base_iter + iters - 1) tail
+
+(* [d]'s instances [first..iter] consed onto [acc], last first. *)
+and expand f (d : Kernel_ir.Data.t) ~first iter acc =
+  if iter < first then acc
+  else
+    expand f d ~first (iter - 1)
+      (f ~label:(Schedule.instance_label d.name ~iter) ~words:d.size :: acc)
 
 (* Every generator is the mechanical expansion of a [selectors] — same
    object choice, one labelled transfer per instance — so the selectors
@@ -48,22 +57,50 @@ let generators_of_selectors sel =
           (Dma.data_store ~set:c.Cluster.fb_set));
   }
 
-type execution = {
-  cluster : Cluster.t;
-  round : int;
-  iters : int;
-  base_iter : int;
+(* The pipeline runs rounds x clusters: execution [s] is cluster
+   [s mod n] of the clustering on round [s / n], for RF iterations (fewer
+   in the last round) from iteration [round * rf]. A cluster's compute
+   cycles per iteration and per round are summed once here, not once per
+   execution. *)
+type pipeline = {
+  clusters : Cluster.t array;  (** in clustering order *)
+  iterations : int;  (** of the application *)
+  rf : int;
+  s_max : int;  (** number of executions *)
+  per_iter : int array;  (** per cluster: RC-array cycles of one iteration *)
+  reconfig : int array;  (** per cluster: context broadcasts of one round *)
 }
 
-let executions app clustering ~rf =
+let pipeline config app clustering ~rf =
+  let clusters = Array.of_list clustering in
   let n = app.Application.iterations in
-  let total_rounds = (n + rf - 1) / rf in
-  List.concat_map
-    (fun round ->
-      let base_iter = round * rf in
-      let iters = min rf (n - base_iter) in
-      List.map (fun cluster -> { cluster; round; iters; base_iter }) clustering)
-    (List.init total_rounds (fun r -> r))
+  let sum_kernels f (c : Cluster.t) =
+    Msutil.Listx.sum_by (fun kid -> f (Application.kernel app kid)) c.kernels
+  in
+  {
+    clusters;
+    iterations = n;
+    rf;
+    s_max = (n + rf - 1) / rf * Array.length clusters;
+    per_iter =
+      Array.map (sum_kernels (fun k -> k.Kernel_ir.Kernel.exec_cycles)) clusters;
+    (* one context broadcast per kernel per round (loop fission lets each
+       kernel keep its configuration for all the round's iterations) *)
+    reconfig =
+      Array.map
+        (sum_kernels (fun k ->
+             Morphosys.Rc_array.reconfigure_cycles config
+               ~contexts:k.Kernel_ir.Kernel.contexts))
+        clusters;
+  }
+
+let cluster_at p s = p.clusters.(s mod Array.length p.clusters)
+let round_at p s = s / Array.length p.clusters
+let iters_at p s = min p.rf (p.iterations - (round_at p s * p.rf))
+
+let compute_at p s =
+  let k = s mod Array.length p.clusters in
+  (iters_at p s * p.per_iter.(k)) + p.reconfig.(k)
 
 (* A transfer may overlap a computation on [set] unless it reads or writes
    that same FB set; context loads go to the CM and always overlap. *)
@@ -72,55 +109,34 @@ let can_overlap ~computing_set (tr : Dma.t) =
   | Dma.Context -> true
   | Dma.Data { set; _ } -> set <> computing_set
 
-let compute_cycles config app (e : execution) =
-  let per_iter =
-    Msutil.Listx.sum_by
-      (fun kid -> (Application.kernel app kid).Kernel_ir.Kernel.exec_cycles)
-      e.cluster.Cluster.kernels
-  in
-  (* one context broadcast per kernel per round (loop fission lets each
-     kernel keep its configuration for all the round's iterations) *)
-  let reconfig =
-    Msutil.Listx.sum_by
-      (fun kid ->
-        Morphosys.Rc_array.reconfigure_cycles config
-          ~contexts:(Application.kernel app kid).Kernel_ir.Kernel.contexts)
-      e.cluster.Cluster.kernels
-  in
-  (e.iters * per_iter) + reconfig
+(* [trs @ acc], sharing [trs] itself when [acc] is empty. *)
+let prepend trs acc = match acc with [] -> trs | _ -> trs @ acc
 
 let build ?(cross_set = false) config app clustering ~rf ~ctx_plan ~generators
     ~scheduler =
   if rf < 1 then invalid_arg "Step_builder.build: rf must be >= 1";
-  let execs = Array.of_list (executions app clustering ~rf) in
-  let s_max = Array.length execs in
-  let loads_of s =
-    if s >= s_max then []
+  let p = pipeline config app clustering ~rf in
+  let transfers gen s =
+    if s < 0 || s >= p.s_max then []
     else
-      let e = execs.(s) in
-      generators.loads e.cluster ~round:e.round ~iters:e.iters
-        ~base_iter:e.base_iter
+      let round = round_at p s in
+      gen (cluster_at p s) ~round ~iters:(iters_at p s) ~base_iter:(round * rf)
   in
-  let stores_of s =
-    if s < 0 || s >= s_max then []
-    else
-      let e = execs.(s) in
-      generators.stores e.cluster ~round:e.round ~iters:e.iters
-        ~base_iter:e.base_iter
-  in
+  let loads_of = transfers generators.loads in
+  let stores_of = transfers generators.stores in
   let ctx_of s =
-    if s >= s_max then []
+    if s >= p.s_max then []
     else
-      let e = execs.(s) in
+      let cluster = cluster_at p s in
       let words =
-        Context_scheduler.load_words_for_round ctx_plan ~app ~cluster:e.cluster
-          ~round:e.round
+        Context_scheduler.load_words_for_round ctx_plan ~app ~cluster
+          ~round:(round_at p s)
       in
       if words = 0 then []
       else
         [
           Dma.context_load
-            ~kernel:(Printf.sprintf "Cl%d" e.cluster.Cluster.id)
+            ~kernel:("Cl" ^ string_of_int cluster.Cluster.id)
             ~words;
         ]
   in
@@ -130,34 +146,48 @@ let build ?(cross_set = false) config app clustering ~rf ~ctx_plan ~generators
   emit
     {
       Schedule.compute = None;
-      dma = ctx_of 0 @ loads_of 0;
+      dma = prepend (ctx_of 0) (loads_of 0);
       note = "prime first cluster";
     };
-  for s = 0 to s_max - 1 do
-    let e = execs.(s) in
-    let prep = stores_of (s - 1) @ loads_of (s + 1) @ ctx_of (s + 1) in
-    let overlapped, deferred =
-      List.partition (can_overlap ~computing_set:e.cluster.Cluster.fb_set) prep
+  for s = 0 to p.s_max - 1 do
+    let cluster = cluster_at p s in
+    let overlaps = can_overlap ~computing_set:cluster.Cluster.fb_set in
+    (* The DMA work of step [s] is stores (s-1), loads (s+1), ctx (s+1), in
+       that order. Each batch is routed to the overlapped or deferred list
+       as a whole when its transfers agree (one batch targets one set), and
+       the batches are taken last first so prepending keeps the order. *)
+    let overlapped = ref [] and deferred = ref [] in
+    let route trs =
+      let ov, def =
+        if List.for_all overlaps trs then (trs, [])
+        else if not (List.exists overlaps trs) then ([], trs)
+        else List.partition overlaps trs
+      in
+      overlapped := prepend ov !overlapped;
+      deferred := prepend def !deferred
     in
+    route (ctx_of (s + 1));
+    route (loads_of (s + 1));
+    route (stores_of (s - 1));
     emit
       {
         Schedule.compute =
           Some
             {
-              Schedule.cluster = e.cluster;
-              round = e.round;
-              iterations = e.iters;
-              compute_cycles = compute_cycles config app e;
+              Schedule.cluster;
+              round = round_at p s;
+              iterations = iters_at p s;
+              compute_cycles = compute_at p s;
             };
-        dma = overlapped;
+        dma = !overlapped;
         note = "";
       };
-    if deferred <> [] then
+    if !deferred <> [] then
       emit
-        { Schedule.compute = None; dma = deferred; note = "set conflict stall" }
+        { Schedule.compute = None; dma = !deferred; note = "set conflict stall" }
   done;
   (* Drain: results of the last execution. *)
-  let final_stores = stores_of (s_max - 1) in
+  let final_stores = stores_of (p.s_max - 1) in
   if final_stores <> [] then
     emit { Schedule.compute = None; dma = final_stores; note = "final drain" };
   {
@@ -169,78 +199,73 @@ let build ?(cross_set = false) config app clustering ~rf ~ctx_plan ~generators
     steps = List.rev !steps;
   }
 
+(* Channel cycles of a round's transfers of [objects]: one instance per
+   iteration (one for an invariant object), each costing
+   [dma_setup + words * per-word]. *)
+let rec objects_cost (config : Morphosys.Config.t) ~iters acc = function
+  | [] -> acc
+  | (d : Kernel_ir.Data.t) :: rest ->
+    let inst = if d.Kernel_ir.Data.invariant then 1 else iters in
+    let one =
+      config.dma_setup_cycles
+      + (d.Kernel_ir.Data.size * config.data_cycles_per_word)
+    in
+    objects_cost config ~iters (acc + (inst * one)) rest
+
 (* Exactly [Schedule_cost.estimate config (build ... ~generators)] for the
-   generators derived from [selectors], computed from per-execution
-   (cost, transfer-count) aggregates: an object contributes one instance
-   per iteration of the round (one total when invariant), and every
-   instance costs [dma_setup + words * per-word]. Replicates [build]'s step
-   structure — prime, per-execution overlap/stall partition, final drain —
-   without materialising any transfer list, so scheduler RF searches can
-   rank every candidate factor and build only the winner. *)
+   generators derived from [selectors]. Follows [build]'s step structure —
+   prime, per-execution overlap/stall routing, final drain — summing costs
+   only: no transfer list, no per-execution table. Each execution's loads
+   and stores are costed once, at the step that moves them, so scheduler
+   RF searches can rank every candidate factor and build only the
+   winner. *)
 let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     ~selectors =
   if rf < 1 then invalid_arg "Step_builder.estimate: rf must be >= 1";
-  let execs = Array.of_list (executions app clustering ~rf) in
-  let s_max = Array.length execs in
-  let data_cost words =
-    config.Morphosys.Config.dma_setup_cycles
-    + (words * config.Morphosys.Config.data_cycles_per_word)
+  let p = pipeline config app clustering ~rf in
+  let cost select s =
+    if s < 0 || s >= p.s_max then 0
+    else
+      objects_cost config ~iters:(iters_at p s) 0
+        (select (cluster_at p s) ~round:(round_at p s))
   in
-  let agg objects ~iters =
-    List.fold_left
-      (fun (cost, count) (d : Kernel_ir.Data.t) ->
-        let inst = if d.Kernel_ir.Data.invariant then 1 else iters in
-        (cost + (inst * data_cost d.Kernel_ir.Data.size), count + inst))
-      (0, 0) objects
+  let loads = cost selectors.load_objects in
+  let stores = cost selectors.store_objects in
+  let ctx s =
+    if s >= p.s_max then 0
+    else
+      let words =
+        Context_scheduler.load_words_for_round ctx_plan ~app
+          ~cluster:(cluster_at p s) ~round:(round_at p s)
+      in
+      if words = 0 then 0
+      else
+        config.Morphosys.Config.dma_setup_cycles
+        + (words * config.Morphosys.Config.context_cycles_per_word)
   in
-  let loads =
-    Array.map
-      (fun e -> agg (selectors.load_objects e.cluster ~round:e.round) ~iters:e.iters)
-      execs
+  let conflicts s s' =
+    s' >= 0 && s' < p.s_max
+    && (cluster_at p s').Cluster.fb_set = (cluster_at p s).Cluster.fb_set
   in
-  let stores =
-    Array.map
-      (fun e ->
-        agg (selectors.store_objects e.cluster ~round:e.round) ~iters:e.iters)
-      execs
-  in
-  let ctx =
-    Array.map
-      (fun e ->
-        let words =
-          Context_scheduler.load_words_for_round ctx_plan ~app
-            ~cluster:e.cluster ~round:e.round
-        in
-        if words = 0 then (0, 0)
-        else
-          ( config.Morphosys.Config.dma_setup_cycles
-            + (words * config.Morphosys.Config.context_cycles_per_word),
-            1 ))
-      execs
-  in
-  let get arr s = if s < 0 || s >= s_max then (0, 0) else arr.(s) in
-  let set_of s = execs.(s).cluster.Cluster.fb_set in
   (* prime step: pure DMA, nothing to overlap with *)
-  let total = ref (fst (get ctx 0) + fst (get loads 0)) in
-  for s = 0 to s_max - 1 do
-    let set = set_of s in
-    let ov = ref (fst (get ctx (s + 1))) in
-    let def_cost = ref 0 and def_count = ref 0 in
-    let route (cost, count) ~conflicts =
-      if conflicts then begin
-        def_cost := !def_cost + cost;
-        def_count := !def_count + count
-      end
-      else ov := !ov + cost
+  let total = ref (ctx 0 + loads 0) in
+  for s = 0 to p.s_max - 1 do
+    let st = stores (s - 1) and ld = loads (s + 1) in
+    let st_conflicts = conflicts s (s - 1)
+    and ld_conflicts = conflicts s (s + 1) in
+    let overlapped =
+      ctx (s + 1)
+      + (if st_conflicts then 0 else st)
+      + if ld_conflicts then 0 else ld
     in
-    route (get stores (s - 1)) ~conflicts:(s - 1 >= 0 && set_of (s - 1) = set);
-    route (get loads (s + 1)) ~conflicts:(s + 1 < s_max && set_of (s + 1) = set);
-    total := !total + max !ov (compute_cycles config app execs.(s));
-    if !def_count > 0 then total := !total + !def_cost
+    (* a stall step costs its transfers; an empty one is not emitted *)
+    let deferred =
+      (if st_conflicts then st else 0) + if ld_conflicts then ld else 0
+    in
+    total := !total + max overlapped (compute_at p s) + deferred
   done;
-  let drain_cost, drain_count = get stores (s_max - 1) in
-  if drain_count > 0 then total := !total + drain_cost;
-  !total
+  (* drain: the last execution's stores *)
+  !total + stores (p.s_max - 1)
 
 type 'a policy = {
   name : string;

@@ -1,24 +1,14 @@
 module IE = Kernel_ir.Info_extractor
 
-let selectors_of ~profile_of ~stored_objects =
+(* [profiles] is indexed by cluster id. Each cluster's stored objects are
+   selected once here, not again for every execution that stores them. *)
+let selectors_of profiles ~stored_objects =
+  let stored = Array.map stored_objects profiles in
   {
     Step_builder.load_objects =
-      (fun c ~round:_ -> (profile_of c).IE.external_inputs);
-    store_objects = (fun c ~round:_ -> stored_objects (profile_of c));
+      (fun c ~round:_ -> profiles.(c.Kernel_ir.Cluster.id).IE.external_inputs);
+    store_objects = (fun c ~round:_ -> stored.(c.Kernel_ir.Cluster.id));
   }
-
-let generators_of ~profile_of ~stored_objects =
-  Step_builder.generators_of_selectors (selectors_of ~profile_of ~stored_objects)
-
-let make_generators app clustering ~stored_objects =
-  let profiles = IE.profiles app clustering in
-  let profile_of (c : Kernel_ir.Cluster.t) =
-    List.nth profiles c.Kernel_ir.Cluster.id
-  in
-  generators_of ~profile_of ~stored_objects
-
-let ctx_profile_of (analysis : Kernel_ir.Analysis.t) (c : Kernel_ir.Cluster.t) =
-  Kernel_ir.Analysis.profile analysis c.Kernel_ir.Cluster.id
 
 let stored_outliving (p : IE.cluster_profile) = p.IE.outliving
 
@@ -27,22 +17,23 @@ let stored_everything (p : IE.cluster_profile) =
     (fun kp -> kp.IE.rout_objects @ List.map fst kp.IE.intermediate_objects)
     p.IE.kernel_profiles
 
+let make_generators app clustering ~stored_objects =
+  Step_builder.generators_of_selectors
+    (selectors_of
+       (Array.of_list (IE.profiles app clustering))
+       ~stored_objects)
+
 let plain app clustering =
   make_generators app clustering ~stored_objects:stored_outliving
 
 let store_everything app clustering =
   make_generators app clustering ~stored_objects:stored_everything
 
+let plain_selectors_ctx (analysis : Kernel_ir.Analysis.t) =
+  selectors_of analysis.profiles ~stored_objects:stored_outliving
+
 let plain_ctx analysis =
-  generators_of ~profile_of:(ctx_profile_of analysis)
-    ~stored_objects:stored_outliving
+  Step_builder.generators_of_selectors (plain_selectors_ctx analysis)
 
-let plain_selectors_ctx analysis =
-  selectors_of
-    ~profile_of:(ctx_profile_of analysis)
-    ~stored_objects:stored_outliving
-
-let store_everything_selectors_ctx analysis =
-  selectors_of
-    ~profile_of:(ctx_profile_of analysis)
-    ~stored_objects:stored_everything
+let store_everything_selectors_ctx (analysis : Kernel_ir.Analysis.t) =
+  selectors_of analysis.profiles ~stored_objects:stored_everything

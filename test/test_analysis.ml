@@ -193,42 +193,63 @@ let prop_schedulers (app, clustering) =
     [ "basic"; "ds"; "cds"; "cds-xset" ]
 
 (* The estimate used by the RF searches must equal the cost of the
-   materialised schedule, for both traffic shapes and several factors. *)
+   materialised schedule, for both traffic shapes and several factors:
+   RF 1-3 with free DMA setup, and RF 1-6 with a 16-cycle setup, which
+   makes every transfer's count matter as well as its words. *)
 let prop_estimate (app, clustering) =
-  let config = Morphosys.Config.m1 ~fb_set_size:4096 in
   let a = Analysis.make app clustering in
-  match Sched.Context_scheduler.plan_app config app clustering with
-  | Error _ -> true
-  | Ok ctx_plan ->
-    let shapes =
-      [
-        ( "plain",
-          Sched.Xfer_gen.plain_selectors_ctx a,
-          Sched.Xfer_gen.plain_ctx a );
-        ( "store_everything",
-          Sched.Xfer_gen.store_everything_selectors_ctx a,
-          Sched.Xfer_gen.store_everything app clustering );
-      ]
-    in
-    List.for_all
-      (fun rf ->
+  let shapes =
+    [
+      ( "plain",
+        Sched.Xfer_gen.plain_selectors_ctx a,
+        Sched.Xfer_gen.plain_ctx a );
+      ( "store_everything",
+        Sched.Xfer_gen.store_everything_selectors_ctx a,
+        Sched.Xfer_gen.store_everything app clustering );
+    ]
+  in
+  List.for_all
+    (fun (config, rfs) ->
+      match Sched.Context_scheduler.plan_app config app clustering with
+      | Error _ -> true
+      | Ok ctx_plan ->
         List.for_all
-          (fun (name, selectors, generators) ->
-            let estimated =
-              Sched.Step_builder.estimate config app clustering ~rf ~ctx_plan
-                ~selectors
-            in
-            let built =
-              Sched.Schedule_cost.estimate config
-                (Sched.Step_builder.build config app clustering ~rf ~ctx_plan
-                   ~generators ~scheduler:"test")
-            in
-            if estimated = built then true
-            else
-              QCheck.Test.fail_reportf "estimate %s rf=%d: %d <> built %d" name
-                rf estimated built)
-          shapes)
-      [ 1; 2; 3 ]
+          (fun rf ->
+            List.for_all
+              (fun (name, selectors, generators) ->
+                let estimated =
+                  Sched.Step_builder.estimate config app clustering ~rf
+                    ~ctx_plan ~selectors
+                in
+                let built =
+                  Sched.Schedule_cost.estimate config
+                    (Sched.Step_builder.build config app clustering ~rf
+                       ~ctx_plan ~generators ~scheduler:"test")
+                in
+                if estimated = built then true
+                else
+                  QCheck.Test.fail_reportf
+                    "estimate %s rf=%d setup=%d: %d <> built %d" name rf
+                    config.Morphosys.Config.dma_setup_cycles estimated built)
+              shapes)
+          rfs)
+    [
+      (Morphosys.Config.m1 ~fb_set_size:4096, [ 1; 2; 3 ]);
+      ( Morphosys.Config.make ~fb_set_size:4096 ~dma_setup_cycles:16 (),
+        [ 1; 2; 3; 4; 5; 6 ] );
+    ]
+
+(* Random apps draw an invariant table only now and then; the MPEG decoder
+   with its constant tables exercises the one-instance-per-round branch of
+   the transfer expansion and of the estimate every time. *)
+let test_estimate_invariant_tables () =
+  let app = Workloads.Mpeg.app_invariant () in
+  Alcotest.(check bool) "has invariant inputs" true
+    (List.exists
+       (fun (d : Kernel_ir.Data.t) -> d.Kernel_ir.Data.invariant)
+       app.Kernel_ir.Application.data);
+  Alcotest.(check bool) "estimate = built cost" true
+    (prop_estimate (app, Workloads.Mpeg.clustering app))
 
 let tests =
   ( "analysis_ctx",
@@ -238,6 +259,8 @@ let tests =
         test_profiles_match_reference;
       Alcotest.test_case "bad clustering backstop" `Quick
         test_bad_clustering_backstop;
+      Alcotest.test_case "rf estimate = built (invariant tables)" `Quick
+        test_estimate_invariant_tables;
     ]
     @ List.map
         (QCheck_alcotest.to_alcotest ~long:false)

@@ -62,6 +62,15 @@ let test_parse_errors () =
   expect_error "line 3: duplicate kernel name \"k\""
     "app a iterations 1\nkernel k contexts 1 cycles 1\n\
      kernel k contexts 1 cycles 1\ninput d size 4 -> k";
+  (* so are a repeated data name and a consumer declared before the
+     producer, found only once every kernel is known *)
+  expect_error "line 4: duplicate data name \"d\""
+    "app a iterations 1\nkernel k contexts 1 cycles 1\n\
+     input d size 4 -> k\ninput d size 4 -> k\nfinal o size 4 from k";
+  expect_error "line 5: a consumer of \"r\" precedes its producer"
+    "app a iterations 1\nkernel a contexts 1 cycles 1\n\
+     kernel b contexts 1 cycles 1\ninput d size 4 -> b\n\
+     result r size 4 from b -> a\nfinal o size 4 from a";
   (* a data line may name a kernel declared further down *)
   match
     Appdsl.parse

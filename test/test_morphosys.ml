@@ -56,10 +56,11 @@ let test_dma_cost () =
   Alcotest.(check int) "store cost" 10 (Dma.cost c store);
   Alcotest.(check int) "ctx cost" 12 (Dma.cost c ctx);
   Alcotest.(check int) "total serial" 42 (Dma.total_cost c [ load; store; ctx ]);
-  Alcotest.(check int) "data words" 15
-    (Dma.words_of_kind Dma.is_data [ load; store; ctx ]);
-  Alcotest.(check int) "ctx words" 4
-    (Dma.words_of_kind Dma.is_context [ load; store; ctx ]);
+  Alcotest.(check bool) "load kind" true
+    (load.Dma.kind = Dma.Data { set = Frame_buffer.Set_a; direction = Dma.Load });
+  Alcotest.(check bool) "store kind" true
+    (store.Dma.kind
+    = Dma.Data { set = Frame_buffer.Set_b; direction = Dma.Store });
   match Dma.data_load ~set:Frame_buffer.Set_a ~label:"bad" ~words:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected words validation"

@@ -100,7 +100,26 @@ let test_schedule_labels () =
   Alcotest.(check (option (pair string int))) "parse ctx label" None
     (Schedule.parse_label "Cl0");
   Alcotest.(check (option (pair string int))) "name containing @" (Some ("a@b", 2))
-    (Schedule.parse_label "a@b@2")
+    (Schedule.parse_label "a@b@2");
+  (* the hand-written renderer prints exactly what [Printf] does, at every
+     digit-count boundary and at the extremes; [parse_label] inverts it for
+     every iteration a schedule can carry *)
+  List.iter
+    (fun name ->
+      List.iter
+        (fun iter ->
+          let label = Schedule.instance_label name ~iter in
+          Alcotest.(check string)
+            (Printf.sprintf "render %S %d" name iter)
+            (Printf.sprintf "%s@%d" name iter)
+            label;
+          if iter >= 0 then
+            Alcotest.(check (option (pair string int)))
+              (Printf.sprintf "parse %S" label)
+              (Some (name, iter))
+              (Schedule.parse_label label))
+        [ 0; 9; 10; 99; 100; 65535; 65536; max_int; -1; -10; min_int ])
+    [ "d1"; ""; "a@b" ]
 
 let test_schedule_rounds () =
   let app = Fixtures.toy () in

@@ -152,6 +152,42 @@ let test_context_partial_pinning () =
          ~cluster:(Kernel_ir.Cluster.find clustering pinned_cluster)
          ~round:2)
 
+(* Allocation gate for the transfer path: building the MPEG Basic schedule
+   (FB 2048, CM 1024, DMA setup 16; 1,200 transfers) through the scheduler
+   driver may allocate at most [words_per_transfer_max] minor words per
+   transfer it emits. Rendering each label with [Printf] and copying the
+   step lists cost 92.2 words per transfer; the lean path takes 19.8
+   (label, record and list cell, about 10 words, are what the schedule
+   keeps), and the bound is that plus 25%. The count is deterministic on
+   one domain, so a regression shows without timing noise. *)
+let words_per_transfer_max = 24.8
+
+let test_basic_build_allocation () =
+  let app = Workloads.Mpeg.app () in
+  let ctx = Sched.Sched_ctx.make app (Workloads.Mpeg.clustering app) in
+  let config =
+    Morphosys.Config.make ~fb_set_size:2048 ~cm_capacity:1024
+      ~dma_setup_cycles:16 ()
+  in
+  let before = Gc.minor_words () in
+  let s =
+    match Fixtures.run "basic" ctx config with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let words = Gc.minor_words () -. before in
+  let transfers =
+    List.fold_left
+      (fun n (step : Schedule.step) -> n + List.length step.Schedule.dma)
+      0 s.Schedule.steps
+  in
+  let per_transfer = words /. float_of_int transfers in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per transfer <= %.1f" per_transfer
+       words_per_transfer_max)
+    true
+    (per_transfer <= words_per_transfer_max)
+
 let tests =
   ( "step_builder",
     [
@@ -167,4 +203,6 @@ let tests =
       QCheck_alcotest.to_alcotest prop_cost_estimate_equals_executor;
       Alcotest.test_case "partial context pinning" `Quick
         test_context_partial_pinning;
+      Alcotest.test_case "basic build allocation" `Quick
+        test_basic_build_allocation;
     ] )
