@@ -10,7 +10,7 @@
      schedulers  list the registered schedulers
      dse         parallel design-space exploration (--jobs/--stats),
                  durable and resumable with --store PATH / --resume
-     store       inspect and maintain the on-disk result stores (info/verify/gc)
+     store       inspect and maintain the on-disk result stores (info/gc)
      fuzz        random-application differential fuzzing against the validator
      table1      reproduce the paper's Table 1 + Figure 6
      figures     reproduce Figures 3 and 5 and the allocator-quality table *)
@@ -350,9 +350,17 @@ let resolve_jobs jobs =
 
 (* -- deterministic fault injection (Engine.Faults) ---------------------- *)
 
+(* A rate outside [0, 1] (NaN too) is refused while the command line is
+   parsed, so it is a usage error before any store is opened. *)
 let fault_rate_arg =
+  let rate s =
+    match float_of_string_opt s with
+    | Some r when r >= 0. && r <= 1. -> Ok r
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a rate in [0, 1]" s))
+  in
   Arg.(
-    value & opt float 0.
+    value
+    & opt (conv (rate, Format.pp_print_float)) 0.
     & info [ "fault-rate" ] ~docv:"R"
         ~doc:
           "Arm deterministic fault injection with per-visit firing \
@@ -365,18 +373,9 @@ let fault_seed_arg =
     & info [ "fault-seed" ] ~docv:"S"
         ~doc:"Seed of the fault plan; firings are reproducible from it.")
 
-let fault_sites_arg =
-  Arg.(
-    value
-    & opt (list ~sep:',' (enum [ ("pool", "pool"); ("sched", "sched") ])) []
-    & info [ "fault-sites" ] ~docv:"SITES"
-        ~doc:
-          "Restrict injection to these sites (comma-separated out of \
-           $(b,pool), $(b,sched)); default: all sites.")
-
-let arm_faults ~rate ~seed ~sites =
+let arm_faults ~rate ~seed =
   if rate > 0. then begin
-    Engine.Faults.arm (Engine.Faults.plan ~sites ~rate ~seed ());
+    Engine.Faults.arm (Engine.Faults.plan ~rate ~seed ());
     true
   end
   else false
@@ -430,7 +429,7 @@ let dse_cmd =
              byte-identical to an uninterrupted run.")
   in
   let run name file partition fb_list cm_list setup_list jobs stats csv
-      store_path resume fault_rate fault_seed fault_sites =
+      store_path resume fault_rate fault_seed =
     match
       let* problem =
         problem_of ~name ~file ~fb:None ~cm:None ~partition ~auto:false
@@ -472,9 +471,7 @@ let dse_cmd =
           Sys.set_signal Sys.sigint (flush_and_exit 130);
           Sys.set_signal Sys.sigterm (flush_and_exit 143)
         | None -> ());
-        let armed =
-          arm_faults ~rate:fault_rate ~seed:fault_seed ~sites:fault_sites
-        in
+        let armed = arm_faults ~rate:fault_rate ~seed:fault_seed in
         Fun.protect ~finally:Engine.Faults.disarm @@ fun () ->
         let st = if stats then Some (Engine.Stats.create ()) else None in
         let points =
@@ -510,8 +507,7 @@ let dse_cmd =
       ret
         (const run $ workload_arg $ file_arg $ partition_arg $ fb_list_arg
        $ cm_list_arg $ setup_list_arg $ jobs_arg $ stats_arg $ csv_arg
-       $ store_arg $ resume_arg $ fault_rate_arg $ fault_seed_arg
-       $ fault_sites_arg))
+       $ store_arg $ resume_arg $ fault_rate_arg $ fault_seed_arg))
 
 (* -- store maintenance (Engine.Store) ------------------------------------ *)
 
@@ -545,33 +541,19 @@ let store_info_cmd =
           | None -> "<unclaimed>");
         Printf.printf "  completed points: %d\n" completed
       | Error d -> Printf.printf "  unreadable:       %s\n" (Diag.to_string d));
-      `Ok ()
+      (match r.Engine.Store.v_corruption with
+      | None -> `Ok ()
+      | Some d ->
+        (* the report first, then the failure that sets the exit status *)
+        flush stdout;
+        `Error (false, Diag.render d))
   in
   Cmd.v
     (Cmd.info "info"
        ~doc:
          "Summarise a result store: framing, integrity, the sweep identity \
-          recorded in its first record and the completed design points")
-    Term.(ret (const run $ store_path_arg))
-
-let store_verify_cmd =
-  let run path =
-    match Engine.Store.verify path with
-    | Error d -> `Error (false, Diag.render d)
-    | Ok r -> (
-      match r.Engine.Store.v_corruption with
-      | None ->
-        Printf.printf "%s: %d records, %d keys, %d bytes — clean\n" path
-          r.Engine.Store.v_physical_records r.Engine.Store.v_distinct_keys
-          r.Engine.Store.v_file_bytes;
-        `Ok ()
-      | Some d -> `Error (false, Diag.render d))
-  in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Check every record's framing and checksum; exit nonzero on any \
-          corruption")
+          recorded in its first record and the completed design points; \
+          exit nonzero on any corruption")
     Term.(ret (const run $ store_path_arg))
 
 let store_gc_cmd =
@@ -597,7 +579,7 @@ let store_cmd =
        ~doc:
          "Inspect and maintain the on-disk DSE result stores written by \
           $(b,msched dse --store)")
-    [ store_info_cmd; store_verify_cmd; store_gc_cmd ]
+    [ store_info_cmd; store_gc_cmd ]
 
 let fuzz_cmd =
   let seed_arg =
@@ -627,14 +609,19 @@ let fuzz_cmd =
              ones and assert every failure is a structured diagnostic — \
              any uncaught exception fails the run.")
   in
-  let run seed count fb jobs stats hostile fault_rate fault_seed fault_sites =
-    if count < 0 then `Error (false, "--count must be non-negative")
-    else if fb <= 0 then `Error (false, "--fb must be positive")
-    else begin
+  let run seed count fb jobs stats hostile fault_rate fault_seed =
+    (* the random applications run on M1 with this FB size: a bad one is a
+       usage error, not a crash in every task *)
+    match
+      if count < 0 then Error "--count must be non-negative"
+      else
+        validate_config
+          { (Morphosys.Config.m1 ~fb_set_size:4096) with fb_set_size = fb }
+    with
+    | Error e -> `Error (false, e)
+    | Ok () ->
     let jobs = resolve_jobs jobs in
-    let armed =
-      arm_faults ~rate:fault_rate ~seed:fault_seed ~sites:fault_sites
-    in
+    let armed = arm_faults ~rate:fault_rate ~seed:fault_seed in
     Fun.protect ~finally:Engine.Faults.disarm @@ fun () ->
     if hostile then begin
       let report =
@@ -661,7 +648,6 @@ let fuzz_cmd =
       if Report.Fuzz.ok report then `Ok ()
       else `Error (false, "fuzzing found scheduler bugs (see report above)")
     end
-    end
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -673,7 +659,7 @@ let fuzz_cmd =
     Term.(
       ret
         (const run $ seed_arg $ count_arg $ fb_arg $ jobs_arg $ stats_arg
-       $ hostile_arg $ fault_rate_arg $ fault_seed_arg $ fault_sites_arg))
+       $ hostile_arg $ fault_rate_arg $ fault_seed_arg))
 
 let table1_cmd =
   let csv_arg =

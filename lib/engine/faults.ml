@@ -1,11 +1,11 @@
 exception Injected of string
 
-type plan = { seed : int; rate : float; sites : string list }
+type plan = { seed : int; rate : float }
 
-let plan ?(sites = []) ?(rate = 0.05) ~seed () =
-  if rate < 0. || rate > 1. then
+let plan ?(rate = 0.05) ~seed () =
+  if not (rate >= 0. && rate <= 1.) then
     invalid_arg "Engine.Faults.plan: rate must be in [0, 1]";
-  { seed; rate; sites }
+  { seed; rate }
 
 (* The armed plan is read on every [hit]; counters are touched only while a
    plan is armed, so the disarmed fast path is one atomic load. *)
@@ -26,7 +26,6 @@ let arm p =
   Atomic.set armed_plan (Some p)
 
 let disarm () = Atomic.set armed_plan None
-let armed () = Atomic.get armed_plan
 let injected_count () = with_lock (fun () -> !injections)
 
 (* The nth visit to a site fires iff hash(seed, site, n) falls under the
@@ -39,7 +38,6 @@ let fires p ~site ~n =
 let hit site =
   match Atomic.get armed_plan with
   | None -> ()
-  | Some p when p.sites <> [] && not (List.mem site p.sites) -> ()
   | Some p ->
     let fire =
       with_lock (fun () ->

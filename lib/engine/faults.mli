@@ -8,33 +8,30 @@
     number of visits does not). While no plan is armed every site is a
     single atomic load — the production fast path.
 
-    Injection sites in this codebase:
-    - ["pool"] — entry of every {!Pool} task;
-    - ["sched"] — entry of the Basic/DS/CDS schedulers' [run], which
-      converts the fault into a [Fault_injected] diagnostic. *)
+    The one injection site in this codebase is ["pool"], the entry of
+    every {!Pool} task: a felled task's body never runs, so nothing it
+    would have computed is persisted. *)
 
 exception Injected of string
 (** [Injected "site#n"] — the injected failure. Transient by
     construction: the visit counter has advanced, so nothing that depends
     on it may be persisted; a resumed sweep recomputes a felled point. *)
 
-type plan = { seed : int; rate : float; sites : string list }
+type plan = { seed : int; rate : float }
 
-val plan : ?sites:string list -> ?rate:float -> seed:int -> unit -> plan
-(** [sites = []] (default) injects at every site; [rate] (default 0.05)
-    is the per-visit firing probability.
-    @raise Invalid_argument if [rate] is outside [0, 1]. *)
+val plan : ?rate:float -> seed:int -> unit -> plan
+(** [rate] (default 0.05) is the per-visit firing probability.
+    @raise Invalid_argument if [rate] is outside [0, 1] or NaN. *)
 
 val arm : plan -> unit
 (** Install the plan globally and reset the visit counters — a fresh
     [arm] with the same plan reproduces the same firing sequence. *)
 
 val disarm : unit -> unit
-val armed : unit -> plan option
 
 val hit : string -> unit
 (** [hit site] registers a visit; raises {!Injected} when the armed plan
-    fires. A no-op when disarmed or when the site is filtered out. *)
+    fires. A no-op when disarmed. *)
 
 val injected_count : unit -> int
 (** Faults fired since the last {!arm}. *)

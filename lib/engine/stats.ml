@@ -66,13 +66,10 @@ let time t ~label f =
     finish ();
     Printexc.raise_with_backtrace e bt
 
-let note_cache t ~hits ~misses =
+let note_store t ~replayed ~recomputed ~quarantined =
   with_lock t (fun () ->
-      t.cache_hits <- t.cache_hits + hits;
-      t.cache_misses <- t.cache_misses + misses)
-
-let note_store t ~replayed ~quarantined =
-  with_lock t (fun () ->
+      t.cache_hits <- t.cache_hits + replayed;
+      t.cache_misses <- t.cache_misses + recomputed;
       t.store_replayed <- t.store_replayed + replayed;
       t.store_quarantined <- t.store_quarantined + quarantined)
 

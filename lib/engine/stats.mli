@@ -26,14 +26,11 @@ val time : t -> label:string -> (unit -> 'a) -> 'a
 val record : t -> label:string -> wall:float -> cpu:float -> unit
 (** Charge an externally measured duration to [label]. *)
 
-val note_cache : t -> hits:int -> misses:int -> unit
-(** Accumulate the store lookup counters observed by one durable sweep:
-    design points served from the store (hits) and scheduled (misses). *)
-
-val note_store : t -> replayed:int -> quarantined:int -> unit
-(** Accumulate on-disk store counters observed by one sweep: points
-    replayed from the result store instead of being scheduled, and records
-    quarantined (corrupt, truncated, or failing re-validation). *)
+val note_store : t -> replayed:int -> recomputed:int -> quarantined:int -> unit
+(** Accumulate the counters of one durable sweep: design points replayed
+    from the result store instead of being scheduled (the cache hits),
+    points scheduled (the misses), and records quarantined (corrupt,
+    truncated, or failing re-validation). *)
 
 val entries : t -> entry list
 (** Sorted by label. *)

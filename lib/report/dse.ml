@@ -98,17 +98,9 @@ module Durable = struct
     path : string;
     identity : string;
     store : Engine.Store.t;
-    mutex : Mutex.t;
-    trusted : (string, point) Hashtbl.t;
-        (* points re-validated or persisted in this session, grown by
-           every sweep on the store: the sweep's only memo *)
     mutable run_warnings : Diag.t list;  (* re-validation/persist diags, rev *)
     mutable noted : int;  (* STORE_CORRUPT warnings given to a Stats *)
   }
-
-  let with_lock t f =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
   let path t = t.path
   let identity t = t.identity
@@ -161,16 +153,13 @@ module Durable = struct
           then Ok p
           else Error "does not simulate to its stored point")
     in
-    match verdict with
-    | Ok p ->
-      with_lock t (fun () -> Hashtbl.replace t.trusted key p);
-      Ok p
-    | Error reason ->
-      Error
-        (Diag.v ~severity:Diag.Warning Diag.Store_corrupt
-           "store %s: record %s… %s; quarantined — the point will be \
-            recomputed"
-           t.path (short key) reason)
+    Result.map_error
+      (fun reason ->
+        Diag.v ~severity:Diag.Warning Diag.Store_corrupt
+          "store %s: record %s… %s; quarantined — the point will be \
+           recomputed"
+          t.path (short key) reason)
+      verdict
 
   let open_ ?(resume = false) ~path ?(cm_list = [ 2048 ])
       ?(setup_list = [ 0 ]) ~fb_list app clustering =
@@ -209,18 +198,7 @@ module Durable = struct
                with it every later record): claim it for this sweep *)
             if found = None then
               Engine.Store.append store ~key:identity_key ~payload:identity;
-            let t =
-              {
-                path;
-                identity;
-                store;
-                mutex = Mutex.create ();
-                trusted = Hashtbl.create 256;
-                run_warnings = [];
-                noted = 0;
-              }
-            in
-            Ok t)
+            Ok { path; identity; store; run_warnings = []; noted = 0 })
 
   let inspect path =
     Result.map
@@ -231,17 +209,10 @@ module Durable = struct
         (List.assoc_opt identity_key records, List.length points))
       (Engine.Store.contents path)
 
-  let find t key = with_lock t (fun () -> Hashtbl.find_opt t.trusted key)
-
   (* Called from inside pool tasks (any worker domain): a persistence
      failure degrades durability, never the sweep — the point is still
-     returned in memory, and the warning to report is returned. An
-     injected scheduler fault is transient, so its placeholder point is
-     never persisted. *)
+     returned in memory, and the warning to report is returned. *)
   let persist t ~key stored_v =
-    match stored_v.stored_point.diag with
-    | Some { Diag.code = Diag.Fault_injected; _ } -> []
-    | _ -> (
     match Marshal.to_string stored_v [] with
     | exception Invalid_argument msg ->
       [ Diag.v ~severity:Diag.Warning Diag.Store_corrupt
@@ -250,24 +221,22 @@ module Durable = struct
           (short key) msg ]
     | payload -> (
       match Engine.Store.append t.store ~key ~payload with
-      | () ->
-        with_lock t (fun () ->
-            Hashtbl.replace t.trusted key stored_v.stored_point);
-        []
+      | () -> []
       | exception e ->
         [ Diag.v ~severity:Diag.Warning Diag.Store_corrupt
             "failed to persist point %s… (%s); continuing without it"
-            (short key) (Printexc.to_string e) ]))
+            (short key) (Printexc.to_string e) ])
 
   (* After the pool joins, in task order: the same list at any [~jobs]. *)
   let add_warnings t ws = t.run_warnings <- List.rev_append ws t.run_warnings
 
-  let note_stats t st ~replayed =
+  let note_stats t st ~replayed ~recomputed =
     let corrupt =
       List.length
         (List.filter (fun d -> d.Diag.code = Diag.Store_corrupt) (warnings t))
     in
-    Engine.Stats.note_store st ~replayed ~quarantined:(corrupt - t.noted);
+    Engine.Stats.note_store st ~replayed ~recomputed
+      ~quarantined:(corrupt - t.noted);
     t.noted <- corrupt
 
   let checkpoint t = Engine.Store.checkpoint t.store
@@ -304,14 +273,13 @@ let sweep ?(jobs = 1) ?stats ?store ?(cm_list = [ 2048 ])
         end)
       combos
   in
-  (* With a store, every distinct point is first looked up among the
-     points trusted in this session, and the calling domain fetches the
-     stored payload of every other one. One key = one design point: the
-     digest covers the application, the clustering and every machine
-     parameter, so a hit is exact. Without a store nothing is digested. *)
-  let trusted, pending =
+  (* With a store, the calling domain fetches the stored payload of every
+     distinct point. One key = one design point: the digest covers the
+     application, the clustering and every machine parameter, so a hit is
+     exact. Without a store nothing is digested. *)
+  let pending =
     match store with
-    | None -> ([], List.map (fun c -> (c, None)) distinct)
+    | None -> List.map (fun c -> (c, None)) distinct
     | Some d ->
       let app_digest =
         match Engine.Key.digest_value_result (app, clustering) with
@@ -327,17 +295,13 @@ let sweep ?(jobs = 1) ?stats ?store ?(cm_list = [ 2048 ])
             "Report.Dse.sweep: ~store was opened for a different sweep \
              (application, clustering or axes mismatch)"
       in
-      List.partition_map
+      List.map
         (fun c ->
           let key = point_key ~app_digest c in
-          match Durable.find d key with
-          | Some p -> Either.Left (c, p)
-          | None ->
-            Either.Right
-              (c, Some (d, key, Engine.Store.find d.Durable.store key)))
+          (c, Some (d, key, Engine.Store.find d.Durable.store key)))
         distinct
   in
-  (* One pool task per pending point, all sharing one immutable analysis
+  (* One pool task per distinct point, all sharing one immutable analysis
      context. A stored payload that re-validates is a hit; every other
      point is scheduled and, with a store, made durable the moment its task
      completes, on whatever domain ran it. Tasks return their warnings
@@ -378,19 +342,17 @@ let sweep ?(jobs = 1) ?stats ?store ?(cm_list = [ 2048 ])
       pending
   in
   let points = Hashtbl.create 64 in
-  List.iter (fun (c, p) -> Hashtbl.replace points c p) trusted;
   List.iter (fun (c, p, _, _) -> Hashtbl.replace points c p) settled;
   (match store with
   | Some d ->
     Durable.add_warnings d (List.concat_map (fun (_, _, _, ws) -> ws) settled);
     Option.iter
       (fun st ->
-        let hits =
-          List.length trusted
-          + List.length (List.filter (fun (_, _, r, _) -> r) settled)
+        let replayed =
+          List.length (List.filter (fun (_, _, r, _) -> r) settled)
         in
-        Engine.Stats.note_cache st ~hits ~misses:(List.length distinct - hits);
-        Durable.note_stats d st ~replayed:hits)
+        Durable.note_stats d st ~replayed
+          ~recomputed:(List.length distinct - replayed))
       stats
   | None -> ());
   List.map (Hashtbl.find points) combos

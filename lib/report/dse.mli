@@ -124,11 +124,10 @@ val sweep :
     whatever the interleaving. [~stats] accumulates per-scheduler timing
     and, with a store, the hit/miss and replay counters.
 
-    [~store] makes the sweep durable, and is the sweep's only memo: each
-    point is keyed by (application, clustering, machine config, scheduler)
-    digest. A point already trusted in this session is a hit and runs no
-    task. Every other point is one pool task, which first re-validates
-    the point's stored record, if any: it is trusted (a hit) only if it
+    [~store] makes the sweep durable: each point is keyed by
+    (application, clustering, machine config, scheduler) digest. Every
+    distinct point is one pool task, which first re-validates the
+    point's stored record, if any: it is trusted (a hit) only if it
     deserialises and is what this sweep would compute — an infeasible
     point with its own axes, or a schedule for this application,
     clustering and scheduler that passes [Msim.Validate.check_result] and
@@ -141,15 +140,15 @@ val sweep :
     the points in flight. The store's sweep identity must match the
     requested axes and application (@raise Invalid_argument otherwise —
     open the store with {!Durable.open_} on the same arguments you pass
-    here). It raises [Invalid_argument] too when {!check_axes} fails. A resumed sweep returns a point list byte-identical to an
-    uninterrupted run.
+    here). It raises [Invalid_argument] too when {!check_axes} fails. A
+    resumed sweep returns a point list byte-identical to an uninterrupted
+    run.
 
     The sweep is fault-isolated: a design-point task that crashes or is
-    felled by an injected fault becomes an infeasible point carrying the
-    failure in [diag]; every other point is still computed and returned. Neither a crashed point nor a point
-    felled by an injected {!Engine.Faults} fault is ever persisted or
-    quarantined: both are transient, and a later resume recomputes (or
-    replays) them. *)
+    felled by an injected {!Engine.Faults} fault becomes an infeasible
+    point carrying the failure in [diag]; every other point is still
+    computed and returned. Neither is ever persisted or quarantined: both
+    are transient, and a later resume recomputes (or replays) them. *)
 
 val to_csv : point list -> string
 

@@ -20,13 +20,11 @@ type report = {
 (* Outcome of one scheduler on one random application. *)
 type verdict =
   | Infeasible
-  | Faulted  (** an injected fault surfaced as a diagnostic — absorbed *)
   | Valid of int  (** simulated total cycles *)
   | Violated of string
 
 let verdict_of ~scheduler config ctx =
   match Sched.Scheduler_registry.run scheduler ctx config with
-  | Error { Diag.code = Diag.Fault_injected; _ } -> Faulted
   | Error _ -> Infeasible
   | Ok s -> (
     match Msim.Validate.check s with
@@ -77,7 +75,6 @@ let run ?(jobs = 1) ?(fb_set_size = 4096) ?stats ~seed ~count () =
           (fun (scheduler, v) ->
             match v with
             | Infeasible -> incr infeasible
-            | Faulted -> incr faulted
             | Valid _ -> incr checked
             | Violated message ->
               incr checked;
@@ -88,7 +85,7 @@ let run ?(jobs = 1) ?(fb_set_size = 4096) ?stats ~seed ~count () =
             (fun s ->
               match List.assoc s verdicts with
               | Valid c -> Some c
-              | Infeasible | Faulted | Violated _ -> None)
+              | Infeasible | Violated _ -> None)
             [ "basic"; "ds"; "cds" ]
         with
         | [ basic; ds; cds ] ->
@@ -402,7 +399,7 @@ let hostile_ok r = r.h_crashes = []
 let pp_hostile ppf r =
   Format.fprintf ppf
     "@[<v>hostile fuzz seed=%d count=%d fb=%d: %d rejected by the \
-     validator, %d survived scheduling, %d faulted@,"
+     input checks, %d survived scheduling, %d faulted@,"
     r.h_seed r.h_count r.h_fb_set_size r.rejected r.survived r.h_faulted;
   (match r.h_crashes with
   | [] -> Format.fprintf ppf "uncaught exceptions: none@,"

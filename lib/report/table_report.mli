@@ -14,12 +14,10 @@ val run_rows : unit -> row list
 val table1 : row list -> unit
 (** Print the Table 1 reproduction to stdout. *)
 
-val infeasibility : unit -> unit
-(** Print the MPEG-at-1K feasibility check (paper §6). *)
-
 val to_csv : row list -> string
 (** Machine-readable export (one line per experiment, measured and paper
     columns) for downstream plotting. *)
 
 val run : unit -> row list
-(** All three, in paper order. *)
+(** Print Table 1, Figure 6 and the MPEG-at-1K feasibility check (paper
+    §6), in paper order. *)

@@ -284,41 +284,35 @@ module Log = (val Logs.src_log log_src)
    batching RF iterations of transfers can exceed what an imbalanced
    pipeline hides), then a single [build] of the winner. *)
 let search policy ctx config =
-  match Engine.Faults.hit "sched" with
-  | exception Engine.Faults.Injected site ->
-    Error
-      (Diag.v ~scheduler:policy.name Diag.Fault_injected
-         "injected fault at scheduler entry (%s)" site)
-  | () ->
-    let ( let* ) = Result.bind in
-    let tagged r = Result.map_error (Diag.with_scheduler policy.name) r in
-    let app = Sched_ctx.app ctx and clustering = Sched_ctx.clustering ctx in
-    let* ctx_plan =
-      tagged (Context_scheduler.plan_of_analysis config (Sched_ctx.analysis ctx))
-    in
-    let* rf_max = tagged (policy.rf_bound ctx config) in
-    let candidate rf = (rf, policy.selectors ctx config ~rf) in
-    let rf, (payload, selectors) =
-      if rf_max = 1 then candidate 1
-      else
-        let best = ref None in
-        for rf = 1 to rf_max do
-          let ((_, (_, selectors)) as cand) = candidate rf in
-          let cycles =
-            estimate config app clustering ~rf ~ctx_plan ~selectors
-          in
-          match !best with
-          | Some (_, best_cycles) when best_cycles < cycles -> ()
-          | _ -> best := Some (cand, cycles)
-        done;
-        let ((rf, _) as cand), cycles = Option.get !best in
-        Log.debug (fun m ->
-            m "%s: chose rf=%d (%d cycles) out of rf_max=%d" policy.name rf
-              cycles rf_max);
-        cand
-    in
-    Ok
-      ( build ~cross_set:policy.cross_set config app clustering ~rf ~ctx_plan
-          ~generators:(generators_of_selectors selectors)
-          ~scheduler:policy.name,
-        payload )
+  let ( let* ) = Result.bind in
+  let tagged r = Result.map_error (Diag.with_scheduler policy.name) r in
+  let app = Sched_ctx.app ctx and clustering = Sched_ctx.clustering ctx in
+  let* ctx_plan =
+    tagged (Context_scheduler.plan_of_analysis config (Sched_ctx.analysis ctx))
+  in
+  let* rf_max = tagged (policy.rf_bound ctx config) in
+  let candidate rf = (rf, policy.selectors ctx config ~rf) in
+  let rf, (payload, selectors) =
+    if rf_max = 1 then candidate 1
+    else
+      let best = ref None in
+      for rf = 1 to rf_max do
+        let ((_, (_, selectors)) as cand) = candidate rf in
+        let cycles =
+          estimate config app clustering ~rf ~ctx_plan ~selectors
+        in
+        match !best with
+        | Some (_, best_cycles) when best_cycles < cycles -> ()
+        | _ -> best := Some (cand, cycles)
+      done;
+      let ((rf, _) as cand), cycles = Option.get !best in
+      Log.debug (fun m ->
+          m "%s: chose rf=%d (%d cycles) out of rf_max=%d" policy.name rf
+            cycles rf_max);
+      cand
+  in
+  Ok
+    ( build ~cross_set:policy.cross_set config app clustering ~rf ~ctx_plan
+        ~generators:(generators_of_selectors selectors)
+        ~scheduler:policy.name,
+      payload )

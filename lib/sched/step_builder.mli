@@ -88,10 +88,9 @@ val search :
   Morphosys.Config.t ->
   (Schedule.t * 'a, Diag.t) result
 (** [search policy ctx config] runs a policy through the one path every
-    scheduler shares: the ["sched"] fault site ({!Engine.Faults}), the
-    context plan ({!Context_scheduler.plan_of_analysis}), the policy's RF
-    bound, the fastest RF in [1..bound] by {!estimate} (ties go to the
-    larger RF; a bound of 1 is built without estimating), and one
-    {!build} of the winner from {!generators_of_selectors}. Returns the
-    schedule with the winning RF's payload. Every [Error] is tagged with
-    [policy.name]. *)
+    scheduler shares: the context plan
+    ({!Context_scheduler.plan_of_analysis}), the policy's RF bound, the
+    fastest RF in [1..bound] by {!estimate} (ties go to the larger RF; a
+    bound of 1 is built without estimating), and one {!build} of the
+    winner from {!generators_of_selectors}. Returns the schedule with the
+    winning RF's payload. Every [Error] is tagged with [policy.name]. *)

@@ -19,7 +19,7 @@ let test_sweep_survives_crashing_point () =
   let clustering = Workloads.Mpeg.clustering app in
   let fb_list = [ 1024; 8192 ] in
   Engine.Faults.with_plan
-    (Engine.Faults.plan ~sites:[ "pool" ] ~rate:1.0 ~seed:9 ())
+    (Engine.Faults.plan ~rate:1.0 ~seed:9 ())
     (fun () ->
       let points = Report.Dse.sweep ~jobs:2 ~fb_list app clustering in
       Alcotest.(check int) "all points returned" 6 (List.length points);

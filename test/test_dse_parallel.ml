@@ -58,7 +58,14 @@ let test_store_deterministic () =
   Alcotest.(check int) "second sweep hit everything" 36
     (Engine.Stats.cache_hits stats);
   Alcotest.(check int) "no task ran on the second sweep" 0
-    (Engine.Stats.tasks_run stats)
+    (Engine.Stats.tasks_run stats);
+  (* the hits are the store's records, each re-validated and replayed *)
+  Alcotest.(check int) "second sweep replayed everything" 36
+    (Engine.Stats.store_replayed stats);
+  Alcotest.(check int) "nothing quarantined" 0
+    (Engine.Stats.store_quarantined stats);
+  Alcotest.(check int) "no store warnings" 0
+    (List.length (Dse.Durable.warnings store))
 
 let test_fuzz_jobs_deterministic () =
   let run jobs = Report.Fuzz.run ~jobs ~seed:7 ~count:12 () in

@@ -74,7 +74,7 @@ let test_crash_resume () =
      between points, those tasks persist nothing *)
   let d1 = open_exn ~path w in
   Engine.Faults.arm
-    (Engine.Faults.plan ~sites:[ "pool" ] ~rate:0.5 ~seed:11 ());
+    (Engine.Faults.plan ~rate:0.5 ~seed:11 ());
   let partial =
     Fun.protect ~finally:Engine.Faults.disarm (fun () ->
         Dse.sweep ~store:d1 ~fb_list app clustering)
@@ -104,13 +104,13 @@ let test_injected_faults_not_persisted () =
   let ((app, clustering) as w) = mpeg () in
   with_path @@ fun path ->
   let reference = Dse.sweep ~fb_list app clustering in
-  (* every scheduler entry fires: each point comes back infeasible with a
+  (* every pool task is felled: each point comes back infeasible with a
      FAULT_INJECTED diagnostic, a transient failure that must not be
      mistaken for a permanent infeasible point on disk *)
   let d1 = open_exn ~path w in
   let faulted =
     Engine.Faults.with_plan
-      (Engine.Faults.plan ~sites:[ "sched" ] ~rate:1.0 ~seed:7 ())
+      (Engine.Faults.plan ~rate:1.0 ~seed:7 ())
       (fun () -> Dse.sweep ~store:d1 ~fb_list app clustering)
   in
   Alcotest.(check bool) "the faulted run is all infeasible" true
@@ -388,7 +388,7 @@ let test_felled_replays_change_nothing () =
   let st = Engine.Stats.create () in
   let felled =
     Engine.Faults.with_plan
-      (Engine.Faults.plan ~sites:[ "pool" ] ~rate:1.0 ~seed:5 ())
+      (Engine.Faults.plan ~rate:1.0 ~seed:5 ())
       (fun () -> Dse.sweep ~jobs:2 ~store:d ~stats:st ~fb_list app clustering)
   in
   Alcotest.(check bool) "every felled replay is FAULT_INJECTED" true
@@ -551,7 +551,7 @@ let tests =
         test_durable_roundtrip;
       Alcotest.test_case "crash mid-sweep, resume, zero re-work" `Quick
         test_crash_resume;
-      Alcotest.test_case "injected scheduler faults are never persisted" `Quick
+      Alcotest.test_case "felled points not persisted" `Quick
         test_injected_faults_not_persisted;
       Alcotest.test_case "torn tail recomputes exactly one point" `Quick
         test_torn_tail_recomputes_one;

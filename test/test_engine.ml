@@ -50,8 +50,8 @@ let test_stats () =
     Alcotest.(check bool) "max >= min" true
       (ds.Engine.Stats.max_wall >= ds.Engine.Stats.min_wall)
   | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es));
-  Engine.Stats.note_cache st ~hits:5 ~misses:3;
-  Engine.Stats.note_cache st ~hits:1 ~misses:0;
+  Engine.Stats.note_store st ~replayed:5 ~recomputed:3 ~quarantined:0;
+  Engine.Stats.note_store st ~replayed:1 ~recomputed:0 ~quarantined:0;
   Alcotest.(check int) "cache hits accumulate" 6 (Engine.Stats.cache_hits st);
   Alcotest.(check int) "cache misses accumulate" 3
     (Engine.Stats.cache_misses st);
@@ -144,8 +144,8 @@ let test_digest_guard () =
 let test_stats_store_counters () =
   let st = Engine.Stats.create () in
   Alcotest.(check int) "fresh replayed" 0 (Engine.Stats.store_replayed st);
-  Engine.Stats.note_store st ~replayed:5 ~quarantined:1;
-  Engine.Stats.note_store st ~replayed:2 ~quarantined:0;
+  Engine.Stats.note_store st ~replayed:5 ~recomputed:1 ~quarantined:1;
+  Engine.Stats.note_store st ~replayed:2 ~recomputed:0 ~quarantined:0;
   Alcotest.(check int) "replayed accumulates" 7
     (Engine.Stats.store_replayed st);
   Alcotest.(check int) "quarantined accumulates" 1
@@ -158,7 +158,7 @@ let test_fault_injection () =
   (* rate 1.0: every pool visit fires; without retries every slot is an
      absorbed Fault_injected diagnostic, never an uncaught exception *)
   Engine.Faults.with_plan
-    (Engine.Faults.plan ~sites:[ "pool" ] ~rate:1.0 ~seed:11 ())
+    (Engine.Faults.plan ~rate:1.0 ~seed:11 ())
     (fun () ->
       let slots =
         Engine.Pool.run_results ~jobs:4 (Array.init 12 (fun i () -> i))
@@ -173,29 +173,27 @@ let test_fault_injection () =
       Alcotest.(check int) "one fault per task: a felled task is not re-run"
         12
         (Engine.Faults.injected_count ()));
-  Alcotest.(check bool) "disarmed after with_plan" true
-    (Engine.Faults.armed () = None);
-  (* a site filter keeps other sites quiet *)
-  Engine.Faults.with_plan
-    (Engine.Faults.plan ~sites:[ "sched" ] ~rate:1.0 ~seed:11 ())
-    (fun () ->
-      let slots =
-        Engine.Pool.run_results ~jobs:2 (Array.init 4 (fun i () -> i))
-      in
-      Array.iter
-        (function
-          | Ok _ -> ()
-          | Error d -> Alcotest.failf "pool fired: %s" (Diag.render d))
-        slots);
-  (* determinism: the same plan fires the same visits *)
+  (* with_plan disarms on the way out: a later pool run fires nothing *)
+  Array.iter
+    (function
+      | Ok _ -> ()
+      | Error d ->
+        Alcotest.failf "pool fired after with_plan: %s" (Diag.render d))
+    (Engine.Pool.run_results ~jobs:2 (Array.init 4 (fun i () -> i)));
+  (* determinism: the same plan fires the same visits, and the firing set
+     is a fixed function of (seed, "pool", n) *)
   let fired_of () =
     Engine.Faults.with_plan
-      (Engine.Faults.plan ~sites:[ "pool" ] ~rate:0.4 ~seed:5 ())
+      (Engine.Faults.plan ~rate:0.4 ~seed:5 ())
       (fun () ->
         Engine.Pool.run_results ~jobs:1 (Array.init 20 (fun i () -> i))
         |> Array.map Result.is_error)
   in
   Alcotest.(check (array bool)) "seeded firings reproducible" (fired_of ())
+    (fired_of ());
+  Alcotest.(check (array bool)) "seed 5, rate 0.4: the pinned firing set"
+    [| false; false; true; false; true; false; true; false; true; false;
+       true; false; true; true; true; false; false; false; false; false |]
     (fired_of ())
 
 let test_fault_retries () =
@@ -203,7 +201,7 @@ let test_fault_retries () =
      reported once and its body never runs, and every other task runs once *)
   let runs = Array.init 16 (fun _ -> Atomic.make 0) in
   Engine.Faults.with_plan
-    (Engine.Faults.plan ~sites:[ "pool" ] ~rate:0.5 ~seed:3 ())
+    (Engine.Faults.plan ~rate:0.5 ~seed:3 ())
     (fun () ->
       let slots =
         Engine.Pool.run_results ~jobs:2
