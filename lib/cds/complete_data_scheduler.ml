@@ -195,15 +195,8 @@ let run_full ?(retention = true) ?(cross_set = false) ctx config =
 let () =
   List.iter
     (fun (cross_set, describe) ->
-      let policy = policy ~retention:true ~cross_set in
-      Sched.Scheduler_registry.register
-        {
-          name = policy.name;
-          describe;
-          run =
-            (fun ctx config ->
-              Result.map fst (Sched.Step_builder.search policy ctx config));
-        })
+      Sched.Scheduler_registry.register ~describe
+        (policy ~retention:true ~cross_set))
     [
       ( false,
         "Complete Data Scheduler (DATE'02): fragmentation-free allocation + \

@@ -65,13 +65,10 @@ let check_axes ~fb_list ~cm_list ~setup_list =
 (* The sweep axis: the paper's three tiers. *)
 let schedulers = [ "basic"; "ds"; "cds" ]
 
-(* One design point plus the schedule that produced it: what the durable
-   store persists, so a resumed feasible point can be re-validated against
-   the semantic checker before it is trusted. *)
-let evaluate_full ~ctx ~fb ~cm ~setup ~scheduler =
+let evaluate ~ctx ~fb ~cm ~setup ~scheduler =
   let config = machine ~fb ~cm ~setup in
-  let r = Sched.Scheduler_registry.run scheduler ctx config in
-  (point_of_schedule config ~fb ~cm ~setup ~scheduler r, Result.to_option r)
+  point_of_schedule config ~fb ~cm ~setup ~scheduler
+    (Sched.Scheduler_registry.run scheduler ctx config)
 
 let point_key ~app_digest (fb, cm, setup, scheduler) =
   Engine.Key.combine
@@ -80,15 +77,12 @@ let point_key ~app_digest (fb, cm, setup, scheduler) =
 
 (* -- durable persistence ------------------------------------------------- *)
 
-(* What one store record deserialises to. Bump [Durable.schema_version]
-   whenever this type (or anything reachable from it) changes shape. *)
-type stored = {
-  stored_point : point;
-  stored_schedule : Sched.Schedule.t option;  (* [Some] iff feasible *)
-}
-
 module Durable = struct
-  let schema_version = 2
+  (* A point record's payload is the marshalled [point] alone: a schedule
+     is a deterministic function of (ctx, config, scheduler, RF), so replay
+     rebuilds it. Bump this whenever [point] (or anything reachable from
+     it) changes shape. *)
+  let schema_version = 3
 
   (* Record 0 of every sweep store: its payload is the sweep identity.
      Every later record is one design point. *)
@@ -121,37 +115,34 @@ module Durable = struct
 
   let short key = if String.length key <= 12 then key else String.sub key 0 12
 
-  (* Whether the stored payload of design point [(fb, cm, setup,
-     scheduler)] may stand in for computing it, on a pool domain. The record
-     passed its MD5 on open, so it is complete. It is trusted if it is what
-     this sweep would compute: an infeasible point carries its own axes; a
-     feasible point's schedule is for this application, clustering and
-     scheduler, validates, and simulates back to exactly the stored point.
-     Otherwise the caller recomputes the point and reports the warning. *)
-  let revalidate t ~key app clustering (fb, cm, setup, scheduler) payload =
+  (* Whether the stored point of design point [(fb, cm, setup, scheduler)]
+     may stand in for computing it, on a pool domain. The record passed its
+     MD5 on open, so it is complete. It is trusted if it is what this sweep
+     would compute: an infeasible point carries its own axes; a feasible
+     point's schedule, rebuilt at its RF from the sweep's own [ctx],
+     validates and simulates back to exactly the stored point. Otherwise
+     the caller recomputes the point and reports the warning. *)
+  let revalidate t ~key ctx (fb, cm, setup, scheduler) payload =
     let verdict =
-      match (Marshal.from_string payload 0 : stored) with
+      match (Marshal.from_string payload 0 : point) with
       | exception _ -> Error "does not deserialise (schema drift?)"
-      | { stored_point = { diag = Some d; _ } as p; stored_schedule = None }
+      | { feasible = false; diag = Some d; _ } as p
         when p = infeasible ~fb ~cm ~setup ~scheduler d ->
         Ok p
-      | { stored_schedule = None; _ } -> Error "does not match its design point"
-      | { stored_schedule = Some s; _ }
-        when not
-               (String.equal s.Sched.Schedule.scheduler scheduler
-               && s.Sched.Schedule.app = app
-               && s.Sched.Schedule.clustering = clustering) ->
-        Error "holds a schedule for another application, clustering or \
-               scheduler"
-      | { stored_point = p; stored_schedule = Some s } -> (
-        match Msim.Validate.check_result s with
+      | { feasible = true; rf = Some rf; _ } as p -> (
+        let config = machine ~fb ~cm ~setup in
+        match Sched.Scheduler_registry.rebuild scheduler ctx config ~rf with
         | Error d ->
-          Error ("failed semantic validation (" ^ Diag.to_string d ^ ")")
-        | Ok () ->
-          if point_of_schedule (machine ~fb ~cm ~setup) ~fb ~cm ~setup
-               ~scheduler (Ok s) = p
-          then Ok p
-          else Error "does not simulate to its stored point")
+          Error ("cannot be rebuilt at its RF (" ^ Diag.to_string d ^ ")")
+        | Ok s -> (
+          match Msim.Validate.check_result s with
+          | Error d ->
+            Error ("failed semantic validation (" ^ Diag.to_string d ^ ")")
+          | Ok () ->
+            if point_of_schedule config ~fb ~cm ~setup ~scheduler (Ok s) = p
+            then Ok p
+            else Error "does not simulate to its stored point"))
+      | _ -> Error "does not match its design point"
     in
     Result.map_error
       (fun reason ->
@@ -212,20 +203,14 @@ module Durable = struct
   (* Called from inside pool tasks (any worker domain): a persistence
      failure degrades durability, never the sweep — the point is still
      returned in memory, and the warning to report is returned. *)
-  let persist t ~key stored_v =
-    match Marshal.to_string stored_v [] with
-    | exception Invalid_argument msg ->
+  let persist t ~key (p : point) =
+    let payload = Marshal.to_string p [] in
+    match Engine.Store.append t.store ~key ~payload with
+    | () -> []
+    | exception e ->
       [ Diag.v ~severity:Diag.Warning Diag.Store_corrupt
-          "point %s… is not serialisable (%s); continuing without \
-           persisting it"
-          (short key) msg ]
-    | payload -> (
-      match Engine.Store.append t.store ~key ~payload with
-      | () -> []
-      | exception e ->
-        [ Diag.v ~severity:Diag.Warning Diag.Store_corrupt
-            "failed to persist point %s… (%s); continuing without it"
-            (short key) (Printexc.to_string e) ])
+          "failed to persist point %s… (%s); continuing without it"
+          (short key) (Printexc.to_string e) ]
 
   (* After the pool joins, in task order: the same list at any [~jobs]. *)
   let add_warnings t ws = t.run_warnings <- List.rev_append ws t.run_warnings
@@ -308,25 +293,23 @@ let sweep ?(jobs = 1) ?stats ?store ?(cm_list = [ 2048 ])
      rather than record them, so the store sees them in task order. *)
   let ctx = Sched.Sched_ctx.make app clustering in
   let task (((fb, cm, setup, scheduler) as combo), on_disk) () =
-    let evaluate warnings =
-      let work () = evaluate_full ~ctx ~fb ~cm ~setup ~scheduler in
-      let p, schedule =
+    let compute warnings =
+      let work () = evaluate ~ctx ~fb ~cm ~setup ~scheduler in
+      let p =
         match stats with
         | None -> work ()
         | Some st -> Engine.Stats.time st ~label:scheduler work
       in
       match on_disk with
-      | Some (d, key, _) ->
-        let v = { stored_point = p; stored_schedule = schedule } in
-        (p, false, warnings @ Durable.persist d ~key v)
+      | Some (d, key, _) -> (p, false, warnings @ Durable.persist d ~key p)
       | None -> (p, false, warnings)
     in
     match on_disk with
     | Some (d, key, Some payload) -> (
-      match Durable.revalidate d ~key app clustering combo payload with
+      match Durable.revalidate d ~key ctx combo payload with
       | Ok p -> (p, true, [])
-      | Error w -> evaluate [ w ])
-    | _ -> evaluate []
+      | Error w -> compute [ w ])
+    | _ -> compute []
   in
   let slots =
     Engine.Pool.run_results ~jobs (Array.of_list (List.map task pending))

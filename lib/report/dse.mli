@@ -125,22 +125,25 @@ val sweep :
     and, with a store, the hit/miss and replay counters.
 
     [~store] makes the sweep durable: each point is keyed by
-    (application, clustering, machine config, scheduler) digest. Every
-    distinct point is one pool task, which first re-validates the
-    point's stored record, if any: it is trusted (a hit) only if it
-    deserialises and is what this sweep would compute — an infeasible
-    point with its own axes, or a schedule for this application,
-    clustering and scheduler that passes [Msim.Validate.check_result] and
-    simulates back to exactly the stored point. Otherwise it is
-    quarantined with a [STORE_CORRUPT] warning and the point recomputed.
-    Replay does not check the contents of step clusters, transfer words
-    or compute cycles: a record altered there, with its point re-derived
-    to match, is trusted if it validates. Each newly computed point is
-    persisted as it finishes — not at the end — so a crash loses at most
-    the points in flight. The store's sweep identity must match the
-    requested axes and application (@raise Invalid_argument otherwise —
-    open the store with {!Durable.open_} on the same arguments you pass
-    here). It raises [Invalid_argument] too when {!check_axes} fails. A
+    (application, clustering, machine config, scheduler) digest, and its
+    record holds the {!point} alone — never a schedule. Every distinct
+    point is one pool task, which first re-validates the point's stored
+    record, if any: it is trusted (a hit) only if it deserialises and is
+    what this sweep would compute — an infeasible point with its own
+    axes, or a feasible point whose schedule, rebuilt at the stored RF
+    from this sweep's own application and clustering
+    ({!Sched.Scheduler_registry.rebuild}), passes
+    [Msim.Validate.check_result] and simulates back to exactly the stored
+    point. An RF outside the scheduler's bound, a point of another
+    scheduler or axes, and any altered count are quarantined with a
+    [STORE_CORRUPT] warning and the point recomputed. A record's RF is
+    not re-proved to be the one the RF search picks: a record holding
+    another in-bound RF together with that RF's exact cycles and words
+    is trusted. Each newly computed point is persisted as it finishes —
+    not at the end — so a crash loses at most the points in flight. The
+    store's sweep identity must match the requested axes and application
+    (@raise Invalid_argument otherwise — open the store with
+    {!Durable.open_} on the same arguments you pass here). It raises [Invalid_argument] too when {!check_axes} fails. A
     resumed sweep returns a point list byte-identical to an uninterrupted
     run.
 

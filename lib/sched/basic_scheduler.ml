@@ -55,10 +55,5 @@ let policy =
 
 let () =
   Scheduler_registry.register
-    {
-      name = policy.name;
-      describe =
-        "Basic Scheduler (DATE'99 baseline): no data reuse, RF fixed at 1";
-      run =
-        (fun ctx config -> Result.map fst (Step_builder.search policy ctx config));
-    }
+    ~describe:"Basic Scheduler (DATE'99 baseline): no data reuse, RF fixed at 1"
+    policy

@@ -76,11 +76,7 @@ let policy =
 
 let () =
   Scheduler_registry.register
-    {
-      name = policy.name;
-      describe =
-        "Data Scheduler (ISSS'01): in-place replacement, loop fission, no \
-         inter-cluster reuse";
-      run =
-        (fun ctx config -> Result.map fst (Step_builder.search policy ctx config));
-    }
+    ~describe:
+      "Data Scheduler (ISSS'01): in-place replacement, loop fission, no \
+       inter-cluster reuse"
+    policy

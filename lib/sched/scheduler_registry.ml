@@ -8,8 +8,20 @@
 let lock = Mutex.create ()
 let table : (string, Scheduler_intf.t) Hashtbl.t = Hashtbl.create 8
 
-let register (m : Scheduler_intf.t) =
-  let name = m.name in
+let register ~describe (policy : _ Step_builder.policy) =
+  let name = policy.name in
+  let m =
+    {
+      Scheduler_intf.name;
+      describe;
+      run =
+        (fun ctx config ->
+          Result.map fst (Step_builder.search policy ctx config));
+      rebuild =
+        (fun ctx config ~rf ->
+          Result.map fst (Step_builder.at_rf policy ctx config ~rf));
+    }
+  in
   Mutex.protect lock (fun () ->
       if Hashtbl.mem table name then
         invalid_arg
@@ -31,7 +43,11 @@ let unknown name =
   Diag.v Diag.Invalid_config "unknown scheduler %S (have: %s)" name
     (String.concat ", " (names ()))
 
+let dispatch name f =
+  match find name with Some m -> f m | None -> Error (unknown name)
+
 let run name ctx config =
-  match find name with
-  | Some m -> m.Scheduler_intf.run ctx config
-  | None -> Error (unknown name)
+  dispatch name (fun m -> m.Scheduler_intf.run ctx config)
+
+let rebuild name ctx config ~rf =
+  dispatch name (fun m -> m.Scheduler_intf.rebuild ctx config ~rf)

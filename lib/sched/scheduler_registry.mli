@@ -7,8 +7,10 @@
     this table, so adding a fourth scheduling policy is one [register]
     call, not a three-surface fork. *)
 
-val register : Scheduler_intf.t -> unit
-(** Publish a scheduler under its [name].
+val register : describe:string -> 'a Step_builder.policy -> unit
+(** Publish a policy as a scheduler under its [name]: its [run] is
+    {!Step_builder.search} and its [rebuild] is {!Step_builder.at_rf},
+    both keeping only the schedule.
     @raise Invalid_argument if the name is already registered (the table
     is left unchanged). *)
 
@@ -23,6 +25,17 @@ val run :
     name yields an [Invalid_config] diagnostic (never raises), so a
     user-supplied name such as [msched run -s NAME] needs no check of its
     own. *)
+
+val rebuild :
+  string ->
+  Sched_ctx.t ->
+  Morphosys.Config.t ->
+  rf:int ->
+  (Schedule.t, Diag.t) result
+(** [rebuild name ctx config ~rf] dispatches to the named scheduler's
+    [rebuild]: its schedule at [rf], without the RF search. An unknown
+    name or an RF outside the scheduler's bound yields a diagnostic
+    (never raises). *)
 
 val all : unit -> Scheduler_intf.t list
 (** Every registered scheduler, sorted by name — deterministic regardless

@@ -278,21 +278,37 @@ let log_src = Logs.Src.create "sched" ~doc:"Scheduler RF choices"
 
 module Log = (val Logs.src_log log_src)
 
+let ( let* ) = Result.bind
+
+(* Where both entries start: the context plan and the policy's RF bound,
+   each error tagged with the policy's name, handed to [k]. *)
+let prepare policy ctx config k =
+  let tagged r = Result.map_error (Diag.with_scheduler policy.name) r in
+  let* ctx_plan =
+    tagged (Context_scheduler.plan_of_analysis config (Sched_ctx.analysis ctx))
+  in
+  let* rf_max = tagged (policy.rf_bound ctx config) in
+  k ~ctx_plan ~rf_max
+
+(* Where both entries end: one [build] at [rf] from the policy's selectors
+   there. *)
+let build_at policy ctx config ~ctx_plan ~rf (payload, selectors) =
+  ( build ~cross_set:policy.cross_set config (Sched_ctx.app ctx)
+      (Sched_ctx.clustering ctx) ~rf ~ctx_plan
+      ~generators:(generators_of_selectors selectors)
+      ~scheduler:policy.name,
+    payload )
+
 (* The one scheduler driver: context plan, the policy's RF bound, the
    fastest RF by [estimate] (ties go to the larger RF, which frees more CM
    bandwidth; the largest memory-allowed RF is not always fastest, since
    batching RF iterations of transfers can exceed what an imbalanced
    pipeline hides), then a single [build] of the winner. *)
 let search policy ctx config =
-  let ( let* ) = Result.bind in
-  let tagged r = Result.map_error (Diag.with_scheduler policy.name) r in
+  prepare policy ctx config @@ fun ~ctx_plan ~rf_max ->
   let app = Sched_ctx.app ctx and clustering = Sched_ctx.clustering ctx in
-  let* ctx_plan =
-    tagged (Context_scheduler.plan_of_analysis config (Sched_ctx.analysis ctx))
-  in
-  let* rf_max = tagged (policy.rf_bound ctx config) in
   let candidate rf = (rf, policy.selectors ctx config ~rf) in
-  let rf, (payload, selectors) =
+  let rf, chosen =
     if rf_max = 1 then candidate 1
     else
       let best = ref None in
@@ -311,8 +327,17 @@ let search policy ctx config =
             cycles rf_max);
       cand
   in
-  Ok
-    ( build ~cross_set:policy.cross_set config app clustering ~rf ~ctx_plan
-        ~generators:(generators_of_selectors selectors)
-        ~scheduler:policy.name,
-      payload )
+  Ok (build_at policy ctx config ~ctx_plan ~rf chosen)
+
+(* [search] without the RF search: the schedule a stored design point's RF
+   stands for. *)
+let at_rf policy ctx config ~rf =
+  prepare policy ctx config @@ fun ~ctx_plan ~rf_max ->
+  if rf < 1 || rf > rf_max then
+    Error
+      (Diag.v ~scheduler:policy.name Diag.Invalid_config
+         "rf %d is outside the feasible 1..%d" rf rf_max)
+  else
+    Ok
+      (build_at policy ctx config ~ctx_plan ~rf
+         (policy.selectors ctx config ~rf))

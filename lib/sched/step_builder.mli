@@ -94,3 +94,16 @@ val search :
     bound of 1 is built without estimating), and one {!build} of the
     winner from {!generators_of_selectors}. Returns the schedule with the
     winning RF's payload. Every [Error] is tagged with [policy.name]. *)
+
+val at_rf :
+  'a policy ->
+  Sched_ctx.t ->
+  Morphosys.Config.t ->
+  rf:int ->
+  (Schedule.t * 'a, Diag.t) result
+(** [at_rf policy ctx config ~rf] is {!search} without the RF search: the
+    same context plan and RF bound, then the policy's selectors at [rf]
+    and the same {!build} that ends {!search}. At the RF {!search} chose
+    it returns {!search}'s result. An [rf] outside [1..bound] is an
+    [Invalid_config] diagnostic, never a raise; every [Error] is tagged
+    with [policy.name]. *)

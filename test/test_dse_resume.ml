@@ -158,41 +158,31 @@ let test_torn_tail_recomputes_one () =
     (Engine.Stats.tasks_run st);
   Durable.close d
 
-(* Structural mirror of Dse's private [stored] record: Marshal is
-   structural, so the test can read and forge store payloads without the
-   type being exported. *)
-type forged = {
-  f_point : Dse.point;
-  f_schedule : Sched.Schedule.t option;
-}
-
-(* A complete store of the sweep, with one feasible record rewritten *in
-   content* by [f]: checksums pass and the payload deserialises, so only
-   re-validation can catch it. *)
+(* A complete store of the sweep with one record rewritten *in content*:
+   [f] sees the feasible records as (key, point) and returns the key to
+   overwrite and the point to store there. Checksums pass and the payload
+   deserialises, so only re-validation can catch it. *)
 let forge_one_record ~path ((app, clustering) as w) f =
   let d = open_exn ~path w in
   ignore (Dse.sweep ~store:d ~fb_list app clustering);
   Durable.close d;
-  let key, (record, schedule) =
+  let key, forged =
     match Engine.Store.contents path with
     | Error diag -> Alcotest.failf "contents: %s" (Diag.render diag)
     | Ok [] -> Alcotest.fail "empty store"
-    | Ok (_identity :: points) -> (
+    | Ok (_identity :: points) ->
       (* record 0 is the sweep identity, a hex digest: not a point *)
-      let feasible (key, payload) =
-        match (Marshal.from_string payload 0 : forged) with
-        | { f_schedule = Some s; _ } as r -> Some (key, (r, s))
-        | _ -> None
-      in
-      match List.find_map feasible points with
-      | Some kr -> kr
-      | None -> Alcotest.fail "no feasible record to forge")
+      f
+        (List.filter_map
+           (fun (key, payload) ->
+             let p : Dse.point = Marshal.from_string payload 0 in
+             if p.Dse.feasible then Some (key, p) else None)
+           points)
   in
   match Engine.Store.open_ ~schema:Durable.schema_version path with
   | Error diag -> Alcotest.failf "reopen: %s" (Diag.render diag)
   | Ok store ->
-    Engine.Store.append store ~key
-      ~payload:(Marshal.to_string (f record schedule) []);
+    Engine.Store.append store ~key ~payload:(Marshal.to_string forged []);
     Engine.Store.close store
 
 (* What one resume reports, compared across [~jobs]. *)
@@ -236,71 +226,136 @@ let resume_at_jobs_1_and_4 ~path bytes ((app, clustering) as w) =
     one.store_quarantined four.store_quarantined;
   one
 
-let test_forged_schedule_fails_revalidation () =
-  let ((app, clustering) as w) = mpeg () in
-  with_path @@ fun path ->
-  let reference = Dse.sweep ~fb_list app clustering in
-  (* the schedule no longer satisfies the semantic validator *)
-  forge_one_record ~path w (fun r s ->
-      { r with f_schedule = Some { s with Sched.Schedule.steps = [] } });
-  let d = open_exn ~resume:true ~path w in
-  let st = Engine.Stats.create () in
-  let resumed = Dse.sweep ~jobs:1 ~store:d ~stats:st ~fb_list app clustering in
-  Alcotest.(check bool) "re-validation quarantines the forged schedule" true
-    (List.exists
-       (fun (diag : Diag.t) ->
-         diag.Diag.code = Diag.Store_corrupt
-         && contains (Diag.render diag) "semantic validation")
-       (Durable.warnings d));
-  Alcotest.(check string) "recovered run byte-identical"
-    (Dse.to_csv reference) (Dse.to_csv resumed);
-  Alcotest.(check int) "exactly the forged point is recomputed" 1
-    (Engine.Stats.tasks_run st);
-  Alcotest.(check int) "stats report the quarantine" 1
-    (Engine.Stats.store_quarantined st);
-  Durable.close d
-
-(* A forged record must be quarantined and recomputed, identically at any
-   [~jobs]. *)
-let check_forgery_recomputed forgery () =
+(* A forged record must be quarantined for [reason] and recomputed,
+   identically at any [~jobs]. *)
+let check_forgery_recomputed ~reason forgery () =
   let ((app, clustering) as w) = mpeg () in
   with_path @@ fun path ->
   let reference = Dse.to_csv (Dse.sweep ~fb_list app clustering) in
-  forge_one_record ~path w (forgery app);
+  forge_one_record ~path w (forgery w);
   let o = resume_at_jobs_1_and_4 ~path (Store_frames.read_file path) w in
   Alcotest.(check string) "recovered run byte-identical" reference o.csv;
   Alcotest.(check int) "exactly the forged point is recomputed" 1 o.tasks_run;
   Alcotest.(check int) "stats report the quarantine" 1 o.store_quarantined;
-  Alcotest.(check bool) "the quarantine is a warning" true
-    (List.exists (fun w -> contains w "STORE_CORRUPT") o.warnings)
+  Alcotest.(check bool)
+    ("the quarantine is a warning that " ^ reason)
+    true
+    (List.exists
+       (fun w -> contains w "STORE_CORRUPT" && contains w reason)
+       o.warnings)
 
-(* A schedule that validates only against the app copy inside the record:
-   no steps, no clusters, no data, and a fake cycle count. *)
-let test_forged_app_copy =
-  check_forgery_recomputed (fun app r s ->
-      let empty =
-        Kernel_ir.Application.make ~name:app.Kernel_ir.Application.name
-          ~kernels:(Array.to_list app.Kernel_ir.Application.kernels)
-          ~data:[] ~iterations:app.Kernel_ir.Application.iterations
+let first = function
+  | r :: _ -> r
+  | [] -> Alcotest.fail "no feasible record to forge"
+
+let machine (p : Dse.point) =
+  Morphosys.Config.make ~fb_set_size:p.Dse.fb_set_size
+    ~cm_capacity:p.Dse.cm_capacity ~dma_setup_cycles:p.Dse.dma_setup_cycles ()
+
+(* Another RF the scheduler allows, with the chosen RF's counts: the
+   rebuilt schedule is valid but does not simulate to the stored point. *)
+let test_forged_in_bound_rf =
+  check_forgery_recomputed ~reason:"does not simulate to its stored point"
+    (fun (app, clustering) records ->
+      let key, p =
+        first
+          (List.filter
+             (fun (_, (p : Dse.point)) ->
+               p.Dse.scheduler = "cds" && Option.get p.Dse.rf > 1)
+             records)
       in
-      {
-        f_point = { r.f_point with Dse.total_cycles = Some 1 };
-        f_schedule =
-          Some
-            { s with Sched.Schedule.steps = []; clustering = []; app = empty };
-      })
+      let rf = Option.get p.Dse.rf - 1 in
+      (match
+         Sched.Scheduler_registry.rebuild "cds"
+           (Sched.Sched_ctx.make app clustering)
+           (machine p) ~rf
+       with
+      | Ok _ -> ()
+      | Error d ->
+        Alcotest.failf "rf %d must be in bound: %s" rf (Diag.render d));
+      (key, { p with Dse.rf = Some rf }))
 
-(* An intact schedule under a stored point it does not simulate to. *)
+let test_forged_rf_beyond_bound =
+  check_forgery_recomputed ~reason:"cannot be rebuilt at its RF"
+    (fun (app, _) records ->
+      let key, p = first records in
+      let beyond = app.Kernel_ir.Application.iterations + 1 in
+      (key, { p with Dse.rf = Some beyond }))
+
+let test_forged_no_rf =
+  check_forgery_recomputed ~reason:"does not match its design point"
+    (fun _ records ->
+      let key, p = first records in
+      (key, { p with Dse.rf = None }))
+
+(* The stored cycle count is off by one. *)
 let test_forged_point =
-  check_forgery_recomputed (fun _ r _ ->
-      {
-        r with
-        f_point =
-          {
-            r.f_point with
-            Dse.total_cycles = Option.map succ r.f_point.Dse.total_cycles;
-          };
-      })
+  check_forgery_recomputed ~reason:"does not simulate to its stored point"
+    (fun _ records ->
+      let key, p = first records in
+      (key, { p with Dse.total_cycles = Option.map succ p.Dse.total_cycles }))
+
+(* The DS point of the same axes, stored under the CDS key. *)
+let test_forged_other_scheduler =
+  check_forgery_recomputed ~reason:"does not simulate to its stored point"
+    (fun _ records ->
+      let key, p =
+        first
+          (List.filter
+             (fun (_, (p : Dse.point)) -> p.Dse.scheduler = "cds")
+             records)
+      in
+      let _, ds =
+        first
+          (List.filter
+             (fun (_, (q : Dse.point)) ->
+               q.Dse.scheduler = "ds" && q.Dse.fb_set_size = p.Dse.fb_set_size
+               && q.Dse.cm_capacity = p.Dse.cm_capacity
+               && q.Dse.dma_setup_cycles = p.Dse.dma_setup_cycles)
+             records)
+      in
+      (key, ds))
+
+(* A record holds the point alone: the 72-point MPEG grid's store stays
+   within 1 KB per point, so a schedule cannot creep back into it. *)
+let test_store_bytes_per_point () =
+  let app, clustering = mpeg () in
+  let fb_list = [ 512; 1024; 1536; 2048; 3072; 4096 ]
+  and cm_list = [ 1024; 2048 ]
+  and setup_list = [ 0; 16 ] in
+  with_path @@ fun path ->
+  match Durable.open_ ~path ~cm_list ~setup_list ~fb_list app clustering with
+  | Error d -> Alcotest.failf "Durable.open_ failed: %s" (Diag.render d)
+  | Ok d ->
+    let points =
+      Dse.sweep ~store:d ~cm_list ~setup_list ~fb_list app clustering
+    in
+    let completed = Durable.completed d in
+    Durable.close d;
+    Alcotest.(check int) "72 points swept" 72 (List.length points);
+    Alcotest.(check int) "72 points on disk" 72 completed;
+    let per_point = file_size path / completed in
+    if per_point > 1024 then
+      Alcotest.failf "%d bytes per point; at most 1024 expected" per_point
+
+(* A store written by the schedule-carrying payload (schema 2) is refused
+   on resume rather than misread. *)
+let test_schema_2_store_refused () =
+  let app, clustering = mpeg () in
+  Alcotest.(check int) "payload schema" 3 Durable.schema_version;
+  with_path @@ fun path ->
+  (match Engine.Store.open_ ~schema:2 path with
+  | Error d -> Alcotest.failf "schema-2 store: %s" (Diag.render d)
+  | Ok store ->
+    Engine.Store.append store ~key:"@sweep-identity" ~payload:"old";
+    Engine.Store.close store);
+  (match Durable.open_ ~resume:true ~path ~fb_list app clustering with
+  | Ok _ -> Alcotest.fail "a schema-2 store must be refused"
+  | Error diag ->
+    Alcotest.(check bool) "SWEEP_MISMATCH" true
+      (diag.Diag.code = Diag.Sweep_mismatch);
+    Alcotest.(check bool) "names the schema" true
+      (contains (Diag.render diag) "schema version 2"))
 
 let test_torn_tail_agrees_across_jobs () =
   let ((app, clustering) as w) = mpeg () in
@@ -555,12 +610,20 @@ let tests =
         test_injected_faults_not_persisted;
       Alcotest.test_case "torn tail recomputes exactly one point" `Quick
         test_torn_tail_recomputes_one;
-      Alcotest.test_case "forged schedule fails re-validation" `Quick
-        test_forged_schedule_fails_revalidation;
-      Alcotest.test_case "forged app copy is quarantined" `Quick
-        test_forged_app_copy;
+      Alcotest.test_case "forged in-bound RF is quarantined" `Quick
+        test_forged_in_bound_rf;
+      Alcotest.test_case "forged RF beyond the bound is quarantined" `Quick
+        test_forged_rf_beyond_bound;
+      Alcotest.test_case "feasible point without an RF is quarantined" `Quick
+        test_forged_no_rf;
       Alcotest.test_case "forged stored point is quarantined" `Quick
         test_forged_point;
+      Alcotest.test_case "another scheduler's point is quarantined" `Quick
+        test_forged_other_scheduler;
+      Alcotest.test_case "store holds at most 1 KB per point" `Quick
+        test_store_bytes_per_point;
+      Alcotest.test_case "schema-2 store is refused on resume" `Quick
+        test_schema_2_store_refused;
       Alcotest.test_case "torn-tail resume agrees at jobs 1 and 4" `Quick
         test_torn_tail_agrees_across_jobs;
       Alcotest.test_case "felled replays persist and quarantine nothing"

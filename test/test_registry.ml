@@ -1,7 +1,7 @@
 (* The scheduler registry: deterministic listing, lookup, duplicate
-   rejection and the unknown-name diagnostic. That dispatching a scheduler
-   by name reproduces its reference schedules is a property in
-   [Test_analysis]. *)
+   rejection, the unknown-name diagnostic, and [rebuild] at [run]'s RF
+   reproducing [run]'s schedule. That dispatching a scheduler by name
+   reproduces its reference schedules is a property in [Test_analysis]. *)
 
 module Registry = Sched.Scheduler_registry
 module Intf = Sched.Scheduler_intf
@@ -36,12 +36,16 @@ let test_find () =
 let test_duplicate_rejected () =
   let impostor =
     {
-      Intf.name = "cds";
-      describe = "an impostor under an already-taken name";
-      run = (fun _ _ -> assert false);
+      Sched.Step_builder.name = "cds";
+      cross_set = false;
+      rf_bound = (fun _ _ -> assert false);
+      selectors = (fun _ _ ~rf:_ -> assert false);
     }
   in
-  (match Registry.register impostor with
+  (match
+     Registry.register ~describe:"an impostor under an already-taken name"
+       impostor
+   with
   | exception Invalid_argument msg ->
     Alcotest.(check bool) "error names the duplicate" true
       (contains msg "cds")
@@ -67,6 +71,87 @@ let test_unknown_run_diagnoses () =
     Alcotest.(check bool) "message lists the known names" true
       (contains d.Diag.message "basic")
 
+(* ---------- rebuild at a stored RF ---------- *)
+
+(* Each scheduler's RF bound, from the paper's models rather than from
+   the policies: Basic runs at RF = 1; DS packs 85% of the FB set; CDS
+   (and its cross-set variant) the whole set. *)
+let rf_bound name app clustering (config : Morphosys.Config.t) =
+  let common fb_set_size =
+    Sched.Reuse_factor.common_split ~fb_set_size
+      ~footprints:(Sched.Data_scheduler.footprints_split app clustering)
+      ~iterations:app.Kernel_ir.Application.iterations
+  in
+  match name with
+  | "basic" -> 1
+  | "ds" -> common (int_of_float (0.85 *. float_of_int config.fb_set_size))
+  | "cds" | "cds-xset" -> common config.fb_set_size
+  | _ -> Alcotest.failf "no RF bound known for scheduler %S" name
+
+(* For every registered scheduler: [rebuild] at [run]'s RF is [run]'s
+   schedule; RF 0 and bound + 1 are diagnostics; an infeasible [run] has
+   no schedule to rebuild. The first disagreement, if any. *)
+let rebuild_mismatch app clustering config =
+  let ctx = Sched.Sched_ctx.make app clustering in
+  List.find_map
+    (fun (s : Intf.t) ->
+      let name = s.Intf.name in
+      let rebuild rf = Registry.rebuild name ctx config ~rf in
+      let is_error rf = Result.is_error (rebuild rf) in
+      let failed what =
+        Some
+          (Printf.sprintf "%s (fb=%d cm=%d setup=%d): %s" name
+             config.Morphosys.Config.fb_set_size config.cm_capacity
+             config.dma_setup_cycles what)
+      in
+      match Registry.run name ctx config with
+      | Error _ ->
+        if is_error 1 then None else failed "rebuilt an infeasible point"
+      | Ok sched ->
+        let rf = sched.Sched.Schedule.rf in
+        let bound = rf_bound name app clustering config in
+        if rf < 1 || rf > bound then
+          failed (Printf.sprintf "run's rf %d outside 1..%d" rf bound)
+        else if rebuild rf <> Ok sched then
+          failed (Printf.sprintf "rebuild at rf %d differs" rf)
+        else if Result.is_error (rebuild bound) then
+          failed (Printf.sprintf "rf %d is in bound" bound)
+        else if not (is_error 0) then failed "rf 0 rebuilt"
+        else if not (is_error (bound + 1)) then
+          failed (Printf.sprintf "rf %d rebuilt" (bound + 1))
+        else None)
+    (Registry.all ())
+
+let prop_rebuild (app, clustering) =
+  List.for_all
+    (fun config ->
+      match rebuild_mismatch app clustering config with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+    [
+      Morphosys.Config.m1 ~fb_set_size:1024;
+      Morphosys.Config.make ~fb_set_size:4096 ~dma_setup_cycles:16 ();
+    ]
+
+(* The 72-point MPEG grid of the DSE benchmark. *)
+let test_rebuild_mpeg_grid () =
+  let app = Workloads.Mpeg.app () in
+  let clustering = Workloads.Mpeg.clustering app in
+  List.iter
+    (fun fb_set_size ->
+      List.iter
+        (fun cm_capacity ->
+          List.iter
+            (fun dma_setup_cycles ->
+              Alcotest.(check (option string))
+                "rebuild = run" None
+                (rebuild_mismatch app clustering
+                   (Morphosys.Config.make ~fb_set_size ~cm_capacity
+                      ~dma_setup_cycles ())))
+            [ 0; 16 ])
+        [ 1024; 2048 ])
+    [ 512; 1024; 1536; 2048; 3072; 4096 ]
+
 let tests =
   ( "scheduler_registry",
     [
@@ -77,4 +162,9 @@ let tests =
         test_duplicate_rejected;
       Alcotest.test_case "unknown name diagnosed" `Quick
         test_unknown_run_diagnoses;
+      Alcotest.test_case "rebuild = run on the MPEG grid" `Quick
+        test_rebuild_mpeg_grid;
+      QCheck_alcotest.to_alcotest ~long:false
+        (QCheck.Test.make ~count:100 ~name:"rebuild = run on random apps"
+           Workloads.Random_app.arb_app_with_clustering prop_rebuild);
     ] )
