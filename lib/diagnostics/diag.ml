@@ -44,6 +44,13 @@ let code_name = function
   | Store_corrupt -> "STORE_CORRUPT"
   | Sweep_mismatch -> "SWEEP_MISMATCH"
 
+let codes =
+  [ Fb_overflow; Cm_overflow; No_feasible_rf; Invalid_app; Invalid_clustering;
+    Invalid_config; Sim_divergence; Task_crashed; Fault_injected;
+    Store_corrupt; Sweep_mismatch ]
+
+let code_of_name name = List.find_opt (fun c -> code_name c = name) codes
+
 let is_error t = t.severity = Error
 let with_scheduler scheduler t = { t with scheduler = Some scheduler }
 

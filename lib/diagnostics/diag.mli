@@ -60,6 +60,9 @@ val code_name : code -> string
 (** Stable upper-snake identifier, e.g. ["FB_OVERFLOW"] — the
     machine-readable error-code namespace. *)
 
+val code_of_name : string -> code option
+(** The inverse of {!code_name}; [None] for any other string. *)
+
 val is_error : t -> bool
 
 val with_scheduler : string -> t -> t

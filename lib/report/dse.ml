@@ -25,22 +25,19 @@ let infeasible ~fb ~cm ~setup ~scheduler diag =
     diag = Some diag;
   }
 
-let point_of_schedule config ~fb ~cm ~setup ~scheduler = function
-  | Error d -> infeasible ~fb ~cm ~setup ~scheduler d
-  | Ok (s : Sched.Schedule.t) ->
-    let m = Msim.Executor.run config s in
-    {
-      fb_set_size = fb;
-      cm_capacity = cm;
-      dma_setup_cycles = setup;
-      scheduler;
-      feasible = true;
-      rf = Some s.Sched.Schedule.rf;
-      total_cycles = Some m.Msim.Metrics.total_cycles;
-      data_words = Some (Msim.Metrics.data_words m);
-      context_words = Some m.Msim.Metrics.context_words_loaded;
-      diag = None;
-    }
+let priced ~fb ~cm ~setup ~scheduler ~rf (c : Sched.Step_builder.cost) =
+  {
+    fb_set_size = fb;
+    cm_capacity = cm;
+    dma_setup_cycles = setup;
+    scheduler;
+    feasible = true;
+    rf = Some rf;
+    total_cycles = Some c.cycles;
+    data_words = Some c.data_words;
+    context_words = Some c.context_words;
+    diag = None;
+  }
 
 let machine ~fb ~cm ~setup =
   Morphosys.Config.make ~fb_set_size:fb ~cm_capacity:cm ~dma_setup_cycles:setup
@@ -65,10 +62,14 @@ let check_axes ~fb_list ~cm_list ~setup_list =
 (* The sweep axis: the paper's three tiers. *)
 let schedulers = [ "basic"; "ds"; "cds" ]
 
+(* A design point is priced, not built: the RF search's own estimate of
+   the winning schedule is exactly what simulating it would measure. *)
 let evaluate ~ctx ~fb ~cm ~setup ~scheduler =
-  let config = machine ~fb ~cm ~setup in
-  point_of_schedule config ~fb ~cm ~setup ~scheduler
-    (Sched.Scheduler_registry.run scheduler ctx config)
+  match
+    Sched.Scheduler_registry.price scheduler ctx (machine ~fb ~cm ~setup)
+  with
+  | Error d -> infeasible ~fb ~cm ~setup ~scheduler d
+  | Ok (rf, cost) -> priced ~fb ~cm ~setup ~scheduler ~rf cost
 
 let point_key ~app_digest (fb, cm, setup, scheduler) =
   Engine.Key.combine
@@ -78,11 +79,91 @@ let point_key ~app_digest (fb, cm, setup, scheduler) =
 (* -- durable persistence ------------------------------------------------- *)
 
 module Durable = struct
-  (* A point record's payload is the marshalled [point] alone: a schedule
-     is a deterministic function of (ctx, config, scheduler, RF), so replay
-     rebuilds it. Bump this whenever [point] (or anything reachable from
-     it) changes shape. *)
-  let schema_version = 3
+  (* A point record's payload is the point alone, as one line of
+     tab-separated text: a schedule is a deterministic function of (ctx,
+     config, scheduler, RF), so replay rebuilds it. Bump this whenever the
+     encoding (or [point]) changes shape. *)
+  let schema_version = 4
+
+  (* Strings are [String.escaped], so a field holds no tab or newline; an
+     optional string is quoted, so [Some ""] is not [None]. *)
+  let int_opt = function None -> "" | Some i -> string_of_int i
+  let str_opt = function None -> "" | Some s -> "\"" ^ String.escaped s ^ "\""
+
+  let diag_fields (d : Diag.t) =
+    [ Diag.code_name d.code;
+      (match d.severity with Diag.Error -> "E" | Diag.Warning -> "W");
+      str_opt d.scheduler; int_opt d.cluster; str_opt d.kernel;
+      str_opt d.data; String.escaped d.message; str_opt d.backtrace ]
+
+  let encode p =
+    String.concat "\t"
+      ([ string_of_int p.fb_set_size; string_of_int p.cm_capacity;
+         string_of_int p.dma_setup_cycles; String.escaped p.scheduler;
+         (if p.feasible then "1" else "0"); int_opt p.rf;
+         int_opt p.total_cycles; int_opt p.data_words;
+         int_opt p.context_words ]
+      @ match p.diag with None -> [] | Some d -> diag_fields d)
+
+  (* Total and strict: a payload is a point only if it is the encoding of
+     that point, byte for byte, so every other string is [None]. *)
+  let decode payload =
+    let ( let* ) = Option.bind in
+    let unescape s =
+      match Scanf.unescaped s with s -> Some s | exception _ -> None
+    in
+    let opt f = function "" -> Some None | s -> Option.map Option.some (f s) in
+    let quoted s =
+      let n = String.length s in
+      if n >= 2 && s.[0] = '"' && s.[n - 1] = '"' then
+        unescape (String.sub s 1 (n - 2))
+      else None
+    in
+    let diag = function
+      | [] -> Some None
+      | [ code; severity; scheduler; cluster; kernel; data; message;
+          backtrace ] ->
+        let* code = Diag.code_of_name code in
+        let* severity =
+          match severity with
+          | "E" -> Some Diag.Error
+          | "W" -> Some Diag.Warning
+          | _ -> None
+        in
+        let* scheduler = opt quoted scheduler in
+        let* cluster = opt int_of_string_opt cluster in
+        let* kernel = opt quoted kernel in
+        let* data = opt quoted data in
+        let* message = unescape message in
+        let* backtrace = opt quoted backtrace in
+        Some
+          (Some
+             { Diag.code; severity; scheduler; cluster; kernel; data;
+               message; backtrace })
+      | _ -> None
+    in
+    let* p =
+      match String.split_on_char '\t' payload with
+      | fb :: cm :: setup :: scheduler :: feasible :: rf :: cycles :: data
+        :: context :: rest ->
+        let* fb_set_size = int_of_string_opt fb in
+        let* cm_capacity = int_of_string_opt cm in
+        let* dma_setup_cycles = int_of_string_opt setup in
+        let* scheduler = unescape scheduler in
+        let* feasible =
+          match feasible with "1" -> Some true | "0" -> Some false | _ -> None
+        in
+        let* rf = opt int_of_string_opt rf in
+        let* total_cycles = opt int_of_string_opt cycles in
+        let* data_words = opt int_of_string_opt data in
+        let* context_words = opt int_of_string_opt context in
+        let* diag = diag rest in
+        Some
+          { fb_set_size; cm_capacity; dma_setup_cycles; scheduler; feasible;
+            rf; total_cycles; data_words; context_words; diag }
+      | _ -> None
+    in
+    if String.equal (encode p) payload then Some p else None
 
   (* Record 0 of every sweep store: its payload is the sweep identity.
      Every later record is one design point. *)
@@ -124,12 +205,12 @@ module Durable = struct
      the caller recomputes the point and reports the warning. *)
   let revalidate t ~key ctx (fb, cm, setup, scheduler) payload =
     let verdict =
-      match (Marshal.from_string payload 0 : point) with
-      | exception _ -> Error "does not deserialise (schema drift?)"
-      | { feasible = false; diag = Some d; _ } as p
+      match decode payload with
+      | None -> Error "does not decode as a point"
+      | Some ({ feasible = false; diag = Some d; _ } as p)
         when p = infeasible ~fb ~cm ~setup ~scheduler d ->
         Ok p
-      | { feasible = true; rf = Some rf; _ } as p -> (
+      | Some ({ feasible = true; rf = Some rf; _ } as p) -> (
         let config = machine ~fb ~cm ~setup in
         match Sched.Scheduler_registry.rebuild scheduler ctx config ~rf with
         | Error d ->
@@ -139,10 +220,13 @@ module Durable = struct
           | Error d ->
             Error ("failed semantic validation (" ^ Diag.to_string d ^ ")")
           | Ok () ->
-            if point_of_schedule config ~fb ~cm ~setup ~scheduler (Ok s) = p
+            if
+              priced ~fb ~cm ~setup ~scheduler ~rf
+                (Msim.Executor.cost config s)
+              = p
             then Ok p
             else Error "does not simulate to its stored point"))
-      | _ -> Error "does not match its design point"
+      | Some _ -> Error "does not match its design point"
     in
     Result.map_error
       (fun reason ->
@@ -204,8 +288,7 @@ module Durable = struct
      failure degrades durability, never the sweep — the point is still
      returned in memory, and the warning to report is returned. *)
   let persist t ~key (p : point) =
-    let payload = Marshal.to_string p [] in
-    match Engine.Store.append t.store ~key ~payload with
+    match Engine.Store.append t.store ~key ~payload:(encode p) with
     | () -> []
     | exception e ->
       [ Diag.v ~severity:Diag.Warning Diag.Store_corrupt

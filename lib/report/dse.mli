@@ -49,9 +49,20 @@ module Durable : sig
   type t
 
   val schema_version : int
-  (** Version of the marshalled point payload; part of the sweep
+  (** Version of the point payload's encoding; part of the sweep
       identity, so a payload-format change refuses to resume old
       stores instead of misreading them. *)
+
+  val encode : point -> string
+  (** A point record's payload: one line of tab-separated text, the nine
+      scalar fields and then, for a point that has one, the eight fields
+      of its [diag]. Strings are [String.escaped] (optional ones quoted),
+      so no field holds a tab or a newline. *)
+
+  val decode : string -> point option
+  (** The inverse of {!encode}, total and strict: [Some p] exactly when
+      the string is [encode p], [None] for every other string (it never
+      raises). A record whose payload does not decode is quarantined. *)
 
   val open_ :
     ?resume:bool ->
@@ -116,7 +127,10 @@ val sweep :
   Kernel_ir.Cluster.clustering ->
   point list
 (** Full cross product, three schedulers per configuration, in order. A
-    design point repeated by the axis lists is evaluated once.
+    design point repeated by the axis lists is evaluated once. A point is
+    priced, not built: {!Sched.Scheduler_registry.price} gives the RF the
+    scheduler picks and exactly the cycles and words simulating its
+    schedule would measure, so no schedule is built or simulated.
 
     [~jobs] (default 1) fans the design points out over an
     {!Engine.Pool} of that many domains; the point list (and therefore
@@ -128,13 +142,14 @@ val sweep :
     (application, clustering, machine config, scheduler) digest, and its
     record holds the {!point} alone — never a schedule. Every distinct
     point is one pool task, which first re-validates the point's stored
-    record, if any: it is trusted (a hit) only if it deserialises and is
-    what this sweep would compute — an infeasible point with its own
+    record, if any: it is trusted (a hit) only if it decodes
+    ({!Durable.decode}) and is what this sweep would compute — an infeasible point with its own
     axes, or a feasible point whose schedule, rebuilt at the stored RF
     from this sweep's own application and clustering
     ({!Sched.Scheduler_registry.rebuild}), passes
     [Msim.Validate.check_result] and simulates back to exactly the stored
-    point. An RF outside the scheduler's bound, a point of another
+    point — so every replay also checks the priced numbers against the
+    simulator. A payload that does not decode, an RF outside the scheduler's bound, a point of another
     scheduler or axes, and any altered count are quarantined with a
     [STORE_CORRUPT] warning and the point recomputed. A record's RF is
     not re-proved to be the one the RF search picks: a record holding

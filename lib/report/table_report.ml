@@ -76,9 +76,10 @@ let infeasibility () =
   let clustering = Workloads.Mpeg.clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:1024 in
   let ctx = Sched.Sched_ctx.make app clustering in
+  (* whether each scheduler runs is all this asks: price, do not build *)
   let describe name =
-    match Sched.Scheduler_registry.run name ctx config with
-    | Ok (_ : Sched.Schedule.t) -> Format.fprintf fmt "%-6s: runs@\n" name
+    match Sched.Scheduler_registry.price name ctx config with
+    | Ok _ -> Format.fprintf fmt "%-6s: runs@\n" name
     | Error d ->
       Format.fprintf fmt "%-6s: infeasible (%s)@\n" name (Diag.to_string d)
   in

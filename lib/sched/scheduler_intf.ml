@@ -5,8 +5,9 @@
     [(application, clustering)] scheduling context and one machine
     configuration to either a complete {!Schedule.t} or a structured
     {!Diag.t} explaining why the policy is infeasible there. Each one is
-    a {!Step_builder.policy} run through {!Step_builder.search} (and
-    rebuilt at a stored RF by {!Step_builder.at_rf}), published as a {!t}
+    a {!Step_builder.policy} run through {!Step_builder.search} (priced
+    unbuilt by {!Step_builder.price}, and rebuilt at a stored RF by
+    {!Step_builder.at_rf}), published as a {!t}
     in {!Scheduler_registry}; the pipeline, the DSE sweep, the
     fuzzers and the CLI all dispatch through it. *)
 
@@ -19,6 +20,13 @@ type t = {
       (** Schedule the context's application on the given machine. Never
           raises on malformed-but-constructed input: every expected
           failure is a diagnostic. *)
+  price :
+    Sched_ctx.t ->
+    Morphosys.Config.t ->
+    (int * Step_builder.cost, Diag.t) result;
+      (** [run] without building the schedule: the RF [run] chooses and
+          exactly what the simulator measures of [run]'s schedule, or
+          [run]'s diagnostic. How a DSE sweep evaluates a design point. *)
   rebuild :
     Sched_ctx.t -> Morphosys.Config.t -> rf:int -> (Schedule.t, Diag.t) result;
       (** [run] without the RF search: the schedule at a given RF, equal to

@@ -17,6 +17,7 @@ let register ~describe (policy : _ Step_builder.policy) =
       run =
         (fun ctx config ->
           Result.map fst (Step_builder.search policy ctx config));
+      price = Step_builder.price policy;
       rebuild =
         (fun ctx config ~rf ->
           Result.map fst (Step_builder.at_rf policy ctx config ~rf));
@@ -48,6 +49,9 @@ let dispatch name f =
 
 let run name ctx config =
   dispatch name (fun m -> m.Scheduler_intf.run ctx config)
+
+let price name ctx config =
+  dispatch name (fun m -> m.Scheduler_intf.price ctx config)
 
 let rebuild name ctx config ~rf =
   dispatch name (fun m -> m.Scheduler_intf.rebuild ctx config ~rf)

@@ -9,8 +9,9 @@
 
 val register : describe:string -> 'a Step_builder.policy -> unit
 (** Publish a policy as a scheduler under its [name]: its [run] is
-    {!Step_builder.search} and its [rebuild] is {!Step_builder.at_rf},
-    both keeping only the schedule.
+    {!Step_builder.search}, its [price] is {!Step_builder.price} and its
+    [rebuild] is {!Step_builder.at_rf}, [run] and [rebuild] keeping only
+    the schedule.
     @raise Invalid_argument if the name is already registered (the table
     is left unchanged). *)
 
@@ -25,6 +26,16 @@ val run :
     name yields an [Invalid_config] diagnostic (never raises), so a
     user-supplied name such as [msched run -s NAME] needs no check of its
     own. *)
+
+val price :
+  string ->
+  Sched_ctx.t ->
+  Morphosys.Config.t ->
+  (int * Step_builder.cost, Diag.t) result
+(** [price name ctx config] dispatches to the named scheduler's [price]:
+    the RF [run] would choose and the simulator's totals of [run]'s
+    schedule, without building it. An unknown name yields [run]'s
+    [Invalid_config] diagnostic (never raises). *)
 
 val rebuild :
   string ->

@@ -199,34 +199,40 @@ let build ?(cross_set = false) config app clustering ~rf ~ctx_plan ~generators
     steps = List.rev !steps;
   }
 
+type cost = { cycles : int; data_words : int; context_words : int }
+
 (* Channel cycles of a round's transfers of [objects]: one instance per
    iteration (one for an invariant object), each costing
-   [dma_setup + words * per-word]. *)
-let rec objects_cost (config : Morphosys.Config.t) ~iters acc = function
+   [dma_setup + words * per-word]. The instances' words are added to
+   [words]. *)
+let rec objects_cost (config : Morphosys.Config.t) ~iters words acc = function
   | [] -> acc
   | (d : Kernel_ir.Data.t) :: rest ->
     let inst = if d.Kernel_ir.Data.invariant then 1 else iters in
+    words := !words + (inst * d.Kernel_ir.Data.size);
     let one =
       config.dma_setup_cycles
       + (d.Kernel_ir.Data.size * config.data_cycles_per_word)
     in
-    objects_cost config ~iters (acc + (inst * one)) rest
+    objects_cost config ~iters words (acc + (inst * one)) rest
 
-(* Exactly [Schedule_cost.estimate config (build ... ~generators)] for the
+(* Exactly the simulator's totals for [build ... ~generators] with the
    generators derived from [selectors]. Follows [build]'s step structure —
    prime, per-execution overlap/stall routing, final drain — summing costs
-   only: no transfer list, no per-execution table. Each execution's loads
-   and stores are costed once, at the step that moves them, so scheduler
-   RF searches can rank every candidate factor and build only the
-   winner. *)
+   and words only: no transfer list, no per-execution table. Each
+   execution's loads, stores and context load are visited once, at the
+   step that moves them, so scheduler RF searches can rank every
+   candidate factor and a design point can be priced without building
+   its schedule. *)
 let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     ~selectors =
   if rf < 1 then invalid_arg "Step_builder.estimate: rf must be >= 1";
   let p = pipeline config app clustering ~rf in
+  let data_words = ref 0 and context_words = ref 0 in
   let cost select s =
     if s < 0 || s >= p.s_max then 0
     else
-      objects_cost config ~iters:(iters_at p s) 0
+      objects_cost config ~iters:(iters_at p s) data_words 0
         (select (cluster_at p s) ~round:(round_at p s))
   in
   let loads = cost selectors.load_objects in
@@ -239,9 +245,11 @@ let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
           ~cluster:(cluster_at p s) ~round:(round_at p s)
       in
       if words = 0 then 0
-      else
+      else begin
+        context_words := !context_words + words;
         config.Morphosys.Config.dma_setup_cycles
         + (words * config.Morphosys.Config.context_cycles_per_word)
+      end
   in
   let conflicts s s' =
     s' >= 0 && s' < p.s_max
@@ -265,7 +273,8 @@ let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     total := !total + max overlapped (compute_at p s) + deferred
   done;
   (* drain: the last execution's stores *)
-  !total + stores (p.s_max - 1)
+  let cycles = !total + stores (p.s_max - 1) in
+  { cycles; data_words = !data_words; context_words = !context_words }
 
 type 'a policy = {
   name : string;
@@ -299,35 +308,40 @@ let build_at policy ctx config ~ctx_plan ~rf (payload, selectors) =
       ~scheduler:policy.name,
     payload )
 
-(* The one scheduler driver: context plan, the policy's RF bound, the
-   fastest RF by [estimate] (ties go to the larger RF, which frees more CM
+(* The RF search: context plan, the policy's RF bound, then the fastest
+   RF by [estimate] (ties go to the larger RF, which frees more CM
    bandwidth; the largest memory-allowed RF is not always fastest, since
    batching RF iterations of transfers can exceed what an imbalanced
-   pipeline hides), then a single [build] of the winner. *)
-let search policy ctx config =
+   pipeline hides). Returns the plan, the winning RF, its payload and
+   selectors, and its estimated cost. *)
+let choose policy ctx config =
   prepare policy ctx config @@ fun ~ctx_plan ~rf_max ->
   let app = Sched_ctx.app ctx and clustering = Sched_ctx.clustering ctx in
-  let candidate rf = (rf, policy.selectors ctx config ~rf) in
-  let rf, chosen =
-    if rf_max = 1 then candidate 1
-    else
-      let best = ref None in
-      for rf = 1 to rf_max do
-        let ((_, (_, selectors)) as cand) = candidate rf in
-        let cycles =
-          estimate config app clustering ~rf ~ctx_plan ~selectors
-        in
-        match !best with
-        | Some (_, best_cycles) when best_cycles < cycles -> ()
-        | _ -> best := Some (cand, cycles)
-      done;
-      let ((rf, _) as cand), cycles = Option.get !best in
-      Log.debug (fun m ->
-          m "%s: chose rf=%d (%d cycles) out of rf_max=%d" policy.name rf
-            cycles rf_max);
-      cand
-  in
+  let best = ref None in
+  for rf = 1 to rf_max do
+    let ((_, selectors) as chosen) = policy.selectors ctx config ~rf in
+    let cost = estimate config app clustering ~rf ~ctx_plan ~selectors in
+    match !best with
+    | Some (_, _, best_cost) when best_cost.cycles < cost.cycles -> ()
+    | _ -> best := Some (rf, chosen, cost)
+  done;
+  let rf, chosen, cost = Option.get !best in
+  if rf_max > 1 then
+    Log.debug (fun m ->
+        m "%s: chose rf=%d (%d cycles) out of rf_max=%d" policy.name rf
+          cost.cycles rf_max);
+  Ok (ctx_plan, rf, chosen, cost)
+
+(* The one scheduler driver: the RF search, then a single [build] of the
+   winner. *)
+let search policy ctx config =
+  let* ctx_plan, rf, chosen, _ = choose policy ctx config in
   Ok (build_at policy ctx config ~ctx_plan ~rf chosen)
+
+(* The RF search alone: what [search]'s schedule would cost, unbuilt. *)
+let price policy ctx config =
+  let* _, rf, _, cost = choose policy ctx config in
+  Ok (rf, cost)
 
 (* [search] without the RF search: the schedule a stored design point's RF
    stands for. *)

@@ -49,6 +49,13 @@ val build :
 (** @raise Invalid_argument if [rf < 1]. [cross_set] is recorded in the
     schedule for the validator (default false). *)
 
+type cost = {
+  cycles : int;  (** the simulator's total cycles *)
+  data_words : int;  (** data words loaded plus stored *)
+  context_words : int;  (** context words loaded into the CM *)
+}
+(** What a schedule costs, as [Msim.Executor] would measure it. *)
+
 val estimate :
   Morphosys.Config.t ->
   Kernel_ir.Application.t ->
@@ -56,12 +63,15 @@ val estimate :
   rf:int ->
   ctx_plan:Context_scheduler.plan ->
   selectors:selectors ->
-  int
-(** Exactly [Schedule_cost.estimate config (build ...)] for the generators
-    derived from [selectors], computed without materialising any transfer
-    list — the cheap inner loop of the schedulers' RF searches (they rank
-    every candidate RF with this and build only the winning schedule).
-    The equivalence suite checks the agreement on random applications.
+  cost
+(** Exactly what the simulator measures of [build ...] for the generators
+    derived from [selectors] — its total cycles
+    ([Schedule_cost.estimate]), its data words and its context words —
+    computed in one pass that visits each execution's loads, stores and
+    context load once, without materialising any transfer list. It is the
+    inner loop of the RF search (every candidate RF is ranked by its
+    [cycles]) and what {!price} returns for the winner. The equivalence
+    suite checks all three counts on random applications.
     @raise Invalid_argument if [rf < 1]. *)
 
 (** {1 The scheduler driver} *)
@@ -88,12 +98,23 @@ val search :
   Morphosys.Config.t ->
   (Schedule.t * 'a, Diag.t) result
 (** [search policy ctx config] runs a policy through the one path every
-    scheduler shares: the context plan
-    ({!Context_scheduler.plan_of_analysis}), the policy's RF bound, the
-    fastest RF in [1..bound] by {!estimate} (ties go to the larger RF; a
-    bound of 1 is built without estimating), and one {!build} of the
-    winner from {!generators_of_selectors}. Returns the schedule with the
-    winning RF's payload. Every [Error] is tagged with [policy.name]. *)
+    scheduler shares: the RF search — the context plan
+    ({!Context_scheduler.plan_of_analysis}), the policy's RF bound and the
+    fastest RF in [1..bound] by {!estimate} (ties go to the larger RF) —
+    then one {!build} of the winner from {!generators_of_selectors}.
+    Returns the schedule with the winning RF's payload. Every [Error] is
+    tagged with [policy.name]. *)
+
+val price :
+  'a policy ->
+  Sched_ctx.t ->
+  Morphosys.Config.t ->
+  (int * cost, Diag.t) result
+(** [price policy ctx config] is {!search}'s RF search without its
+    {!build}: the RF {!search} picks and the {!estimate} of its schedule,
+    which equals what the simulator measures of that schedule. On an
+    infeasible point it returns {!search}'s diagnostic. How a cold design
+    point is evaluated. *)
 
 val at_rf :
   'a policy ->

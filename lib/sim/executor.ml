@@ -58,3 +58,11 @@ let run_timed config (schedule : Schedule.t) =
   (metrics, timeline)
 
 let run config schedule = fst (run_timed config schedule)
+
+let cost config schedule =
+  let m = run config schedule in
+  {
+    Sched.Step_builder.cycles = m.Metrics.total_cycles;
+    data_words = Metrics.data_words m;
+    context_words = m.Metrics.context_words_loaded;
+  }

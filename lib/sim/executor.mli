@@ -16,5 +16,9 @@ type timed_step = {
 val run : Morphosys.Config.t -> Sched.Schedule.t -> Metrics.t
 (** Timing and traffic metrics of the schedule. *)
 
+val cost : Morphosys.Config.t -> Sched.Schedule.t -> Sched.Step_builder.cost
+(** The three counts of {!run} that {!Sched.Step_builder.estimate} computes
+    without a schedule: total cycles, data words, context words. *)
+
 val run_timed : Morphosys.Config.t -> Sched.Schedule.t -> Metrics.t * timed_step list
 (** Also returns the per-step timeline, for {!Trace}. *)

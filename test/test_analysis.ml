@@ -192,10 +192,11 @@ let prop_schedulers (app, clustering) =
           name e)
     [ "basic"; "ds"; "cds"; "cds-xset" ]
 
-(* The estimate used by the RF searches must equal the cost of the
-   materialised schedule, for both traffic shapes and several factors:
-   RF 1-3 with free DMA setup, and RF 1-6 with a 16-cycle setup, which
-   makes every transfer's count matter as well as its words. *)
+(* The estimate used by the RF searches, and by [price], must equal what
+   the simulator measures of the materialised schedule — its cycles and
+   both word counts — for both traffic shapes and several factors: RF 1-3
+   with free DMA setup, and RF 1-6 with a 16-cycle setup, which makes
+   every transfer's count matter as well as its words. *)
 let prop_estimate (app, clustering) =
   let a = Analysis.make app clustering in
   let shapes =
@@ -217,20 +218,23 @@ let prop_estimate (app, clustering) =
           (fun rf ->
             List.for_all
               (fun (name, selectors, generators) ->
-                let estimated =
+                let e =
                   Sched.Step_builder.estimate config app clustering ~rf
                     ~ctx_plan ~selectors
                 in
                 let built =
-                  Sched.Schedule_cost.estimate config
+                  Msim.Executor.cost config
                     (Sched.Step_builder.build config app clustering ~rf
                        ~ctx_plan ~generators ~scheduler:"test")
                 in
-                if estimated = built then true
+                if e = built then true
                 else
                   QCheck.Test.fail_reportf
-                    "estimate %s rf=%d setup=%d: %d <> built %d" name rf
-                    config.Morphosys.Config.dma_setup_cycles estimated built)
+                    "estimate %s rf=%d setup=%d: cycles/data/ctx %d/%d/%d <> \
+                     built %d/%d/%d"
+                    name rf config.Morphosys.Config.dma_setup_cycles e.cycles
+                    e.data_words e.context_words built.cycles built.data_words
+                    built.context_words)
               shapes)
           rfs)
     [

@@ -1,6 +1,7 @@
 (* The scheduler registry: deterministic listing, lookup, duplicate
-   rejection, the unknown-name diagnostic, and [rebuild] at [run]'s RF
-   reproducing [run]'s schedule. That dispatching a scheduler by name
+   rejection, the unknown-name diagnostic, [rebuild] at [run]'s RF
+   reproducing [run]'s schedule, and [price] agreeing with the simulated
+   [run]. That dispatching a scheduler by name
    reproduces its reference schedules is a property in [Test_analysis]. *)
 
 module Registry = Sched.Scheduler_registry
@@ -69,7 +70,10 @@ let test_unknown_run_diagnoses () =
     Alcotest.(check bool) "Invalid_config diagnostic" true
       (d.Diag.code = Diag.Invalid_config);
     Alcotest.(check bool) "message lists the known names" true
-      (contains d.Diag.message "basic")
+      (contains d.Diag.message "basic");
+    Alcotest.(check bool) "price gives run's diagnostic" true
+      (Registry.price "no-such" (Sched.Sched_ctx.make app clustering) config
+      = Error d)
 
 (* ---------- rebuild at a stored RF ---------- *)
 
@@ -122,10 +126,47 @@ let rebuild_mismatch app clustering config =
         else None)
     (Registry.all ())
 
-let prop_rebuild (app, clustering) =
+(* ---------- price = run, simulated ---------- *)
+
+(* For every registered scheduler: [price] returns [run]'s RF and exactly
+   what the simulator measures of [run]'s schedule, and on an infeasible
+   point [run]'s diagnostic. The first disagreement, if any. *)
+let price_mismatch app clustering config =
+  let ctx = Sched.Sched_ctx.make app clustering in
+  List.find_map
+    (fun (s : Intf.t) ->
+      let name = s.Intf.name in
+      let failed what =
+        Some
+          (Printf.sprintf "%s (fb=%d cm=%d setup=%d): %s" name
+             config.Morphosys.Config.fb_set_size config.cm_capacity
+             config.dma_setup_cycles what)
+      in
+      match (Registry.run name ctx config, Registry.price name ctx config) with
+      | Error d, Error d' ->
+        if d = d' then None
+        else
+          failed
+            (Printf.sprintf "diagnostics differ: %s vs %s" (Diag.render d)
+               (Diag.render d'))
+      | Ok _, Error d -> failed ("priced infeasible: " ^ Diag.render d)
+      | Error _, Ok _ -> failed "priced an infeasible point"
+      | Ok sched, Ok (rf, (c : Sched.Step_builder.cost)) ->
+        let s = Msim.Executor.cost config sched in
+        let rf' = sched.Sched.Schedule.rf in
+        if (rf, c) = (rf', s) then None
+        else
+          failed
+            (Printf.sprintf
+               "priced rf/cycles/data/ctx %d/%d/%d/%d, run %d/%d/%d/%d" rf
+               c.cycles c.data_words c.context_words rf' s.cycles s.data_words
+               s.context_words))
+    (Registry.all ())
+
+let on_two_machines mismatch (app, clustering) =
   List.for_all
     (fun config ->
-      match rebuild_mismatch app clustering config with
+      match mismatch app clustering config with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
     [
@@ -134,7 +175,7 @@ let prop_rebuild (app, clustering) =
     ]
 
 (* The 72-point MPEG grid of the DSE benchmark. *)
-let test_rebuild_mpeg_grid () =
+let on_mpeg_grid what mismatch () =
   let app = Workloads.Mpeg.app () in
   let clustering = Workloads.Mpeg.clustering app in
   List.iter
@@ -144,8 +185,8 @@ let test_rebuild_mpeg_grid () =
           List.iter
             (fun dma_setup_cycles ->
               Alcotest.(check (option string))
-                "rebuild = run" None
-                (rebuild_mismatch app clustering
+                what None
+                (mismatch app clustering
                    (Morphosys.Config.make ~fb_set_size ~cm_capacity
                       ~dma_setup_cycles ())))
             [ 0; 16 ])
@@ -163,8 +204,16 @@ let tests =
       Alcotest.test_case "unknown name diagnosed" `Quick
         test_unknown_run_diagnoses;
       Alcotest.test_case "rebuild = run on the MPEG grid" `Quick
-        test_rebuild_mpeg_grid;
+        (on_mpeg_grid "rebuild = run" rebuild_mismatch);
       QCheck_alcotest.to_alcotest ~long:false
         (QCheck.Test.make ~count:100 ~name:"rebuild = run on random apps"
-           Workloads.Random_app.arb_app_with_clustering prop_rebuild);
+           Workloads.Random_app.arb_app_with_clustering
+           (on_two_machines rebuild_mismatch));
+      Alcotest.test_case "price = simulated run on the MPEG grid" `Quick
+        (on_mpeg_grid "price = simulated run" price_mismatch);
+      QCheck_alcotest.to_alcotest ~long:false
+        (QCheck.Test.make ~count:100
+           ~name:"price = simulated run on random apps"
+           Workloads.Random_app.arb_app_with_clustering
+           (on_two_machines price_mismatch));
     ] )
