@@ -1,5 +1,4 @@
 module IE = Kernel_ir.Info_extractor
-module Cluster = Kernel_ir.Cluster
 module Data = Kernel_ir.Data
 
 type result = {
@@ -9,16 +8,18 @@ type result = {
   data_words_avoided_per_iteration : int;
 }
 
-(* An object can have one retention candidate per FB set (the same shared
-   datum may be retained in both sets), so the skip test quantifies over all
-   retained candidates for the object. *)
-let skipped retained (d : Data.t) ~cluster_id ~skip =
-  List.exists
-    (fun c -> (Sharing.data c).Data.id = d.Data.id && skip c ~cluster_id)
-    retained
-
-let selectors_of ~profile_of (decision : Retention.decision) =
-  let load_objects (c : Cluster.t) ~round =
+(* The list-based object choice behind [schedule_reference], evaluated for
+   round 0 and for a later round. [profiles] is indexed by cluster id. *)
+let reference_selectors profiles (decision : Retention.decision) =
+  (* An object can have one retention candidate per FB set (the same shared
+     datum may be retained in both sets), so the skip test quantifies over
+     all retained candidates for the object. *)
+  let skipped (d : Data.t) ~cluster_id ~skip =
+    List.exists
+      (fun c -> (Sharing.data c).Data.id = d.Data.id && skip c ~cluster_id)
+      decision.retained
+  in
+  let load_objects ~round cluster_id (p : IE.cluster_profile) =
     let is_retained (d : Data.t) =
       List.exists
         (fun cand -> (Sharing.data cand).Data.id = d.Data.id)
@@ -30,36 +31,28 @@ let selectors_of ~profile_of (decision : Retention.decision) =
            consumer cluster on round 0 *)
         if d.Data.invariant && is_retained d && round > 0 then false
         else
-          not
-            (skipped decision.retained d ~cluster_id:c.Cluster.id
-               ~skip:Sharing.skips_load))
-      (profile_of c).IE.external_inputs
+          not (skipped d ~cluster_id ~skip:Sharing.skips_load))
+      p.IE.external_inputs
   in
-  let store_objects (c : Cluster.t) ~round:_ =
+  let store_objects cluster_id (p : IE.cluster_profile) =
     List.filter
-      (fun d ->
-        not
-          (skipped decision.retained d ~cluster_id:c.Cluster.id
-             ~skip:Sharing.skips_store))
-      (profile_of c).IE.outliving
+      (fun d -> not (skipped d ~cluster_id ~skip:Sharing.skips_store))
+      p.IE.outliving
   in
-  { Sched.Step_builder.load_objects; store_objects }
+  {
+    Sched.Step_builder.first_loads =
+      Array.mapi (load_objects ~round:0) profiles;
+    later_loads = Array.mapi (load_objects ~round:1) profiles;
+    stored = Array.mapi store_objects profiles;
+  }
 
-let generators app clustering decision =
-  let profiles = IE.profiles app clustering in
-  Sched.Step_builder.generators_of_selectors
-    (selectors_of
-       ~profile_of:(fun (c : Cluster.t) -> List.nth profiles c.Cluster.id)
-       decision)
-
-let ctx_profile_of (analysis : Kernel_ir.Analysis.t) (c : Cluster.t) =
-  Kernel_ir.Analysis.profile analysis c.Cluster.id
-
-(* Same object choice as [selectors_of], but the retained candidates are
-   bucketed by data id up front, so the per-object retention tests in the
-   selector hot path are O(bucket) — at most one candidate per FB set —
-   instead of a scan of the whole retained list. *)
-let selectors_indexed ~profile_of (decision : Retention.decision) =
+(* Same object choice as [reference_selectors], but the retained
+   candidates are bucketed by data id up front, so each retention test is
+   O(bucket) — at most one candidate per FB set — instead of a scan of the
+   whole retained list, and each cluster's rows are selected once per
+   decision. *)
+let selectors (analysis : Kernel_ir.Analysis.t) (decision : Retention.decision)
+    =
   let by_id = Hashtbl.create 16 in
   List.iter
     (fun (cand : Sharing.t) ->
@@ -70,27 +63,45 @@ let selectors_indexed ~profile_of (decision : Retention.decision) =
   let bucket (d : Data.t) =
     try Hashtbl.find by_id d.Data.id with Not_found -> []
   in
-  let skipped d ~cluster_id ~skip =
-    List.exists (fun c -> skip c ~cluster_id) (bucket d)
+  (* Filled in place: an [Array.map] to fresh lists would start the array
+     from a young list, which forces a minor collection once the table
+     holds more than 256 clusters. A row that drops nothing is the
+     profile's own list, so most rows add no young pointer to the table. *)
+  let table row =
+    let t = Array.make (Array.length analysis.profiles) [] in
+    Array.iteri (fun id p -> t.(id) <- row id p) analysis.profiles;
+    t
   in
-  let load_objects (c : Cluster.t) ~round =
-    List.filter
-      (fun (d : Data.t) ->
-        if d.Data.invariant && round > 0 && bucket d <> [] then false
-        else
-          not (skipped d ~cluster_id:c.Cluster.id ~skip:Sharing.skips_load))
-      (profile_of c).IE.external_inputs
+  let without drop objects =
+    if List.exists drop objects then
+      List.filter (fun d -> not (drop d)) objects
+    else objects
   in
-  let store_objects (c : Cluster.t) ~round:_ =
-    List.filter
-      (fun d ->
-        not (skipped d ~cluster_id:c.Cluster.id ~skip:Sharing.skips_store))
-      (profile_of c).IE.outliving
+  let kept ~skip cluster_id =
+    without (fun d -> List.exists (fun c -> skip c ~cluster_id) (bucket d))
   in
-  { Sched.Step_builder.load_objects; store_objects }
-
-let selectors_ctx analysis decision =
-  selectors_indexed ~profile_of:(ctx_profile_of analysis) decision
+  let first_loads =
+    table (fun id (p : IE.cluster_profile) ->
+        kept ~skip:Sharing.skips_load id p.IE.external_inputs)
+  in
+  (* a retained invariant table is loaded exactly once, by its first
+     consumer cluster on round 0 *)
+  let later_loads =
+    if List.exists (fun c -> (Sharing.data c).Data.invariant) decision.retained
+    then
+      table (fun id _ ->
+          without
+            (fun (d : Data.t) -> d.Data.invariant && bucket d <> [])
+            first_loads.(id))
+    else first_loads
+  in
+  {
+    Sched.Step_builder.first_loads;
+    later_loads;
+    stored =
+      table (fun id (p : IE.cluster_profile) ->
+          kept ~skip:Sharing.skips_store id p.IE.outliving);
+  }
 
 let schedule_reference ?(retention = true) ?(cross_set = false)
     (config : Morphosys.Config.t) app clustering =
@@ -122,7 +133,11 @@ let schedule_reference ?(retention = true) ?(cross_set = false)
         let schedule =
           Sched.Step_builder.build ~cross_set config app clustering ~rf
             ~ctx_plan
-            ~generators:(generators app clustering decision)
+            ~generators:
+              (Sched.Step_builder.generators_of_selectors
+                 (reference_selectors
+                    (Array.of_list (IE.profiles app clustering))
+                    decision))
             ~scheduler:scheduler_name
         in
         (schedule, decision)
@@ -177,7 +192,7 @@ let policy ~retention ~cross_set =
           if retention then Retention.choose_ctx ~cross_set config ctx ~rf
           else Retention.none
         in
-        (decision, selectors_ctx (Sched.Sched_ctx.analysis ctx) decision));
+        (decision, selectors (Sched.Sched_ctx.analysis ctx) decision));
   }
 
 let run_full ?(retention = true) ?(cross_set = false) ctx config =

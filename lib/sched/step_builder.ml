@@ -10,14 +10,18 @@ type generators = {
     Cluster.t -> round:int -> iters:int -> base_iter:int -> Dma.t list;
 }
 
-(* The object-level view behind a [generators]: which data objects a
-   cluster loads / stores in a given round. The transfer lists are derived
-   mechanically from these (one instance per iteration, one for an
-   invariant object), so a cost can be computed from the objects alone
+(* The object-level view behind a [generators]: which data objects each
+   cluster loads and stores, one table row per cluster id. A cluster's
+   choice depends on the round only through "round 0 or a later one" (a
+   retained invariant table is loaded in round 0 alone), so two load
+   tables and one store table hold every round. The transfer lists are
+   derived mechanically from these (one instance per iteration, one for
+   an invariant object), so a cost can be computed from the objects alone
    without materialising labelled transfers — see [estimate]. *)
 type selectors = {
-  load_objects : Cluster.t -> round:int -> Kernel_ir.Data.t list;
-  store_objects : Cluster.t -> round:int -> Kernel_ir.Data.t list;
+  first_loads : Kernel_ir.Data.t list array;
+  later_loads : Kernel_ir.Data.t list array;
+  stored : Kernel_ir.Data.t list array;
 }
 
 (* One labelled transfer per instance, object by object and iteration by
@@ -49,11 +53,12 @@ let generators_of_selectors sel =
   {
     loads =
       (fun c ~round ~iters ~base_iter ->
-        instances ~objects:(sel.load_objects c ~round) ~iters ~base_iter
+        let table = if round = 0 then sel.first_loads else sel.later_loads in
+        instances ~objects:table.(c.Cluster.id) ~iters ~base_iter
           (Dma.data_load ~set:c.Cluster.fb_set));
     stores =
-      (fun c ~round ~iters ~base_iter ->
-        instances ~objects:(sel.store_objects c ~round) ~iters ~base_iter
+      (fun c ~round:_ ~iters ~base_iter ->
+        instances ~objects:sel.stored.(c.Cluster.id) ~iters ~base_iter
           (Dma.data_store ~set:c.Cluster.fb_set));
   }
 
@@ -201,42 +206,81 @@ let build ?(cross_set = false) config app clustering ~rf ~ctx_plan ~generators
 
 type cost = { cycles : int; data_words : int; context_words : int }
 
-(* Channel cycles of a round's transfers of [objects]: one instance per
-   iteration (one for an invariant object), each costing
-   [dma_setup + words * per-word]. The instances' words are added to
-   [words]. *)
-let rec objects_cost (config : Morphosys.Config.t) ~iters words acc = function
-  | [] -> acc
-  | (d : Kernel_ir.Data.t) :: rest ->
-    let inst = if d.Kernel_ir.Data.invariant then 1 else iters in
-    words := !words + (inst * d.Kernel_ir.Data.size);
-    let one =
-      config.dma_setup_cycles
-      + (d.Kernel_ir.Data.size * config.data_cycles_per_word)
-    in
-    objects_cost config ~iters words (acc + (inst * one)) rest
+(* What each table row moves in a round of [iters] iterations, by
+   position in the clustering: [iters * iter_words + once_words] words in
+   [iters * iter_cycles + once_cycles] channel cycles. An invariant object
+   moves once per round, any other object once per iteration, and each
+   instance costs [dma_setup + words * per-word] cycles. *)
+type rows = {
+  iter_words : int array;
+  once_words : int array;
+  iter_cycles : int array;
+  once_cycles : int array;
+}
+
+let sum_rows (config : Morphosys.Config.t) clusters table =
+  let n = Array.length clusters in
+  let r =
+    {
+      iter_words = Array.make n 0;
+      once_words = Array.make n 0;
+      iter_cycles = Array.make n 0;
+      once_cycles = Array.make n 0;
+    }
+  in
+  Array.iteri
+    (fun k (c : Cluster.t) ->
+      List.iter
+        (fun (d : Kernel_ir.Data.t) ->
+          let size = d.Kernel_ir.Data.size in
+          let one =
+            config.dma_setup_cycles + (size * config.data_cycles_per_word)
+          in
+          if d.Kernel_ir.Data.invariant then begin
+            r.once_words.(k) <- r.once_words.(k) + size;
+            r.once_cycles.(k) <- r.once_cycles.(k) + one
+          end
+          else begin
+            r.iter_words.(k) <- r.iter_words.(k) + size;
+            r.iter_cycles.(k) <- r.iter_cycles.(k) + one
+          end)
+        table.(c.Cluster.id))
+    clusters;
+  r
 
 (* Exactly the simulator's totals for [build ... ~generators] with the
-   generators derived from [selectors]. Follows [build]'s step structure —
-   prime, per-execution overlap/stall routing, final drain — summing costs
-   and words only: no transfer list, no per-execution table. Each
-   execution's loads, stores and context load are visited once, at the
-   step that moves them, so scheduler RF searches can rank every
-   candidate factor and a design point can be priced without building
-   its schedule. *)
+   generators derived from [selectors]. Each table row is summed once; the
+   walk over the executions then follows [build]'s step structure —
+   prime, per-execution overlap/stall routing, final drain — with integer
+   arithmetic alone: no transfer list, no selection and no allocation per
+   execution. Each execution's loads, stores and context load are counted
+   once, at the step that moves them, so scheduler RF searches can rank
+   every candidate factor and a design point can be priced without
+   building its schedule. *)
 let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     ~selectors =
   if rf < 1 then invalid_arg "Step_builder.estimate: rf must be >= 1";
   let p = pipeline config app clustering ~rf in
+  let n = Array.length p.clusters in
+  let rows = sum_rows config p.clusters in
+  let first_loads = rows selectors.first_loads in
+  let later_loads =
+    if selectors.later_loads == selectors.first_loads then first_loads
+    else rows selectors.later_loads
+  in
+  let stored = rows selectors.stored in
   let data_words = ref 0 and context_words = ref 0 in
-  let cost select s =
+  (* cycles of execution [s]'s transfers of one table, its words counted *)
+  let moved table s =
     if s < 0 || s >= p.s_max then 0
     else
-      objects_cost config ~iters:(iters_at p s) data_words 0
-        (select (cluster_at p s) ~round:(round_at p s))
+      let k = s mod n and iters = iters_at p s in
+      data_words :=
+        !data_words + (iters * table.iter_words.(k)) + table.once_words.(k);
+      (iters * table.iter_cycles.(k)) + table.once_cycles.(k)
   in
-  let loads = cost selectors.load_objects in
-  let stores = cost selectors.store_objects in
+  let loads s = moved (if s < n then first_loads else later_loads) s in
+  let stores s = moved stored s in
   let ctx s =
     if s >= p.s_max then 0
     else

@@ -23,13 +23,23 @@ type generators = {
 }
 
 type selectors = {
-  load_objects : Kernel_ir.Cluster.t -> round:int -> Kernel_ir.Data.t list;
-      (** the objects behind [generators.loads] for that cluster/round *)
-  store_objects : Kernel_ir.Cluster.t -> round:int -> Kernel_ir.Data.t list;
+  first_loads : Kernel_ir.Data.t list array;
+      (** by cluster id: the objects behind [generators.loads] in round 0 *)
+  later_loads : Kernel_ir.Data.t list array;
+      (** by cluster id: the objects it loads in every later round *)
+  stored : Kernel_ir.Data.t list array;
+      (** by cluster id: the objects behind [generators.stores], every
+          round *)
 }
-(** The object-level view behind a {!generators}: the transfer lists are
-    one instance per (object, iteration) — one total for an invariant
-    object — so {!estimate} can cost a schedule from the objects alone. *)
+(** The object-level view behind a {!generators}, as data: one row per
+    cluster id in each table. Round 0 versus a later round is the only
+    way a cluster's choice depends on the round (a retained invariant
+    table is loaded in round 0 alone); a policy whose loads never change
+    may share one array between [first_loads] and [later_loads], which
+    {!estimate} then sums once. The
+    transfer lists are one instance per (object, iteration) — one total
+    for an invariant object — so {!estimate} can cost a schedule from the
+    objects alone. *)
 
 val generators_of_selectors : selectors -> generators
 (** Mechanical expansion of an object selection into labelled transfer
@@ -67,11 +77,13 @@ val estimate :
 (** Exactly what the simulator measures of [build ...] for the generators
     derived from [selectors] — its total cycles
     ([Schedule_cost.estimate]), its data words and its context words —
-    computed in one pass that visits each execution's loads, stores and
-    context load once, without materialising any transfer list. It is the
-    inner loop of the RF search (every candidate RF is ranked by its
-    [cycles]) and what {!price} returns for the winner. The equivalence
-    suite checks all three counts on random applications.
+    without materialising any transfer list. It sums each table row's
+    words and channel cycles once, then walks the executions with integer
+    arithmetic alone: O(clusters x objects + executions) time, with no
+    selection and no allocation per execution. It is the inner loop of
+    the RF search (every candidate RF is ranked by its [cycles]) and what
+    {!price} returns for the winner. The equivalence suite checks all
+    three counts on random applications.
     @raise Invalid_argument if [rf < 1]. *)
 
 (** {1 The scheduler driver} *)

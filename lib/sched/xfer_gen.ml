@@ -1,14 +1,17 @@
 module IE = Kernel_ir.Info_extractor
 
-(* [profiles] is indexed by cluster id. Each cluster's stored objects are
-   selected once here, not again for every execution that stores them. *)
+(* [profiles] is indexed by cluster id. The loads never depend on the
+   round, so one table serves round 0 and every later round. The stores
+   are filled in place: an [Array.map] to fresh lists ([stored_everything]
+   makes them) would start the array from a young list, which forces a
+   minor collection once there are more than 256 clusters. *)
 let selectors_of profiles ~stored_objects =
-  let stored = Array.map stored_objects profiles in
-  {
-    Step_builder.load_objects =
-      (fun c ~round:_ -> profiles.(c.Kernel_ir.Cluster.id).IE.external_inputs);
-    store_objects = (fun c ~round:_ -> stored.(c.Kernel_ir.Cluster.id));
-  }
+  let loads =
+    Array.map (fun (p : IE.cluster_profile) -> p.IE.external_inputs) profiles
+  in
+  let stored = Array.make (Array.length profiles) [] in
+  Array.iteri (fun id p -> stored.(id) <- stored_objects p) profiles;
+  { Step_builder.first_loads = loads; later_loads = loads; stored }
 
 let stored_outliving (p : IE.cluster_profile) = p.IE.outliving
 

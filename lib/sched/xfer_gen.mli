@@ -29,7 +29,8 @@ val plain_ctx : Kernel_ir.Analysis.t -> Step_builder.generators
 val plain_selectors_ctx : Kernel_ir.Analysis.t -> Step_builder.selectors
 (** The object selection behind {!plain_ctx}, for
     {!Step_builder.estimate} and {!Step_builder.search}: the Data
-    Scheduler's transfers. *)
+    Scheduler's transfers, with one load table shared by round 0 and the
+    later rounds. *)
 
 val store_everything_selectors_ctx :
   Kernel_ir.Analysis.t -> Step_builder.selectors

@@ -188,6 +188,59 @@ let test_basic_build_allocation () =
     true
     (per_transfer <= words_per_transfer_max)
 
+(* Allocation gate for pricing: a CDS price runs [estimate] once per
+   candidate RF on the transfer tables of that RF's retention decision.
+   [estimate] sums each table row once and then walks the executions with
+   integer arithmetic alone, so what a price allocates does not depend on
+   the iteration count: at 60 and at 6,000 iterations it may differ by 16
+   words at most (it differs by none). Selecting every execution's objects
+   again cost 16.7k minor words for the CDS price of the MPEG point above
+   (12.9k per point of the MPEG grid in [estimate] alone) and 1.35M at
+   6,000 iterations; the per-cluster tables take 3.8k at both counts, and
+   the bound is that plus 25%. Counted with [Gc.minor_words] on one
+   domain, so exact, not timing noise. *)
+let price_words_max = 4714.
+
+let price_words app =
+  let ctx = Sched.Sched_ctx.make app (Workloads.Mpeg.clustering app) in
+  let config =
+    Morphosys.Config.make ~fb_set_size:2048 ~cm_capacity:1024
+      ~dma_setup_cycles:16 ()
+  in
+  let price () =
+    match Sched.Scheduler_registry.price "cds" ctx config with
+    | Ok _ -> ()
+    | Error d -> Alcotest.fail (Diag.to_string d)
+  in
+  price ();
+  let before = Gc.minor_words () in
+  price ();
+  Gc.minor_words () -. before
+
+let with_iterations (app : Kernel_ir.Application.t) iterations =
+  Kernel_ir.Application.make ~name:app.name
+    ~kernels:(Array.to_list app.kernels) ~data:app.data ~iterations
+
+let test_price_allocation () =
+  List.iter
+    (fun (name, app) ->
+      let short = price_words (with_iterations app 60)
+      and long = price_words (with_iterations app 6000) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words at 60 iterations, %.0f at 6000"
+           name short long)
+        true
+        (Float.abs (long -. short) <= 16.))
+    [
+      ("MPEG", Workloads.Mpeg.app ());
+      ("MPEG-inv", Workloads.Mpeg.app_invariant ());
+    ];
+  let words = price_words (Workloads.Mpeg.app ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per MPEG price <= %.0f" words
+       price_words_max)
+    true (words <= price_words_max)
+
 let tests =
   ( "step_builder",
     [
@@ -205,4 +258,6 @@ let tests =
         test_context_partial_pinning;
       Alcotest.test_case "basic build allocation" `Quick
         test_basic_build_allocation;
+      Alcotest.test_case "price allocation per cluster" `Quick
+        test_price_allocation;
     ] )
