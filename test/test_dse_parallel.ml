@@ -67,6 +67,46 @@ let test_store_deterministic () =
   Alcotest.(check int) "no store warnings" 0
     (List.length (Dse.Durable.warnings store))
 
+(* Three sweeps of the 72-point grid back to back in one process at
+   jobs=2, cold, durable into a fresh store and resumed: the pool keeps its
+   helper domains between them, and each CSV stays the jobs=1 one. *)
+let test_back_to_back_sweeps () =
+  let app, clustering = mpeg () in
+  let fb_list = [ 512; 1024; 1536; 2048; 3072; 4096 ]
+  and cm_list = [ 1024; 2048 ]
+  and setup_list = [ 0; 16 ] in
+  let csv ?store ?stats jobs =
+    Dse.to_csv
+      (Dse.sweep ~jobs ?store ?stats ~cm_list ~setup_list ~fb_list app
+         clustering)
+  in
+  let reference = csv 1 in
+  Alcotest.(check string) "cold at jobs=2" reference (csv 2);
+  let path = Filename.temp_file "msched_back_to_back" ".store" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  let with_store ?resume f =
+    match
+      Dse.Durable.open_ ?resume ~path ~cm_list ~setup_list ~fb_list app
+        clustering
+    with
+    | Ok store ->
+      Fun.protect ~finally:(fun () -> Dse.Durable.close store) (fun () ->
+          f store)
+    | Error d -> Alcotest.failf "Durable.open_ failed: %s" (Diag.render d)
+  in
+  with_store (fun store ->
+      Alcotest.(check string) "durable at jobs=2" reference (csv ~store 2);
+      Alcotest.(check int) "every point persisted" 72
+        (Dse.Durable.completed store));
+  let stats = Engine.Stats.create () in
+  with_store ~resume:true (fun store ->
+      Alcotest.(check string) "resumed at jobs=2" reference
+        (csv ~store ~stats 2));
+  Alcotest.(check int) "the resume replayed every point" 72
+    (Engine.Stats.store_replayed stats)
+
 let test_fuzz_jobs_deterministic () =
   let run jobs = Report.Fuzz.run ~jobs ~seed:7 ~count:12 () in
   let r1 = run 1 and r4 = run 4 in
@@ -86,4 +126,6 @@ let tests =
         test_store_deterministic;
       Alcotest.test_case "fuzz independent of job count" `Quick
         test_fuzz_jobs_deterministic;
+      Alcotest.test_case "back-to-back sweeps byte-identical at jobs=2" `Quick
+        test_back_to_back_sweeps;
     ] )
