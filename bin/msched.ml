@@ -716,19 +716,6 @@ let schedulers_cmd =
        ~doc:"List the registered schedulers (usable with --scheduler)")
     Term.(const run $ const ())
 
-(* msched --verbose / -v prints scheduler decision logs to stderr; the flag
-   is stripped before cmdliner parses the rest *)
-let argv =
-  let verbose = Array.exists (fun a -> a = "--verbose" || a = "-v") Sys.argv in
-  if verbose then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
-  Array.of_list
-    (List.filter
-       (fun a -> a <> "--verbose" && a <> "-v")
-       (Array.to_list Sys.argv))
-
 let main =
   let doc = "Complete Data Scheduler for multi-context reconfigurable architectures" in
   Cmd.group
@@ -739,4 +726,4 @@ let main =
       table1_cmd; figures_cmd;
     ]
 
-let () = exit (Cmd.eval ~argv main)
+let () = exit (Cmd.eval main)

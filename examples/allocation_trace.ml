@@ -16,7 +16,8 @@ let () =
   match Cds.Complete_data_scheduler.run_full ctx config with
   | Error d -> failwith (Diag.to_string d)
   | Ok r ->
-    Format.printf "RF = %d (as in the figure)@." r.Cds.Complete_data_scheduler.rf;
+    Format.printf "RF = %d (as in the figure)@."
+      r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf;
     Format.printf "%a@." Cds.Retention.pp_decision
       r.Cds.Complete_data_scheduler.retention;
     let focus = Workloads.Synthetic.figure5_focus_cluster in
@@ -24,7 +25,7 @@ let () =
       AA.run
         ~capture:(fun ~cluster_id -> cluster_id = focus)
         config ~analysis:(Sched.Sched_ctx.analysis ctx)
-        ~rf:r.Cds.Complete_data_scheduler.rf
+        ~rf:r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
     in
     let labels = List.map (fun s -> s.AA.caption) result.AA.snapshots in

@@ -30,7 +30,8 @@ let () =
           Some
             [
               Msutil.Pretty.kbytes fb_set_size;
-              string_of_int r.Cds.Complete_data_scheduler.rf;
+              string_of_int
+                r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf;
               string_of_int (Sched.Schedule.rounds s);
               string_of_int m.Msim.Metrics.context_words_loaded;
               string_of_int m.Msim.Metrics.total_cycles;
@@ -44,7 +45,7 @@ let () =
       Cds.Complete_data_scheduler.run_full ctx
         (Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:320 ())
     with
-    | Ok r -> r.Cds.Complete_data_scheduler.rf
+    | Ok r -> r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf
     | Error _ -> 1
   in
   Format.printf "@.Figure 3(b) — after loop fission (RF=%d):@.%s@." rf_big

@@ -56,6 +56,7 @@ let () =
   (* 4. Inspect the winning schedule as a timeline. *)
   match c.Cds.Pipeline.cds with
   | Ok (s, r) ->
-    Format.printf "reuse factor RF = %d@." r.Cds.Complete_data_scheduler.rf;
+    Format.printf "reuse factor RF = %d@."
+      r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf;
     print_string (Msim.Trace.render_gantt config s.Cds.Pipeline.schedule)
   | Error _ -> ()

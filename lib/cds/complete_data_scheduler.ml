@@ -1,12 +1,7 @@
 module IE = Kernel_ir.Info_extractor
 module Data = Kernel_ir.Data
 
-type result = {
-  schedule : Sched.Schedule.t;
-  retention : Retention.decision;
-  rf : int;
-  data_words_avoided_per_iteration : int;
-}
+type result = { schedule : Sched.Schedule.t; retention : Retention.decision }
 
 (* The list-based object choice behind [schedule_reference], evaluated for
    round 0 and for a later round. [profiles] is indexed by cluster id. *)
@@ -134,10 +129,9 @@ let schedule_reference ?(retention = true) ?(cross_set = false)
           Sched.Step_builder.build ~cross_set config app clustering ~rf
             ~ctx_plan
             ~generators:
-              (Sched.Step_builder.generators_of_selectors
-                 (reference_selectors
-                    (Array.of_list (IE.profiles app clustering))
-                    decision))
+              (reference_selectors
+                 (Array.of_list (IE.profiles app clustering))
+                 decision)
             ~scheduler:scheduler_name
         in
         (schedule, decision)
@@ -155,14 +149,7 @@ let schedule_reference ?(retention = true) ?(cross_set = false)
           (List.init rf_max (fun i -> i + 1))
         |> Option.get |> fst
       in
-      Ok
-        {
-          schedule = chosen;
-          retention = decision;
-          rf = chosen.Sched.Schedule.rf;
-          data_words_avoided_per_iteration =
-            decision.Retention.avoided_words_per_iteration;
-        })
+      Ok { schedule = chosen; retention = decision })
 
 (* The CDS allocator packs the whole set (paper §5: minimal memory, no
    fragmentation), so the RF bound is computed against the full FB size.
@@ -197,14 +184,7 @@ let policy ~retention ~cross_set =
 
 let run_full ?(retention = true) ?(cross_set = false) ctx config =
   Result.map
-    (fun (schedule, decision) ->
-      {
-        schedule;
-        retention = decision;
-        rf = schedule.Sched.Schedule.rf;
-        data_words_avoided_per_iteration =
-          decision.Retention.avoided_words_per_iteration;
-      })
+    (fun (schedule, retention) -> { schedule; retention })
     (Sched.Step_builder.search (policy ~retention ~cross_set) ctx config)
 
 let () =

@@ -18,11 +18,10 @@
     cross-set reuse. *)
 
 type result = {
-  schedule : Sched.Schedule.t;
+  schedule : Sched.Schedule.t;  (** its [rf] is the chosen reuse factor *)
   retention : Retention.decision;
-  rf : int;
-  data_words_avoided_per_iteration : int;
-      (** the paper's DT column of Table 1 *)
+      (** its [avoided_words_per_iteration] is the paper's DT column of
+          Table 1 *)
 }
 
 val run_full :
@@ -32,7 +31,7 @@ val run_full :
   Morphosys.Config.t ->
   (result, Diag.t) Stdlib.result
 (** The Complete Data Scheduler with its options. Returns the rich
-    {!result} (retention decision, RF, DT words) the pipeline and
+    {!result} (schedule and retention decision) the pipeline and
     reports need. [Error] is a [No_feasible_rf] or [Cm_overflow]
     diagnostic under the same conditions as the Data Scheduler (some
     [DS(C)] exceeding the FB set even at RF = 1, or context-memory

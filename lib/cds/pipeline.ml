@@ -50,7 +50,7 @@ let improvement t which =
 
 let ds_rf t =
   match t.cds with
-  | Ok (_, r) -> Some r.Complete_data_scheduler.rf
+  | Ok (_, r) -> Some r.Complete_data_scheduler.schedule.Sched.Schedule.rf
   | Error _ -> (
     match t.ds with
     | Ok s -> Some s.schedule.Sched.Schedule.rf
@@ -59,7 +59,8 @@ let ds_rf t =
 let dt_words t =
   match t.cds with
   | Ok (_, r) ->
-    Some r.Complete_data_scheduler.data_words_avoided_per_iteration
+    Some
+      r.Complete_data_scheduler.retention.Retention.avoided_words_per_iteration
   | Error _ -> None
 
 let auto_clustering config app =
@@ -77,7 +78,7 @@ let allocation_report config app clustering =
   Result.map
     (fun (r : Complete_data_scheduler.result) ->
       Allocation_algorithm.run config ~analysis:(Sched.Sched_ctx.analysis ctx)
-        ~rf:r.Complete_data_scheduler.rf
+        ~rf:r.Complete_data_scheduler.schedule.Sched.Schedule.rf
         ~retention:r.Complete_data_scheduler.retention ~round:0)
     (Result.map_error Diag.to_string
        (Complete_data_scheduler.run_full ctx config))

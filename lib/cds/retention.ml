@@ -2,10 +2,6 @@ module IE = Kernel_ir.Info_extractor
 module Cluster = Kernel_ir.Cluster
 module Data = Kernel_ir.Data
 
-let log_src = Logs.Src.create "cds.retention" ~doc:"Retention decisions"
-
-module Log = (val Logs.src_log log_src)
-
 type decision = {
   retained : Sharing.t list;
   rejected : (Sharing.t * string) list;
@@ -115,10 +111,8 @@ let choose ?(cross_set = false) ?(ranking = `Tf)
       (fun (retained, rejected) candidate ->
         match fits retained candidate with
         | None ->
-          Log.debug (fun m -> m "retain %a" Sharing.pp candidate);
           (candidate :: retained, rejected)
         | Some reason ->
-          Log.debug (fun m -> m "reject %a: %s" Sharing.pp candidate reason);
           (retained, (candidate, reason) :: rejected))
       ([], []) ranked
   in
@@ -331,11 +325,9 @@ let choose_ctx ?(cross_set = false)
       (fun (retained, rejected) candidate ->
         match fits candidate with
         | None ->
-          Log.debug (fun m -> m "retain %a" Sharing.pp candidate);
           accept candidate;
           (candidate :: retained, rejected)
         | Some reason ->
-          Log.debug (fun m -> m "reject %a: %s" Sharing.pp candidate reason);
           (retained, (candidate, reason) :: rejected))
       ([], []) ranked
   in

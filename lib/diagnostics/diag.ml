@@ -91,8 +91,6 @@ let render t =
   | _ -> ());
   Buffer.contents b
 
-let pp fmt t = Format.pp_print_string fmt (render t)
-
 let of_exn ?scheduler ?backtrace = function
   | Invalid_argument msg -> v ?scheduler ?backtrace Invalid_app "%s" msg
   | Not_found -> v ?scheduler ?backtrace Invalid_app "lookup failed: Not_found"

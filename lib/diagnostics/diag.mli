@@ -78,9 +78,6 @@ val render : t -> string
     ["[E:FB_OVERFLOW basic] message (cluster 2)"], plus the backtrace on
     its own lines when present. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints {!render}. *)
-
 val of_exn : ?scheduler:string -> ?backtrace:string -> exn -> t
 (** Classify a caught exception: [Invalid_argument] becomes
     {!Invalid_app}, [Not_found] an {!Invalid_app} lookup failure, and

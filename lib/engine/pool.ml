@@ -18,27 +18,16 @@ let attempt f =
         (Diag.v ~backtrace Diag.Task_crashed "task raised %s"
            (Printexc.to_string e)))
 
-(* Domain.spawn fails past the runtime's cap on live domains: stop there
-   and return the domains that did start, each with the tag [start] gave
-   it along with its body. *)
-let rec spawn k start acc =
-  if k <= 0 then List.rev acc
-  else
-    let tag, body = start () in
-    match Domain.spawn body with
-    | d -> spawn (k - 1) start ((tag, d) :: acc)
-    | exception Failure _ -> List.rev acc
-
 (* Kept helpers: allocating in a freshly spawned domain costs several times
    more than in a warm one, so the pool keeps the helper domains of its
    latest call, each asleep on its own condition until the next batch.
-   Helper [j] serves only a batch that names it, so a call at [~jobs:k]
-   wakes helpers 0 .. k-2 and no other. An idle helper still joins every
-   stop-the-world minor collection, which slows whatever the process runs
-   meanwhile, so a call keeps no more helpers than it asked for (none at
-   [~jobs:1]) and no more than the hardware runs at once. [busy], [active]
-   and every [job] field are guarded by [lock]; [kept] is touched only by
-   the call that set [busy]. *)
+   They are the only domains the pool starts. Helper [j] serves only a
+   batch that names it, so a call at [~jobs:k] wakes helpers 0 .. k-2 and
+   no other. An idle helper still joins every stop-the-world minor
+   collection, which slows whatever the process runs meanwhile, so a call
+   keeps no more helpers than it asked for (none at [~jobs:1]). [busy],
+   [active] and every [job] field are guarded by [lock]; [kept] is touched
+   only by the call that set [busy]. *)
 type job = Idle | Run of (unit -> unit) | Quit
 type helper = { wake : Condition.t; mutable job : job }
 
@@ -72,6 +61,17 @@ let rec serve h =
     Mutex.unlock lock;
     serve h
 
+(* [k] new kept helpers, or fewer: Domain.spawn fails past the runtime's
+   cap on live domains, and the pool then runs on the ones that did
+   start. *)
+let rec spawn k acc =
+  if k <= 0 then List.rev acc
+  else
+    let h = { wake = Condition.create (); job = Idle } in
+    match Domain.spawn (fun () -> serve h) with
+    | d -> spawn (k - 1) ((h, d) :: acc)
+    | exception Failure _ -> List.rev acc
+
 let post job helpers =
   Mutex.lock lock;
   List.iter
@@ -81,19 +81,18 @@ let post job helpers =
     helpers;
   Mutex.unlock lock
 
-(* Take the pool for a call that asked for [jobs] workers: keep the helpers
-   it asked for (stopping the others), hand [work] to [wake] of them and
-   return how many took it. [None] if the pool is in use (by a task of the
-   running batch, or by a call from another domain): the call then gets no
-   helper rather than waiting. *)
+(* Take the pool for a call of [jobs] workers: keep [jobs - 1] helpers
+   (stopping the others), hand [work] to [wake] of them and return whether
+   the pool was free. It is not while another call holds it (this call is
+   then a task of the running batch, or runs on another domain at the same
+   time): the call gets no helper rather than waiting. *)
 let claim ~jobs ~wake work =
   Mutex.lock lock;
   let free = not !busy in
   busy := true;
   Mutex.unlock lock;
-  if not free then None
-  else begin
-    let keep = min jobs (recommended_jobs ()) - 1 in
+  if free then begin
+    let keep = jobs - 1 in
     let have = List.length !kept in
     if have > keep then begin
       let leaving = List.filteri (fun j _ -> j >= keep) !kept in
@@ -101,22 +100,14 @@ let claim ~jobs ~wake work =
       post Quit leaving;
       List.iter (fun (_, d) -> Domain.join d) leaving
     end
-    else
-      kept :=
-        !kept
-        @ spawn
-            (min keep wake - have)
-            (fun () ->
-              let h = { wake = Condition.create (); job = Idle } in
-              (h, fun () -> serve h))
-            [];
+    else kept := !kept @ spawn (min keep wake - have) [];
     let lent = List.filteri (fun j _ -> j < wake) !kept in
     Mutex.lock lock;
     active := List.length lent;
     Mutex.unlock lock;
-    post (Run work) lent;
-    Some (List.length lent)
-  end
+    post (Run work) lent
+  end;
+  free
 
 (* Wait until every helper [claim] woke has left the batch, then free the
    pool. *)
@@ -154,13 +145,10 @@ let run_results ?(jobs = 1) (tasks : (unit -> 'a) array) =
     Printexc.record_backtrace backtraces;
     worker ()
   in
-  (* no helper is woken or spawned for fewer than two tasks *)
-  let helpers = min jobs n - 1 in
-  let lent = claim ~jobs ~wake:helpers work in
-  let extra =
-    spawn (helpers - Option.value lent ~default:0) (fun () -> ((), work)) []
-  in
+  (* more workers than the hardware runs at once only add idle domains,
+     and no helper is woken or spawned for fewer than two tasks *)
+  let jobs = min jobs (recommended_jobs ()) in
+  let claimed = claim ~jobs ~wake:(min jobs n - 1) work in
   worker ();
-  List.iter (fun ((), d) -> Domain.join d) extra;
-  if Option.is_some lent then release ();
+  if claimed then release ();
   Array.map (function Some r -> r | None -> assert false) results

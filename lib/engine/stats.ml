@@ -18,16 +18,14 @@ type acc = {
 type t = {
   mutex : Mutex.t;
   table : (string, acc) Hashtbl.t;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable store_replayed : int;
-  mutable store_quarantined : int;
+  mutable replayed : int;
+  mutable recomputed : int;
+  mutable quarantined : int;
 }
 
 let create () =
   { mutex = Mutex.create (); table = Hashtbl.create 8;
-    cache_hits = 0; cache_misses = 0;
-    store_replayed = 0; store_quarantined = 0 }
+    replayed = 0; recomputed = 0; quarantined = 0 }
 
 let with_lock t f =
   Mutex.lock t.mutex;
@@ -68,10 +66,9 @@ let time t ~label f =
 
 let note_store t ~replayed ~recomputed ~quarantined =
   with_lock t (fun () ->
-      t.cache_hits <- t.cache_hits + replayed;
-      t.cache_misses <- t.cache_misses + recomputed;
-      t.store_replayed <- t.store_replayed + replayed;
-      t.store_quarantined <- t.store_quarantined + quarantined)
+      t.replayed <- t.replayed + replayed;
+      t.recomputed <- t.recomputed + recomputed;
+      t.quarantined <- t.quarantined + quarantined)
 
 let entries t =
   with_lock t (fun () ->
@@ -87,10 +84,11 @@ let entries t =
 let tasks_run t =
   List.fold_left (fun n (e : entry) -> n + e.count) 0 (entries t)
 
-let cache_hits t = with_lock t (fun () -> t.cache_hits)
-let cache_misses t = with_lock t (fun () -> t.cache_misses)
-let store_replayed t = with_lock t (fun () -> t.store_replayed)
-let store_quarantined t = with_lock t (fun () -> t.store_quarantined)
+(* A replayed design point is a store hit, a recomputed one a miss. *)
+let store_replayed t = with_lock t (fun () -> t.replayed)
+let store_quarantined t = with_lock t (fun () -> t.quarantined)
+let cache_hits = store_replayed
+let cache_misses t = with_lock t (fun () -> t.recomputed)
 
 let total_wall t =
   List.fold_left (fun s (e : entry) -> s +. e.wall) 0. (entries t)

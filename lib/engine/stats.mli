@@ -36,10 +36,14 @@ val entries : t -> entry list
 (** Sorted by label. *)
 
 val tasks_run : t -> int
-val cache_hits : t -> int
-val cache_misses : t -> int
 val store_replayed : t -> int
 val store_quarantined : t -> int
+
+val cache_hits : t -> int
+(** The same count as {!store_replayed}: a replayed point is a hit. *)
+
+val cache_misses : t -> int
+(** The points recomputed because the store did not hold them. *)
 
 val pp : Format.formatter -> t -> unit
 (** Table of per-label count / total / mean / min / max wall time, CPU

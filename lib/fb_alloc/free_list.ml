@@ -121,8 +121,3 @@ let invariant_ok t =
   in
   check t.free
   && List.for_all (fun b -> not (Interval.is_empty b)) t.free
-
-let pp fmt t =
-  Format.fprintf fmt "@[<h>free:%a@]"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ",") Interval.pp)
-    t.free

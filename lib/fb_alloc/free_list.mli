@@ -43,5 +43,3 @@ val is_free : t -> Msutil.Interval.t -> bool
 val invariant_ok : t -> bool
 (** Sorted, disjoint, non-adjacent (coalesced), in-bounds — checked by the
     property tests. *)
-
-val pp : Format.formatter -> t -> unit

@@ -105,7 +105,6 @@ let outputs_of t kid =
   List.filter (fun (d : Data.t) -> d.producer = Data.Produced_by kid) t.data
 
 let external_data t = List.filter Data.is_external t.data
-let results t = List.filter Data.is_result t.data
 let final_results t = List.filter (fun (d : Data.t) -> d.final) t.data
 
 let total_data_words t = Msutil.Listx.sum_by (fun (d : Data.t) -> d.size) t.data

@@ -45,7 +45,6 @@ val outputs_of : t -> Kernel.id -> Data.t list
 (** Data objects produced by the kernel, ordered by data id. *)
 
 val external_data : t -> Data.t list
-val results : t -> Data.t list
 val final_results : t -> Data.t list
 
 val total_data_words : t -> int

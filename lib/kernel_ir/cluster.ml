@@ -84,7 +84,6 @@ let find clustering id =
   | None ->
     invalid_arg (Printf.sprintf "Cluster.find: no cluster with id %d" id)
 
-let same_set a b = a.fb_set = b.fb_set
 let n_clusters = List.length
 let partition_sizes clustering = List.map (fun c -> List.length c.kernels) clustering
 

@@ -41,10 +41,6 @@ val cluster_of_kernel : clustering -> Kernel.id -> t
 val find : clustering -> int -> t
 (** Cluster by id. @raise Invalid_argument naming the id. *)
 
-val find_opt : clustering -> int -> t option
-
-val same_set : t -> t -> bool
 val n_clusters : clustering -> int
 val partition_sizes : clustering -> int list
-val pp : Format.formatter -> t -> unit
 val pp_clustering : Format.formatter -> clustering -> unit

@@ -41,8 +41,6 @@ val profile :
 
 val profiles : Application.t -> Cluster.clustering -> cluster_profile list
 
-val produced_in : Cluster.t -> Data.t -> bool
-
 val last_consumer_in : Cluster.t -> Data.t -> Kernel.id option
 (** Last consumer of the object among the cluster's kernels. *)
 

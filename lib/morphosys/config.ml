@@ -59,11 +59,3 @@ let make ?(cm_capacity = 2048) ?(data_cycles_per_word = 1)
   | Error msg -> invalid_arg ("Config.make: " ^ msg)
 
 let m1 ~fb_set_size = make ~fb_set_size ()
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<h>{fb_set=%dw; cm=%dw; dma=%d/%d cyc/w +%d; array=%dx%d}@]"
-    t.fb_set_size t.cm_capacity t.data_cycles_per_word
-    t.context_cycles_per_word t.dma_setup_cycles t.array_rows t.array_cols
-
-let equal (a : t) (b : t) = a = b

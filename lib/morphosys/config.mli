@@ -53,6 +53,3 @@ val validate : t -> (unit, string) result
     per-word costs positive, setup cost non-negative; FB set size, CM
     capacity and setup cost at most {!max_quantity}; per-word costs and
     array dimensions at most [2^10]. *)
-
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -23,7 +23,7 @@ let figure5 () =
       AA.run
         ~capture:(fun ~cluster_id -> cluster_id = focus)
         config ~analysis:(Sched.Sched_ctx.analysis ctx)
-        ~rf:r.Cds.Complete_data_scheduler.rf
+        ~rf:r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
     in
     Format.fprintf fmt "retained: %a@\n"
@@ -50,7 +50,7 @@ let figure3 () =
         (Sched.Sched_ctx.make app clustering)
         config
     with
-    | Ok r -> r.Cds.Complete_data_scheduler.rf
+    | Ok r -> r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf
     | Error _ -> 1
   in
   Format.fprintf fmt "(a) plain kernel sequence:@\n%s@\n"

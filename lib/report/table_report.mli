@@ -11,9 +11,6 @@ type row = {
 val run_rows : unit -> row list
 (** Schedule and simulate all twelve experiments. *)
 
-val table1 : row list -> unit
-(** Print the Table 1 reproduction to stdout. *)
-
 val to_csv : row list -> string
 (** Machine-readable export (one line per experiment, measured and paper
     columns) for downstream plotting. *)

@@ -20,7 +20,3 @@ val schedule_reference :
   (Schedule.t, string) result
 (** Original list-based implementation, kept as the equivalence oracle
     for the indexed path. *)
-
-val footprints :
-  Kernel_ir.Application.t -> Kernel_ir.Cluster.clustering -> int list
-(** Per-cluster no-replacement footprints (one iteration). *)

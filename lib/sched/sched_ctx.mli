@@ -25,9 +25,6 @@ val analysis : t -> Kernel_ir.Analysis.t
 val app : t -> Kernel_ir.Application.t
 val clustering : t -> Kernel_ir.Cluster.clustering
 
-val profile : t -> int -> Kernel_ir.Info_extractor.cluster_profile
-(** By cluster id. @raise Invalid_argument on an unknown id. *)
-
 val splits_list : t -> (int * int) list
 (** Equal to [Data_scheduler.footprints_split app clustering]. *)
 

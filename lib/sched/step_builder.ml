@@ -3,21 +3,14 @@ module Application = Kernel_ir.Application
 module Dma = Morphosys.Dma
 module Fb = Morphosys.Frame_buffer
 
-type generators = {
-  loads :
-    Cluster.t -> round:int -> iters:int -> base_iter:int -> Dma.t list;
-  stores :
-    Cluster.t -> round:int -> iters:int -> base_iter:int -> Dma.t list;
-}
-
-(* The object-level view behind a [generators]: which data objects each
-   cluster loads and stores, one table row per cluster id. A cluster's
-   choice depends on the round only through "round 0 or a later one" (a
-   retained invariant table is loaded in round 0 alone), so two load
-   tables and one store table hold every round. The transfer lists are
-   derived mechanically from these (one instance per iteration, one for
-   an invariant object), so a cost can be computed from the objects alone
-   without materialising labelled transfers — see [estimate]. *)
+(* A scheduler's transfer choice: which data objects each cluster loads
+   and stores, one table row per cluster id. A cluster's choice depends
+   on the round only through "round 0 or a later one" (a retained
+   invariant table is loaded in round 0 alone), so two load tables and
+   one store table hold every round. [build] expands them mechanically
+   into labelled transfers (one instance per iteration, one for an
+   invariant object), so [estimate] can cost a schedule from the objects
+   alone without materialising them. *)
 type selectors = {
   first_loads : Kernel_ir.Data.t list array;
   later_loads : Kernel_ir.Data.t list array;
@@ -44,23 +37,6 @@ and expand f (d : Kernel_ir.Data.t) ~first iter acc =
   else
     expand f d ~first (iter - 1)
       (f ~label:(Schedule.instance_label d.name ~iter) ~words:d.size :: acc)
-
-(* Every generator is the mechanical expansion of a [selectors] — same
-   object choice, one labelled transfer per instance — so the selectors
-   stay the single source of truth for both the transfer lists and the
-   cheap cost estimates. *)
-let generators_of_selectors sel =
-  {
-    loads =
-      (fun c ~round ~iters ~base_iter ->
-        let table = if round = 0 then sel.first_loads else sel.later_loads in
-        instances ~objects:table.(c.Cluster.id) ~iters ~base_iter
-          (Dma.data_load ~set:c.Cluster.fb_set));
-    stores =
-      (fun c ~round:_ ~iters ~base_iter ->
-        instances ~objects:sel.stored.(c.Cluster.id) ~iters ~base_iter
-          (Dma.data_store ~set:c.Cluster.fb_set));
-  }
 
 (* The pipeline runs rounds x clusters: execution [s] is cluster
    [s mod n] of the clustering on round [s / n], for RF iterations (fewer
@@ -117,18 +93,28 @@ let can_overlap ~computing_set (tr : Dma.t) =
 (* [trs @ acc], sharing [trs] itself when [acc] is empty. *)
 let prepend trs acc = match acc with [] -> trs | _ -> trs @ acc
 
-let build ?(cross_set = false) config app clustering ~rf ~ctx_plan ~generators
-    ~scheduler =
+let build ?(cross_set = false) config app clustering ~rf ~ctx_plan
+    ~generators:selectors ~scheduler =
   if rf < 1 then invalid_arg "Step_builder.build: rf must be >= 1";
   let p = pipeline config app clustering ~rf in
-  let transfers gen s =
+  (* execution [s]'s transfers: its cluster's row of the round's table,
+     one labelled transfer per instance *)
+  let transfers table_of transfer s =
     if s < 0 || s >= p.s_max then []
     else
-      let round = round_at p s in
-      gen (cluster_at p s) ~round ~iters:(iters_at p s) ~base_iter:(round * rf)
+      let c = cluster_at p s and round = round_at p s in
+      instances
+        ~objects:(table_of round).(c.Cluster.id)
+        ~iters:(iters_at p s) ~base_iter:(round * rf)
+        (transfer ~set:c.Cluster.fb_set)
   in
-  let loads_of = transfers generators.loads in
-  let stores_of = transfers generators.stores in
+  let loads_of =
+    transfers
+      (fun round ->
+        if round = 0 then selectors.first_loads else selectors.later_loads)
+      Dma.data_load
+  in
+  let stores_of = transfers (fun _ -> selectors.stored) Dma.data_store in
   let ctx_of s =
     if s >= p.s_max then []
     else
@@ -248,15 +234,14 @@ let sum_rows (config : Morphosys.Config.t) clusters table =
     clusters;
   r
 
-(* Exactly the simulator's totals for [build ... ~generators] with the
-   generators derived from [selectors]. Each table row is summed once; the
-   walk over the executions then follows [build]'s step structure —
-   prime, per-execution overlap/stall routing, final drain — with integer
-   arithmetic alone: no transfer list, no selection and no allocation per
-   execution. Each execution's loads, stores and context load are counted
-   once, at the step that moves them, so scheduler RF searches can rank
-   every candidate factor and a design point can be priced without
-   building its schedule. *)
+(* Exactly the simulator's totals for [build ... ~generators:selectors].
+   Each table row is summed once; the walk over the executions then
+   follows [build]'s step structure — prime, per-execution overlap/stall
+   routing, final drain — with integer arithmetic alone: no transfer
+   list, no selection and no allocation per execution. Each execution's
+   loads, stores and context load are counted once, at the step that
+   moves them, so scheduler RF searches can rank every candidate factor
+   and a design point can be priced without building its schedule. *)
 let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     ~selectors =
   if rf < 1 then invalid_arg "Step_builder.estimate: rf must be >= 1";
@@ -327,10 +312,6 @@ type 'a policy = {
   selectors : Sched_ctx.t -> Morphosys.Config.t -> rf:int -> 'a * selectors;
 }
 
-let log_src = Logs.Src.create "sched" ~doc:"Scheduler RF choices"
-
-module Log = (val Logs.src_log log_src)
-
 let ( let* ) = Result.bind
 
 (* Where both entries start: the context plan and the policy's RF bound,
@@ -348,7 +329,7 @@ let prepare policy ctx config k =
 let build_at policy ctx config ~ctx_plan ~rf (payload, selectors) =
   ( build ~cross_set:policy.cross_set config (Sched_ctx.app ctx)
       (Sched_ctx.clustering ctx) ~rf ~ctx_plan
-      ~generators:(generators_of_selectors selectors)
+      ~generators:selectors
       ~scheduler:policy.name,
     payload )
 
@@ -370,10 +351,6 @@ let choose policy ctx config =
     | _ -> best := Some (rf, chosen, cost)
   done;
   let rf, chosen, cost = Option.get !best in
-  if rf_max > 1 then
-    Log.debug (fun m ->
-        m "%s: chose rf=%d (%d cycles) out of rf_max=%d" policy.name rf
-          cost.cycles rf_max);
   Ok (ctx_plan, rf, chosen, cost)
 
 (* The one scheduler driver: the RF search, then a single [build] of the

@@ -10,41 +10,24 @@
     standalone DMA step between the two computations (this happens at the
     round wrap-around when the cluster count is odd). *)
 
-type generators = {
-  loads :
-    Kernel_ir.Cluster.t -> round:int -> iters:int -> base_iter:int ->
-    Morphosys.Dma.t list;
-      (** data to bring into the cluster's set before it runs (one transfer
-          per object instance, labelled ["name@iter"]) *)
-  stores :
-    Kernel_ir.Cluster.t -> round:int -> iters:int -> base_iter:int ->
-    Morphosys.Dma.t list;
-      (** results to drain from the cluster's set after it runs *)
-}
-
 type selectors = {
   first_loads : Kernel_ir.Data.t list array;
-      (** by cluster id: the objects behind [generators.loads] in round 0 *)
+      (** by cluster id: the objects it loads in round 0 *)
   later_loads : Kernel_ir.Data.t list array;
       (** by cluster id: the objects it loads in every later round *)
   stored : Kernel_ir.Data.t list array;
-      (** by cluster id: the objects behind [generators.stores], every
+      (** by cluster id: the objects it stores after it runs, every
           round *)
 }
-(** The object-level view behind a {!generators}, as data: one row per
-    cluster id in each table. Round 0 versus a later round is the only
-    way a cluster's choice depends on the round (a retained invariant
-    table is loaded in round 0 alone); a policy whose loads never change
-    may share one array between [first_loads] and [later_loads], which
-    {!estimate} then sums once. The
-    transfer lists are one instance per (object, iteration) — one total
-    for an invariant object — so {!estimate} can cost a schedule from the
-    objects alone. *)
-
-val generators_of_selectors : selectors -> generators
-(** Mechanical expansion of an object selection into labelled transfer
-    lists: one transfer per (object, iteration) instance, one total for an
-    invariant object. *)
+(** A scheduler's transfer choice, as data: one row per cluster id in
+    each table. Round 0 versus a later round is the only way a cluster's
+    choice depends on the round (a retained invariant table is loaded in
+    round 0 alone); a policy whose loads never change may share one
+    array between [first_loads] and [later_loads], which {!estimate}
+    then sums once. {!build} expands a row into one transfer per
+    (object, iteration) instance — one per round for an invariant
+    object — so {!estimate} can cost a schedule from the objects
+    alone. *)
 
 val build :
   ?cross_set:bool ->
@@ -53,10 +36,15 @@ val build :
   Kernel_ir.Cluster.clustering ->
   rf:int ->
   ctx_plan:Context_scheduler.plan ->
-  generators:generators ->
+  generators:selectors ->
   scheduler:string ->
   Schedule.t
-(** @raise Invalid_argument if [rf < 1]. [cross_set] is recorded in the
+(** The schedule that moves what the tables choose: each execution loads
+    its cluster's row of [first_loads] (round 0) or [later_loads] and
+    stores its row of [stored], one transfer per instance labelled
+    ["name@iter"]. The label is named [generators] because the benchmark
+    harness passes the tables under that name.
+    @raise Invalid_argument if [rf < 1]. [cross_set] is recorded in the
     schedule for the validator (default false). *)
 
 type cost = {
@@ -74,8 +62,8 @@ val estimate :
   ctx_plan:Context_scheduler.plan ->
   selectors:selectors ->
   cost
-(** Exactly what the simulator measures of [build ...] for the generators
-    derived from [selectors] — its total cycles
+(** Exactly what the simulator measures of [build ~generators:selectors]
+    — its total cycles
     ([Schedule_cost.estimate]), its data words and its context words —
     without materialising any transfer list. It sums each table row's
     words and channel cycles once, then walks the executions with integer
@@ -113,7 +101,7 @@ val search :
     scheduler shares: the RF search — the context plan
     ({!Context_scheduler.plan_of_analysis}), the policy's RF bound and the
     fastest RF in [1..bound] by {!estimate} (ties go to the larger RF) —
-    then one {!build} of the winner from {!generators_of_selectors}.
+    then one {!build} of the winner's selectors.
     Returns the schedule with the winning RF's payload. Every [Error] is
     tagged with [policy.name]. *)
 

@@ -20,23 +20,18 @@ let stored_everything (p : IE.cluster_profile) =
     (fun kp -> kp.IE.rout_objects @ List.map fst kp.IE.intermediate_objects)
     p.IE.kernel_profiles
 
-let make_generators app clustering ~stored_objects =
-  Step_builder.generators_of_selectors
-    (selectors_of
-       (Array.of_list (IE.profiles app clustering))
-       ~stored_objects)
+let profiles app clustering = Array.of_list (IE.profiles app clustering)
 
 let plain app clustering =
-  make_generators app clustering ~stored_objects:stored_outliving
+  selectors_of (profiles app clustering) ~stored_objects:stored_outliving
 
 let store_everything app clustering =
-  make_generators app clustering ~stored_objects:stored_everything
+  selectors_of (profiles app clustering) ~stored_objects:stored_everything
 
 let plain_selectors_ctx (analysis : Kernel_ir.Analysis.t) =
   selectors_of analysis.profiles ~stored_objects:stored_outliving
 
-let plain_ctx analysis =
-  Step_builder.generators_of_selectors (plain_selectors_ctx analysis)
+let plain_ctx = plain_selectors_ctx
 
 let store_everything_selectors_ctx (analysis : Kernel_ir.Analysis.t) =
   selectors_of analysis.profiles ~stored_objects:stored_everything

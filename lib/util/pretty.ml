@@ -34,8 +34,6 @@ let table ~header ~rows fmt =
   Format.fprintf fmt "%s@\n" (String.make total '-');
   List.iter print_row rows
 
-let rule fmt n = Format.fprintf fmt "%s@\n" (String.make n '-')
-
 let bar ~width value max_value =
   let len =
     if max_value <= 0. then 0

@@ -13,9 +13,6 @@ val table :
 (** [table ~header ~rows fmt] prints an aligned ASCII table with a rule
     under the header. Every row must have the same arity as the header. *)
 
-val rule : Format.formatter -> int -> unit
-(** [rule fmt n] prints a horizontal rule of [n] dashes and a newline. *)
-
 val bar : width:int -> float -> float -> string
 (** [bar ~width value max] renders a horizontal bar chart cell of
     proportional length, used for the Figure 6 reproduction. *)

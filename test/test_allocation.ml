@@ -14,7 +14,7 @@ let run_alloc config app clustering =
   | Ok r ->
     ( r,
       AA.run config ~analysis:(Sched.Sched_ctx.analysis ctx)
-        ~rf:r.Cds.Complete_data_scheduler.rf
+        ~rf:r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0 )
 
 let test_same_set_allocation () =
@@ -31,7 +31,8 @@ let test_figure5_snapshots () =
   (* a 512-word set bounds the figure's RF at 2 *)
   let config = Morphosys.Config.m1 ~fb_set_size:512 in
   let r, result = run_alloc config app clustering in
-  Alcotest.(check int) "figure's RF" 2 r.Cds.Complete_data_scheduler.rf;
+  Alcotest.(check int) "figure's RF" 2
+    r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf;
   Alcotest.(check (list string)) "no failures" [] result.AA.failures;
   Alcotest.(check int) "no splits" 0 result.AA.splits;
   (* the focus cluster's snapshots must show the figure's objects *)
@@ -61,7 +62,7 @@ let test_peaks_bounded_by_formula () =
   let clustering = Fixtures.same_set_clustering app in
   let config = Fixtures.default_config in
   let r, result = run_alloc config app clustering in
-  let rf = r.Cds.Complete_data_scheduler.rf in
+  let rf = r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf in
   let retained =
     r.Cds.Complete_data_scheduler.retention.Cds.Retention.retained
   in
@@ -90,7 +91,7 @@ let test_capture_filter () =
       AA.run
         ~capture:(fun ~cluster_id -> cluster_id = 1)
         config ~analysis:(Sched.Sched_ctx.analysis ctx)
-        ~rf:r.Cds.Complete_data_scheduler.rf
+        ~rf:r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
     in
     Alcotest.(check bool) "only cluster 1 captured" true
@@ -131,7 +132,7 @@ let prop_allocator_succeeds =
       | Ok r ->
         let result =
           AA.run config ~analysis:(Sched.Sched_ctx.analysis ctx)
-            ~rf:r.Cds.Complete_data_scheduler.rf
+            ~rf:r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf
             ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
         in
         result.AA.failures = [])

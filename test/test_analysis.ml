@@ -201,12 +201,8 @@ let prop_estimate (app, clustering) =
   let a = Analysis.make app clustering in
   let shapes =
     [
-      ( "plain",
-        Sched.Xfer_gen.plain_selectors_ctx a,
-        Sched.Xfer_gen.plain_ctx a );
-      ( "store_everything",
-        Sched.Xfer_gen.store_everything_selectors_ctx a,
-        Sched.Xfer_gen.store_everything app clustering );
+      ("plain", Sched.Xfer_gen.plain_selectors_ctx a);
+      ("store_everything", Sched.Xfer_gen.store_everything_selectors_ctx a);
     ]
   in
   List.for_all
@@ -217,7 +213,7 @@ let prop_estimate (app, clustering) =
         List.for_all
           (fun rf ->
             List.for_all
-              (fun (name, selectors, generators) ->
+              (fun (name, selectors) ->
                 let e =
                   Sched.Step_builder.estimate config app clustering ~rf
                     ~ctx_plan ~selectors
@@ -225,7 +221,7 @@ let prop_estimate (app, clustering) =
                 let built =
                   Msim.Executor.cost config
                     (Sched.Step_builder.build config app clustering ~rf
-                       ~ctx_plan ~generators ~scheduler:"test")
+                       ~ctx_plan ~generators:selectors ~scheduler:"test")
                 in
                 if e = built then true
                 else

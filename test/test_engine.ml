@@ -77,8 +77,7 @@ let test_pool_bad_jobs () =
     [ 0; -1 ]
 
 (* More jobs than the runtime can hold live domains (128 in OCaml 5.1):
-   the pool runs on the workers it could spawn instead of raising. The
-   sleep keeps every spawned helper alive while the next one is spawned. *)
+   the pool runs on the hardware's workers instead of raising. *)
 let test_pool_spawn_cap () =
   let tasks =
     Array.init 300 (fun i () ->
@@ -106,8 +105,8 @@ let domains_of ?(crash = false) ~jobs () =
    same two domains, a call whose tasks crash leaves the helper serving,
    a smaller call after a bigger one still runs on only as many domains as
    it asked for, and a call at jobs=1 stops the kept helper, so the next
-   call runs on a new one. On one hardware thread no helper is kept, and
-   every call spawns its own. *)
+   call runs on a new one. On one hardware thread every call runs on the
+   caller alone. *)
 let test_pool_reuses_helpers () =
   let seen =
     List.init 100 (fun k -> domains_of ~crash:(k mod 10 = 5) ~jobs:2 ())
@@ -182,6 +181,32 @@ let test_pool_nested_and_concurrent () =
   let got = Engine.Pool.run_results ~jobs:2 (counted mine 0) in
   expect ~what:"concurrent call, this domain" mine 0 got;
   expect ~what:"concurrent call, other domain" theirs 1000 (Domain.join other)
+
+(* A call asking for more workers than the hardware runs at once runs on
+   no more domains than it has threads. *)
+let test_pool_clamps_jobs () =
+  let cap = Engine.Pool.recommended_jobs () in
+  let seen = domains_of ~jobs:(cap + 2) () in
+  Alcotest.(check bool)
+    (Printf.sprintf "jobs=%d ran on %d domains (at most %d)" (cap + 2)
+       (List.length seen) cap)
+    true
+    (List.length seen <= cap)
+
+(* A call from inside a pool task finds the pool busy and runs its tasks
+   on that task's own domain. *)
+let test_pool_nested_runs_inline () =
+  Engine.Pool.run_results ~jobs:2
+    (Array.init 4 (fun _ () ->
+         let outer = (Domain.self () :> int) in
+         (outer, domains_of ~jobs:2 ())))
+  |> Array.iteri (fun i slot ->
+         match slot with
+         | Ok (outer, inner) ->
+           Alcotest.(check (list int))
+             (Printf.sprintf "nested call in task %d" i)
+             [ outer ] inner
+         | Error d -> Alcotest.failf "task %d failed: %s" i (Diag.render d))
 
 (* A task's crash diagnostic carries a backtrace exactly when the caller
    records backtraces, whichever domain ran the task: a spawned domain
@@ -381,4 +406,8 @@ let tests =
         test_pool_nested_and_concurrent;
       Alcotest.test_case "pool backtraces on every domain" `Quick
         test_pool_backtraces;
+      Alcotest.test_case "pool clamps jobs to the hardware" `Quick
+        test_pool_clamps_jobs;
+      Alcotest.test_case "pool nested call runs inline" `Quick
+        test_pool_nested_runs_inline;
     ] )

@@ -74,7 +74,7 @@ let test_figure5_snapshot_order () =
       Cds.Allocation_algorithm.run
         ~capture:(fun ~cluster_id -> cluster_id = focus)
         config ~analysis:(Sched.Sched_ctx.analysis ctx)
-        ~rf:r.Cds.Complete_data_scheduler.rf
+        ~rf:r.Cds.Complete_data_scheduler.schedule.Sched.Schedule.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
     in
     let captions =

@@ -70,7 +70,9 @@ let test_cds_structure () =
      retained without cross_set mode *)
   Alcotest.(check int) "nothing retained" 0
     (List.length r.Cds.Complete_data_scheduler.retention.Cds.Retention.retained);
-  Alcotest.(check int) "dt 0" 0 r.Cds.Complete_data_scheduler.data_words_avoided_per_iteration;
+  Alcotest.(check int) "dt 0" 0
+    r.Cds.Complete_data_scheduler.retention.Cds.Retention
+      .avoided_words_per_iteration;
   Alcotest.(check int) "same loads as ds" 1220 (Schedule.data_words_loaded s)
 
 let test_cds_cross_set () =
@@ -80,7 +82,8 @@ let test_cds_cross_set () =
   Alcotest.(check bool) "flag recorded" true s.Schedule.cross_set;
   Msim.Validate.check_exn s;
   Alcotest.(check bool) "something retained" true
-    (r.Cds.Complete_data_scheduler.data_words_avoided_per_iteration > 0);
+    (r.Cds.Complete_data_scheduler.retention.Cds.Retention
+       .avoided_words_per_iteration > 0);
   (* fewer external words than the plain CDS *)
   Alcotest.(check bool) "fewer loads" true
     (Schedule.data_words_loaded s < 1220)
@@ -102,7 +105,8 @@ let test_cds_retention_same_set () =
     (List.sort compare retained);
   (* sh: one load avoided (60); rshare: one store + one load avoided (40) *)
   Alcotest.(check int) "dt words" 100
-    r.Cds.Complete_data_scheduler.data_words_avoided_per_iteration
+    r.Cds.Complete_data_scheduler.retention.Cds.Retention
+      .avoided_words_per_iteration
 
 let test_basic_infeasible_when_tight () =
   let ctx, _ = toy_setup () in

@@ -88,20 +88,22 @@ let test_xfer_gen_plain_vs_store_everything () =
   let c0 = Kernel_ir.Cluster.find clustering 0 in
   let plain = Sched.Xfer_gen.plain app clustering in
   let all = Sched.Xfer_gen.store_everything app clustering in
-  let words gens =
+  (* the words a table row moves in one round of [iters] iterations: one
+     instance per iteration, one in all for an invariant object *)
+  let words ~iters table =
     Msutil.Listx.sum_by
-      (fun (tr : Dma.t) -> tr.Dma.words)
-      (gens.Sched.Step_builder.stores c0 ~round:0 ~iters:1 ~base_iter:0)
+      (fun (d : Kernel_ir.Data.t) ->
+        if d.Kernel_ir.Data.invariant then d.size else iters * d.size)
+      table.(c0.Kernel_ir.Cluster.id)
   in
+  let stored (sel : Sched.Step_builder.selectors) = words ~iters:1 sel.stored in
   (* cluster 0 outliving = r03 + f1 = 55; plus intermediate r01 (40) when
      storing everything *)
-  Alcotest.(check int) "plain stores outliving" 55 (words plain);
-  Alcotest.(check int) "basic stores everything" 95 (words all);
+  Alcotest.(check int) "plain stores outliving" 55 (stored plain);
+  Alcotest.(check int) "basic stores everything" 95 (stored all);
   (* loads are identical *)
-  let load_words gens =
-    Msutil.Listx.sum_by
-      (fun (tr : Dma.t) -> tr.Dma.words)
-      (gens.Sched.Step_builder.loads c0 ~round:0 ~iters:2 ~base_iter:0)
+  let load_words (sel : Sched.Step_builder.selectors) =
+    words ~iters:2 sel.first_loads
   in
   Alcotest.(check int) "same loads" (load_words plain) (load_words all);
   Alcotest.(check int) "two iterations of a+b" 300 (load_words plain)
