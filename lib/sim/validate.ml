@@ -88,11 +88,18 @@ let check_dma state app i ~computing_set (tr : Dma.t) =
 
 let check (schedule : Schedule.t) =
   let app = schedule.app in
+  (* One bucket per (object, iteration) instance, and per (cluster,
+     iteration) pair for [executed], so a small schedule's tables are
+     minor-heap blocks (at most 256 words) rather than major-heap ones. A
+     table still grows when the schedule holds more entries. *)
+  let per_iteration n = n * app.Application.iterations in
+  let instances = per_iteration (List.length app.Application.data) in
+  let pairs = per_iteration (List.length schedule.clustering) in
   let state =
     {
-      resident = Hashtbl.create 1024;
-      stored = Hashtbl.create 1024;
-      executed = Hashtbl.create 1024;
+      resident = Hashtbl.create instances;
+      stored = Hashtbl.create instances;
+      executed = Hashtbl.create pairs;
       violations = [];
     }
   in

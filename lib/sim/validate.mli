@@ -15,7 +15,19 @@
       exactly once, in iteration order per cluster.
 
     Space (does everything fit?) is checked separately by the footprint
-    logic and the allocation algorithm, not here. *)
+    logic and the allocation algorithm, not here.
+
+    Cost. The replay state is three hash tables (residency, stores,
+    executed (cluster, iteration) pairs), each sized to the schedule: one
+    bucket per (object, iteration) instance, or per (cluster, iteration)
+    pair. A small schedule's check therefore allocates nothing directly in
+    the major heap; a table still grows if the schedule needs more. The
+    cost is linear in the schedule's steps, transfers and kernel
+    executions, except for two scans over every data object: each data
+    transfer resolves its name with [Application.data_by_name_opt], and
+    each kernel execution lists its inputs and outputs with
+    [Application.inputs_of] / [outputs_of]. Those make a check
+    O(transfers x data) on large applications (ROADMAP item 3). *)
 
 type violation = { step_index : int; message : string }
 

@@ -76,18 +76,34 @@ let test_pool_bad_jobs () =
           (Astring_contains.contains msg "jobs"))
     [ 0; -1 ]
 
-(* More jobs than the runtime can hold live domains (128 in OCaml 5.1):
-   the pool runs on the hardware's workers instead of raising. *)
-let test_pool_spawn_cap () =
-  let tasks =
-    Array.init 300 (fun i () ->
-        Unix.sleepf 0.05;
-        i)
+(* A call asking for more jobs than the runtime can hold live domains
+   (128 in OCaml 5.1) is clamped to the hardware like any other: every
+   task runs once, the results come back in task order, and the tasks ran
+   on at most [recommended_jobs ()] domains. *)
+let test_pool_jobs_300 () =
+  let runs = Array.init 300 (fun _ -> Atomic.make 0) in
+  let results =
+    Engine.Pool.run_results ~jobs:300
+      (Array.init 300 (fun i () ->
+           Atomic.incr runs.(i);
+           (i, (Domain.self () :> int))))
+    |> Array.map (function
+         | Ok r -> r
+         | Error d -> Alcotest.fail (Diag.to_string d))
   in
-  Alcotest.(check (array (result int reject)))
-    "every task ran, in task order"
-    (Array.init 300 (fun i -> Ok i))
-    (Engine.Pool.run_results ~jobs:300 tasks)
+  Alcotest.(check (array int))
+    "every task ran once" (Array.make 300 1) (Array.map Atomic.get runs);
+  Alcotest.(check (array int))
+    "results in task order" (Array.init 300 Fun.id) (Array.map fst results);
+  let seen =
+    Array.to_list results |> List.map snd |> List.sort_uniq compare
+  in
+  let cap = Engine.Pool.recommended_jobs () in
+  Alcotest.(check bool)
+    (Printf.sprintf "jobs=300 ran on %d domains (at most %d)"
+       (List.length seen) cap)
+    true
+    (List.length seen <= cap)
 
 (* The domains the tasks of a call ran on. Each task sleeps, so every
    worker the call has gets some of them. *)
@@ -388,8 +404,10 @@ let tests =
       Alcotest.test_case "pool ordering" `Quick test_pool_ordering;
       Alcotest.test_case "pool recommended jobs" `Quick test_pool_recommended;
       Alcotest.test_case "pool bad jobs" `Quick test_pool_bad_jobs;
-      Alcotest.test_case "pool degrades past the domain cap" `Quick
-        test_pool_spawn_cap;
+      Alcotest.test_case
+        "pool jobs=300: each task once, in order, on the hardware's domains"
+        `Quick
+        test_pool_jobs_300;
       Alcotest.test_case "run_results isolation" `Quick
         test_run_results_isolation;
       Alcotest.test_case "digest guard on unmarshalable values" `Quick
