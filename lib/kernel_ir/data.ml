@@ -62,7 +62,6 @@ let make ?(invariant = false) ~id ~name ~size ~producer ~consumers ~final () =
 let instance_iter t g = if t.invariant then 0 else g
 
 let is_external t = t.producer = External
-let is_result t = not (is_external t)
 
 let first_consumer t = match t.consumers with [] -> None | c :: _ -> Some c
 let last_consumer t = Msutil.Listx.last t.consumers

@@ -56,7 +56,6 @@ val instance_iter : t -> int -> int
     iteration for ordinary data, always 0 for invariant tables. *)
 
 val is_external : t -> bool
-val is_result : t -> bool
 val first_consumer : t -> Kernel.id option
 val last_consumer : t -> Kernel.id option
 val consumed_by : t -> Kernel.id -> bool

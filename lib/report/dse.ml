@@ -80,9 +80,10 @@ let point_key ~app_digest (fb, cm, setup, scheduler) =
 
 module Durable = struct
   (* A point record's payload is the point alone, as one line of
-     tab-separated text: a schedule is a deterministic function of (ctx,
-     config, scheduler, RF), so replay rebuilds it. Bump this whenever the
-     encoding (or [point]) changes shape. *)
+     tab-separated text: a point is a deterministic function of (ctx,
+     config, scheduler), so replay runs the scheduler again and checks the
+     record against it. Bump this whenever the encoding (or [point])
+     changes shape. *)
   let schema_version = 4
 
   (* Strings are [String.escaped], so a field holds no tab or newline; an
@@ -198,35 +199,33 @@ module Durable = struct
 
   (* Whether the stored point of design point [(fb, cm, setup, scheduler)]
      may stand in for computing it, on a pool domain. The record passed its
-     MD5 on open, so it is complete. It is trusted if it is what this sweep
-     would compute: an infeasible point carries its own axes; a feasible
-     point's schedule, rebuilt at its RF from the sweep's own [ctx],
-     validates and simulates back to exactly the stored point. Otherwise
-     the caller recomputes the point and reports the warning. *)
+     MD5 on open, so it is complete. It is trusted only if it equals what
+     this sweep would compute, feasible or not: the scheduler is run again
+     on the sweep's own [ctx] (the RF search, then one build), and either
+     its diagnostic or its schedule — validated, then simulated — gives the
+     expected point. Otherwise the caller recomputes the point and reports
+     the warning. *)
   let revalidate t ~key ctx (fb, cm, setup, scheduler) payload =
+    let ( let* ) = Result.bind in
     let verdict =
-      match decode payload with
-      | None -> Error "does not decode as a point"
-      | Some ({ feasible = false; diag = Some d; _ } as p)
-        when p = infeasible ~fb ~cm ~setup ~scheduler d ->
-        Ok p
-      | Some ({ feasible = true; rf = Some rf; _ } as p) -> (
-        let config = machine ~fb ~cm ~setup in
-        match Sched.Scheduler_registry.rebuild scheduler ctx config ~rf with
-        | Error d ->
-          Error ("cannot be rebuilt at its RF (" ^ Diag.to_string d ^ ")")
+      let* p =
+        Option.to_result ~none:"does not decode as a point" (decode payload)
+      in
+      let config = machine ~fb ~cm ~setup in
+      let* expected =
+        match Sched.Scheduler_registry.run scheduler ctx config with
+        | Error d -> Ok (infeasible ~fb ~cm ~setup ~scheduler d)
         | Ok s -> (
           match Msim.Validate.check_result s with
           | Error d ->
             Error ("failed semantic validation (" ^ Diag.to_string d ^ ")")
           | Ok () ->
-            if
-              priced ~fb ~cm ~setup ~scheduler ~rf
-                (Msim.Executor.cost config s)
-              = p
-            then Ok p
-            else Error "does not simulate to its stored point"))
-      | Some _ -> Error "does not match its design point"
+            Ok
+              (priced ~fb ~cm ~setup ~scheduler ~rf:s.Sched.Schedule.rf
+                 (Msim.Executor.cost config s)))
+      in
+      if expected = p then Ok p
+      else Error "does not simulate to its stored point"
     in
     Result.map_error
       (fun reason ->

@@ -142,25 +142,24 @@ val sweep :
     (application, clustering, machine config, scheduler) digest, and its
     record holds the {!point} alone — never a schedule. Every distinct
     point is one pool task, which first re-validates the point's stored
-    record, if any: it is trusted (a hit) only if it decodes
-    ({!Durable.decode}) and is what this sweep would compute — an infeasible point with its own
-    axes, or a feasible point whose schedule, rebuilt at the stored RF
-    from this sweep's own application and clustering
-    ({!Sched.Scheduler_registry.rebuild}), passes
-    [Msim.Validate.check_result] and simulates back to exactly the stored
-    point — so every replay also checks the priced numbers against the
-    simulator. A payload that does not decode, an RF outside the scheduler's bound, a point of another
-    scheduler or axes, and any altered count are quarantined with a
-    [STORE_CORRUPT] warning and the point recomputed. A record's RF is
-    not re-proved to be the one the RF search picks: a record holding
-    another in-bound RF together with that RF's exact cycles and words
-    is trusted. Each newly computed point is persisted as it finishes —
-    not at the end — so a crash loses at most the points in flight. The
-    store's sweep identity must match the requested axes and application
-    (@raise Invalid_argument otherwise — open the store with
-    {!Durable.open_} on the same arguments you pass here). It raises [Invalid_argument] too when {!check_axes} fails. A
-    resumed sweep returns a point list byte-identical to an uninterrupted
-    run.
+    record, if any. A record is trusted (a hit) only if it decodes
+    ({!Durable.decode}) and equals what this sweep would compute, by one
+    rule for feasible and infeasible records alike: the point's scheduler
+    is run again on this sweep's own application and clustering
+    ({!Sched.Scheduler_registry.run}: the RF search, then one build). A
+    diagnostic gives the expected infeasible point; a schedule must pass
+    [Msim.Validate.check_result], and simulating it gives the expected
+    feasible point. So every replay re-proves the stored RF and checks the
+    priced numbers against the simulator. Any other record — a payload
+    that does not decode, another RF, scheduler or axes, an altered count
+    or diagnostic — is quarantined with a [STORE_CORRUPT] warning and the
+    point recomputed. Each newly computed point is persisted as it
+    finishes — not at the end — so a crash loses at most the points in
+    flight. The store's sweep identity must match the requested axes and
+    application (@raise Invalid_argument otherwise — open the store with
+    {!Durable.open_} on the same arguments you pass here). It raises
+    [Invalid_argument] too when {!check_axes} fails. A resumed sweep
+    returns a point list byte-identical to an uninterrupted run.
 
     The sweep is fault-isolated: a design-point task that crashes or is
     felled by an injected {!Engine.Faults} fault becomes an infeasible

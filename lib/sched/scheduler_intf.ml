@@ -5,11 +5,10 @@
     [(application, clustering)] scheduling context and one machine
     configuration to either a complete {!Schedule.t} or a structured
     {!Diag.t} explaining why the policy is infeasible there. Each one is
-    a {!Step_builder.policy} run through {!Step_builder.search} (priced
-    unbuilt by {!Step_builder.price}, and rebuilt at a stored RF by
-    {!Step_builder.at_rf}), published as a {!t}
-    in {!Scheduler_registry}; the pipeline, the DSE sweep, the
-    fuzzers and the CLI all dispatch through it. *)
+    a {!Step_builder.policy} run through {!Step_builder.search} (and
+    priced unbuilt by {!Step_builder.price}), published as a {!t} in
+    {!Scheduler_registry}; the pipeline, the DSE sweep, the fuzzers and
+    the CLI all dispatch through it. *)
 
 type t = {
   name : string;
@@ -27,10 +26,4 @@ type t = {
       (** [run] without building the schedule: the RF [run] chooses and
           exactly what the simulator measures of [run]'s schedule, or
           [run]'s diagnostic. How a DSE sweep evaluates a design point. *)
-  rebuild :
-    Sched_ctx.t -> Morphosys.Config.t -> rf:int -> (Schedule.t, Diag.t) result;
-      (** [run] without the RF search: the schedule at a given RF, equal to
-          [run]'s at the RF [run] chose. An RF outside the policy's
-          [1..bound] is a diagnostic. How a durable sweep re-derives a
-          stored design point. *)
 }

@@ -18,9 +18,6 @@ let register ~describe (policy : _ Step_builder.policy) =
         (fun ctx config ->
           Result.map fst (Step_builder.search policy ctx config));
       price = Step_builder.price policy;
-      rebuild =
-        (fun ctx config ~rf ->
-          Result.map fst (Step_builder.at_rf policy ctx config ~rf));
     }
   in
   Mutex.protect lock (fun () ->
@@ -52,6 +49,3 @@ let run name ctx config =
 
 let price name ctx config =
   dispatch name (fun m -> m.Scheduler_intf.price ctx config)
-
-let rebuild name ctx config ~rf =
-  dispatch name (fun m -> m.Scheduler_intf.rebuild ctx config ~rf)

@@ -9,9 +9,8 @@
 
 val register : describe:string -> 'a Step_builder.policy -> unit
 (** Publish a policy as a scheduler under its [name]: its [run] is
-    {!Step_builder.search}, its [price] is {!Step_builder.price} and its
-    [rebuild] is {!Step_builder.at_rf}, [run] and [rebuild] keeping only
-    the schedule.
+    {!Step_builder.search}, keeping only the schedule, and its [price] is
+    {!Step_builder.price}.
     @raise Invalid_argument if the name is already registered (the table
     is left unchanged). *)
 
@@ -36,17 +35,6 @@ val price :
     the RF [run] would choose and the simulator's totals of [run]'s
     schedule, without building it. An unknown name yields [run]'s
     [Invalid_config] diagnostic (never raises). *)
-
-val rebuild :
-  string ->
-  Sched_ctx.t ->
-  Morphosys.Config.t ->
-  rf:int ->
-  (Schedule.t, Diag.t) result
-(** [rebuild name ctx config ~rf] dispatches to the named scheduler's
-    [rebuild]: its schedule at [rf], without the RF search. An unknown
-    name or an RF outside the scheduler's bound yields a diagnostic
-    (never raises). *)
 
 val all : unit -> Scheduler_intf.t list
 (** Every registered scheduler, sorted by name — deterministic regardless

@@ -314,33 +314,19 @@ type 'a policy = {
 
 let ( let* ) = Result.bind
 
-(* Where both entries start: the context plan and the policy's RF bound,
-   each error tagged with the policy's name, handed to [k]. *)
-let prepare policy ctx config k =
+(* The RF search: the context plan, the policy's RF bound (each error
+   tagged with the policy's name), then the fastest RF by [estimate] (ties
+   go to the larger RF, which frees more CM bandwidth; the largest
+   memory-allowed RF is not always fastest, since batching RF iterations
+   of transfers can exceed what an imbalanced pipeline hides). Returns the
+   plan, the winning RF, its payload and selectors, and its estimated
+   cost. *)
+let choose policy ctx config =
   let tagged r = Result.map_error (Diag.with_scheduler policy.name) r in
   let* ctx_plan =
     tagged (Context_scheduler.plan_of_analysis config (Sched_ctx.analysis ctx))
   in
   let* rf_max = tagged (policy.rf_bound ctx config) in
-  k ~ctx_plan ~rf_max
-
-(* Where both entries end: one [build] at [rf] from the policy's selectors
-   there. *)
-let build_at policy ctx config ~ctx_plan ~rf (payload, selectors) =
-  ( build ~cross_set:policy.cross_set config (Sched_ctx.app ctx)
-      (Sched_ctx.clustering ctx) ~rf ~ctx_plan
-      ~generators:selectors
-      ~scheduler:policy.name,
-    payload )
-
-(* The RF search: context plan, the policy's RF bound, then the fastest
-   RF by [estimate] (ties go to the larger RF, which frees more CM
-   bandwidth; the largest memory-allowed RF is not always fastest, since
-   batching RF iterations of transfers can exceed what an imbalanced
-   pipeline hides). Returns the plan, the winning RF, its payload and
-   selectors, and its estimated cost. *)
-let choose policy ctx config =
-  prepare policy ctx config @@ fun ~ctx_plan ~rf_max ->
   let app = Sched_ctx.app ctx and clustering = Sched_ctx.clustering ctx in
   let best = ref None in
   for rf = 1 to rf_max do
@@ -356,23 +342,14 @@ let choose policy ctx config =
 (* The one scheduler driver: the RF search, then a single [build] of the
    winner. *)
 let search policy ctx config =
-  let* ctx_plan, rf, chosen, _ = choose policy ctx config in
-  Ok (build_at policy ctx config ~ctx_plan ~rf chosen)
+  let* ctx_plan, rf, (payload, selectors), _ = choose policy ctx config in
+  Ok
+    ( build ~cross_set:policy.cross_set config (Sched_ctx.app ctx)
+        (Sched_ctx.clustering ctx) ~rf ~ctx_plan ~generators:selectors
+        ~scheduler:policy.name,
+      payload )
 
 (* The RF search alone: what [search]'s schedule would cost, unbuilt. *)
 let price policy ctx config =
   let* _, rf, _, cost = choose policy ctx config in
   Ok (rf, cost)
-
-(* [search] without the RF search: the schedule a stored design point's RF
-   stands for. *)
-let at_rf policy ctx config ~rf =
-  prepare policy ctx config @@ fun ~ctx_plan ~rf_max ->
-  if rf < 1 || rf > rf_max then
-    Error
-      (Diag.v ~scheduler:policy.name Diag.Invalid_config
-         "rf %d is outside the feasible 1..%d" rf rf_max)
-  else
-    Ok
-      (build_at policy ctx config ~ctx_plan ~rf
-         (policy.selectors ctx config ~rf))

@@ -115,16 +115,3 @@ val price :
     which equals what the simulator measures of that schedule. On an
     infeasible point it returns {!search}'s diagnostic. How a cold design
     point is evaluated. *)
-
-val at_rf :
-  'a policy ->
-  Sched_ctx.t ->
-  Morphosys.Config.t ->
-  rf:int ->
-  (Schedule.t * 'a, Diag.t) result
-(** [at_rf policy ctx config ~rf] is {!search} without the RF search: the
-    same context plan and RF bound, then the policy's selectors at [rf]
-    and the same {!build} that ends {!search}. At the RF {!search} chose
-    it returns {!search}'s result. An [rf] outside [1..bound] is an
-    [Invalid_config] diagnostic, never a raise; every [Error] is tagged
-    with [policy.name]. *)

@@ -259,11 +259,11 @@ let machine (p : Dse.point) =
   Morphosys.Config.make ~fb_set_size:p.Dse.fb_set_size
     ~cm_capacity:p.Dse.cm_capacity ~dma_setup_cycles:p.Dse.dma_setup_cycles ()
 
-(* Another RF the scheduler allows, with the chosen RF's counts: the
-   rebuilt schedule is valid but does not simulate to the stored point. *)
+(* Another in-bound RF, with the chosen RF's counts: re-running the
+   scheduler picks the stored RF, not this one. *)
 let test_forged_in_bound_rf =
   check_forgery_recomputed ~reason:"does not simulate to its stored point"
-    (fun (app, clustering) records ->
+    (fun _ records ->
       let key, p =
         first
           (List.filter
@@ -271,26 +271,20 @@ let test_forged_in_bound_rf =
                p.Dse.scheduler = "cds" && Option.get p.Dse.rf > 1)
              records)
       in
-      let rf = Option.get p.Dse.rf - 1 in
-      (match
-         Sched.Scheduler_registry.rebuild "cds"
-           (Sched.Sched_ctx.make app clustering)
-           (machine p) ~rf
-       with
-      | Ok _ -> ()
-      | Error d ->
-        Alcotest.failf "rf %d must be in bound: %s" rf (Diag.render d));
+      let stored = Option.get p.Dse.rf in
+      let rf = stored - 1 in
+      Alcotest.(check bool) "1 <= rf < stored rf" true (1 <= rf && rf < stored);
       (key, { p with Dse.rf = Some rf }))
 
 let test_forged_rf_beyond_bound =
-  check_forgery_recomputed ~reason:"cannot be rebuilt at its RF"
+  check_forgery_recomputed ~reason:"does not simulate to its stored point"
     (fun (app, _) records ->
       let key, p = first records in
       let beyond = app.Kernel_ir.Application.iterations + 1 in
       (key, { p with Dse.rf = Some beyond }))
 
 let test_forged_no_rf =
-  check_forgery_recomputed ~reason:"does not match its design point"
+  check_forgery_recomputed ~reason:"does not simulate to its stored point"
     (fun _ records ->
       let key, p = first records in
       (key, { p with Dse.rf = None }))
@@ -654,6 +648,64 @@ let test_truncate_around_every_boundary () =
         [ b - 1; b; b + 1 ])
     bounds
 
+(* A DS record moved to RF - 1 together with exactly the cycles and words
+   the RF - 1 schedule simulates to: a valid schedule and true counts, but
+   not the RF the search picks. *)
+let test_forged_rf_with_its_counts =
+  check_forgery_recomputed ~reason:"does not simulate to its stored point"
+    (fun (app, clustering) records ->
+      let key, p =
+        first
+          (List.filter
+             (fun (_, (p : Dse.point)) ->
+               p.Dse.scheduler = "ds" && Option.get p.Dse.rf > 1)
+             records)
+      in
+      let rf = Option.get p.Dse.rf - 1 in
+      let config = machine p in
+      let analysis = Kernel_ir.Analysis.make app clustering in
+      let ctx_plan =
+        match Sched.Context_scheduler.plan_of_analysis config analysis with
+        | Ok plan -> plan
+        | Error d -> Alcotest.failf "context plan: %s" (Diag.render d)
+      in
+      let c =
+        Msim.Executor.cost config
+          (Sched.Step_builder.build config app clustering ~rf ~ctx_plan
+             ~generators:(Sched.Xfer_gen.plain_selectors_ctx analysis)
+             ~scheduler:"ds")
+      in
+      ( key,
+        { p with
+          Dse.rf = Some rf;
+          total_cycles = Some c.cycles;
+          data_words = Some c.data_words;
+          context_words = Some c.context_words } ))
+
+(* A feasible CDS record rewritten as infeasible, with its own axes and a
+   made-up diagnostic: the scheduler is feasible there, so it is not what
+   the sweep computes. *)
+let test_forged_infeasible =
+  check_forgery_recomputed ~reason:"does not simulate to its stored point"
+    (fun _ records ->
+      let key, p =
+        first
+          (List.filter
+             (fun (_, (p : Dse.point)) -> p.Dse.scheduler = "cds")
+             records)
+      in
+      ( key,
+        { p with
+          Dse.feasible = false;
+          rf = None;
+          total_cycles = None;
+          data_words = None;
+          context_words = None;
+          diag =
+            Some
+              (Diag.v ~scheduler:"cds" Diag.No_feasible_rf
+                 "no RF fits the FB set") } ))
+
 let tests =
   ( "dse_resume",
     [
@@ -697,4 +749,8 @@ let tests =
         test_gc_keeps_identity_first;
       Alcotest.test_case "truncation around every record boundary" `Quick
         test_truncate_around_every_boundary;
+      Alcotest.test_case "forged RF with that RF's counts is quarantined"
+        `Quick test_forged_rf_with_its_counts;
+      Alcotest.test_case "forged infeasible record is quarantined" `Quick
+        test_forged_infeasible;
     ] )
