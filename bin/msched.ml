@@ -35,7 +35,7 @@ let source_of_file path =
         default_clustering = (fun app -> Kernel_ir.Cluster.singleton_per_kernel app);
         spec_partition = spec.Appdsl.partition;
         spec_fb = spec.Appdsl.fb_set_size; spec_cm = spec.Appdsl.cm_capacity })
-    (Appdsl.load_file path)
+    (Result.map_error Diag.to_string (Appdsl.load_file path))
 
 let find_workload name =
   match Workloads.Registry.find name with
@@ -266,7 +266,7 @@ let alloc_cmd =
             r.Cds.Allocation_algorithm.snapshots
         in
         print_string
-          (Fb_alloc.Layout.render_snapshots ~cell_width:8 ~labels cells);
+          (Fb_alloc.Layout.render_snapshots ~labels cells);
         Format.printf "splits: %d  failures: %d@."
           r.Cds.Allocation_algorithm.splits
           (List.length r.Cds.Allocation_algorithm.failures);

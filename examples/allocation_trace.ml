@@ -30,7 +30,7 @@ let () =
     in
     let labels = List.map (fun s -> s.AA.caption) result.AA.snapshots in
     let cells = List.map (fun s -> s.AA.cells) result.AA.snapshots in
-    print_string (Fb_alloc.Layout.render_snapshots ~cell_width:8 ~labels cells);
+    print_string (Fb_alloc.Layout.render_snapshots ~labels cells);
     Format.printf "@.splits: %d  failures: %d@." result.AA.splits
       (List.length result.AA.failures);
     List.iter

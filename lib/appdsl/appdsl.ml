@@ -222,6 +222,12 @@ let parse_directive acc lineno toks =
     Ok ()
   | first :: _ -> Error (Printf.sprintf "unrecognised directive %S" first)
 
+(* A directive's failure is classified by what the directive declares. *)
+let code_of_directive = function
+  | ("fb" | "cm") :: _ -> Diag.Invalid_config
+  | "partition" :: _ -> Diag.Invalid_clustering
+  | _ -> Diag.Invalid_app
+
 let parse text =
   let acc =
     {
@@ -238,17 +244,24 @@ let parse text =
   let rec loop lineno = function
     | [] -> Ok ()
     | line :: rest -> (
-      match parse_directive acc lineno (tokens line) with
+      let toks = tokens line in
+      match parse_directive acc lineno toks with
       | Ok () -> loop (lineno + 1) rest
-      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
+      | Error msg ->
+        Error (Diag.v (code_of_directive toks) "line %d: %s" lineno msg))
   in
   let* () = loop 1 lines in
-  let* () = Option.fold ~none:(Ok ()) ~some:Result.error (data_error acc) in
+  let* () =
+    match data_error acc with
+    | Some msg -> Error (Diag.v Diag.Invalid_app "%s" msg)
+    | None -> Ok ()
+  in
   match acc.builder with
-  | None -> Error "empty specification (no 'app' directive)"
+  | None ->
+    Error (Diag.v Diag.Invalid_app "empty specification (no 'app' directive)")
   | Some b -> (
     match B.build b with
-    | exception Invalid_argument msg -> Error msg
+    | exception Invalid_argument msg -> Error (Diag.v Diag.Invalid_app "%s" msg)
     | app -> (
       let fb_set_size = acc.acc_fb and cm_capacity = acc.acc_cm in
       let spec partition = Ok { app; partition; fb_set_size; cm_capacity } in
@@ -259,12 +272,14 @@ let parse text =
         match Kernel_ir.Cluster.check_partition ~n_kernels sizes with
         | [] -> spec (Some sizes)
         | d :: _ ->
-          Error (Printf.sprintf "line %d: %s" lineno (Diag.to_string d)))))
+          Error
+            (Diag.v Diag.Invalid_clustering "line %d: %s" lineno
+               (Diag.to_string d)))))
 
 let load_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> parse text
-  | exception Sys_error msg -> Error msg
+  | exception Sys_error msg -> Error (Diag.v Diag.Invalid_app "%s" msg)
 
 let render spec =
   let buf = Buffer.create 1024 in

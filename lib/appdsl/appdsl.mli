@@ -36,17 +36,22 @@ type spec = {
   cm_capacity : int option;
 }
 
-val parse : string -> (spec, string) result
+val parse : string -> (spec, Diag.t) result
 (** Never raises: every failure is an [Error] (property-tested on mutated
-    text), and one in a directive carries its line number. A [kernel]
-    must pass [Kernel_ir.Kernel.check] and not repeat an earlier kernel's
-    name, every kernel a data line names must be declared somewhere in
-    the spec, a [partition] must pass
+    text), and one in a directive carries its line number in its message
+    (["line N: …"]). Its code is [INVALID_CONFIG] for an [fb] or [cm]
+    line, [INVALID_CLUSTERING] for a [partition] line and [INVALID_APP]
+    for every other failure. A [kernel] must pass
+    [Kernel_ir.Kernel.check] and not repeat an earlier kernel's name,
+    every kernel a data line names must be declared somewhere in the
+    spec, a [partition] must pass
     [Kernel_ir.Cluster.check_partition] against the kernel count, and
     [fb] / [cm] must pass [Morphosys.Config.validate], so building the
     clustering and machine from a parsed spec never raises either. *)
 
-val load_file : string -> (spec, string) result
+val load_file : string -> (spec, Diag.t) result
+(** {!parse} of the file's text; a file that cannot be read is an
+    [INVALID_APP] diagnostic carrying the system's message. *)
 
 val render : spec -> string
 (** Pretty-print a spec back to the textual format ([parse] of the result

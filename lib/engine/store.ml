@@ -206,7 +206,6 @@ let open_ ~schema path =
     end
 
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
-let mem t key = with_lock t (fun () -> Hashtbl.mem t.table key)
 let find t key = with_lock t (fun () -> Hashtbl.find_opt t.table key)
 
 let write_fully fd s =

@@ -45,7 +45,6 @@ val warnings : t -> Diag.t list
 val length : t -> int
 (** Distinct live keys. *)
 
-val mem : t -> string -> bool
 val find : t -> string -> string option
 (** The live (latest) payload for a key. *)
 

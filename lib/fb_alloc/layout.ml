@@ -96,7 +96,10 @@ let snapshot t =
     t.placed_table;
   map
 
-let render_snapshots ?(cell_width = 7) ~labels snapshots =
+(* characters per column; a longer label is clipped *)
+let cell_width = 8
+
+let render_snapshots ~labels snapshots =
   match snapshots with
   | [] -> ""
   | first :: _ ->

@@ -45,11 +45,10 @@ val placements_done : t -> int
 val snapshot : t -> string option array
 (** Word-by-word occupancy (index 0 = lowest address). *)
 
-val render_snapshots :
-  ?cell_width:int -> labels:string list -> string option array list -> string
+val render_snapshots : labels:string list -> string option array list -> string
 (** ASCII rendering of a sequence of snapshots as columns (the layout of
     paper Figure 5): each row is one FB address region, each column one
-    moment in time. [labels] captions the columns. *)
+    moment in time, 8 characters wide. [labels] captions the columns. *)
 
 val invariant_ok : t -> bool
 (** Free list healthy, no two placed objects overlapping, placements and

@@ -30,12 +30,10 @@ let context_load ~kernel ~words =
   check_words words;
   { label = kernel; kind = Context; words }
 
+let cycles_per_word = 1
+
 let cost (config : Config.t) t =
-  config.dma_setup_cycles
-  +
-  match t.kind with
-  | Data _ -> t.words * config.data_cycles_per_word
-  | Context -> t.words * config.context_cycles_per_word
+  config.dma_setup_cycles + (t.words * cycles_per_word)
 
 let total_cost config transfers =
   Msutil.Listx.sum_by (cost config) transfers

@@ -3,8 +3,8 @@
     MorphoSys has a single DMA channel bridging external memory with both the
     frame buffer and the context memory, so data and context transfers can
     never happen simultaneously — they serialise on the channel. A transfer's
-    cost in cycles depends only on its word count and the per-word cost of
-    its kind. *)
+    cost in cycles is the configured setup cost plus its word count: the
+    M1 channel moves one word per cycle, data and contexts alike. *)
 
 type direction = Load | Store
 (** [Load]: external memory -> on chip. [Store]: on chip -> external. *)
@@ -21,6 +21,9 @@ type t = { label : string; kind : kind; words : int }
 val data_load : set:Frame_buffer.set -> label:string -> words:int -> t
 val data_store : set:Frame_buffer.set -> label:string -> words:int -> t
 val context_load : kernel:string -> words:int -> t
+
+val cycles_per_word : int
+(** [1]: channel cycles per word moved, for data and context words alike. *)
 
 val cost : Config.t -> t -> int
 (** Channel occupancy of the transfer, in cycles. *)

@@ -1,8 +1,6 @@
-(* Cycles to broadcast one context word to a row or column of the array. *)
-let broadcast_cycles (_ : Config.t) = 1
+(* Context words are broadcast one row of the 8x8 array per cycle. *)
+let rows = 8
 
-let reconfigure_cycles config ~contexts =
+let reconfigure_cycles ~contexts =
   if contexts < 0 then invalid_arg "Rc_array.reconfigure_cycles: negative";
-  (* Context words broadcast to a whole row or column at once. *)
-  let rows = config.Config.array_rows in
-  (contexts + rows - 1) / rows * broadcast_cycles config
+  (contexts + rows - 1) / rows

@@ -106,66 +106,6 @@ module Durable = struct
          int_opt p.context_words ]
       @ match p.diag with None -> [] | Some d -> diag_fields d)
 
-  (* Total and strict: a payload is a point only if it is the encoding of
-     that point, byte for byte, so every other string is [None]. *)
-  let decode payload =
-    let ( let* ) = Option.bind in
-    let unescape s =
-      match Scanf.unescaped s with s -> Some s | exception _ -> None
-    in
-    let opt f = function "" -> Some None | s -> Option.map Option.some (f s) in
-    let quoted s =
-      let n = String.length s in
-      if n >= 2 && s.[0] = '"' && s.[n - 1] = '"' then
-        unescape (String.sub s 1 (n - 2))
-      else None
-    in
-    let diag = function
-      | [] -> Some None
-      | [ code; severity; scheduler; cluster; kernel; data; message;
-          backtrace ] ->
-        let* code = Diag.code_of_name code in
-        let* severity =
-          match severity with
-          | "E" -> Some Diag.Error
-          | "W" -> Some Diag.Warning
-          | _ -> None
-        in
-        let* scheduler = opt quoted scheduler in
-        let* cluster = opt int_of_string_opt cluster in
-        let* kernel = opt quoted kernel in
-        let* data = opt quoted data in
-        let* message = unescape message in
-        let* backtrace = opt quoted backtrace in
-        Some
-          (Some
-             { Diag.code; severity; scheduler; cluster; kernel; data;
-               message; backtrace })
-      | _ -> None
-    in
-    let* p =
-      match String.split_on_char '\t' payload with
-      | fb :: cm :: setup :: scheduler :: feasible :: rf :: cycles :: data
-        :: context :: rest ->
-        let* fb_set_size = int_of_string_opt fb in
-        let* cm_capacity = int_of_string_opt cm in
-        let* dma_setup_cycles = int_of_string_opt setup in
-        let* scheduler = unescape scheduler in
-        let* feasible =
-          match feasible with "1" -> Some true | "0" -> Some false | _ -> None
-        in
-        let* rf = opt int_of_string_opt rf in
-        let* total_cycles = opt int_of_string_opt cycles in
-        let* data_words = opt int_of_string_opt data in
-        let* context_words = opt int_of_string_opt context in
-        let* diag = diag rest in
-        Some
-          { fb_set_size; cm_capacity; dma_setup_cycles; scheduler; feasible;
-            rf; total_cycles; data_words; context_words; diag }
-      | _ -> None
-    in
-    if String.equal (encode p) payload then Some p else None
-
   (* Record 0 of every sweep store: its payload is the sweep identity.
      Every later record is one design point. *)
   let identity_key = "@sweep-identity"
@@ -199,18 +139,15 @@ module Durable = struct
 
   (* Whether the stored point of design point [(fb, cm, setup, scheduler)]
      may stand in for computing it, on a pool domain. The record passed its
-     MD5 on open, so it is complete. It is trusted only if it equals what
-     this sweep would compute, feasible or not: the scheduler is run again
-     on the sweep's own [ctx] (the RF search, then one build), and either
-     its diagnostic or its schedule — validated, then simulated — gives the
-     expected point. Otherwise the caller recomputes the point and reports
-     the warning. *)
+     MD5 on open, so it is complete. It is trusted only if its payload is
+     the encoding of what this sweep would compute, feasible or not: the
+     scheduler is run again on the sweep's own [ctx] (the RF search, then
+     one build), and either its diagnostic or its schedule — validated,
+     then simulated — gives the expected point. Otherwise the caller
+     recomputes the point and reports the warning. *)
   let revalidate t ~key ctx (fb, cm, setup, scheduler) payload =
     let ( let* ) = Result.bind in
     let verdict =
-      let* p =
-        Option.to_result ~none:"does not decode as a point" (decode payload)
-      in
       let config = machine ~fb ~cm ~setup in
       let* expected =
         match Sched.Scheduler_registry.run scheduler ctx config with
@@ -224,7 +161,7 @@ module Durable = struct
               (priced ~fb ~cm ~setup ~scheduler ~rf:s.Sched.Schedule.rf
                  (Msim.Executor.cost config s)))
       in
-      if expected = p then Ok p
+      if String.equal (encode expected) payload then Ok expected
       else Error "does not simulate to its stored point"
     in
     Result.map_error

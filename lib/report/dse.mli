@@ -1,8 +1,9 @@
 (** Design-space exploration over the machine parameters: sweep the
     frame-buffer set size (and optionally the CM capacity and DMA setup
-    cost) for one application, recording feasibility, RF, traffic and
-    cycles per scheduler — the study an architect runs to size the on-chip
-    memories for a workload. *)
+    cost, the other two fields of {!Morphosys.Config.t}; M1's one word per
+    DMA cycle and 8x8 RC array are fixed) for one application, recording
+    feasibility, RF, traffic and cycles per scheduler — the study an
+    architect runs to size the on-chip memories for a workload. *)
 
 type point = {
   fb_set_size : int;
@@ -57,12 +58,9 @@ module Durable : sig
   (** A point record's payload: one line of tab-separated text, the nine
       scalar fields and then, for a point that has one, the eight fields
       of its [diag]. Strings are [String.escaped] (optional ones quoted),
-      so no field holds a tab or a newline. *)
-
-  val decode : string -> point option
-  (** The inverse of {!encode}, total and strict: [Some p] exactly when
-      the string is [encode p], [None] for every other string (it never
-      raises). A record whose payload does not decode is quarantined. *)
+      so no field holds a tab or a newline. A stored payload is never
+      parsed: replay recomputes the point and compares its encoding with
+      the stored bytes. *)
 
   val open_ :
     ?resume:bool ->
@@ -142,18 +140,18 @@ val sweep :
     (application, clustering, machine config, scheduler) digest, and its
     record holds the {!point} alone — never a schedule. Every distinct
     point is one pool task, which first re-validates the point's stored
-    record, if any. A record is trusted (a hit) only if it decodes
-    ({!Durable.decode}) and equals what this sweep would compute, by one
-    rule for feasible and infeasible records alike: the point's scheduler
-    is run again on this sweep's own application and clustering
+    record, if any. A record is trusted (a hit) only if its payload is,
+    byte for byte, the {!Durable.encode} of what this sweep would compute,
+    by one rule for feasible and infeasible records alike: the point's
+    scheduler is run again on this sweep's own application and clustering
     ({!Sched.Scheduler_registry.run}: the RF search, then one build). A
     diagnostic gives the expected infeasible point; a schedule must pass
     [Msim.Validate.check_result], and simulating it gives the expected
     feasible point. So every replay re-proves the stored RF and checks the
-    priced numbers against the simulator. Any other record — a payload
-    that does not decode, another RF, scheduler or axes, an altered count
-    or diagnostic — is quarantined with a [STORE_CORRUPT] warning and the
-    point recomputed. Each newly computed point is persisted as it
+    priced numbers against the simulator. Any other record — bytes that
+    are no point's encoding, another RF, scheduler or axes, an altered
+    count or diagnostic — is quarantined with a [STORE_CORRUPT] warning
+    and the point recomputed. Each newly computed point is persisted as it
     finishes — not at the end — so a crash loses at most the points in
     flight. The store's sweep identity must match the requested axes and
     application (@raise Invalid_argument otherwise — open the store with

@@ -31,7 +31,7 @@ let figure5 () =
     let snapshots = List.map (fun s -> s.AA.cells) result.AA.snapshots in
     let labels = List.map (fun s -> s.AA.caption) result.AA.snapshots in
     Format.fprintf fmt "%s@\n"
-      (Fb_alloc.Layout.render_snapshots ~cell_width:8 ~labels snapshots);
+      (Fb_alloc.Layout.render_snapshots ~labels snapshots);
     Format.fprintf fmt "splits needed: %d, placement failures: %d@\n"
       result.AA.splits
       (List.length result.AA.failures)

@@ -38,7 +38,7 @@ let fuzz_one ~seed ~fb_set_size ?stats index =
   let rand = Random.State.make [| 0x5eed; seed; index |] in
   let app, clustering =
     QCheck.Gen.generate1 ~rand
-      (Workloads.Random_app.gen_app_with_clustering ())
+      Workloads.Random_app.gen_app_with_clustering
   in
   let config = Morphosys.Config.m1 ~fb_set_size in
   let ctx = Sched.Sched_ctx.make app clustering in
@@ -333,7 +333,7 @@ let hostile_one ~seed ~fb_set_size index =
   let rand = Random.State.make [| 0xba5e; seed; index |] in
   let app, clustering =
     QCheck.Gen.generate1 ~rand
-      (Workloads.Random_app.gen_app_with_clustering ())
+      Workloads.Random_app.gen_app_with_clustering
   in
   let base = raw_of_app app clustering in
   let mname, mutate = List.nth mutators (index mod List.length mutators) in

@@ -52,7 +52,7 @@ type pipeline = {
   reconfig : int array;  (** per cluster: context broadcasts of one round *)
 }
 
-let pipeline config app clustering ~rf =
+let pipeline app clustering ~rf =
   let clusters = Array.of_list clustering in
   let n = app.Application.iterations in
   let sum_kernels f (c : Cluster.t) =
@@ -70,7 +70,7 @@ let pipeline config app clustering ~rf =
     reconfig =
       Array.map
         (sum_kernels (fun k ->
-             Morphosys.Rc_array.reconfigure_cycles config
+             Morphosys.Rc_array.reconfigure_cycles
                ~contexts:k.Kernel_ir.Kernel.contexts))
         clusters;
   }
@@ -93,10 +93,10 @@ let can_overlap ~computing_set (tr : Dma.t) =
 (* [trs @ acc], sharing [trs] itself when [acc] is empty. *)
 let prepend trs acc = match acc with [] -> trs | _ -> trs @ acc
 
-let build ?(cross_set = false) config app clustering ~rf ~ctx_plan
-    ~generators:selectors ~scheduler =
+let build ?(cross_set = false) (_ : Morphosys.Config.t) app clustering ~rf
+    ~ctx_plan ~generators:selectors ~scheduler =
   if rf < 1 then invalid_arg "Step_builder.build: rf must be >= 1";
-  let p = pipeline config app clustering ~rf in
+  let p = pipeline app clustering ~rf in
   (* execution [s]'s transfers: its cluster's row of the round's table,
      one labelled transfer per instance *)
   let transfers table_of transfer s =
@@ -196,7 +196,7 @@ type cost = { cycles : int; data_words : int; context_words : int }
    position in the clustering: [iters * iter_words + once_words] words in
    [iters * iter_cycles + once_cycles] channel cycles. An invariant object
    moves once per round, any other object once per iteration, and each
-   instance costs [dma_setup + words * per-word] cycles. *)
+   instance costs [dma_setup + words * Dma.cycles_per_word] cycles. *)
 type rows = {
   iter_words : int array;
   once_words : int array;
@@ -219,9 +219,7 @@ let sum_rows (config : Morphosys.Config.t) clusters table =
       List.iter
         (fun (d : Kernel_ir.Data.t) ->
           let size = d.Kernel_ir.Data.size in
-          let one =
-            config.dma_setup_cycles + (size * config.data_cycles_per_word)
-          in
+          let one = config.dma_setup_cycles + (size * Dma.cycles_per_word) in
           if d.Kernel_ir.Data.invariant then begin
             r.once_words.(k) <- r.once_words.(k) + size;
             r.once_cycles.(k) <- r.once_cycles.(k) + one
@@ -245,7 +243,7 @@ let sum_rows (config : Morphosys.Config.t) clusters table =
 let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     ~selectors =
   if rf < 1 then invalid_arg "Step_builder.estimate: rf must be >= 1";
-  let p = pipeline config app clustering ~rf in
+  let p = pipeline app clustering ~rf in
   let n = Array.length p.clusters in
   let rows = sum_rows config p.clusters in
   let first_loads = rows selectors.first_loads in
@@ -277,7 +275,7 @@ let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
       else begin
         context_words := !context_words + words;
         config.Morphosys.Config.dma_setup_cycles
-        + (words * config.Morphosys.Config.context_cycles_per_word)
+        + (words * Dma.cycles_per_word)
       end
   in
   let conflicts s s' =

@@ -43,7 +43,9 @@ val build :
     its cluster's row of [first_loads] (round 0) or [later_loads] and
     stores its row of [stored], one transfer per instance labelled
     ["name@iter"]. The label is named [generators] because the benchmark
-    harness passes the tables under that name.
+    harness passes the tables under that name. The machine is not read:
+    the steps depend on it only through [ctx_plan], and the argument
+    stays because the benchmark harness passes it.
     @raise Invalid_argument if [rf < 1]. [cross_set] is recorded in the
     schedule for the validator (default false). *)
 

@@ -28,7 +28,10 @@ let render config schedule =
   Buffer.add_string buf (Format.asprintf "%a@\n" Metrics.pp metrics);
   Buffer.contents buf
 
-let render_gantt ?(width = 72) config schedule =
+(* columns of the chart *)
+let width = 72
+
+let render_gantt config schedule =
   let metrics, timeline = Executor.run_timed config schedule in
   let total = max 1 metrics.Metrics.total_cycles in
   let col cycle = cycle * width / total in

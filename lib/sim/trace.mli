@@ -6,5 +6,6 @@ val render : Morphosys.Config.t -> Sched.Schedule.t -> string
     how many DMA words moved and how much of the transfer time was hidden
     under computation. Ends with the metrics summary. *)
 
-val render_gantt : ?width:int -> Morphosys.Config.t -> Sched.Schedule.t -> string
-(** ASCII Gantt chart: one row for the RC array, one for the DMA channel. *)
+val render_gantt : Morphosys.Config.t -> Sched.Schedule.t -> string
+(** ASCII Gantt chart, 72 columns wide: one row for the RC array, one for
+    the DMA channel. *)

@@ -13,17 +13,3 @@
 
 val of_schedule : Morphosys.Config.t -> Sched.Schedule.t -> string
 (** Render the full VCD document for the schedule's execution. *)
-
-(** A minimal parser for the subset {!of_schedule} emits — used by the
-    round-trip tests and handy for programmatic inspection. *)
-module Parse : sig
-  type change = { time : int; id : string; value : string }
-
-  type t = {
-    timescale : string;
-    signals : (string * string) list;  (** (id, name) declarations *)
-    changes : change list;  (** in time order *)
-  }
-
-  val parse : string -> (t, string) result
-end

@@ -14,10 +14,11 @@ let gen_consumers ~lo ~hi =
     in
     pure (List.sort_uniq compare picks)
 
-let gen_app ?(min_kernels = 2) ?(max_kernels = 6) ?(max_data = 8)
-    ?(max_size = 256) () =
+(* 2-6 kernels; every object is 8-256 words, and up to 8 extra objects
+   join each kernel's private input and final. *)
+let gen_app =
   let open Gen in
-  let* n = int_range min_kernels max_kernels in
+  let* n = int_range 2 6 in
   let* iterations = int_range 2 12 in
   let* kernel_specs =
     list_repeat n
@@ -33,7 +34,7 @@ let gen_app ?(min_kernels = 2) ?(max_kernels = 6) ?(max_data = 8)
     |> fst
   in
   (* every kernel gets a private input so no kernel is data-free *)
-  let* private_sizes = list_repeat n (int_range 8 max_size) in
+  let* private_sizes = list_repeat n (int_range 8 256) in
   let base =
     List.fold_left
       (fun (b, i) size ->
@@ -44,9 +45,9 @@ let gen_app ?(min_kernels = 2) ?(max_kernels = 6) ?(max_data = 8)
     |> fst
   in
   (* extra random objects: shared inputs, intermediate chains, finals *)
-  let* extras = int_range 0 max_data in
+  let* extras = int_range 0 8 in
   let gen_extra i =
-    let* size = int_range 8 max_size in
+    let* size = int_range 8 256 in
     let* kind = int_range 0 2 in
     match kind with
     | 0 ->
@@ -172,9 +173,9 @@ let gen_clustering app =
   let* sizes = gen_sizes n in
   pure (Cluster.of_partition app sizes)
 
-let gen_app_with_clustering ?min_kernels ?max_kernels ?max_data ?max_size () =
+let gen_app_with_clustering =
   let open Gen in
-  let* app = gen_app ?min_kernels ?max_kernels ?max_data ?max_size () in
+  let* app = gen_app in
   let* clustering = gen_clustering app in
   pure (app, clustering)
 
@@ -183,4 +184,4 @@ let arb_app_with_clustering =
     ~print:(fun (app, clustering) ->
       Format.asprintf "%a@\n%a" Kernel_ir.Application.pp app
         Cluster.pp_clustering clustering)
-    (gen_app_with_clustering ())
+    gen_app_with_clustering

@@ -17,18 +17,14 @@ val pairs_clustering :
     the count is odd) — a deterministic clustering for benchmarks. *)
 
 val gen_app_with_clustering :
-  ?min_kernels:int ->
-  ?max_kernels:int ->
-  ?max_data:int ->
-  ?max_size:int ->
-  unit ->
   (Kernel_ir.Application.t * Kernel_ir.Cluster.clustering) QCheck.Gen.t
-(** A random kernel chain with random external inputs, intermediate
-    chains, shared data and final results, and a random partition of its
-    kernel sequence. Every application validates; every kernel consumes
-    at least one object and every object has a legal producer/consumer
-    relation. *)
+(** A random kernel chain of 2-6 kernels with random external inputs,
+    intermediate chains, shared data and final results (8-256 words each,
+    up to 8 beyond each kernel's private input and final), and a random
+    partition of its kernel sequence. Every application validates; every
+    kernel consumes at least one object and every object has a legal
+    producer/consumer relation. *)
 
 val arb_app_with_clustering :
   (Kernel_ir.Application.t * Kernel_ir.Cluster.clustering) QCheck.arbitrary
-(** With a printer, default parameters. *)
+(** {!gen_app_with_clustering} with a printer. *)

@@ -67,13 +67,13 @@ let load_context state ~label ~words =
   touch_cm state label;
   issue_dma state
     (state.config.Morphosys.Config.dma_setup_cycles
-    + (words * state.config.Morphosys.Config.context_cycles_per_word));
+    + (words * Morphosys.Dma.cycles_per_word));
   state.ctx_words <- state.ctx_words + words
 
 let data_dma state words =
   issue_dma state
     (state.config.Morphosys.Config.dma_setup_cycles
-    + (words * state.config.Morphosys.Config.data_cycles_per_word))
+    + (words * Morphosys.Dma.cycles_per_word))
 
 let step state (insn : Instruction.t) =
   match insn with
@@ -92,9 +92,7 @@ let step state (insn : Instruction.t) =
     state.store_words <- state.store_words + words
   | Instruction.Dma_wait -> state.clock <- max state.clock state.dma_available
   | Instruction.Cbcast { contexts; _ } ->
-    state.clock <-
-      state.clock
-      + Morphosys.Rc_array.reconfigure_cycles state.config ~contexts
+    state.clock <- state.clock + Morphosys.Rc_array.reconfigure_cycles ~contexts
   | Instruction.Execute { kernel; cycles; iterations } ->
     if cycles <= 0 || iterations <= 0 then
       fault "execute %s with non-positive duration" kernel;

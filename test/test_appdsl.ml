@@ -22,7 +22,7 @@ cm 4096
 let parse_ok text =
   match Appdsl.parse text with
   | Ok spec -> spec
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Diag.to_string e)
 
 let test_parse_sample () =
   let spec = parse_ok sample in
@@ -43,7 +43,8 @@ let test_parse_sample () =
 let test_parse_errors () =
   let expect_error fragment text =
     match Appdsl.parse text with
-    | Error msg ->
+    | Error d ->
+      let msg = Diag.to_string d in
       Alcotest.(check bool)
         (Printf.sprintf "error %S mentions %S" msg fragment)
         true
@@ -78,7 +79,8 @@ let test_parse_errors () =
        final o size 4 from k"
   with
   | Ok _ -> ()
-  | Error msg -> Alcotest.fail ("forward kernel reference rejected: " ^ msg)
+  | Error d ->
+    Alcotest.fail ("forward kernel reference rejected: " ^ Diag.to_string d)
 
 (* A bad [kernel], [partition], [fb] or [cm] is a parse error at its own
    line, so the machine and clustering built from a parsed spec never
@@ -86,21 +88,26 @@ let test_parse_errors () =
 let test_bad_values () =
   let head = "app a iterations 2\nkernel k contexts 4 cycles 5\n\
               kernel l contexts 4 cycles 5\ninput d size 4 -> k l\n" in
-  let expect line fragment text =
+  let expect ?(code = Diag.Invalid_app) line fragment text =
     match Appdsl.parse (head ^ text) with
-    | Error msg ->
+    | Error d ->
+      let msg = Diag.to_string d in
       Alcotest.(check bool)
         (Printf.sprintf "error %S is at line %d and mentions %S" msg line
            fragment)
         true
         (String.starts_with ~prefix:(Printf.sprintf "line %d: " line) msg
-        && Astring_contains.contains msg fragment)
+        && Astring_contains.contains msg fragment);
+      Alcotest.(check string) "error code" (Diag.code_name code)
+        (Diag.code_name d.Diag.code)
     | Ok _ -> Alcotest.fail ("expected parse failure for: " ^ text)
   in
-  expect 5 "sum to 3 but the application has 2 kernels" "partition 1 2\n";
-  expect 6 "non-positive cluster size 0" "\npartition 0 2";
-  expect 5 "fb_set_size must be positive" "fb 0\n";
-  expect 6 "cm_capacity must be positive" "fb 512\ncm -4\n";
+  let clustering = Diag.Invalid_clustering and config = Diag.Invalid_config in
+  expect ~code:clustering 5 "sum to 3 but the application has 2 kernels"
+    "partition 1 2\n";
+  expect ~code:clustering 6 "non-positive cluster size 0" "\npartition 0 2";
+  expect ~code:config 5 "fb_set_size must be positive" "fb 0\n";
+  expect ~code:config 6 "cm_capacity must be positive" "fb 512\ncm -4\n";
   expect 5 "kernel \"m\" has non-positive context words (0)"
     "kernel m contexts 0 cycles 5\n";
   expect 6 "kernel \"m\" has non-positive exec cycles (-1)"
@@ -111,11 +118,13 @@ let test_bad_values () =
     ("input e size " ^ huge ^ " -> k\n");
   expect 5 "kernel \"m\" has exec cycles 2305843009213693951 above the bound"
     ("kernel m contexts 4 cycles " ^ huge ^ "\n");
-  expect 5 "fb_set_size must be at most 1048576" ("fb " ^ huge ^ "\n");
+  expect ~code:config 5 "fb_set_size must be at most 1048576"
+    ("fb " ^ huge ^ "\n");
   (match Appdsl.parse "app a iterations 100000\n" with
-  | Error msg ->
+  | Error d ->
     Alcotest.(check string) "iterations bound at line 1"
-      "line 1: iterations must be at most 65536 (got 100000)" msg
+      "line 1: iterations must be at most 65536 (got 100000)"
+      (Diag.to_string d)
   | Ok _ -> Alcotest.fail "expected the iteration bound");
   let spec = parse_ok (head ^ "partition 1 1\nfb 512\ncm 64\n") in
   Alcotest.(check int) "good values still parse" 2
@@ -269,7 +278,7 @@ let gen_hostile_text =
                 fb_set_size = Some 2048;
                 cm_capacity = Some 4096;
               })
-          (Workloads.Random_app.gen_app_with_clustering ());
+          Workloads.Random_app.gen_app_with_clustering;
       ]
   in
   let mutation =

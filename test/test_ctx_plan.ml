@@ -155,7 +155,7 @@ let test_1000_kernels () =
 let gen_random =
   QCheck.Gen.(
     let* app, clustering =
-      Workloads.Random_app.gen_app_with_clustering ()
+      Workloads.Random_app.gen_app_with_clustering
     in
     let words = List.map (CS.context_words app) clustering in
     let biggest = Msutil.Listx.max_by Fun.id words in

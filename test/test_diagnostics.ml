@@ -224,7 +224,8 @@ let test_validate_config () =
   let bound = Morphosys.Config.max_quantity in
   Alcotest.(check bool) "the bound itself is accepted" true
     (Morphosys.Config.validate
-       { m1 with fb_set_size = bound; cm_capacity = bound; dma_setup_cycles = bound }
+       { Morphosys.Config.fb_set_size = bound; cm_capacity = bound;
+         dma_setup_cycles = bound }
     = Ok ());
   List.iter
     (fun (config, expected) ->
@@ -234,9 +235,8 @@ let test_validate_config () =
       ( { m1 with dma_setup_cycles = bound + 1 },
         "dma_setup_cycles must be at most 1048576" );
       ({ m1 with cm_capacity = max_int }, "cm_capacity must be at most 1048576");
-      ( { m1 with data_cycles_per_word = 1025 },
-        "data_cycles_per_word must be at most 1024" );
-      ({ m1 with array_rows = max_int }, "array dimensions must be at most 1024");
+      ( { m1 with fb_set_size = bound + 1 },
+        "fb_set_size must be at most 1048576" );
     ]
 
 let tests =

@@ -161,11 +161,15 @@ let test_torn_tail_recomputes_one () =
 (* A complete store of the sweep with one record rewritten *in content*:
    [f] sees the feasible records as (key, point) and returns the key to
    overwrite and the payload to store there. Checksums pass, so only
-   decoding and re-validation can catch it. *)
+   re-validation can catch it. A stored payload is read back as the point
+   of the in-memory sweep whose encoding it is. *)
 let forge_one_record ~path ((app, clustering) as w) f =
   let d = open_exn ~path w in
-  ignore (Dse.sweep ~store:d ~fb_list app clustering);
+  let swept = Dse.sweep ~store:d ~fb_list app clustering in
   Durable.close d;
+  let point_of payload =
+    List.find_opt (fun p -> String.equal (Durable.encode p) payload) swept
+  in
   let key, payload =
     match Engine.Store.contents path with
     | Error diag -> Alcotest.failf "contents: %s" (Diag.render diag)
@@ -175,9 +179,9 @@ let forge_one_record ~path ((app, clustering) as w) f =
       f
         (List.filter_map
            (fun (key, payload) ->
-             match Durable.decode payload with
+             match point_of payload with
              | Some p -> if p.Dse.feasible then Some (key, p) else None
-             | None -> Alcotest.failf "record %s does not decode" key)
+             | None -> Alcotest.failf "record %s is no swept point" key)
            points)
   in
   match Engine.Store.open_ ~schema:Durable.schema_version path with
@@ -321,49 +325,11 @@ let test_forged_other_scheduler =
    marshalled bytes (a 200-byte string) is not a point: it is quarantined
    and recomputed, never read as one. *)
 let test_forged_marshalled_string =
-  check_payload_forgery_recomputed ~reason:"does not decode as a point"
+  check_payload_forgery_recomputed
+    ~reason:"does not simulate to its stored point"
     (fun _ records ->
       let key, _ = first records in
       (key, Marshal.to_string (String.make 200 'x') []))
-
-(* Every point of the 72-point MPEG grid, feasible or not, decodes back
-   from its payload, and the decoder is strict: a payload altered by one
-   byte anywhere, cut short or extended decodes only to a point whose
-   encoding is exactly that string — never raises, never reads two
-   strings as one point. *)
-let test_payload_roundtrip () =
-  let app, clustering = mpeg () in
-  let points =
-    Dse.sweep ~cm_list:[ 1024; 2048 ] ~setup_list:[ 0; 16 ]
-      ~fb_list:[ 512; 1024; 1536; 2048; 3072; 4096 ] app clustering
-  in
-  Alcotest.(check bool) "the grid has infeasible points" true
-    (List.exists (fun (p : Dse.point) -> not p.Dse.feasible) points);
-  let strict s =
-    match Durable.decode s with
-    | None -> true
-    | Some q -> String.equal (Durable.encode q) s
-  in
-  let mutants e =
-    (e ^ "\t") :: ("0" ^ e) :: String.sub e 0 (String.length e - 1)
-    :: List.concat
-         (List.init (String.length e) (fun i ->
-              List.map
-                (fun c ->
-                  let b = Bytes.of_string e in
-                  Bytes.set b i c;
-                  Bytes.to_string b)
-                [ '\t'; ' '; '"'; '\\'; '\n'; '0'; '-'; 'x' ]))
-  in
-  List.iter
-    (fun (p : Dse.point) ->
-      let e = Durable.encode p in
-      Alcotest.(check bool) "decode (encode p) = p" true
-        (Durable.decode e = Some p);
-      Alcotest.(check bool) "one line" false (String.contains e '\n');
-      Alcotest.(check bool) "every mutant decodes strictly" true
-        (List.for_all strict (mutants e)))
-    points
 
 (* A record holds the point alone: the 72-point MPEG grid's store stays
    within 1 KB per point, so a schedule cannot creep back into it. *)
@@ -383,6 +349,12 @@ let test_store_bytes_per_point () =
     Durable.close d;
     Alcotest.(check int) "72 points swept" 72 (List.length points);
     Alcotest.(check int) "72 points on disk" 72 completed;
+    Alcotest.(check bool) "the grid has infeasible points" true
+      (List.exists (fun (p : Dse.point) -> not p.Dse.feasible) points);
+    Alcotest.(check bool) "every payload is one line" true
+      (List.for_all
+         (fun p -> not (String.contains (Durable.encode p) '\n'))
+         points);
     let per_point = file_size path / completed in
     if per_point > 1024 then
       Alcotest.failf "%d bytes per point; at most 1024 expected" per_point
@@ -706,6 +678,32 @@ let test_forged_infeasible =
               (Diag.v ~scheduler:"cds" Diag.No_feasible_rf
                  "no RF fits the FB set") } ))
 
+(* A stored payload with one byte changed (first, middle or last), one cut
+   or one appended is no longer the encoding of the point the sweep
+   computes: each mutant is quarantined and recomputed. *)
+let test_payload_mutants () =
+  let flip s i =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
+  in
+  List.iter
+    (fun mutate ->
+      check_payload_forgery_recomputed
+        ~reason:"does not simulate to its stored point"
+        (fun _ records ->
+          let key, p = first records in
+          let e = Durable.encode p in
+          let m = mutate e in
+          Alcotest.(check bool) "the mutant differs" false (String.equal m e);
+          (key, m))
+        ())
+    [
+      (fun e -> flip e 0);
+      (fun e -> flip e (String.length e / 2));
+      (fun e -> flip e (String.length e - 1));
+      (fun e -> String.sub e 0 (String.length e - 1));
+      (fun e -> e ^ "0");
+    ]
+
 let tests =
   ( "dse_resume",
     [
@@ -731,8 +729,6 @@ let tests =
         test_store_bytes_per_point;
       Alcotest.test_case "forged marshalled string is quarantined" `Quick
         test_forged_marshalled_string;
-      Alcotest.test_case "payload decodes only its own encoding" `Quick
-        test_payload_roundtrip;
       Alcotest.test_case "schema-3 store is refused on resume" `Quick
         test_schema_3_store_refused;
       Alcotest.test_case "torn-tail resume agrees at jobs 1 and 4" `Quick
@@ -753,4 +749,6 @@ let tests =
         `Quick test_forged_rf_with_its_counts;
       Alcotest.test_case "forged infeasible record is quarantined" `Quick
         test_forged_infeasible;
+      Alcotest.test_case "byte-level payload mutants are quarantined" `Quick
+        test_payload_mutants;
     ] )

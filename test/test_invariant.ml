@@ -146,7 +146,7 @@ let test_dsl_invariant_round_trip () =
      final o size 8 from k\n"
   in
   match Appdsl.parse text with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok spec ->
     let tbl = Kernel_ir.Application.data_by_name spec.Appdsl.app "tbl" in
     Alcotest.(check bool) "parsed invariant" true tbl.Data.invariant;
@@ -154,7 +154,7 @@ let test_dsl_invariant_round_trip () =
     | Ok spec2 ->
       Alcotest.(check bool) "round-tripped invariant" true
         (Kernel_ir.Application.data_by_name spec2.Appdsl.app "tbl").Data.invariant
-    | Error e -> Alcotest.fail e)
+    | Error e -> Alcotest.fail (Diag.to_string e))
 
 let tests =
   ( "invariant_data",

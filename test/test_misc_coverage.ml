@@ -125,7 +125,7 @@ let test_improvement_helpers_on_infeasible_cds () =
 let test_spec_file_loads () =
   (* the shipped sample spec parses (a test dependency in test/dune) *)
   (match Appdsl.load_file "../examples/specs/edge_detect.app" with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok spec ->
     Alcotest.(check string) "name" "edge_detect"
       spec.Appdsl.app.Kernel_ir.Application.name);

@@ -5,8 +5,8 @@ open Morphosys
 let test_config_m1 () =
   let c = Config.m1 ~fb_set_size:2048 in
   Alcotest.(check int) "fb" 2048 c.Config.fb_set_size;
-  Alcotest.(check (pair int int)) "8x8 array" (8, 8)
-    (c.Config.array_rows, c.Config.array_cols);
+  Alcotest.(check int) "2048-word CM" 2048 c.Config.cm_capacity;
+  Alcotest.(check int) "no DMA setup cost" 0 c.Config.dma_setup_cycles;
   Alcotest.(check bool) "valid" true (Config.validate c = Ok ())
 
 let test_config_validation () =
@@ -18,8 +18,9 @@ let test_config_validation () =
   expect_invalid (fun () -> Config.make ~fb_set_size:0 ());
   expect_invalid (fun () -> Config.make ~fb_set_size:1024 ~cm_capacity:(-1) ());
   expect_invalid (fun () ->
-      Config.make ~fb_set_size:1024 ~data_cycles_per_word:0 ());
-  expect_invalid (fun () -> Config.make ~fb_set_size:1024 ~array_rows:0 ())
+      Config.make ~fb_set_size:1024 ~dma_setup_cycles:(-1) ());
+  expect_invalid (fun () ->
+      Config.make ~fb_set_size:(Config.max_quantity + 1) ())
 
 (* -- Context memory --------------------------------------------------- *)
 
@@ -47,15 +48,15 @@ let test_cm () =
 (* -- DMA --------------------------------------------------------------- *)
 
 let test_dma_cost () =
-  let c = Config.make ~fb_set_size:64 ~data_cycles_per_word:2
-      ~context_cycles_per_word:3 () in
+  let c = Config.make ~fb_set_size:64 ~dma_setup_cycles:2 () in
   let load = Dma.data_load ~set:Frame_buffer.Set_a ~label:"d" ~words:10 in
   let store = Dma.data_store ~set:Frame_buffer.Set_b ~label:"r" ~words:5 in
   let ctx = Dma.context_load ~kernel:"k" ~words:4 in
-  Alcotest.(check int) "load cost" 20 (Dma.cost c load);
-  Alcotest.(check int) "store cost" 10 (Dma.cost c store);
-  Alcotest.(check int) "ctx cost" 12 (Dma.cost c ctx);
-  Alcotest.(check int) "total serial" 42 (Dma.total_cost c [ load; store; ctx ]);
+  (* setup plus one cycle per word, whatever the transfer's kind *)
+  Alcotest.(check int) "load cost" 12 (Dma.cost c load);
+  Alcotest.(check int) "store cost" 7 (Dma.cost c store);
+  Alcotest.(check int) "ctx cost" 6 (Dma.cost c ctx);
+  Alcotest.(check int) "total serial" 25 (Dma.total_cost c [ load; store; ctx ]);
   Alcotest.(check bool) "load kind" true
     (load.Dma.kind = Dma.Data { set = Frame_buffer.Set_a; direction = Dma.Load });
   Alcotest.(check bool) "store kind" true
@@ -68,10 +69,11 @@ let test_dma_cost () =
 (* -- RC array ----------------------------------------------------------- *)
 
 let test_rc_array () =
-  let c = Config.m1 ~fb_set_size:64 in
   Alcotest.(check int) "reconfigure row-parallel" 12
-    (Rc_array.reconfigure_cycles c ~contexts:96);
-  match Rc_array.reconfigure_cycles c ~contexts:(-1) with
+    (Rc_array.reconfigure_cycles ~contexts:96);
+  Alcotest.(check int) "a partial row takes a cycle" 13
+    (Rc_array.reconfigure_cycles ~contexts:97);
+  match Rc_array.reconfigure_cycles ~contexts:(-1) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative contexts"
 

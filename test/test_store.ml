@@ -43,8 +43,9 @@ let test_roundtrip () =
   Store.append t ~key:"gamma" ~payload:(String.make 4096 'x');
   Alcotest.(check int) "three keys" 3 (Store.length t);
   Alcotest.(check (option string)) "find" (Some "two") (Store.find t "beta");
-  Alcotest.(check bool) "mem" true (Store.mem t "alpha");
-  Alcotest.(check bool) "absent key" false (Store.mem t "delta");
+  Alcotest.(check (option string)) "find first" (Some "one")
+    (Store.find t "alpha");
+  Alcotest.(check (option string)) "absent key" None (Store.find t "delta");
   Store.close t;
   let t = reopen path in
   Alcotest.(check int) "reopen sees three keys" 3 (Store.length t);
@@ -106,7 +107,8 @@ let test_truncated_tail_quarantined () =
     (Sys.file_exists (path ^ ".quarantine"));
   Alcotest.(check (option string)) "intact prefix survives" (Some "kept")
     (Store.find t "good");
-  Alcotest.(check bool) "torn record is gone" false (Store.mem t "torn");
+  Alcotest.(check (option string)) "torn record is gone" None
+    (Store.find t "torn");
   (* the store is fully usable after quarantine: recompute and re-append *)
   Store.append t ~key:"torn" ~payload:"recomputed";
   Store.close t;
@@ -131,8 +133,8 @@ let test_bitflip_quarantined () =
   Alcotest.(check int) "bit flip detected" 1 (List.length (Store.warnings t));
   Alcotest.(check (option string)) "records before the flip survive"
     (Some "aaaa") (Store.find t "first");
-  Alcotest.(check bool) "flipped record quarantined" false
-    (Store.mem t "second");
+  Alcotest.(check (option string)) "flipped record quarantined" None
+    (Store.find t "second");
   Store.close t
 
 let test_header_damage_is_fatal () =

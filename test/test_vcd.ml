@@ -25,16 +25,16 @@ let test_structure () =
 
 let test_parse_back () =
   let text = Vcd.of_schedule config (schedule ()) in
-  match Vcd.Parse.parse text with
+  match Vcd_parse.parse text with
   | Error e -> Alcotest.fail e
   | Ok parsed ->
-    Alcotest.(check string) "timescale" "1 ns" parsed.Vcd.Parse.timescale;
+    Alcotest.(check string) "timescale" "1 ns" parsed.Vcd_parse.timescale;
     Alcotest.(check int) "five signals" 5
-      (List.length parsed.Vcd.Parse.signals);
+      (List.length parsed.Vcd_parse.signals);
     Alcotest.(check bool) "signals named" true
-      (List.exists (fun (_, n) -> n = "rc_busy") parsed.Vcd.Parse.signals);
+      (List.exists (fun (_, n) -> n = "rc_busy") parsed.Vcd_parse.signals);
     (* change times are monotone *)
-    let times = List.map (fun c -> c.Vcd.Parse.time) parsed.Vcd.Parse.changes in
+    let times = List.map (fun c -> c.Vcd_parse.time) parsed.Vcd_parse.changes in
     let rec monotone = function
       | a :: (b :: _ as rest) -> a <= b && monotone rest
       | _ -> true
@@ -45,15 +45,15 @@ let test_consistent_with_executor () =
   let s = schedule () in
   let metrics, timeline = Msim.Executor.run_timed config s in
   let text = Vcd.of_schedule config s in
-  match Vcd.Parse.parse text with
+  match Vcd_parse.parse text with
   | Error e -> Alcotest.fail e
   | Ok parsed ->
     let rc_changes =
-      List.filter (fun c -> c.Vcd.Parse.id = "!") parsed.Vcd.Parse.changes
+      List.filter (fun c -> c.Vcd_parse.id = "!") parsed.Vcd_parse.changes
     in
     (* rc_busy rises once per compute step (plus the initial dump) *)
     let rises =
-      List.filter (fun c -> c.Vcd.Parse.value = "1") rc_changes
+      List.filter (fun c -> c.Vcd_parse.value = "1") rc_changes
     in
     let compute_steps =
       List.length
@@ -66,25 +66,25 @@ let test_consistent_with_executor () =
       (List.length rises);
     (* the last change never exceeds the total cycle count *)
     let last_time =
-      Msutil.Listx.max_by (fun c -> c.Vcd.Parse.time) parsed.Vcd.Parse.changes
+      Msutil.Listx.max_by (fun c -> c.Vcd_parse.time) parsed.Vcd_parse.changes
     in
     Alcotest.(check bool) "within total" true
       (last_time <= metrics.Msim.Metrics.total_cycles)
 
 let test_binary_widths () =
   let text = Vcd.of_schedule config (schedule ()) in
-  match Vcd.Parse.parse text with
+  match Vcd_parse.parse text with
   | Error e -> Alcotest.fail e
   | Ok parsed ->
     List.iter
-      (fun (c : Vcd.Parse.change) ->
-        if c.Vcd.Parse.id = "#" && c.Vcd.Parse.value <> "x" then
+      (fun (c : Vcd_parse.change) ->
+        if c.Vcd_parse.id = "#" && c.Vcd_parse.value <> "x" then
           Alcotest.(check int) "cluster vector width" 8
-            (String.length c.Vcd.Parse.value))
-      parsed.Vcd.Parse.changes
+            (String.length c.Vcd_parse.value))
+      parsed.Vcd_parse.changes
 
 let test_parse_rejects_garbage () =
-  match Vcd.Parse.parse "$var wire oops $end" with
+  match Vcd_parse.parse "$var wire oops $end" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected parse error"
 

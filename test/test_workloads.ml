@@ -121,7 +121,7 @@ let test_dt_positive_where_paper_reports_it () =
 
 let test_random_app_generator_sane () =
   (* drive the generator directly: it must always produce valid apps *)
-  let gen = Workloads.Random_app.gen_app_with_clustering () in
+  let gen = Workloads.Random_app.gen_app_with_clustering in
   let rand = Random.State.make [| 42 |] in
   for _ = 1 to 50 do
     let app, clustering = QCheck.Gen.generate1 ~rand gen in
