@@ -600,16 +600,7 @@ let fuzz_cmd =
           ~doc:"Frame-buffer set size the random applications are \
                 scheduled against.")
   in
-  let hostile_arg =
-    Arg.(
-      value & flag
-      & info [ "hostile" ]
-          ~doc:
-            "Hostile mode: mutate the random applications into malformed \
-             ones and assert every failure is a structured diagnostic — \
-             any uncaught exception fails the run.")
-  in
-  let run seed count fb jobs stats hostile fault_rate fault_seed =
+  let run seed count fb jobs stats fault_rate fault_seed =
     (* the random applications run on M1 with this FB size: a bad one is a
        usage error, not a crash in every task *)
     match
@@ -623,43 +614,28 @@ let fuzz_cmd =
     let jobs = resolve_jobs jobs in
     let armed = arm_faults ~rate:fault_rate ~seed:fault_seed in
     Fun.protect ~finally:Engine.Faults.disarm @@ fun () ->
-    if hostile then begin
-      let report =
-        Report.Fuzz.run_hostile ~jobs ~fb_set_size:fb
-          ~seed ~count ()
-      in
-      Format.printf "%a@." Report.Fuzz.pp_hostile report;
-      report_faults armed;
-      if Report.Fuzz.hostile_ok report then `Ok ()
-      else
-        `Error
-          (false, "hostile fuzzing found uncaught exceptions (see above)")
-    end
-    else begin
-      let st = if stats then Some (Engine.Stats.create ()) else None in
-      let report =
-        Report.Fuzz.run ~jobs ~fb_set_size:fb ?stats:st ~seed ~count ()
-      in
-      Format.printf "%a@." Report.Fuzz.pp report;
-      (match st with
-      | Some st -> Format.eprintf "%a@." Engine.Stats.pp st
-      | None -> ());
-      report_faults armed;
-      if Report.Fuzz.ok report then `Ok ()
-      else `Error (false, "fuzzing found scheduler bugs (see report above)")
-    end
+    let st = if stats then Some (Engine.Stats.create ()) else None in
+    let report =
+      Report.Fuzz.run ~jobs ~fb_set_size:fb ?stats:st ~seed ~count ()
+    in
+    Format.printf "%a@." Report.Fuzz.pp report;
+    (match st with
+    | Some st -> Format.eprintf "%a@." Engine.Stats.pp st
+    | None -> ());
+    report_faults armed;
+    if Report.Fuzz.ok report then `Ok ()
+    else `Error (false, "fuzzing found scheduler bugs (see report above)")
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzzing: schedule random applications with Basic, \
           DS and CDS on the worker pool and referee every schedule with \
-          the semantic validator; $(b,--hostile) feeds the stack mutated \
-          invalid applications instead")
+          the semantic validator")
     Term.(
       ret
         (const run $ seed_arg $ count_arg $ fb_arg $ jobs_arg $ stats_arg
-       $ hostile_arg $ fault_rate_arg $ fault_seed_arg))
+       $ fault_rate_arg $ fault_seed_arg))
 
 let table1_cmd =
   let csv_arg =

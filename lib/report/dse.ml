@@ -43,21 +43,33 @@ let machine ~fb ~cm ~setup =
   Morphosys.Config.make ~fb_set_size:fb ~cm_capacity:cm ~dma_setup_cycles:setup
     ()
 
-(* Each axis value is judged by [Config.validate] on the M1 machine with
-   just that field replaced, so a bad value is one diagnostic rather than a
-   failure in every design point that uses it. *)
+(* Every axis must hold a value, and each value is judged by
+   [Config.validate] on the M1 machine with just that field replaced, so a
+   bad value is one diagnostic rather than a failure in every design point
+   that uses it. *)
 let check_axes ~fb_list ~cm_list ~setup_list =
   let m1 = Morphosys.Config.m1 ~fb_set_size:1024 in
-  List.fold_left
-    (fun acc config ->
-      Result.bind acc (fun () ->
-          Result.map_error
-            (fun msg -> Diag.v Diag.Invalid_config "%s" msg)
-            (Morphosys.Config.validate config)))
-    (Ok ())
-    (List.map (fun fb -> { m1 with fb_set_size = fb }) fb_list
-    @ List.map (fun cm -> { m1 with cm_capacity = cm }) cm_list
-    @ List.map (fun setup -> { m1 with dma_setup_cycles = setup }) setup_list)
+  match
+    List.find_map
+      (fun (field, empty) -> if empty then Some field else None)
+      [
+        ("fb_set_size", fb_list = []);
+        ("cm_capacity", cm_list = []);
+        ("dma_setup_cycles", setup_list = []);
+      ]
+  with
+  | Some field -> Error (Diag.v Diag.Invalid_config "%s axis is empty" field)
+  | None ->
+    List.fold_left
+      (fun acc config ->
+        Result.bind acc (fun () ->
+            Result.map_error
+              (fun msg -> Diag.v Diag.Invalid_config "%s" msg)
+              (Morphosys.Config.validate config)))
+      (Ok ())
+      (List.map (fun fb -> { m1 with fb_set_size = fb }) fb_list
+      @ List.map (fun cm -> { m1 with cm_capacity = cm }) cm_list
+      @ List.map (fun setup -> { m1 with dma_setup_cycles = setup }) setup_list)
 
 (* The sweep axis: the paper's three tiers. *)
 let schedulers = [ "basic"; "ds"; "cds" ]
@@ -118,7 +130,6 @@ module Durable = struct
     mutable noted : int;  (* STORE_CORRUPT warnings given to a Stats *)
   }
 
-  let path t = t.path
   let identity t = t.identity
   let completed t = Engine.Store.length t.store - 1
   let warnings t = Engine.Store.warnings t.store @ List.rev t.run_warnings
@@ -381,13 +392,7 @@ let to_csv points =
    which nothing was feasible has produced no sizing information at all. *)
 let all_infeasible_diag points =
   match points with
-  | [] ->
-    Some
-      (Diag.v Diag.Invalid_config
-         "dse: empty sweep — no design points were evaluated (check the \
-          axis lists)")
-  | _ when List.exists (fun p -> p.feasible) points -> None
-  | p :: _ ->
+  | p :: _ when not (List.exists (fun p -> p.feasible) points) ->
     Some
       (Diag.v Diag.Invalid_config
          "dse: all %d design points are infeasible — no machine sizing \
@@ -396,6 +401,7 @@ let all_infeasible_diag points =
          (match p.diag with
          | Some d -> Diag.to_string d
          | None -> "none recorded"))
+  | _ -> None
 
 let best points =
   List.fold_left

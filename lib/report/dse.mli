@@ -30,11 +30,12 @@ val check_axes :
   cm_list:int list ->
   setup_list:int list ->
   (unit, Diag.t) result
-(** The sweep's input check: every axis value must pass
-    {!Morphosys.Config.validate} on the M1 machine with just that field
-    replaced. [Error] is the first failure's [INVALID_CONFIG] diagnostic,
-    FB values first, then CM, then DMA setup. {!Durable.open_} returns it
-    and {!sweep} raises on it. *)
+(** The sweep's input check: every axis must be non-empty, and every
+    axis value must pass {!Morphosys.Config.validate} on the M1 machine
+    with just that field replaced. [Error] is the first failure's
+    [INVALID_CONFIG] diagnostic: an empty axis first, then the values,
+    each in the order FB, CM, DMA setup. {!Durable.open_} returns it and
+    {!sweep} raises on it. *)
 
 (** Durable sweep state: an on-disk, crash-recoverable record of a
     sweep's completed design points.
@@ -86,7 +87,6 @@ module Durable : sig
       failed checksum is quarantined and reported via {!warnings}, never
       fatal. *)
 
-  val path : t -> string
   val identity : t -> string
   (** Hex digest of (application, clustering, axes, scheduler set,
       payload schema, store format) — what {!open_} checks on resume. *)
@@ -168,9 +168,9 @@ val sweep :
 val to_csv : point list -> string
 
 val all_infeasible_diag : point list -> Diag.t option
-(** [Some diag] when the sweep produced no feasible point at all (or no
-    points) — the condition under which [msched dse] exits nonzero.
-    [None] as soon as one point is feasible. *)
+(** [Some diag] when the sweep produced points but no feasible one — the
+    condition under which [msched dse] exits nonzero. [None] as soon as
+    one point is feasible. *)
 
 val best : point list -> point option
 (** The feasible point with the fewest cycles (ties: smaller frame

@@ -15,10 +15,6 @@ let merge a b =
     invalid_arg "Interval.merge: disjoint intervals";
   { lo = min a.lo b.lo; hi = max a.hi b.hi }
 
-let intersection a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
-  if lo < hi then Some { lo; hi } else None
-
 let compare_lo a b = compare a.lo b.lo
 let pp fmt t = Format.fprintf fmt "[%d,%d)" t.lo t.hi
 let equal a b = a.lo = b.lo && a.hi = b.hi

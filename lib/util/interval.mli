@@ -21,7 +21,6 @@ val merge : t -> t -> t
 (** [merge a b] is the smallest interval covering both.
     @raise Invalid_argument if they neither overlap nor are adjacent. *)
 
-val intersection : t -> t -> t option
 val compare_lo : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -35,13 +35,6 @@ let uniq eq l =
   in
   loop [] l
 
-let windows l =
-  let rec loop before acc = function
-    | [] -> List.rev acc
-    | x :: after -> loop (before @ [ x ]) ((before, x, after) :: acc) after
-  in
-  loop [] [] l
-
 let rec compositions n =
   if n < 0 then invalid_arg "Listx.compositions: negative argument"
   else if n = 0 then [ [] ]
@@ -50,18 +43,3 @@ let rec compositions n =
       (fun first ->
         List.map (fun rest -> first :: rest) (compositions (n - first)))
       (List.init n (fun i -> i + 1))
-
-let group_consecutive eq l =
-  let rec loop current acc = function
-    | [] -> List.rev (List.rev current :: acc)
-    | x :: rest -> (
-      match current with
-      | [] -> loop [ x ] acc rest
-      | y :: _ when eq x y -> loop (x :: current) acc rest
-      | _ -> loop [ x ] (List.rev current :: acc) rest)
-  in
-  match l with [] -> [] | _ -> loop [] [] l
-
-let rec pairs = function
-  | [] -> []
-  | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest

@@ -25,17 +25,7 @@ val index_of : ('a -> bool) -> 'a list -> int option
 val uniq : ('a -> 'a -> bool) -> 'a list -> 'a list
 (** [uniq eq l] removes duplicates (w.r.t. [eq]) keeping first occurrences. *)
 
-val windows : 'a list -> ('a list * 'a * 'a list) list
-(** [windows l] is, for each position of [l], the triple
-    (elements before, element, elements after), in order. *)
-
 val compositions : int -> int list list
 (** [compositions n] enumerates every way to write [n] as an ordered sum of
     positive integers, e.g. [compositions 3 = [[1;1;1];[1;2];[2;1];[3]]].
     Used by the kernel scheduler to enumerate cluster partitions. *)
-
-val group_consecutive : ('a -> 'a -> bool) -> 'a list -> 'a list list
-(** [group_consecutive eq l] groups adjacent elements equal w.r.t. [eq]. *)
-
-val pairs : 'a list -> ('a * 'a) list
-(** [pairs l] is all ordered pairs [(x, y)] with [x] before [y] in [l]. *)

@@ -214,9 +214,9 @@ type mutation =
   | Replace of int * string  (* a token by a hostile one *)
   | Renumber of int * string  (* an integer token by a hostile one *)
 
-let hostile_tokens = [ "-"; "->"; "final"; "invariant"; "#"; "" ]
+let bad_tokens = [ "-"; "->"; "final"; "invariant"; "#"; "" ]
 
-let hostile_numbers =
+let bad_numbers =
   [ "0"; "-1"; "1"; "99999999999999999999"; string_of_int max_int ]
 
 let is_int t = int_of_string_opt t <> None
@@ -263,7 +263,7 @@ let mutate text m =
         if k = i then tokens.(j) else if k = j then tokens.(i) else t)
       text
 
-let gen_hostile_text =
+let gen_mangled_text =
   let open QCheck.Gen in
   let base =
     oneof
@@ -290,15 +290,15 @@ let gen_hostile_text =
           (oneofl (List.of_seq (String.to_seq "0-1 9\n#>x")));
         map (fun p -> Truncate p) nat;
         map2 (fun i j -> Swap (i, j)) nat nat;
-        map2 (fun i t -> Replace (i, t)) nat (oneofl hostile_tokens);
-        map2 (fun i t -> Renumber (i, t)) nat (oneofl hostile_numbers);
+        map2 (fun i t -> Replace (i, t)) nat (oneofl bad_tokens);
+        map2 (fun i t -> Renumber (i, t)) nat (oneofl bad_numbers);
       ]
   in
   map2 (List.fold_left mutate) base (list_size (int_range 1 4) mutation)
 
-let prop_parse_hostile_text =
+let prop_parse_mangled_text =
   QCheck.Test.make ~name:"parse never raises on hostile text" ~count:500
-    (QCheck.make ~print:(Printf.sprintf "%S") gen_hostile_text)
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mangled_text)
     (fun text ->
       match Appdsl.parse text with
       | Error _ -> true
@@ -325,5 +325,5 @@ let tests =
       Alcotest.test_case "schedule parsed spec" `Quick test_schedule_parsed_spec;
       Alcotest.test_case "defaults" `Quick test_defaults;
       QCheck_alcotest.to_alcotest prop_render_parse_round_trip;
-      QCheck_alcotest.to_alcotest prop_parse_hostile_text;
+      QCheck_alcotest.to_alcotest prop_parse_mangled_text;
     ] )

@@ -1,15 +1,5 @@
-(* Graceful failure: hostile fuzzing and fault-isolated DSE sweeps. *)
-
-let test_hostile_smoke () =
-  let r = Report.Fuzz.run_hostile ~jobs:2 ~seed:42 ~count:40 () in
-  Alcotest.(check bool)
-    (Format.asprintf "no uncaught exceptions: %a" Report.Fuzz.pp_hostile r)
-    true (Report.Fuzz.hostile_ok r);
-  Alcotest.(check int) "every mutant accounted for" 40
-    (r.Report.Fuzz.rejected + r.Report.Fuzz.survived
-   + r.Report.Fuzz.h_faulted);
-  Alcotest.(check bool) "mutations actually rejected" true
-    (r.Report.Fuzz.rejected > 0)
+(* Graceful failure: a DSE sweep whose every point task crashes still
+   returns every point, each with a structured diagnostic. *)
 
 let test_sweep_survives_crashing_point () =
   (* a pool fault at rate 1.0 kills every design-point task; the sweep
@@ -37,7 +27,6 @@ let test_sweep_survives_crashing_point () =
 let tests =
   ( "degrade",
     [
-      Alcotest.test_case "hostile fuzz smoke" `Quick test_hostile_smoke;
       Alcotest.test_case "sweep survives crashing points" `Quick
         test_sweep_survives_crashing_point;
     ] )

@@ -72,6 +72,29 @@ let test_of_exn () =
     Alcotest.(check bool) "guard keeps the message" true
       (contains (Diag.to_string d) "boom"))
 
+let valid_ingredients () =
+  let kernels =
+    [
+      Kernel.make ~id:0 ~name:"k0" ~contexts:10 ~exec_cycles:5;
+      Kernel.make ~id:1 ~name:"k1" ~contexts:10 ~exec_cycles:5;
+    ]
+  in
+  let data =
+    [
+      Data.make ~id:0 ~name:"in" ~size:16 ~producer:Data.External
+        ~consumers:[ 0 ] ~final:false ();
+      Data.make ~id:1 ~name:"mid" ~size:8 ~producer:(Data.Produced_by 0)
+        ~consumers:[ 1 ] ~final:false ();
+      Data.make ~id:2 ~name:"out" ~size:8 ~producer:(Data.Produced_by 1)
+        ~consumers:[] ~final:true ();
+    ]
+  in
+  (kernels, data)
+
+(* [data] with object [id] replaced by [f] of it. *)
+let with_data data id f =
+  List.map (fun (d : Data.t) -> if d.id = id then f d else d) data
+
 (* A hand-broken application: every field violates something. The total
    checker must report all of them in one pass. *)
 let test_validate_collects_all () =
@@ -127,26 +150,35 @@ let test_validate_collects_all () =
       "duplicate data name";
       "duplicate data id";
     ];
-  Alcotest.(check bool) "all are errors" true (List.for_all Diag.is_error diags)
-
-let valid_ingredients () =
-  let kernels =
-    [
-      Kernel.make ~id:0 ~name:"k0" ~contexts:10 ~exec_cycles:5;
-      Kernel.make ~id:1 ~name:"k1" ~contexts:10 ~exec_cycles:5;
-    ]
+  Alcotest.(check bool) "all are errors" true (List.for_all Diag.is_error diags);
+  (* Rules the broken application above cannot show apart: each input
+     breaks one valid application in one way, and the check must report
+     exactly that. *)
+  let kernels, data = valid_ingredients () in
+  let with_data = with_data data in
+  let rename_k1 (k : Kernel.t) =
+    if k.id = 1 then { k with name = "k0" } else k
   in
-  let data =
+  List.iter
+    (fun (expected, kernels, data) ->
+      Alcotest.(check (list string)) (String.concat "; " expected) expected
+        (List.map Diag.to_string (Application.check ~kernels ~data ~iterations:4)))
     [
-      Data.make ~id:0 ~name:"in" ~size:16 ~producer:Data.External
-        ~consumers:[ 0 ] ~final:false ();
-      Data.make ~id:1 ~name:"mid" ~size:8 ~producer:(Data.Produced_by 0)
-        ~consumers:[ 1 ] ~final:false ();
-      Data.make ~id:2 ~name:"out" ~size:8 ~producer:(Data.Produced_by 1)
-        ~consumers:[] ~final:true ();
+      ([ "no kernels" ], [], []);
+      ([ {|duplicate kernel name "k0"|} ], List.map rename_k1 kernels, data);
+      ( [ "data object 2 has an empty name" ],
+        kernels,
+        with_data 2 (fun d -> { d with name = "" }) );
+      ( [ {|data "in" references unknown consumer kernel 5|} ],
+        kernels,
+        with_data 0 (fun d -> { d with consumers = [ 5 ] }) );
+      ( [ {|data "out" references unknown producer kernel 2|} ],
+        kernels,
+        with_data 2 (fun d -> { d with producer = Data.Produced_by 2 }) );
+      ( [ {|consumers of "in" are not sorted and unique|} ],
+        kernels,
+        with_data 0 (fun d -> { d with consumers = [ 1; 0 ] }) );
     ]
-  in
-  (kernels, data)
 
 let test_validate_clean () =
   let kernels, data = valid_ingredients () in
@@ -181,9 +213,7 @@ let test_application_check_rejects () =
    [Application.make] itself, so [Sched_ctx.make] never sees them. *)
 let test_rejected_before_sched_ctx () =
   let kernels, data = valid_ingredients () in
-  let with_data id f =
-    List.map (fun (d : Data.t) -> if d.id = id then f d else d) data
-  in
+  let with_data = with_data data in
   List.iter
     (fun (needle, data) ->
       match

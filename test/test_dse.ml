@@ -84,8 +84,8 @@ let test_cm_and_setup_axes () =
     Alcotest.(check bool) "setup cost slows down" true (priced > free)
   | _ -> Alcotest.fail "expected feasible points"
 
-(* A bad axis value is refused before any design point runs, by the one
-   check the CLI uses too. *)
+(* A bad axis value or an empty axis is refused before any design point
+   runs, by the one check the CLI uses too. *)
 let test_bad_axes () =
   let app = Workloads.Mpeg.app () in
   let clustering = Workloads.Mpeg.clustering app in
@@ -96,6 +96,21 @@ let test_bad_axes () =
       (Diag.code_name d.Diag.code);
     Alcotest.(check string) "message" expected d.Diag.message
   | Ok () -> Alcotest.fail "check_axes accepted fb 0");
+  List.iter
+    (fun (fb_list, cm_list, setup_list, field) ->
+      (match Dse.check_axes ~fb_list ~cm_list ~setup_list with
+      | Error d ->
+        Alcotest.(check string) "empty axis" (field ^ " axis is empty")
+          d.Diag.message
+      | Ok () -> Alcotest.failf "check_axes accepted an empty %s axis" field);
+      match Dse.sweep ~fb_list ~cm_list ~setup_list app clustering with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "sweep accepted an empty %s axis" field)
+    [
+      ([], [ 2048 ], [ 0 ], "fb_set_size");
+      ([ 2048 ], [], [ 0 ], "cm_capacity");
+      ([ 2048 ], [ 2048 ], [], "dma_setup_cycles");
+    ];
   (match Dse.sweep ~fb_list:[ 0; 2048 ] app clustering with
   | exception Invalid_argument msg ->
     Alcotest.(check bool) "sweep names the check" true

@@ -35,13 +35,6 @@ let test_merge () =
     (Invalid_argument "Interval.merge: disjoint intervals") (fun () ->
       ignore (Interval.merge (iv 0 1) (iv 3 4)))
 
-let test_intersection () =
-  (match Interval.intersection (iv 0 4) (iv 2 6) with
-  | Some t -> Alcotest.(check bool) "intersection" true (Interval.equal t (iv 2 4))
-  | None -> Alcotest.fail "expected intersection");
-  Alcotest.(check bool) "no intersection" true
-    (Interval.intersection (iv 0 2) (iv 2 4) = None)
-
 let gen_interval =
   QCheck.Gen.(
     let* lo = int_range 0 100 in
@@ -61,11 +54,6 @@ let prop_merge_covers =
       && Interval.length m
          <= Interval.length a + Interval.length b)
 
-let prop_intersection_symmetric =
-  QCheck.Test.make ~name:"intersection is symmetric" ~count:300
-    (QCheck.pair arb_interval arb_interval) (fun (a, b) ->
-      Interval.intersection a b = Interval.intersection b a)
-
 let tests =
   ( "interval",
     [
@@ -74,7 +62,5 @@ let tests =
       Alcotest.test_case "overlaps" `Quick test_overlaps;
       Alcotest.test_case "adjacent" `Quick test_adjacent;
       Alcotest.test_case "merge" `Quick test_merge;
-      Alcotest.test_case "intersection" `Quick test_intersection;
       QCheck_alcotest.to_alcotest prop_merge_covers;
-      QCheck_alcotest.to_alcotest prop_intersection_symmetric;
     ] )

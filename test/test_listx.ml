@@ -34,14 +34,6 @@ let test_index_of () =
 let test_uniq () =
   check_int_list "uniq keeps first" [ 1; 2; 3 ] (Listx.uniq ( = ) [ 1; 2; 1; 3; 2 ])
 
-let test_windows () =
-  let w = Listx.windows [ 1; 2; 3 ] in
-  Alcotest.(check int) "window count" 3 (List.length w);
-  let before, x, after = List.nth w 1 in
-  check_int_list "before" [ 1 ] before;
-  check_int "element" 2 x;
-  check_int_list "after" [ 3 ] after
-
 let test_compositions () =
   check_int "compositions of 0" 1 (List.length (Listx.compositions 0));
   check_int "compositions of 4" 8 (List.length (Listx.compositions 4));
@@ -54,19 +46,6 @@ let test_compositions () =
   Alcotest.check_raises "negative" (Invalid_argument
     "Listx.compositions: negative argument") (fun () ->
       ignore (Listx.compositions (-1)))
-
-let test_group_consecutive () =
-  Alcotest.(check (list (list int)))
-    "groups"
-    [ [ 1; 1 ]; [ 2 ]; [ 1 ] ]
-    (Listx.group_consecutive ( = ) [ 1; 1; 2; 1 ]);
-  Alcotest.(check (list (list int))) "empty" [] (Listx.group_consecutive ( = ) [])
-
-let test_pairs () =
-  Alcotest.(check (list (pair int int)))
-    "ordered pairs"
-    [ (1, 2); (1, 3); (2, 3) ]
-    (Listx.pairs [ 1; 2; 3 ])
 
 let prop_take_drop =
   QCheck.Test.make ~name:"take n @ drop n = id" ~count:200
@@ -89,10 +68,7 @@ let tests =
       Alcotest.test_case "last" `Quick test_last;
       Alcotest.test_case "index_of" `Quick test_index_of;
       Alcotest.test_case "uniq" `Quick test_uniq;
-      Alcotest.test_case "windows" `Quick test_windows;
       Alcotest.test_case "compositions" `Quick test_compositions;
-      Alcotest.test_case "group_consecutive" `Quick test_group_consecutive;
-      Alcotest.test_case "pairs" `Quick test_pairs;
       QCheck_alcotest.to_alcotest prop_take_drop;
       QCheck_alcotest.to_alcotest prop_compositions_distinct;
     ] )
