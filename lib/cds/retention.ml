@@ -282,18 +282,29 @@ let choose_ctx ?(cross_set = false)
   in
   (* Same-set clusters the candidate occupies space during, ascending id —
      the same order [choose]'s filter over the clustering walks them, so a
-     rejection reports the same first-failing cluster. *)
+     rejection reports the same first-failing cluster. An invariant
+     candidate occupies its set for the whole run, any other only during
+     its window. *)
   let affected_ids (candidate : Sharing.t) =
-    let lo, hi = candidate.Sharing.window in
-    let invariant = (Sharing.data candidate).Data.invariant in
-    List.filter
-      (fun id ->
-        (Kernel_ir.Analysis.cluster analysis id).Cluster.fb_set
-        = candidate.Sharing.set
-        && (invariant || (lo <= id && id <= hi)))
-      (List.init n Fun.id)
+    let lo, hi =
+      if (Sharing.data candidate).Data.invariant then (0, n - 1)
+      else
+        let lo, hi = candidate.Sharing.window in
+        (max lo 0, min hi (n - 1))
+    in
+    let rec down id acc =
+      if id < lo then acc
+      else
+        down (id - 1)
+          (if
+             (Kernel_ir.Analysis.cluster analysis id).Cluster.fb_set
+             = candidate.Sharing.set
+           then id :: acc
+           else acc)
+    in
+    down hi []
   in
-  let fits (candidate : Sharing.t) =
+  let fits (candidate : Sharing.t) ids =
     let d = Sharing.data candidate in
     List.find_map
       (fun id ->
@@ -310,22 +321,23 @@ let choose_ctx ?(cross_set = false)
                ((rf * per_iteration) + constant)
                config.fb_set_size)
         else None)
-      (affected_ids candidate)
+      ids
   in
-  let accept (candidate : Sharing.t) =
+  let accept (candidate : Sharing.t) ids =
     let d = Sharing.data candidate in
     List.iter
       (fun id ->
         if Sharing.pins_cluster candidate ~cluster_id:id then
           commit_pin states.(id) d)
-      (affected_ids candidate)
+      ids
   in
   let retained, rejected =
     List.fold_left
       (fun (retained, rejected) candidate ->
-        match fits candidate with
+        let ids = affected_ids candidate in
+        match fits candidate ids with
         | None ->
-          accept candidate;
+          accept candidate ids;
           (candidate :: retained, rejected)
         | Some reason ->
           (retained, (candidate, reason) :: rejected))

@@ -83,17 +83,3 @@ let render t =
     Buffer.add_string b (String.trim bt)
   | _ -> ());
   Buffer.contents b
-
-let of_exn ?scheduler ?backtrace = function
-  | Invalid_argument msg -> v ?scheduler ?backtrace Invalid_app "%s" msg
-  | Not_found -> v ?scheduler ?backtrace Invalid_app "lookup failed: Not_found"
-  | e ->
-    v ?scheduler ?backtrace Task_crashed "uncaught exception: %s"
-      (Printexc.to_string e)
-
-let guard ?scheduler f =
-  match f () with
-  | x -> Ok x
-  | exception e ->
-    let backtrace = Printexc.get_backtrace () in
-    Error (of_exn ?scheduler ~backtrace e)

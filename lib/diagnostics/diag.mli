@@ -74,12 +74,3 @@ val render : t -> string
 (** Full structured rendering:
     ["[E:FB_OVERFLOW basic] message (cluster 2)"], plus the backtrace on
     its own lines when present. *)
-
-val of_exn : ?scheduler:string -> ?backtrace:string -> exn -> t
-(** Classify a caught exception: [Invalid_argument] becomes
-    {!Invalid_app}, [Not_found] an {!Invalid_app} lookup failure, and
-    anything else {!Task_crashed} carrying [Printexc.to_string]. *)
-
-val guard : ?scheduler:string -> (unit -> 'a) -> ('a, t) result
-(** Run the thunk, converting any exception into a diagnostic via
-    {!of_exn} with the backtrace captured. *)

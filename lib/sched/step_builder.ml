@@ -47,6 +47,7 @@ type pipeline = {
   clusters : Cluster.t array;  (** in clustering order *)
   iterations : int;  (** of the application *)
   rf : int;
+  rounds : int;  (** of RF iterations, the last one possibly partial *)
   s_max : int;  (** number of executions *)
   per_iter : int array;  (** per cluster: RC-array cycles of one iteration *)
   reconfig : int array;  (** per cluster: context broadcasts of one round *)
@@ -55,6 +56,7 @@ type pipeline = {
 let pipeline app clustering ~rf =
   let clusters = Array.of_list clustering in
   let n = app.Application.iterations in
+  let rounds = (n + rf - 1) / rf in
   let sum_kernels f (c : Cluster.t) =
     Msutil.Listx.sum_by (fun kid -> f (Application.kernel app kid)) c.kernels
   in
@@ -62,7 +64,8 @@ let pipeline app clustering ~rf =
     clusters;
     iterations = n;
     rf;
-    s_max = (n + rf - 1) / rf * Array.length clusters;
+    rounds;
+    s_max = rounds * Array.length clusters;
     per_iter =
       Array.map (sum_kernels (fun k -> k.Kernel_ir.Kernel.exec_cycles)) clusters;
     (* one context broadcast per kernel per round (loop fission lets each
@@ -233,13 +236,21 @@ let sum_rows (config : Morphosys.Config.t) clusters table =
   r
 
 (* Exactly the simulator's totals for [build ... ~generators:selectors].
-   Each table row is summed once; the walk over the executions then
-   follows [build]'s step structure — prime, per-execution overlap/stall
-   routing, final drain — with integer arithmetic alone: no transfer
-   list, no selection and no allocation per execution. Each execution's
-   loads, stores and context load are counted once, at the step that
-   moves them, so scheduler RF searches can rank every candidate factor
-   and a design point can be priced without building its schedule. *)
+   Each table row is summed once; the walk then follows [build]'s step
+   structure — prime, per-execution overlap/stall routing, final drain —
+   with integer arithmetic alone: no transfer list, no selection and no
+   allocation per execution. Each execution's loads, stores and context
+   load are counted once, at the step that moves them, so scheduler RF
+   searches can rank every candidate factor and a design point can be
+   priced without building its schedule.
+
+   Execution [s]'s step reads only its cluster, whether [s+1] is in round
+   0 (first-round loads) or a later round (context reload), the
+   iterations of the rounds of [s-1], [s] and [s+1], and the boundaries
+   [s-1 >= 0] and [s+1 < s_max]. Only the last round may be partial, so
+   every round [r] with [1 <= r <= rounds-3] costs what round 1 costs:
+   the walk prices round 0, round 1 and the last two rounds step by step
+   and counts round 1 again for each of the others. *)
 let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     ~selectors =
   if rf < 1 then invalid_arg "Step_builder.estimate: rf must be >= 1";
@@ -282,9 +293,8 @@ let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     s' >= 0 && s' < p.s_max
     && (cluster_at p s').Cluster.fb_set = (cluster_at p s).Cluster.fb_set
   in
-  (* prime step: pure DMA, nothing to overlap with *)
-  let total = ref (ctx 0 + loads 0) in
-  for s = 0 to p.s_max - 1 do
+  (* the cycles of execution [s]'s step and of its stall step, if any *)
+  let step s =
     let st = stores (s - 1) and ld = loads (s + 1) in
     let st_conflicts = conflicts s (s - 1)
     and ld_conflicts = conflicts s (s + 1) in
@@ -297,10 +307,31 @@ let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     let deferred =
       (if st_conflicts then st else 0) + if ld_conflicts then ld else 0
     in
-    total := !total + max overlapped (compute_at p s) + deferred
-  done;
+    max overlapped (compute_at p s) + deferred
+  in
+  let walk first last =
+    let cycles = ref 0 in
+    for s = first to last - 1 do
+      cycles := !cycles + step s
+    done;
+    !cycles
+  in
+  (* prime step: pure DMA, nothing to overlap with *)
+  let prime = ctx 0 + loads 0 in
+  let executions =
+    if p.rounds <= 4 then walk 0 p.s_max
+    else begin
+      let head = walk 0 n in
+      let data0 = !data_words and context0 = !context_words in
+      let steady = walk n (2 * n) in
+      let copies = p.rounds - 4 in
+      data_words := !data_words + (copies * (!data_words - data0));
+      context_words := !context_words + (copies * (!context_words - context0));
+      head + ((copies + 1) * steady) + walk ((p.rounds - 2) * n) p.s_max
+    end
+  in
   (* drain: the last execution's stores *)
-  let cycles = !total + stores (p.s_max - 1) in
+  let cycles = prime + executions + stores (p.s_max - 1) in
   { cycles; data_words = !data_words; context_words = !context_words }
 
 type 'a policy = {

@@ -68,9 +68,16 @@ val estimate :
     — its total cycles
     ([Schedule_cost.estimate]), its data words and its context words —
     without materialising any transfer list. It sums each table row's
-    words and channel cycles once, then walks the executions with integer
-    arithmetic alone: O(clusters x objects + executions) time, with no
-    selection and no allocation per execution. It is the inner loop of
+    words and channel cycles once, then walks the pipeline round by round
+    with integer arithmetic alone: O(clusters x objects) time at any
+    iteration count, with no selection and no allocation per execution.
+    The walk covers at most four rounds and is exact: an execution's step
+    depends only on its cluster, on whether its successor is in round 0,
+    on the iteration counts of its own and its neighbours' rounds, and on
+    whether it is the first or the last execution. Only the last round
+    may be partial, so every round but the first and the last two costs
+    what round 1 costs; those rounds are priced as round 1, counted
+    again. It is the inner loop of
     the RF search (every candidate RF is ranked by its [cycles]) and what
     {!price} returns for the winner. The equivalence suite checks all
     three counts on random applications.

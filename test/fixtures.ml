@@ -47,6 +47,11 @@ let same_set () =
 
 let same_set_clustering app = Cluster.of_partition app [ 2; 2; 2 ]
 
+(* [app] run for [iterations] iterations instead of its own count. *)
+let with_iterations (app : Kernel_ir.Application.t) iterations =
+  Kernel_ir.Application.make ~name:app.name
+    ~kernels:(Array.to_list app.kernels) ~data:app.data ~iterations
+
 let default_config = Morphosys.Config.m1 ~fb_set_size:1024
 
 let big_config = Morphosys.Config.m1 ~fb_set_size:65536

@@ -194,10 +194,12 @@ let prop_schedulers (app, clustering) =
 
 (* The estimate used by the RF searches, and by [price], must equal what
    the simulator measures of the materialised schedule — its cycles and
-   both word counts — for both traffic shapes and several factors: RF 1-3
-   with free DMA setup, and RF 1-6 with a 16-cycle setup, which makes
-   every transfer's count matter as well as its words. *)
-let prop_estimate (app, clustering) =
+   both word counts — for both traffic shapes at every given factor, on
+   two machines: M1 (free DMA setup, a 2048-word CM), and a 16-cycle
+   setup, which makes every transfer's count matter as well as its words,
+   with a CM just big enough for the largest cluster, so the other
+   clusters reload their contexts every round after the first. *)
+let check_estimate ~rfs (app, clustering) =
   let a = Analysis.make app clustering in
   let shapes =
     [
@@ -205,10 +207,15 @@ let prop_estimate (app, clustering) =
       ("store_everything", Sched.Xfer_gen.store_everything_selectors_ctx a);
     ]
   in
+  let tight_cm =
+    List.fold_left
+      (fun m c -> max m (Sched.Context_scheduler.context_words app c))
+      1 clustering
+  in
   List.for_all
-    (fun (config, rfs) ->
+    (fun config ->
       match Sched.Context_scheduler.plan_app config app clustering with
-      | Error _ -> true
+      | Error d -> QCheck.Test.fail_reportf "plan: %s" (Diag.to_string d)
       | Ok ctx_plan ->
         List.for_all
           (fun rf ->
@@ -226,18 +233,61 @@ let prop_estimate (app, clustering) =
                 if e = built then true
                 else
                   QCheck.Test.fail_reportf
-                    "estimate %s rf=%d setup=%d: cycles/data/ctx %d/%d/%d <> \
-                     built %d/%d/%d"
-                    name rf config.Morphosys.Config.dma_setup_cycles e.cycles
-                    e.data_words e.context_words built.cycles built.data_words
-                    built.context_words)
+                    "estimate %s n=%d clusters=%d rf=%d setup=%d cm=%d: \
+                     cycles/data/ctx %d/%d/%d <> built %d/%d/%d"
+                    name app.Application.iterations
+                    (Cluster.n_clusters clustering)
+                    rf config.Morphosys.Config.dma_setup_cycles
+                    config.cm_capacity e.cycles e.data_words e.context_words
+                    built.cycles built.data_words built.context_words)
               shapes)
           rfs)
     [
-      (Morphosys.Config.m1 ~fb_set_size:4096, [ 1; 2; 3 ]);
-      ( Morphosys.Config.make ~fb_set_size:4096 ~dma_setup_cycles:16 (),
-        [ 1; 2; 3; 4; 5; 6 ] );
+      Morphosys.Config.m1 ~fb_set_size:4096;
+      Morphosys.Config.make ~fb_set_size:4096 ~dma_setup_cycles:16
+        ~cm_capacity:tight_cm ();
     ]
+
+(* Every RF in 1..N: the estimate walks at most four rounds and counts
+   the others, so the draws cover partial last rounds and more than four
+   rounds at small factors. *)
+let prop_estimate (app, clustering) =
+  check_estimate
+    ~rfs:(List.init app.Application.iterations succ)
+    (app, clustering)
+
+(* A random app with its iteration count redrawn in 1..40, clustered
+   three ways: the drawn partition, one cluster, or an odd number of
+   clusters (the drawn one with its last two clusters merged when it has
+   an even number), where every round wrap has a set-conflict stall. *)
+let arb_estimate =
+  let open QCheck.Gen in
+  let gen =
+    let* app, clustering = Workloads.Random_app.gen_app_with_clustering in
+    let* iterations = int_range 1 40 in
+    let* shape = int_range 0 2 in
+    let app = Fixtures.with_iterations app iterations in
+    let sizes = Cluster.partition_sizes clustering in
+    let odd =
+      if List.length sizes mod 2 = 1 then sizes
+      else
+        match List.rev sizes with
+        | a :: b :: rest -> List.rev ((a + b) :: rest)
+        | short -> short
+    in
+    let sizes =
+      match shape with
+      | 0 -> sizes
+      | 1 -> [ Application.n_kernels app ]
+      | _ -> odd
+    in
+    pure (app, Cluster.of_partition app sizes)
+  in
+  QCheck.make
+    ~print:(fun (app, clustering) ->
+      Format.asprintf "%a@\n%a" Application.pp app Cluster.pp_clustering
+        clustering)
+    gen
 
 (* Random apps draw an invariant table only now and then; the MPEG decoder
    with its constant tables exercises the one-instance-per-round branch of
@@ -251,6 +301,23 @@ let test_estimate_invariant_tables () =
   Alcotest.(check bool) "estimate = built cost" true
     (prop_estimate (app, Workloads.Mpeg.clustering app))
 
+(* MPEG and MPEG-inv at their 60 iterations and at 6,000, RF 1-8: from
+   eight rounds to 6,000, so the counted steady rounds dominate. *)
+let test_estimate_long_runs () =
+  List.iter
+    (fun app ->
+      List.iter
+        (fun iterations ->
+          let app = Fixtures.with_iterations app iterations in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at %d iterations" app.Application.name
+               iterations)
+            true
+            (check_estimate ~rfs:(List.init 8 succ)
+               (app, Workloads.Mpeg.clustering app)))
+        [ 60; 6000 ])
+    [ Workloads.Mpeg.app (); Workloads.Mpeg.app_invariant () ]
+
 let tests =
   ( "analysis_ctx",
     [
@@ -261,6 +328,8 @@ let tests =
         test_bad_clustering_backstop;
       Alcotest.test_case "rf estimate = built (invariant tables)" `Quick
         test_estimate_invariant_tables;
+      Alcotest.test_case "rf estimate = built (MPEG, 60 and 6000 iterations)"
+        `Quick test_estimate_long_runs;
     ]
     @ List.map
         (QCheck_alcotest.to_alcotest ~long:false)
@@ -277,5 +346,5 @@ let tests =
           QCheck.Test.make ~count:200
             ~name:"indexed schedules = reference schedules" arb prop_schedulers;
           QCheck.Test.make ~count:200 ~name:"rf estimate = built schedule cost"
-            arb prop_estimate;
+            arb_estimate prop_estimate;
         ] )

@@ -53,25 +53,6 @@ let test_diag_basics () =
       (Diag.Sweep_mismatch, "SWEEP_MISMATCH");
     ]
 
-let test_of_exn () =
-  let code e = (Diag.of_exn e).Diag.code in
-  Alcotest.(check bool) "Invalid_argument -> Invalid_app" true
-    (code (Invalid_argument "x") = Diag.Invalid_app);
-  Alcotest.(check bool) "Not_found -> Invalid_app" true
-    (code Not_found = Diag.Invalid_app);
-  Alcotest.(check bool) "anything else -> Task_crashed" true
-    (code (Failure "y") = Diag.Task_crashed);
-  (match Diag.guard (fun () -> 41 + 1) with
-  | Ok v -> Alcotest.(check int) "guard passes the value" 42 v
-  | Error d -> Alcotest.failf "guard failed: %s" (Diag.render d));
-  (match Diag.guard ~scheduler:"ds" (fun () -> failwith "boom") with
-  | Ok _ -> Alcotest.fail "expected an error"
-  | Error d ->
-    Alcotest.(check bool) "guard tags the scheduler" true
-      (d.Diag.scheduler = Some "ds");
-    Alcotest.(check bool) "guard keeps the message" true
-      (contains (Diag.to_string d) "boom"))
-
 let valid_ingredients () =
   let kernels =
     [
@@ -216,19 +197,13 @@ let test_rejected_before_sched_ctx () =
   let with_data = with_data data in
   List.iter
     (fun (needle, data) ->
-      match
-        Diag.guard (fun () ->
-            let app =
-              Application.make ~name:"bad" ~kernels ~data ~iterations:4
-            in
-            Sched.Sched_ctx.make app (Cluster.singleton_per_kernel app))
-      with
-      | Ok _ -> Alcotest.failf "expected Application.make to reject %S" needle
-      | Error d ->
-        Alcotest.(check string)
-          "Application.make's first diagnostic"
-          ("Application.make: " ^ needle)
-          (Diag.to_string d))
+      Alcotest.check_raises "Application.make's first diagnostic"
+        (Invalid_argument ("Application.make: " ^ needle))
+        (fun () ->
+          let app =
+            Application.make ~name:"bad" ~kernels ~data ~iterations:4
+          in
+          ignore (Sched.Sched_ctx.make app (Cluster.singleton_per_kernel app))))
     [
       ( {|data "out" has negative id -1|},
         with_data 2 (fun d -> { d with Data.id = -1 }) );
@@ -273,7 +248,6 @@ let tests =
   ( "diagnostics",
     [
       Alcotest.test_case "diag basics" `Quick test_diag_basics;
-      Alcotest.test_case "of_exn and guard" `Quick test_of_exn;
       Alcotest.test_case "validate collects all" `Quick
         test_validate_collects_all;
       Alcotest.test_case "validate clean" `Quick test_validate_clean;

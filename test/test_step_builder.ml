@@ -192,15 +192,15 @@ let test_basic_build_allocation () =
 
 (* Allocation gate for pricing: a CDS price runs [estimate] once per
    candidate RF on the transfer tables of that RF's retention decision.
-   [estimate] sums each table row once and then walks the executions with
-   integer arithmetic alone, so what a price allocates does not depend on
-   the iteration count: at 60 and at 6,000 iterations it may differ by 16
-   words at most (it differs by none). Selecting every execution's objects
-   again cost 16.7k minor words for the CDS price of the MPEG point above
-   (12.9k per point of the MPEG grid in [estimate] alone) and 1.35M at
-   6,000 iterations; the per-cluster tables take 3.8k at both counts, and
-   the bound is that plus 25%. Counted with [Gc.minor_words] on one
-   domain, so exact, not timing noise. *)
+   [estimate] sums each table row once and then walks at most four
+   rounds with integer arithmetic alone, so what a price allocates does
+   not depend on the iteration count: at 60 and at 6,000 iterations it
+   may differ by 16 words at most (it differs by none). Selecting every
+   execution's objects again cost 16.7k minor words for the CDS price of
+   the MPEG point above (12.9k per point of the MPEG grid in [estimate]
+   alone) and 1.35M at 6,000 iterations; the per-cluster tables take 3.8k
+   at both counts, and the bound is that plus 25%. Counted with
+   [Gc.minor_words] on one domain, so exact, not timing noise. *)
 let price_words_max = 4714.
 
 let price_words app =
@@ -219,15 +219,11 @@ let price_words app =
   price ();
   Gc.minor_words () -. before
 
-let with_iterations (app : Kernel_ir.Application.t) iterations =
-  Kernel_ir.Application.make ~name:app.name
-    ~kernels:(Array.to_list app.kernels) ~data:app.data ~iterations
-
 let test_price_allocation () =
   List.iter
     (fun (name, app) ->
-      let short = price_words (with_iterations app 60)
-      and long = price_words (with_iterations app 6000) in
+      let short = price_words (Fixtures.with_iterations app 60)
+      and long = price_words (Fixtures.with_iterations app 6000) in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.0f minor words at 60 iterations, %.0f at 6000"
            name short long)
