@@ -151,41 +151,172 @@ let schedule_reference ?(retention = true) ?(cross_set = false)
       in
       Ok { schedule = chosen; retention = decision })
 
+(* What retaining one candidate changes in the plain tables' rows, by
+   cluster id: the clusters whose first-round and later loads of its
+   object it skips, the producer whose store it skips, and, for an
+   invariant object, every cluster that loads it from outside, since a
+   retained table is loaded in round 0 alone. [twin] is the index of the
+   object's other candidate (the same table held in the other FB set), or
+   -1: an invariant object's later loads go once, whichever of its
+   candidates is kept. *)
+type share = {
+  data : Data.t;
+  load_skips : int list;
+  store_skips : int list;
+  consumers : int list;
+  twin : int;
+}
+
+let share_of candidates i (c : Sharing.t) =
+  let d = Sharing.data c in
+  let twin = ref (-1) in
+  if d.Data.invariant then
+    Array.iteri
+      (fun j c' ->
+        if j <> i && (Sharing.data c').Data.id = d.Data.id then twin := j)
+      candidates;
+  {
+    data = d;
+    load_skips =
+      List.filter
+        (fun k -> Sharing.skips_load c ~cluster_id:k)
+        c.Sharing.beneficiaries;
+    (* only a shared result's producer may skip a store *)
+    store_skips =
+      (match c.Sharing.shared with
+      | IE.Shared_result { producer_cluster; _ }
+        when Sharing.skips_store c ~cluster_id:producer_cluster ->
+        [ producer_cluster ]
+      | _ -> []);
+    consumers =
+      (match c.Sharing.shared with
+      | IE.Shared_data { consumer_clusters; _ }
+      | IE.Shared_result { consumer_clusters; _ } ->
+        consumer_clusters);
+    twin = !twin;
+  }
+
+(* [rows] less one transfer of [d] at cluster [k], copied from [base]
+   first unless the walk already owns it. *)
+let lower rows ~base k (d : Data.t) =
+  let module S = Sched.Step_builder in
+  if !rows == base then
+    rows :=
+      {
+        S.iter_words = Array.copy base.S.iter_words;
+        iter_count = Array.copy base.S.iter_count;
+        once_words = Array.copy base.S.once_words;
+        once_count = Array.copy base.S.once_count;
+      };
+  let r = !rows in
+  if d.Data.invariant then begin
+    r.S.once_words.(k) <- r.S.once_words.(k) - d.Data.size;
+    r.S.once_count.(k) <- r.S.once_count.(k) - 1
+  end
+  else begin
+    r.S.iter_words.(k) <- r.S.iter_words.(k) - d.Data.size;
+    r.S.iter_count.(k) <- r.S.iter_count.(k) - 1
+  end
+
+(* The rows of [selectors analysis (Retention.decision p w)], from the
+   plain tables' rows: each kept candidate's loads and stores come off,
+   and a kept invariant table's later loads. *)
+let tally_of (base : Sched.Step_builder.tally) shares w =
+  let module S = Sched.Step_builder in
+  let first = ref base.S.first_rows and stored = ref base.S.stored_rows in
+  let any_invariant = ref false in
+  let take rows ~base ks d = List.iter (fun k -> lower rows ~base k d) ks in
+  Array.iteri
+    (fun i s ->
+      if Retention.kept w i then begin
+        take first ~base:base.S.first_rows s.load_skips s.data;
+        take stored ~base:base.S.stored_rows s.store_skips s.data;
+        if s.data.Data.invariant then any_invariant := true
+      end)
+    shares;
+  let later =
+    if not !any_invariant then !first
+    else begin
+      let later = ref base.S.later_rows in
+      Array.iteri
+        (fun i s ->
+          if Retention.kept w i then
+            if not s.data.Data.invariant then
+              take later ~base:base.S.later_rows s.load_skips s.data
+            else if s.twin < 0 || s.twin > i || not (Retention.kept w s.twin)
+            then take later ~base:base.S.later_rows s.consumers s.data)
+        shares;
+      !later
+    end
+  in
+  { S.first_rows = !first; later_rows = later; stored_rows = !stored }
+
 (* The CDS allocator packs the whole set (paper §5: minimal memory, no
    fragmentation), so the RF bound is computed against the full FB size.
-   Retention is recomputed per candidate RF, since pinned copies scale
-   with RF; ablated, the decision is empty at every RF. *)
+   Retention is walked again per candidate RF, since pinned copies scale
+   with RF; everything else it reads is the context's alone and is
+   prepared once per bound context. Ablated, the decision is empty at
+   every RF. *)
 let policy ~retention ~cross_set =
   {
     Sched.Step_builder.name = (if cross_set then "cds-xset" else "cds");
     cross_set;
-    rf_bound =
-      (fun ctx (config : Morphosys.Config.t) ->
-        match
-          Sched.Reuse_factor.common_split ~fb_set_size:config.fb_set_size
-            ~footprints:(Sched.Sched_ctx.splits_list ctx)
-            ~iterations:
-              (Sched.Sched_ctx.app ctx).Kernel_ir.Application.iterations
-        with
-        | 0 ->
-          Error
-            (Diag.v Diag.No_feasible_rf
-               "some cluster's DS(C) exceeds the FB set of %dw"
-               config.fb_set_size)
-        | rf_max -> Ok rf_max);
-    selectors =
-      (fun ctx config ~rf ->
-        let decision =
-          if retention then Retention.choose_ctx ~cross_set config ctx ~rf
-          else Retention.none
+    stage =
+      (fun ctx ->
+        let splits = Sched.Sched_ctx.splits_list ctx
+        and iterations =
+          (Sched.Sched_ctx.app ctx).Kernel_ir.Application.iterations
+        and analysis = Sched.Sched_ctx.analysis ctx in
+        let plain = Sched.Xfer_gen.plain_selectors_ctx analysis in
+        let base = Sched.Step_builder.tally plain in
+        let at_rf =
+          if retention then begin
+            let p = Retention.prepare ~cross_set ctx in
+            let candidates = Retention.candidates p in
+            let shares = Array.mapi (share_of candidates) candidates in
+            fun config ~rf ->
+              let w = Retention.walk p config ~rf in
+              {
+                Sched.Step_builder.tally = tally_of base shares w;
+                chosen =
+                  (fun () ->
+                    let decision = Retention.decision p w in
+                    (decision, selectors analysis decision));
+              }
+          end
+          else
+            let choice =
+              {
+                Sched.Step_builder.tally = base;
+                chosen = (fun () -> (Retention.none, plain));
+              }
+            in
+            fun _ ~rf:_ -> choice
         in
-        (decision, selectors (Sched.Sched_ctx.analysis ctx) decision));
+        {
+          Sched.Step_builder.rf_bound =
+            (fun (config : Morphosys.Config.t) ->
+              match
+                Sched.Reuse_factor.common_split
+                  ~fb_set_size:config.fb_set_size ~footprints:splits
+                  ~iterations
+              with
+              | 0 ->
+                Error
+                  (Diag.v Diag.No_feasible_rf
+                     "some cluster's DS(C) exceeds the FB set of %dw"
+                     config.fb_set_size)
+              | rf_max -> Ok rf_max);
+          at_rf;
+        });
   }
 
 let run_full ?(retention = true) ?(cross_set = false) ctx config =
   Result.map
     (fun (schedule, retention) -> { schedule; retention })
-    (Sched.Step_builder.search (policy ~retention ~cross_set) ctx config)
+    (Sched.Step_builder.search
+       (Sched.Step_builder.bind (policy ~retention ~cross_set) ctx)
+       config)
 
 let () =
   List.iter

@@ -134,19 +134,40 @@ let choose ?(cross_set = false) ?(ranking = `Tf)
    (b) adds them to the constant or regular pinned sum. Keeping the sweep
    arrays of [Ds_formula.closed_form_fast] per cluster therefore turns a
    tentative-pin split query into an O(cluster kernels) scan with no
-   allocation, instead of a from-scratch profile walk. *)
+   allocation, instead of a from-scratch profile walk.
+
+   A walk never changes a prepared state: it keeps its own pinned sums
+   and copies a cluster's [d_suffix] the first time it strips it, so the
+   states a context prepares serve every walk. *)
 type cluster_state = {
   nk : int;
   rp_inter : int array;
       (* rout prefix + live intermediate words, by kernel position *)
   d_suffix : int array;  (* suffix sums of unstripped d_object words *)
-  last_pos : (int, int) Hashtbl.t;  (* input id -> last consumer position *)
-  stripped : (int, unit) Hashtbl.t;  (* ids removed from [d_suffix] *)
-  const_ids : (int, unit) Hashtbl.t;  (* the deduped constants set *)
-  mutable const_words : int;
-  mutable reg_words : int;  (* regular pinned words (list sum) *)
+  const_words : int;  (* the cluster's invariant inputs, charged once *)
 }
 
+(* What pinning one candidate's object does to one affected cluster's
+   state: strip [strip] words from the d-suffix up to [strip_pos] (-1: no
+   strip) and add [const_add] constant or [reg_add] regular words. An
+   object's candidates occupy disjoint clusters (one FB set each, or one
+   candidate in cross-set mode), so a walk pins an object into a cluster at
+   most once and the effect read off the initial state is the effect at
+   any point of any walk. *)
+type pin = {
+  pins : bool;
+  strip_pos : int;
+  strip : int;
+  const_add : int;
+  reg_add : int;
+}
+
+let no_pin =
+  { pins = false; strip_pos = -1; strip = 0; const_add = 0; reg_add = 0 }
+
+(* The initial state of a cluster, and [pin_of d]: what pinning [d] into
+   it does. Invariant inputs are constants from the start: stripped from
+   the per-iteration peak, charged once as constant words. *)
 let cluster_state_of (profile : IE.cluster_profile) =
   let kps = profile.IE.kernel_profiles in
   let nk = List.length kps in
@@ -155,7 +176,6 @@ let cluster_state_of (profile : IE.cluster_profile) =
     (fun pos k -> Hashtbl.replace pos_of k pos)
     profile.IE.cluster.Cluster.kernels;
   let last_pos = Hashtbl.create 16 in
-  let stripped = Hashtbl.create 8 in
   let const_ids = Hashtbl.create 8 in
   let const_words = ref 0 in
   let d_arr = Array.make (nk + 1) 0 in
@@ -167,9 +187,6 @@ let cluster_state_of (profile : IE.cluster_profile) =
         (fun (d : Data.t) ->
           Hashtbl.replace last_pos d.Data.id pos;
           if d.Data.invariant then begin
-            (* invariant inputs are constants from the start: stripped from
-               the per-iteration peak, charged once as constant words *)
-            Hashtbl.replace stripped d.Data.id ();
             if not (Hashtbl.mem const_ids d.Data.id) then begin
               Hashtbl.add const_ids d.Data.id ();
               const_words := !const_words + d.Data.size
@@ -199,95 +216,72 @@ let cluster_state_of (profile : IE.cluster_profile) =
     inter := !inter + diff.(i);
     rp_inter.(i) <- !rout_prefix + !inter
   done;
-  {
-    nk;
-    rp_inter;
-    d_suffix = d_arr;
-    last_pos;
-    stripped;
-    const_ids;
-    const_words = !const_words;
-    reg_words = 0;
-  }
+  (* pinning [d] here: a constant input is already stripped and charged *)
+  let pin_of (d : Data.t) =
+    let const = Hashtbl.mem const_ids d.Data.id in
+    let strip_pos, strip =
+      match Hashtbl.find_opt last_pos d.Data.id with
+      | Some p when not const -> (p, d.Data.size)
+      | _ -> (-1, 0)
+    in
+    {
+      pins = true;
+      strip_pos;
+      strip;
+      const_add = (if d.Data.invariant && not const then d.Data.size else 0);
+      reg_add = (if d.Data.invariant then 0 else d.Data.size);
+    }
+  in
+  ({ nk; rp_inter; d_suffix = d_arr; const_words = !const_words }, pin_of)
 
-(* Peak of the per-iteration residency, optionally with [delta] words
-   removed from positions [<= delta_pos] (the tentative strip). *)
-let peak st ~delta_pos ~delta =
+(* Peak of the per-iteration residency over [st]'s sweep arrays with the
+   d-suffix [d_suffix], optionally with [delta] words removed from
+   positions [<= delta_pos] (the tentative strip). *)
+let peak st d_suffix ~delta_pos ~delta =
   let best = ref 0 in
   for i = 0 to st.nk - 1 do
     let v =
-      st.d_suffix.(i) - (if i <= delta_pos then delta else 0) + st.rp_inter.(i)
+      d_suffix.(i) - (if i <= delta_pos then delta else 0) + st.rp_inter.(i)
     in
     if v > !best then best := v
   done;
   !best
 
-let strip_of st (d : Data.t) =
-  match Hashtbl.find_opt st.last_pos d.Data.id with
-  | Some p when not (Hashtbl.mem st.stripped d.Data.id) -> (p, d.Data.size)
-  | _ -> (-1, 0)
+(* A candidate as every walk reads it. [key] is its walk-order key for
+   a non-invariant object ([effective_avoided] at any RF). [affected]
+   are the same-set clusters it occupies space during, ascending id — the
+   same order [choose]'s filter over the clustering walks them, so a
+   rejection reports the same first-failing cluster — and [pins] what
+   pinning it does to each. *)
+type prepared_candidate = {
+  candidate : Sharing.t;
+  invariant : bool;
+  key : int;
+  affected : int array;
+  pins : pin array;
+}
 
-let current_split st =
-  (peak st ~delta_pos:(-1) ~delta:0 + st.reg_words, st.const_words)
+type prepared = {
+  iterations : int;
+  ranked : prepared_candidate array;  (* Time_factor.rank order *)
+  plain : int array;  (* the non-invariant ones, in walk order *)
+  invariants : int array;  (* the invariant ones, in rank order *)
+  states : cluster_state array;  (* by cluster id, before any pin *)
+}
 
-(* (per_iteration, constant) if [d] were pinned on top of the current
-   state — the same integers [Ds_formula.split] yields for the extended
-   pinned list. *)
-let tentative_split st (d : Data.t) =
-  let delta_pos, delta = strip_of st d in
-  if d.Data.invariant then
-    let const =
-      if Hashtbl.mem st.const_ids d.Data.id then st.const_words
-      else st.const_words + d.Data.size
-    in
-    (peak st ~delta_pos ~delta + st.reg_words, const)
-  else (peak st ~delta_pos ~delta + st.reg_words + d.Data.size, st.const_words)
-
-let commit_pin st (d : Data.t) =
-  (match strip_of st d with
-  | -1, _ -> ()
-  | p, size ->
-    Hashtbl.add st.stripped d.Data.id ();
-    for i = 0 to p do
-      st.d_suffix.(i) <- st.d_suffix.(i) - size
-    done);
-  if d.Data.invariant then begin
-    if not (Hashtbl.mem st.const_ids d.Data.id) then begin
-      Hashtbl.add st.const_ids d.Data.id ();
-      st.const_words <- st.const_words + d.Data.size
-    end
-  end
-  else st.reg_words <- st.reg_words + d.Data.size
-
-(* Indexed variant of [choose]. Equivalent decision (same retained /
-   rejected lists, same reason strings), but the feasibility check runs on
-   the incremental per-cluster state above instead of re-deriving every
-   affected cluster's pinned set and DS split from scratch per candidate.
-   Rejected candidates never touch the state, so cached splits stay
-   exact. *)
-let choose_ctx ?(cross_set = false)
-    (config : Morphosys.Config.t) (ctx : Sched.Sched_ctx.t) ~rf =
-  if rf < 1 then invalid_arg "Retention.choose: rf must be >= 1";
+let prepare ?(cross_set = false) (ctx : Sched.Sched_ctx.t) =
   let analysis = Sched.Sched_ctx.analysis ctx in
-  let app = Sched.Sched_ctx.app ctx in
-  let iterations = app.Kernel_ir.Application.iterations in
-  let tds = Kernel_ir.Analysis.tds analysis in
-  let ranked =
-    tf_order ~rf ~iterations ~tds (Sharing.candidates_ctx ~cross_set analysis)
-  in
   let n = Kernel_ir.Analysis.n_clusters analysis in
-  let states =
+  let initial =
     Array.init n (fun id ->
         cluster_state_of (Kernel_ir.Analysis.profile analysis id))
   in
-  (* Same-set clusters the candidate occupies space during, ascending id —
-     the same order [choose]'s filter over the clustering walks them, so a
-     rejection reports the same first-failing cluster. An invariant
-     candidate occupies its set for the whole run, any other only during
-     its window. *)
-  let affected_ids (candidate : Sharing.t) =
+  let prepare_one (candidate : Sharing.t) =
+    let d = Sharing.data candidate in
+    (* an invariant candidate occupies its set for the whole run, any
+       other only during its window *)
     let lo, hi =
-      if (Sharing.data candidate).Data.invariant then (0, n - 1)
+      if d.Data.invariant then (0, n - 1)
       else
         let lo, hi = candidate.Sharing.window in
         (max lo 0, min hi (n - 1))
@@ -302,56 +296,181 @@ let choose_ctx ?(cross_set = false)
            then id :: acc
            else acc)
     in
-    down hi []
+    let affected = Array.of_list (down hi []) in
+    {
+      candidate;
+      invariant = d.Data.invariant;
+      key = candidate.Sharing.avoided_words;
+      affected;
+      pins =
+        Array.map
+          (fun id ->
+            if Sharing.pins_cluster candidate ~cluster_id:id then
+              (snd initial.(id)) d
+            else no_pin)
+          affected;
+    }
   in
-  let fits (candidate : Sharing.t) ids =
-    let d = Sharing.data candidate in
-    List.find_map
-      (fun id ->
-        let per_iteration, constant =
-          if Sharing.pins_cluster candidate ~cluster_id:id then
-            tentative_split states.(id) d
-          else current_split states.(id)
-        in
-        if (rf * per_iteration) + constant > config.fb_set_size then
-          Some
-            (Printf.sprintf
-               "cluster %d would need %d x %dw + %dw = %dw > FB set %dw" id
-               rf per_iteration constant
-               ((rf * per_iteration) + constant)
-               config.fb_set_size)
-        else None)
-      ids
+  let ranked =
+    Time_factor.rank
+      ~tds:(Kernel_ir.Analysis.tds analysis)
+      (Sharing.candidates_ctx ~cross_set analysis)
+    |> List.map prepare_one |> Array.of_list
   in
-  let accept (candidate : Sharing.t) ids =
-    let d = Sharing.data candidate in
-    List.iter
-      (fun id ->
-        if Sharing.pins_cluster candidate ~cluster_id:id then
-          commit_pin states.(id) d)
-      ids
+  let indices keep =
+    List.filter (fun i -> keep ranked.(i))
+      (List.init (Array.length ranked) Fun.id)
   in
-  let retained, rejected =
-    List.fold_left
-      (fun (retained, rejected) candidate ->
-        let ids = affected_ids candidate in
-        match fits candidate ids with
-        | None ->
-          accept candidate ids;
-          (candidate :: retained, rejected)
-        | Some reason ->
-          (retained, (candidate, reason) :: rejected))
-      ([], []) ranked
+  (* [tf_order]'s stable sort, for the keys that do not depend on RF *)
+  let plain =
+    List.stable_sort
+      (fun i j -> compare ranked.(j).key ranked.(i).key)
+      (indices (fun c -> not c.invariant))
   in
-  let retained = List.rev retained in
+  {
+    iterations = (Sched.Sched_ctx.app ctx).Kernel_ir.Application.iterations;
+    ranked;
+    plain = Array.of_list plain;
+    invariants = Array.of_list (indices (fun c -> c.invariant));
+    states = Array.map fst initial;
+  }
+
+let candidates p = Array.map (fun c -> c.candidate) p.ranked
+
+type walk = {
+  rf : int;
+  fb_set_size : int;
+  order : int array;  (* candidate indices in walk order *)
+  kept : bool array;  (* by candidate index *)
+  refusals : (int * int * int * int) list;
+      (* (candidate, cluster, per_iteration, constant), last first *)
+}
+
+(* [tf_order] at [rf]: the invariant candidates, ordered by their avoided
+   words at [rf], merged into the prepared order of the others. Both runs
+   are sorted by (key descending, rank ascending), which is what the
+   stable sort of the ranked list yields. *)
+let walk_order p ~rf =
+  let key i =
+    if p.ranked.(i).invariant then
+      effective_avoided ~rf ~iterations:p.iterations p.ranked.(i).candidate
+    else p.ranked.(i).key
+  in
+  let inv = Array.copy p.invariants in
+  Array.stable_sort (fun i j -> compare (key j) (key i)) inv;
+  let np = Array.length p.plain and ni = Array.length inv in
+  let before i j = key i > key j || (key i = key j && i < j) in
+  let order = Array.make (np + ni) 0 in
+  let a = ref 0 and b = ref 0 in
+  for k = 0 to np + ni - 1 do
+    if !b >= ni || (!a < np && before p.plain.(!a) inv.(!b)) then begin
+      order.(k) <- p.plain.(!a);
+      incr a
+    end
+    else begin
+      order.(k) <- inv.(!b);
+      incr b
+    end
+  done;
+  order
+
+(* The greedy pass at [rf]: each candidate in walk order is kept if every
+   affected cluster still fits with it pinned on top of the candidates
+   already kept. The walk's pinned sums and stripped d-suffixes are its
+   own, by cluster id; a d-suffix is the prepared array until the walk
+   first strips it. *)
+let walk p (config : Morphosys.Config.t) ~rf =
+  if rf < 1 then invalid_arg "Retention.choose: rf must be >= 1";
+  let fb = config.fb_set_size in
+  let d_suffix = Array.map (fun st -> st.d_suffix) p.states in
+  let owned = Array.make (Array.length p.states) false in
+  let const_words = Array.map (fun st -> st.const_words) p.states in
+  let reg_words = Array.make (Array.length p.states) 0 in
+  (* the split of cluster [id] with [pin] applied on top of the walk so
+     far — the same integers [Ds_formula.split] yields for the extended
+     pinned list; the walk's own split for a cluster the candidate does
+     not pin *)
+  let per_iteration id pin =
+    peak p.states.(id) d_suffix.(id) ~delta_pos:pin.strip_pos
+      ~delta:pin.strip
+    + reg_words.(id) + pin.reg_add
+  in
+  let constant id pin = const_words.(id) + pin.const_add in
+  let commit id pin =
+    if pin.strip_pos >= 0 then begin
+      if not owned.(id) then begin
+        d_suffix.(id) <- Array.copy d_suffix.(id);
+        owned.(id) <- true
+      end;
+      let a = d_suffix.(id) in
+      for i = 0 to pin.strip_pos do
+        a.(i) <- a.(i) - pin.strip
+      done
+    end;
+    const_words.(id) <- constant id pin;
+    reg_words.(id) <- reg_words.(id) + pin.reg_add
+  in
+  let kept = Array.make (Array.length p.ranked) false in
+  let order = walk_order p ~rf in
+  let refusals = ref [] in
+  Array.iter
+    (fun i ->
+      let c = p.ranked.(i) in
+      let fits k =
+        let id = c.affected.(k) and pin = c.pins.(k) in
+        (rf * per_iteration id pin) + constant id pin <= fb
+      in
+      let rec first_misfit k =
+        if k >= Array.length c.affected || not (fits k) then k
+        else first_misfit (k + 1)
+      in
+      let k = first_misfit 0 in
+      if k < Array.length c.affected then
+        let id = c.affected.(k) and pin = c.pins.(k) in
+        refusals :=
+          (i, id, per_iteration id pin, constant id pin) :: !refusals
+      else begin
+        kept.(i) <- true;
+        Array.iteri
+          (fun k id -> if c.pins.(k).pins then commit id c.pins.(k))
+          c.affected
+      end)
+    order;
+  { rf; fb_set_size = fb; order; kept; refusals = !refusals }
+
+let kept w i = w.kept.(i)
+
+let decision p w =
+  let candidate i = p.ranked.(i).candidate in
+  let retained =
+    Array.fold_right
+      (fun i acc -> if w.kept.(i) then candidate i :: acc else acc)
+      w.order []
+  in
+  let rf = w.rf in
   {
     retained;
-    rejected = List.rev rejected;
+    rejected =
+      List.rev_map
+        (fun (i, id, per_iteration, constant) ->
+          ( candidate i,
+            Printf.sprintf
+              "cluster %d would need %d x %dw + %dw = %dw > FB set %dw" id rf
+              per_iteration constant
+              ((rf * per_iteration) + constant)
+              w.fb_set_size ))
+        w.refusals;
     avoided_words_per_iteration =
-      Msutil.Listx.sum_by (effective_avoided ~rf ~iterations) retained;
+      Msutil.Listx.sum_by
+        (effective_avoided ~rf ~iterations:p.iterations)
+        retained;
     avoided_transfers_per_iteration =
       Msutil.Listx.sum_by (fun c -> c.Sharing.avoided_transfers) retained;
   }
+
+let choose_ctx ?cross_set config ctx ~rf =
+  let p = prepare ?cross_set ctx in
+  decision p (walk p config ~rf)
 
 let pp_decision fmt t =
   Format.fprintf fmt "@[<v>retained (%d, avoiding %dw/iter):@,"

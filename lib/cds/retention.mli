@@ -45,11 +45,49 @@ val choose_ctx :
   rf:int ->
   decision
 (** Same decision as {!choose} in the paper's [`Tf] ranking (identical
-    retained/rejected lists and rejection strings), computed incrementally over a precomputed
-    scheduling context: each cluster keeps the sweep arrays of the DS
-    closed form, pins update them in place, and a candidate's feasibility
-    is an O(cluster kernels) query instead of a from-scratch profile walk.
+    retained/rejected lists and rejection strings): [decision p (walk p
+    config ~rf)] for [p = prepare ?cross_set ctx].
     @raise Invalid_argument if [rf < 1]. *)
+
+(** {1 Staged retention}
+
+    Only the feasibility walk depends on RF and on the machine. The
+    candidates, their TF order, the clusters each one occupies and each
+    cluster's DS state before any pin are the context's alone, so they
+    are prepared once and read by every walk. *)
+
+type prepared
+(** A context's retention candidates in [Time_factor.rank] order, each
+    with its affected clusters and what pinning it does to each, and every
+    cluster's initial state: the sweep arrays of the DS closed form.
+    Immutable: a walk keeps its own pinned sums and copies a cluster's
+    d-suffix array the first time it strips an object from it. *)
+
+val prepare : ?cross_set:bool -> Sched.Sched_ctx.t -> prepared
+
+val candidates : prepared -> Sharing.t array
+(** The candidates in [Time_factor.rank] order: candidate [i] of every
+    {!walk} of this value. *)
+
+type walk
+(** One greedy pass at one RF and FB size: which candidates it kept, and
+    why it refused the others. *)
+
+val walk : prepared -> Morphosys.Config.t -> rf:int -> walk
+(** The pass at [rf]: the invariant candidates are merged into the
+    prepared order by their avoided words at [rf], then each candidate is
+    kept if every affected cluster still fits [rf * per_iteration +
+    constant <= fb_set_size] with it pinned. O(candidates x affected
+    clusters x cluster kernels); it makes no string and no list of the
+    kept candidates.
+    @raise Invalid_argument if [rf < 1]. *)
+
+val kept : walk -> int -> bool
+(** Whether the walk kept candidate [i] of {!candidates}. *)
+
+val decision : prepared -> walk -> decision
+(** The walk as a {!decision}: the kept candidates and the refused ones
+    with their reasons, in walk order. *)
 
 val none : decision
 (** The empty decision — used to ablate retention. *)

@@ -61,16 +61,13 @@ let rec serve h =
     Mutex.unlock lock;
     serve h
 
-(* [k] new kept helpers, or fewer: Domain.spawn fails past the runtime's
-   cap on live domains, and the pool then runs on the ones that did
-   start. *)
-let rec spawn k acc =
-  if k <= 0 then List.rev acc
-  else
-    let h = { wake = Condition.create (); job = Idle } in
-    match Domain.spawn (fun () -> serve h) with
-    | d -> spawn (k - 1) ((h, d) :: acc)
-    | exception Failure _ -> List.rev acc
+(* [k] new kept helpers (none for [k <= 0]). The pool keeps at most
+   [recommended_jobs () - 1], far below the runtime's cap on live
+   domains. *)
+let spawn k =
+  List.init (max 0 k) (fun _ ->
+      let h = { wake = Condition.create (); job = Idle } in
+      (h, Domain.spawn (fun () -> serve h)))
 
 let post job helpers =
   Mutex.lock lock;
@@ -100,7 +97,7 @@ let claim ~jobs ~wake work =
       post Quit leaving;
       List.iter (fun (_, d) -> Domain.join d) leaving
     end
-    else kept := !kept @ spawn (min keep wake - have) [];
+    else kept := !kept @ spawn (min keep wake - have);
     let lent = List.filteri (fun j _ -> j < wake) !kept in
     Mutex.lock lock;
     active := List.length lent;

@@ -40,9 +40,8 @@ val run_results :
   ?jobs:int -> (unit -> 'a) array -> ('a, Diag.t) result array
 (** [run_results ~jobs tasks] evaluates the tasks on
     [min jobs (recommended_jobs ()) (length tasks)] domains (the caller
-    counts as one worker), or on fewer when the runtime cannot spawn that
-    many domains, and on the caller's domain alone when the pool is
-    busy. The results are the same at any [jobs].
+    counts as one worker), and on the caller's domain alone when the pool
+    is busy. The results are the same at any [jobs].
     Slot [i] is [Ok v] or [Error diag], where the diagnostic is
     [Fault_injected] for an {!Faults.Injected} fault and [Task_crashed]
     (with backtrace) otherwise. An empty task array returns [[||]]

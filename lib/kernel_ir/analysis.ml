@@ -44,14 +44,16 @@ let bucket_data (app : Application.t) ~kernel_cluster ~n_clusters =
   let consumed = Array.make n_clusters [] in
   let produced = Array.make n_clusters [] in
   let produced_by_kernel = Array.make n_kernels [] in
-  List.iter
-    (fun (d : Data.t) ->
-      let seen = Array.make n_clusters false in
+  (* [seen.(cid) = i] when object [i] of the pass already joined cluster
+     [cid]'s bucket: one array for the whole pass, not one per object *)
+  let seen = Array.make n_clusters (-1) in
+  List.iteri
+    (fun i (d : Data.t) ->
       List.iter
         (fun k ->
           let cid = kernel_cluster.(k) in
-          if not seen.(cid) then begin
-            seen.(cid) <- true;
+          if seen.(cid) <> i then begin
+            seen.(cid) <- i;
             consumed.(cid) <- d :: consumed.(cid)
           end)
         d.Data.consumers;

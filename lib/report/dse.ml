@@ -75,11 +75,10 @@ let check_axes ~fb_list ~cm_list ~setup_list =
 let schedulers = [ "basic"; "ds"; "cds" ]
 
 (* A design point is priced, not built: the RF search's own estimate of
-   the winning schedule is exactly what simulating it would measure. *)
-let evaluate ~ctx ~fb ~cm ~setup ~scheduler =
-  match
-    Sched.Scheduler_registry.price scheduler ctx (machine ~fb ~cm ~setup)
-  with
+   the winning schedule is exactly what simulating it would measure.
+   [bound] is [scheduler] bound to the sweep's context. *)
+let evaluate (bound : Sched.Scheduler_intf.bound) ~fb ~cm ~setup ~scheduler =
+  match bound.price (machine ~fb ~cm ~setup) with
   | Error d -> infeasible ~fb ~cm ~setup ~scheduler d
   | Ok (rf, cost) -> priced ~fb ~cm ~setup ~scheduler ~rf cost
 
@@ -152,16 +151,17 @@ module Durable = struct
      may stand in for computing it, on a pool domain. The record passed its
      MD5 on open, so it is complete. It is trusted only if its payload is
      the encoding of what this sweep would compute, feasible or not: the
-     scheduler is run again on the sweep's own [ctx] (the RF search, then
-     one build), and either its diagnostic or its schedule — validated,
-     then simulated — gives the expected point. Otherwise the caller
-     recomputes the point and reports the warning. *)
-  let revalidate t ~key ctx (fb, cm, setup, scheduler) payload =
+     scheduler, bound to the sweep's own context, is run again (the RF
+     search, then one build), and either its diagnostic or its schedule —
+     validated, then simulated — gives the expected point. Otherwise the
+     caller recomputes the point and reports the warning. *)
+  let revalidate t ~key (bound : Sched.Scheduler_intf.bound)
+      (fb, cm, setup, scheduler) payload =
     let ( let* ) = Result.bind in
     let verdict =
       let config = machine ~fb ~cm ~setup in
       let* expected =
-        match Sched.Scheduler_registry.run scheduler ctx config with
+        match bound.run config with
         | Error d -> Ok (infeasible ~fb ~cm ~setup ~scheduler d)
         | Ok s -> (
           match Msim.Validate.check_result s with
@@ -316,15 +316,21 @@ let sweep ?(jobs = 1) ?stats ?store ?(cm_list = [ 2048 ])
           (c, Some (d, key, Engine.Store.find d.Durable.store key)))
         distinct
   in
-  (* One pool task per distinct point, all sharing one immutable analysis
-     context. A stored payload that re-validates is a hit; every other
-     point is scheduled and, with a store, made durable the moment its task
-     completes, on whatever domain ran it. Tasks return their warnings
-     rather than record them, so the store sees them in task order. *)
+  (* One pool task per distinct point. The calling domain binds each
+     scheduler to the one analysis context once, and every task reads
+     those immutable values. A stored payload that re-validates is a hit;
+     every other point is scheduled and, with a store, made durable the
+     moment its task completes, on whatever domain ran it. Tasks return
+     their warnings rather than record them, so the store sees them in
+     task order. *)
   let ctx = Sched.Sched_ctx.make app clustering in
+  let bound =
+    List.map (fun s -> (s, Sched.Scheduler_registry.bind s ctx)) schedulers
+  in
   let task (((fb, cm, setup, scheduler) as combo), on_disk) () =
+    let bound = List.assoc scheduler bound in
     let compute warnings =
-      let work () = evaluate ~ctx ~fb ~cm ~setup ~scheduler in
+      let work () = evaluate bound ~fb ~cm ~setup ~scheduler in
       let p =
         match stats with
         | None -> work ()
@@ -336,7 +342,7 @@ let sweep ?(jobs = 1) ?stats ?store ?(cm_list = [ 2048 ])
     in
     match on_disk with
     | Some (d, key, Some payload) -> (
-      match Durable.revalidate d ~key ctx combo payload with
+      match Durable.revalidate d ~key bound combo payload with
       | Ok p -> (p, true, [])
       | Error w -> compute [ w ])
     | _ -> compute []

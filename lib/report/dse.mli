@@ -126,9 +126,12 @@ val sweep :
   point list
 (** Full cross product, three schedulers per configuration, in order. A
     design point repeated by the axis lists is evaluated once. A point is
-    priced, not built: {!Sched.Scheduler_registry.price} gives the RF the
+    priced, not built: the [price] of its scheduler gives the RF the
     scheduler picks and exactly the cycles and words simulating its
-    schedule would measure, so no schedule is built or simulated.
+    schedule would measure, so no schedule is built or simulated. The
+    sweep makes one {!Sched.Sched_ctx} and binds each scheduler to it
+    once ({!Sched.Scheduler_registry.bind}), on the calling domain; every
+    point then pays only for its machine's RF search.
 
     [~jobs] (default 1) fans the design points out over an
     {!Engine.Pool} of that many domains; the point list (and therefore
@@ -144,7 +147,7 @@ val sweep :
     byte for byte, the {!Durable.encode} of what this sweep would compute,
     by one rule for feasible and infeasible records alike: the point's
     scheduler is run again on this sweep's own application and clustering
-    ({!Sched.Scheduler_registry.run}: the RF search, then one build). A
+    (the bound scheduler's [run]: the RF search, then one build). A
     diagnostic gives the expected infeasible point; a schedule must pass
     [Msim.Validate.check_result], and simulating it gives the expected
     feasible point. So every replay re-proves the stored RF and checks the

@@ -34,23 +34,37 @@ let overflow_cluster config fps =
   go 0 fps
 
 (* RF is fixed at 1; the only question is whether every cluster's
-   no-replacement footprint fits one FB set. *)
+   no-replacement footprint fits one FB set. The tables are the context's
+   alone, so they are made once per bound context. *)
 let policy =
   {
     Step_builder.name = "basic";
     cross_set = false;
-    rf_bound =
-      (fun ctx config ->
-        match overflow_cluster config (Sched_ctx.basic_footprints_list ctx) with
-        | Some (cid, fp) ->
-          Error
-            (Diag.v ~cluster:cid Diag.Fb_overflow
-               "cluster footprint %dw exceeds FB set of %dw (no replacement)"
-               fp config.Morphosys.Config.fb_set_size)
-        | None -> Ok 1);
-    selectors =
-      (fun ctx _ ~rf:_ ->
-        ((), Xfer_gen.store_everything_selectors_ctx (Sched_ctx.analysis ctx)));
+    stage =
+      (fun ctx ->
+        let footprints = Sched_ctx.basic_footprints_list ctx in
+        let selectors =
+          Xfer_gen.store_everything_selectors_ctx (Sched_ctx.analysis ctx)
+        in
+        let choice =
+          {
+            Step_builder.tally = Step_builder.tally selectors;
+            chosen = (fun () -> ((), selectors));
+          }
+        in
+        {
+          Step_builder.rf_bound =
+            (fun config ->
+              match overflow_cluster config footprints with
+              | Some (cid, fp) ->
+                Error
+                  (Diag.v ~cluster:cid Diag.Fb_overflow
+                     "cluster footprint %dw exceeds FB set of %dw (no \
+                      replacement)"
+                     fp config.Morphosys.Config.fb_set_size)
+              | None -> Ok 1);
+          at_rf = (fun _ ~rf:_ -> choice);
+        });
   }
 
 let () =

@@ -50,28 +50,41 @@ let schedule_reference config app clustering =
                ~generators:(Xfer_gen.plain app clustering)
                ~scheduler:"ds")))
 
+(* The tables and the footprint lists are the context's alone, so they are
+   made once per bound context; only the RF bound reads the machine. *)
 let policy =
   {
     Step_builder.name = "ds";
     cross_set = false;
-    rf_bound =
-      (fun ctx config ->
-        match
-          Reuse_factor.common_split ~fb_set_size:(packable_words config)
-            ~footprints:(Sched_ctx.splits_list ctx)
-            ~iterations:(Sched_ctx.app ctx).Kernel_ir.Application.iterations
-        with
-        | 0 ->
-          Error
-            (Diag.v Diag.No_feasible_rf
-               "some cluster's DS(C)=%dw exceeds the packable %dw of the FB \
-                set"
-               (Msutil.Listx.max_by (fun x -> x) (Sched_ctx.footprints_list ctx))
-               (packable_words config))
-        | rf_max -> Ok rf_max);
-    selectors =
-      (fun ctx _ ~rf:_ ->
-        ((), Xfer_gen.plain_selectors_ctx (Sched_ctx.analysis ctx)));
+    stage =
+      (fun ctx ->
+        let splits = Sched_ctx.splits_list ctx
+        and footprints = Sched_ctx.footprints_list ctx
+        and iterations = (Sched_ctx.app ctx).Kernel_ir.Application.iterations in
+        let selectors = Xfer_gen.plain_selectors_ctx (Sched_ctx.analysis ctx) in
+        let choice =
+          {
+            Step_builder.tally = Step_builder.tally selectors;
+            chosen = (fun () -> ((), selectors));
+          }
+        in
+        {
+          Step_builder.rf_bound =
+            (fun config ->
+              match
+                Reuse_factor.common_split ~fb_set_size:(packable_words config)
+                  ~footprints:splits ~iterations
+              with
+              | 0 ->
+                Error
+                  (Diag.v Diag.No_feasible_rf
+                     "some cluster's DS(C)=%dw exceeds the packable %dw of \
+                      the FB set"
+                     (Msutil.Listx.max_by (fun x -> x) footprints)
+                     (packable_words config))
+              | rf_max -> Ok rf_max);
+          at_rf = (fun _ ~rf:_ -> choice);
+        });
   }
 
 let () =

@@ -14,10 +14,14 @@ let register ~describe (policy : _ Step_builder.policy) =
     {
       Scheduler_intf.name;
       describe;
-      run =
-        (fun ctx config ->
-          Result.map fst (Step_builder.search policy ctx config));
-      price = Step_builder.price policy;
+      bind =
+        (fun ctx ->
+          let b = Step_builder.bind policy ctx in
+          {
+            Scheduler_intf.run =
+              (fun config -> Result.map fst (Step_builder.search b config));
+            price = Step_builder.price b;
+          });
     }
   in
   Mutex.protect lock (fun () ->
@@ -41,11 +45,14 @@ let unknown name =
   Diag.v Diag.Invalid_config "unknown scheduler %S (have: %s)" name
     (String.concat ", " (names ()))
 
-let dispatch name f =
-  match find name with Some m -> f m | None -> Error (unknown name)
+(* An unknown name binds to a scheduler whose every call is the
+   diagnostic, so a user-supplied name needs no check of its own. *)
+let bind name ctx =
+  match find name with
+  | Some m -> m.Scheduler_intf.bind ctx
+  | None ->
+    let d = unknown name in
+    { Scheduler_intf.run = (fun _ -> Error d); price = (fun _ -> Error d) }
 
-let run name ctx config =
-  dispatch name (fun m -> m.Scheduler_intf.run ctx config)
-
-let price name ctx config =
-  dispatch name (fun m -> m.Scheduler_intf.price ctx config)
+let run name ctx config = (bind name ctx).Scheduler_intf.run config
+let price name ctx config = (bind name ctx).Scheduler_intf.price config

@@ -8,20 +8,38 @@
     call, not a three-surface fork. *)
 
 val register : describe:string -> 'a Step_builder.policy -> unit
-(** Publish a policy as a scheduler under its [name]: its [run] is
-    {!Step_builder.search}, keeping only the schedule, and its [price] is
+(** Publish a policy as a scheduler under its [name]: its [bind] is
+    {!Step_builder.bind}, and the bound value's [run] is
+    {!Step_builder.search}, keeping only the schedule, and its [price]
     {!Step_builder.price}.
     @raise Invalid_argument if the name is already registered (the table
     is left unchanged). *)
 
 val find : string -> Scheduler_intf.t option
 
+val bind : string -> Sched_ctx.t -> Scheduler_intf.bound
+(** [bind name ctx] is the named scheduler bound to [ctx]: everything the
+    scheduler computes from the context alone is computed here, once
+    (Basic and DS: their transfer tables; CDS: its retention candidates in
+    TF order, their affected clusters and each cluster's initial DS state;
+    every scheduler: the tables' word and transfer counts and the
+    pipeline's per-cluster compute sums). Each [run] or [price] of the
+    bound value then pays only for the context plan of its machine and the
+    RF search: per candidate RF, CDS merges its invariant candidates in by
+    their avoided words at that RF, walks the feasibility check, and takes
+    its rows as the bound rows minus each retained candidate's share; then
+    the estimate walk prices the RF. Only [run]'s winner is built. An
+    unknown name gives a value whose every call returns the
+    [Invalid_config] diagnostic of {!run}. Binding does not depend on the
+    machine, so a sweep binds each scheduler once and shares the values
+    across its pool domains. *)
+
 val run :
   string ->
   Sched_ctx.t ->
   Morphosys.Config.t ->
   (Schedule.t, Diag.t) result
-(** [run name ctx config] dispatches to the named scheduler; an unknown
+(** [run name ctx config] is [(bind name ctx).run config]; an unknown
     name yields an [Invalid_config] diagnostic (never raises), so a
     user-supplied name such as [msched run -s NAME] needs no check of its
     own. *)
@@ -31,7 +49,7 @@ val price :
   Sched_ctx.t ->
   Morphosys.Config.t ->
   (int * Step_builder.cost, Diag.t) result
-(** [price name ctx config] dispatches to the named scheduler's [price]:
+(** [price name ctx config] is [(bind name ctx).price config]:
     the RF [run] would choose and the simulator's totals of [run]'s
     schedule, without building it. An unknown name yields [run]'s
     [Invalid_config] diagnostic (never raises). *)

@@ -41,31 +41,23 @@ and expand f (d : Kernel_ir.Data.t) ~first iter acc =
 (* The pipeline runs rounds x clusters: execution [s] is cluster
    [s mod n] of the clustering on round [s / n], for RF iterations (fewer
    in the last round) from iteration [round * rf]. A cluster's compute
-   cycles per iteration and per round are summed once here, not once per
-   execution. *)
-type pipeline = {
+   cycles per iteration and per round do not depend on RF, so a [frame]
+   sums them once per context, not once per execution or per RF. *)
+type frame = {
   clusters : Cluster.t array;  (** in clustering order *)
   iterations : int;  (** of the application *)
-  rf : int;
-  rounds : int;  (** of RF iterations, the last one possibly partial *)
-  s_max : int;  (** number of executions *)
   per_iter : int array;  (** per cluster: RC-array cycles of one iteration *)
   reconfig : int array;  (** per cluster: context broadcasts of one round *)
 }
 
-let pipeline app clustering ~rf =
+let frame app clustering =
   let clusters = Array.of_list clustering in
-  let n = app.Application.iterations in
-  let rounds = (n + rf - 1) / rf in
   let sum_kernels f (c : Cluster.t) =
     Msutil.Listx.sum_by (fun kid -> f (Application.kernel app kid)) c.kernels
   in
   {
     clusters;
-    iterations = n;
-    rf;
-    rounds;
-    s_max = rounds * Array.length clusters;
+    iterations = app.Application.iterations;
     per_iter =
       Array.map (sum_kernels (fun k -> k.Kernel_ir.Kernel.exec_cycles)) clusters;
     (* one context broadcast per kernel per round (loop fission lets each
@@ -78,13 +70,29 @@ let pipeline app clustering ~rf =
         clusters;
   }
 
-let cluster_at p s = p.clusters.(s mod Array.length p.clusters)
-let round_at p s = s / Array.length p.clusters
-let iters_at p s = min p.rf (p.iterations - (round_at p s * p.rf))
+type pipeline = {
+  frame : frame;
+  rf : int;
+  rounds : int;  (** of RF iterations, the last one possibly partial *)
+  s_max : int;  (** number of executions *)
+}
+
+let pipeline frame ~rf =
+  let rounds = (frame.iterations + rf - 1) / rf in
+  {
+    frame;
+    rf;
+    rounds;
+    s_max = rounds * Array.length frame.clusters;
+  }
+
+let cluster_at p s = p.frame.clusters.(s mod Array.length p.frame.clusters)
+let round_at p s = s / Array.length p.frame.clusters
+let iters_at p s = min p.rf (p.frame.iterations - (round_at p s * p.rf))
 
 let compute_at p s =
-  let k = s mod Array.length p.clusters in
-  (iters_at p s * p.per_iter.(k)) + p.reconfig.(k)
+  let k = s mod Array.length p.frame.clusters in
+  (iters_at p s * p.frame.per_iter.(k)) + p.frame.reconfig.(k)
 
 (* A transfer may overlap a computation on [set] unless it reads or writes
    that same FB set; context loads go to the CM and always overlap. *)
@@ -96,10 +104,10 @@ let can_overlap ~computing_set (tr : Dma.t) =
 (* [trs @ acc], sharing [trs] itself when [acc] is empty. *)
 let prepend trs acc = match acc with [] -> trs | _ -> trs @ acc
 
-let build ?(cross_set = false) (_ : Morphosys.Config.t) app clustering ~rf
-    ~ctx_plan ~generators:selectors ~scheduler =
+let build_framed ~cross_set frame app clustering ~rf ~ctx_plan selectors
+    ~scheduler =
   if rf < 1 then invalid_arg "Step_builder.build: rf must be >= 1";
-  let p = pipeline app clustering ~rf in
+  let p = pipeline frame ~rf in
   (* execution [s]'s transfers: its cluster's row of the round's table,
      one labelled transfer per instance *)
   let transfers table_of transfer s =
@@ -193,52 +201,70 @@ let build ?(cross_set = false) (_ : Morphosys.Config.t) app clustering ~rf
     steps = List.rev !steps;
   }
 
+let build ?(cross_set = false) (_ : Morphosys.Config.t) app clustering ~rf
+    ~ctx_plan ~generators ~scheduler =
+  build_framed ~cross_set (frame app clustering) app clustering ~rf ~ctx_plan
+    generators ~scheduler
+
 type cost = { cycles : int; data_words : int; context_words : int }
 
-(* What each table row moves in a round of [iters] iterations, by
-   position in the clustering: [iters * iter_words + once_words] words in
-   [iters * iter_cycles + once_cycles] channel cycles. An invariant object
-   moves once per round, any other object once per iteration, and each
-   instance costs [dma_setup + words * Dma.cycles_per_word] cycles. *)
+(* What one table moves in a round of [iters] iterations, by cluster id:
+   [iters * iter_words + once_words] words in [iters * iter_count +
+   once_count] transfers. An invariant object moves once per round, any
+   other object once per iteration. The machine is not read: a transfer's
+   channel cycles are [dma_setup + words * Dma.cycles_per_word], so a
+   row's cycles are [count * dma_setup + words * Dma.cycles_per_word],
+   worked out at price time. *)
 type rows = {
   iter_words : int array;
+  iter_count : int array;
   once_words : int array;
-  iter_cycles : int array;
-  once_cycles : int array;
+  once_count : int array;
 }
 
-let sum_rows (config : Morphosys.Config.t) clusters table =
-  let n = Array.length clusters in
+let rows table =
+  let n = Array.length table in
   let r =
     {
       iter_words = Array.make n 0;
+      iter_count = Array.make n 0;
       once_words = Array.make n 0;
-      iter_cycles = Array.make n 0;
-      once_cycles = Array.make n 0;
+      once_count = Array.make n 0;
     }
   in
   Array.iteri
-    (fun k (c : Cluster.t) ->
+    (fun k objects ->
       List.iter
         (fun (d : Kernel_ir.Data.t) ->
           let size = d.Kernel_ir.Data.size in
-          let one = config.dma_setup_cycles + (size * Dma.cycles_per_word) in
           if d.Kernel_ir.Data.invariant then begin
             r.once_words.(k) <- r.once_words.(k) + size;
-            r.once_cycles.(k) <- r.once_cycles.(k) + one
+            r.once_count.(k) <- r.once_count.(k) + 1
           end
           else begin
             r.iter_words.(k) <- r.iter_words.(k) + size;
-            r.iter_cycles.(k) <- r.iter_cycles.(k) + one
+            r.iter_count.(k) <- r.iter_count.(k) + 1
           end)
-        table.(c.Cluster.id))
-    clusters;
+        objects)
+    table;
   r
 
-(* Exactly the simulator's totals for [build ... ~generators:selectors].
-   Each table row is summed once; the walk then follows [build]'s step
-   structure — prime, per-execution overlap/stall routing, final drain —
-   with integer arithmetic alone: no transfer list, no selection and no
+type tally = { first_rows : rows; later_rows : rows; stored_rows : rows }
+
+let tally selectors =
+  let first_rows = rows selectors.first_loads in
+  {
+    first_rows;
+    later_rows =
+      (if selectors.later_loads == selectors.first_loads then first_rows
+       else rows selectors.later_loads);
+    stored_rows = rows selectors.stored;
+  }
+
+(* Exactly the simulator's totals for [build ... ~generators:selectors],
+   from the rows of [selectors]. The walk follows [build]'s step structure
+   — prime, per-execution overlap/stall routing, final drain — with
+   integer arithmetic alone: no transfer list, no selection and no
    allocation per execution. Each execution's loads, stores and context
    load are counted once, at the step that moves them, so scheduler RF
    searches can rank every candidate factor and a design point can be
@@ -251,30 +277,24 @@ let sum_rows (config : Morphosys.Config.t) clusters table =
    every round [r] with [1 <= r <= rounds-3] costs what round 1 costs:
    the walk prices round 0, round 1 and the last two rounds step by step
    and counts round 1 again for each of the others. *)
-let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
-    ~selectors =
+let estimate_tally (config : Morphosys.Config.t) frame app ~rf ~ctx_plan t =
   if rf < 1 then invalid_arg "Step_builder.estimate: rf must be >= 1";
-  let p = pipeline app clustering ~rf in
-  let n = Array.length p.clusters in
-  let rows = sum_rows config p.clusters in
-  let first_loads = rows selectors.first_loads in
-  let later_loads =
-    if selectors.later_loads == selectors.first_loads then first_loads
-    else rows selectors.later_loads
-  in
-  let stored = rows selectors.stored in
+  let p = pipeline frame ~rf in
+  let n = Array.length p.frame.clusters in
+  let setup = config.Morphosys.Config.dma_setup_cycles in
   let data_words = ref 0 and context_words = ref 0 in
   (* cycles of execution [s]'s transfers of one table, its words counted *)
   let moved table s =
     if s < 0 || s >= p.s_max then 0
     else
-      let k = s mod n and iters = iters_at p s in
-      data_words :=
-        !data_words + (iters * table.iter_words.(k)) + table.once_words.(k);
-      (iters * table.iter_cycles.(k)) + table.once_cycles.(k)
+      let k = (cluster_at p s).Cluster.id and iters = iters_at p s in
+      let words = (iters * table.iter_words.(k)) + table.once_words.(k) in
+      data_words := !data_words + words;
+      (((iters * table.iter_count.(k)) + table.once_count.(k)) * setup)
+      + (words * Dma.cycles_per_word)
   in
-  let loads s = moved (if s < n then first_loads else later_loads) s in
-  let stores s = moved stored s in
+  let loads s = moved (if s < n then t.first_rows else t.later_rows) s in
+  let stores s = moved t.stored_rows s in
   let ctx s =
     if s >= p.s_max then 0
     else
@@ -285,8 +305,7 @@ let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
       if words = 0 then 0
       else begin
         context_words := !context_words + words;
-        config.Morphosys.Config.dma_setup_cycles
-        + (words * Dma.cycles_per_word)
+        setup + (words * Dma.cycles_per_word)
       end
   in
   let conflicts s s' =
@@ -334,51 +353,77 @@ let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
   let cycles = prime + executions + stores (p.s_max - 1) in
   { cycles; data_words = !data_words; context_words = !context_words }
 
+let estimate config app clustering ~rf ~ctx_plan ~selectors =
+  estimate_tally config (frame app clustering) app ~rf ~ctx_plan
+    (tally selectors)
+
+type 'a choice = { tally : tally; chosen : unit -> 'a * selectors }
+
+type 'a staged = {
+  rf_bound : Morphosys.Config.t -> (int, Diag.t) result;
+  at_rf : Morphosys.Config.t -> rf:int -> 'a choice;
+}
+
 type 'a policy = {
   name : string;
   cross_set : bool;
-  rf_bound : Sched_ctx.t -> Morphosys.Config.t -> (int, Diag.t) result;
-  selectors : Sched_ctx.t -> Morphosys.Config.t -> rf:int -> 'a * selectors;
+  stage : Sched_ctx.t -> 'a staged;
 }
+
+type 'a bound = {
+  policy : 'a policy;
+  ctx : Sched_ctx.t;
+  frame : frame;
+  staged : 'a staged;
+}
+
+let bind policy ctx =
+  {
+    policy;
+    ctx;
+    frame = frame (Sched_ctx.app ctx) (Sched_ctx.clustering ctx);
+    staged = policy.stage ctx;
+  }
 
 let ( let* ) = Result.bind
 
 (* The RF search: the context plan, the policy's RF bound (each error
-   tagged with the policy's name), then the fastest RF by [estimate] (ties
-   go to the larger RF, which frees more CM bandwidth; the largest
+   tagged with the policy's name), then the fastest RF by its estimate
+   (ties go to the larger RF, which frees more CM bandwidth; the largest
    memory-allowed RF is not always fastest, since batching RF iterations
    of transfers can exceed what an imbalanced pipeline hides). Returns the
-   plan, the winning RF, its payload and selectors, and its estimated
-   cost. *)
-let choose policy ctx config =
-  let tagged r = Result.map_error (Diag.with_scheduler policy.name) r in
+   plan, the winning RF, its choice and its estimated cost. *)
+let choose b config =
+  let tagged r = Result.map_error (Diag.with_scheduler b.policy.name) r in
   let* ctx_plan =
-    tagged (Context_scheduler.plan_of_analysis config (Sched_ctx.analysis ctx))
+    tagged
+      (Context_scheduler.plan_of_analysis config (Sched_ctx.analysis b.ctx))
   in
-  let* rf_max = tagged (policy.rf_bound ctx config) in
-  let app = Sched_ctx.app ctx and clustering = Sched_ctx.clustering ctx in
+  let* rf_max = tagged (b.staged.rf_bound config) in
+  let app = Sched_ctx.app b.ctx in
   let best = ref None in
   for rf = 1 to rf_max do
-    let ((_, selectors) as chosen) = policy.selectors ctx config ~rf in
-    let cost = estimate config app clustering ~rf ~ctx_plan ~selectors in
+    let choice = b.staged.at_rf config ~rf in
+    let cost = estimate_tally config b.frame app ~rf ~ctx_plan choice.tally in
     match !best with
     | Some (_, _, best_cost) when best_cost.cycles < cost.cycles -> ()
-    | _ -> best := Some (rf, chosen, cost)
+    | _ -> best := Some (rf, choice, cost)
   done;
-  let rf, chosen, cost = Option.get !best in
-  Ok (ctx_plan, rf, chosen, cost)
+  let rf, choice, cost = Option.get !best in
+  Ok (ctx_plan, rf, choice, cost)
 
 (* The one scheduler driver: the RF search, then a single [build] of the
-   winner. *)
-let search policy ctx config =
-  let* ctx_plan, rf, (payload, selectors), _ = choose policy ctx config in
+   winner's tables. *)
+let search b config =
+  let* ctx_plan, rf, choice, _ = choose b config in
+  let payload, selectors = choice.chosen () in
   Ok
-    ( build ~cross_set:policy.cross_set config (Sched_ctx.app ctx)
-        (Sched_ctx.clustering ctx) ~rf ~ctx_plan ~generators:selectors
-        ~scheduler:policy.name,
+    ( build_framed ~cross_set:b.policy.cross_set b.frame (Sched_ctx.app b.ctx)
+        (Sched_ctx.clustering b.ctx) ~rf ~ctx_plan selectors
+        ~scheduler:b.policy.name,
       payload )
 
 (* The RF search alone: what [search]'s schedule would cost, unbuilt. *)
-let price policy ctx config =
-  let* _, rf, _, cost = choose policy ctx config in
+let price b config =
+  let* _, rf, _, cost = choose b config in
   Ok (rf, cost)

@@ -133,30 +133,55 @@ let prop_splits (app, clustering) =
 
 (* The incremental retention pass must reproduce the reference decision —
    retained and rejected lists, rejection strings, avoided totals — for
-   both set disciplines across memory pressures and reuse factors. *)
-let prop_retention (app, clustering) =
+   both set disciplines across memory pressures and reuse factors. One
+   prepared value per context and mode answers every query: RFs out of
+   order, each at both FB sizes, so a walk that left state behind in the
+   prepared value would show in a later query. Returns the first
+   disagreement, if any. *)
+let retention_mismatch ~rfs (app, clustering) =
   let ctx = Sched.Sched_ctx.make app clustering in
-  List.for_all
-    (fun fb ->
-      let config = Morphosys.Config.m1 ~fb_set_size:fb in
-      List.for_all
-        (fun cross_set ->
-          List.for_all
-            (fun rf ->
+  List.find_map
+    (fun cross_set ->
+      let prepared = Cds.Retention.prepare ~cross_set ctx in
+      List.find_map
+        (fun rf ->
+          List.find_map
+            (fun fb ->
+              let config = Morphosys.Config.m1 ~fb_set_size:fb in
               let reference =
                 Cds.Retention.choose ~cross_set config app clustering ~rf
               in
-              let indexed = Cds.Retention.choose_ctx ~cross_set config ctx ~rf in
-              if reference = indexed then true
+              let staged =
+                Cds.Retention.decision prepared
+                  (Cds.Retention.walk prepared config ~rf)
+              in
+              if reference = staged then None
               else
-                QCheck.Test.fail_reportf
-                  "retention differs (fb=%d cross_set=%b rf=%d):@.ref %a@.got \
-                   %a"
-                  fb cross_set rf Cds.Retention.pp_decision reference
-                  Cds.Retention.pp_decision indexed)
-            [ 1; 2; 3 ])
-        [ false; true ])
-    [ 1024; 4096 ]
+                Some
+                  (Format.asprintf
+                     "retention differs (fb=%d cross_set=%b rf=%d):@.ref \
+                      %a@.got %a"
+                     fb cross_set rf Cds.Retention.pp_decision reference
+                     Cds.Retention.pp_decision staged))
+            [ 1024; 4096 ])
+        rfs)
+    [ false; true ]
+
+let prop_retention app =
+  match retention_mismatch ~rfs:[ 3; 1; 2 ] app with
+  | None -> true
+  | Some msg -> QCheck.Test.fail_report msg
+
+(* MPEG-inv's invariant tables avoid words in proportion to the round
+   count, so its walk order changes with RF; MPEG's does not. *)
+let test_retention_mpeg () =
+  List.iter
+    (fun app ->
+      Alcotest.(check (option string))
+        app.Application.name None
+        (retention_mismatch ~rfs:[ 3; 1; 2; 8; 5; 60 ]
+           (app, Workloads.Mpeg.clustering app)))
+    [ Workloads.Mpeg.app (); Workloads.Mpeg.app_invariant () ]
 
 (* End-to-end: every registered scheduler, dispatched by name, must return
    the very schedule (or the very error string) of its reference path. *)
@@ -330,6 +355,8 @@ let tests =
         test_estimate_invariant_tables;
       Alcotest.test_case "rf estimate = built (MPEG, 60 and 6000 iterations)"
         `Quick test_estimate_long_runs;
+      Alcotest.test_case "prepared retention = reference (MPEG, MPEG-inv)"
+        `Quick test_retention_mpeg;
     ]
     @ List.map
         (QCheck_alcotest.to_alcotest ~long:false)

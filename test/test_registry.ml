@@ -39,8 +39,7 @@ let test_duplicate_rejected () =
     {
       Sched.Step_builder.name = "cds";
       cross_set = false;
-      rf_bound = (fun _ _ -> assert false);
-      selectors = (fun _ _ ~rf:_ -> assert false);
+      stage = (fun _ -> assert false);
     }
   in
   (match
@@ -143,8 +142,13 @@ let on_two_machines mismatch (app, clustering) =
     ]
 
 (* The 72-point MPEG grid of the DSE benchmark. *)
-let on_mpeg_grid what mismatch () =
-  let app = Workloads.Mpeg.app () in
+let fb_list = [ 512; 1024; 1536; 2048; 3072; 4096 ]
+let cm_list = [ 1024; 2048 ]
+let setup_list = [ 0; 16 ]
+
+(* On MPEG-inv a retained invariant table leaves the later-round loads but
+   not the first-round ones, so its rows differ between the two. *)
+let on_mpeg_grid what mismatch app () =
   let clustering = Workloads.Mpeg.clustering app in
   List.iter
     (fun fb_set_size ->
@@ -157,9 +161,44 @@ let on_mpeg_grid what mismatch () =
                 (mismatch app clustering
                    (Morphosys.Config.make ~fb_set_size ~cm_capacity
                       ~dma_setup_cycles ())))
-            [ 0; 16 ])
-        [ 1024; 2048 ])
-    [ 512; 1024; 1536; 2048; 3072; 4096 ]
+            setup_list)
+        cm_list)
+    fb_list
+
+(* The sweep binds each scheduler once and prices every point of the grid
+   with that one value, on two domains; each point must be what a
+   scheduler bound afresh for that point alone prices. *)
+let test_sweep_bound_equals_fresh () =
+  List.iter
+    (fun app ->
+      let clustering = Workloads.Mpeg.clustering app in
+      List.iter
+        (fun (p : Report.Dse.point) ->
+          let config =
+            Morphosys.Config.make ~fb_set_size:p.fb_set_size
+              ~cm_capacity:p.cm_capacity ~dma_setup_cycles:p.dma_setup_cycles
+              ()
+          in
+          let fresh =
+            match
+              Registry.price p.scheduler
+                (Sched.Sched_ctx.make app clustering)
+                config
+            with
+            | Ok (rf, (c : Sched.Step_builder.cost)) ->
+              [
+                Some rf; Some c.cycles; Some c.data_words; Some c.context_words;
+              ]
+            | Error _ -> [ None; None; None; None ]
+          in
+          Alcotest.(check (list (option int)))
+            (Printf.sprintf "%s %s fb=%d cm=%d setup=%d"
+               app.Kernel_ir.Application.name p.scheduler p.fb_set_size
+               p.cm_capacity p.dma_setup_cycles)
+            fresh
+            [ p.rf; p.total_cycles; p.data_words; p.context_words ])
+        (Report.Dse.sweep ~jobs:2 ~cm_list ~setup_list ~fb_list app clustering))
+    [ Workloads.Mpeg.app (); Workloads.Mpeg.app_invariant () ]
 
 let tests =
   ( "scheduler_registry",
@@ -172,7 +211,13 @@ let tests =
       Alcotest.test_case "unknown name diagnosed" `Quick
         test_unknown_run_diagnoses;
       Alcotest.test_case "price = simulated run on the MPEG grid" `Quick
-        (on_mpeg_grid "price = simulated run" price_mismatch);
+        (on_mpeg_grid "price = simulated run" price_mismatch
+           (Workloads.Mpeg.app ()));
+      Alcotest.test_case "price = simulated run on the MPEG-inv grid" `Quick
+        (on_mpeg_grid "price = simulated run" price_mismatch
+           (Workloads.Mpeg.app_invariant ()));
+      Alcotest.test_case "sweep's bound price = fresh price" `Quick
+        test_sweep_bound_equals_fresh;
       QCheck_alcotest.to_alcotest ~long:false
         (QCheck.Test.make ~count:100
            ~name:"price = simulated run on random apps"

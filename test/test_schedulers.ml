@@ -17,7 +17,7 @@ let run_ok name = function
 (* The Data Scheduler's transfers under the CDS allocator's full-set RF
    bound: the Data Scheduler at full allocation efficiency. *)
 let ds_full_set ctx config =
-  let rf_bound ctx (config : Morphosys.Config.t) =
+  let rf_bound (config : Morphosys.Config.t) =
     match
       Sched.Reuse_factor.common_split ~fb_set_size:config.fb_set_size
         ~footprints:(Sched.Sched_ctx.splits_list ctx)
@@ -26,17 +26,30 @@ let ds_full_set ctx config =
     | 0 -> Error (Diag.v Diag.No_feasible_rf "no RF fits the FB set")
     | rf_max -> Ok rf_max
   in
+  let selectors =
+    Sched.Xfer_gen.plain_selectors_ctx (Sched.Sched_ctx.analysis ctx)
+  in
+  let choice =
+    {
+      Sched.Step_builder.tally = Sched.Step_builder.tally selectors;
+      chosen = (fun () -> ((), selectors));
+    }
+  in
   Result.map fst
     (Sched.Step_builder.search
-       {
-         Sched.Step_builder.name = "ds";
-         cross_set = false;
-         rf_bound;
-         selectors =
-           (fun ctx _ ~rf:_ ->
-             ((), Sched.Xfer_gen.plain_selectors_ctx (Sched.Sched_ctx.analysis ctx)));
-       }
-       ctx config)
+       (Sched.Step_builder.bind
+          {
+            Sched.Step_builder.name = "ds";
+            cross_set = false;
+            stage =
+              (fun _ ->
+                {
+                  Sched.Step_builder.rf_bound;
+                  at_rf = (fun _ ~rf:_ -> choice);
+                });
+          }
+          ctx)
+       config)
 
 let test_basic_structure () =
   let ctx, config = toy_setup () in

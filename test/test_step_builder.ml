@@ -191,26 +191,34 @@ let test_basic_build_allocation () =
     (per_transfer <= words_per_transfer_max)
 
 (* Allocation gate for pricing: a CDS price runs [estimate] once per
-   candidate RF on the transfer tables of that RF's retention decision.
-   [estimate] sums each table row once and then walks at most four
-   rounds with integer arithmetic alone, so what a price allocates does
-   not depend on the iteration count: at 60 and at 6,000 iterations it
-   may differ by 16 words at most (it differs by none). Selecting every
-   execution's objects again cost 16.7k minor words for the CDS price of
-   the MPEG point above (12.9k per point of the MPEG grid in [estimate]
-   alone) and 1.35M at 6,000 iterations; the per-cluster tables take 3.8k
-   at both counts, and the bound is that plus 25%. Counted with
-   [Gc.minor_words] on one domain, so exact, not timing noise. *)
-let price_words_max = 4714.
+   candidate RF on the rows of that RF's retention walk. [estimate] walks
+   at most four rounds with integer arithmetic alone, so what a price
+   allocates does not depend on the iteration count: at 60 and at 6,000
+   iterations it may differ by 16 words at most (it differs by none).
+   Selecting every execution's objects again cost 16.7k minor words for
+   the CDS price of the MPEG point above and 1.35M at 6,000 iterations;
+   summing the per-cluster tables once per candidate RF took 3.8k at both
+   counts. Binding the scheduler to its context makes the tables, their
+   rows and the retention candidates once: a registry price (bind, then
+   price) takes 2,324 words, and a price of an already bound scheduler,
+   what a sweep point pays, 1,075. Each bound is its figure plus 25%.
+   Counted with [Gc.minor_words] on one domain, so exact, not timing
+   noise. *)
+let price_words_max = 2905.
+let bound_price_words_max = 1344.
 
-let price_words app =
+let price_words ?(bound = false) app =
   let ctx = Sched.Sched_ctx.make app (Workloads.Mpeg.clustering app) in
   let config =
     Morphosys.Config.make ~fb_set_size:2048 ~cm_capacity:1024
       ~dma_setup_cycles:16 ()
   in
+  let b = Sched.Scheduler_registry.bind "cds" ctx in
   let price () =
-    match Sched.Scheduler_registry.price "cds" ctx config with
+    match
+      if bound then b.Sched.Scheduler_intf.price config
+      else Sched.Scheduler_registry.price "cds" ctx config
+    with
     | Ok _ -> ()
     | Error d -> Alcotest.fail (Diag.to_string d)
   in
@@ -233,11 +241,16 @@ let test_price_allocation () =
       ("MPEG", Workloads.Mpeg.app ());
       ("MPEG-inv", Workloads.Mpeg.app_invariant ());
     ];
-  let words = price_words (Workloads.Mpeg.app ()) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words per MPEG price <= %.0f" words
-       price_words_max)
-    true (words <= price_words_max)
+  List.iter
+    (fun (what, bound, max) ->
+      let words = price_words ~bound (Workloads.Mpeg.app ()) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f minor words per MPEG %s <= %.0f" words what max)
+        true (words <= max))
+    [
+      ("price", false, price_words_max);
+      ("price of a bound scheduler", true, bound_price_words_max);
+    ]
 
 let tests =
   ( "step_builder",
