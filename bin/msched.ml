@@ -348,48 +348,12 @@ let jobs_arg =
 let resolve_jobs jobs =
   if jobs <= 0 then Engine.Pool.recommended_jobs () else jobs
 
-(* -- deterministic fault injection (Engine.Faults) ---------------------- *)
-
-(* A rate outside [0, 1] (NaN too) is refused while the command line is
-   parsed, so it is a usage error before any store is opened. *)
-let fault_rate_arg =
-  let rate s =
-    match float_of_string_opt s with
-    | Some r when r >= 0. && r <= 1. -> Ok r
-    | _ -> Error (`Msg (Printf.sprintf "%S is not a rate in [0, 1]" s))
-  in
-  Arg.(
-    value
-    & opt (conv (rate, Format.pp_print_float)) 0.
-    & info [ "fault-rate" ] ~docv:"R"
-        ~doc:
-          "Arm deterministic fault injection with per-visit firing \
-           probability R in [0,1] (0 disables). Injected faults must \
-           surface as structured diagnostics, never as crashes.")
-
-let fault_seed_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "fault-seed" ] ~docv:"S"
-        ~doc:"Seed of the fault plan; firings are reproducible from it.")
-
-let arm_faults ~rate ~seed =
-  if rate > 0. then begin
-    Engine.Faults.arm (Engine.Faults.plan ~rate ~seed ());
-    true
-  end
-  else false
-
-let report_faults armed =
-  if armed then
-    Format.eprintf "injected faults fired: %d@."
-      (Engine.Faults.injected_count ())
-
 let stats_arg =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Print per-scheduler timing and cache statistics to stderr.")
+        ~doc:
+          "Print per-scheduler timing and result-store statistics to stderr.")
 
 let dse_cmd =
   let cm_list_arg =
@@ -429,7 +393,7 @@ let dse_cmd =
              byte-identical to an uninterrupted run.")
   in
   let run name file partition fb_list cm_list setup_list jobs stats csv
-      store_path resume fault_rate fault_seed =
+      store_path resume =
     match
       let* problem =
         problem_of ~name ~file ~fb:None ~cm:None ~partition ~auto:false
@@ -471,8 +435,6 @@ let dse_cmd =
           Sys.set_signal Sys.sigint (flush_and_exit 130);
           Sys.set_signal Sys.sigterm (flush_and_exit 143)
         | None -> ());
-        let armed = arm_faults ~rate:fault_rate ~seed:fault_seed in
-        Fun.protect ~finally:Engine.Faults.disarm @@ fun () ->
         let st = if stats then Some (Engine.Stats.create ()) else None in
         let points =
           Report.Dse.sweep ~jobs ?stats:st
@@ -490,7 +452,6 @@ let dse_cmd =
         (match st with
         | Some st -> Format.eprintf "%a@." Engine.Stats.pp st
         | None -> ());
-        report_faults armed;
         (* A sweep in which nothing is feasible produced no sizing
            information: that is a failed exploration, not a success. *)
         (match Report.Dse.all_infeasible_diag points with
@@ -507,7 +468,7 @@ let dse_cmd =
       ret
         (const run $ workload_arg $ file_arg $ partition_arg $ fb_list_arg
        $ cm_list_arg $ setup_list_arg $ jobs_arg $ stats_arg $ csv_arg
-       $ store_arg $ resume_arg $ fault_rate_arg $ fault_seed_arg))
+       $ store_arg $ resume_arg))
 
 (* -- store maintenance (Engine.Store) ------------------------------------ *)
 
@@ -600,7 +561,7 @@ let fuzz_cmd =
           ~doc:"Frame-buffer set size the random applications are \
                 scheduled against.")
   in
-  let run seed count fb jobs stats fault_rate fault_seed =
+  let run seed count fb jobs stats =
     (* the random applications run on M1 with this FB size: a bad one is a
        usage error, not a crash in every task *)
     match
@@ -612,8 +573,6 @@ let fuzz_cmd =
     | Error e -> `Error (false, e)
     | Ok () ->
     let jobs = resolve_jobs jobs in
-    let armed = arm_faults ~rate:fault_rate ~seed:fault_seed in
-    Fun.protect ~finally:Engine.Faults.disarm @@ fun () ->
     let st = if stats then Some (Engine.Stats.create ()) else None in
     let report =
       Report.Fuzz.run ~jobs ~fb_set_size:fb ?stats:st ~seed ~count ()
@@ -622,7 +581,6 @@ let fuzz_cmd =
     (match st with
     | Some st -> Format.eprintf "%a@." Engine.Stats.pp st
     | None -> ());
-    report_faults armed;
     if Report.Fuzz.ok report then `Ok ()
     else `Error (false, "fuzzing found scheduler bugs (see report above)")
   in
@@ -634,8 +592,7 @@ let fuzz_cmd =
           the semantic validator")
     Term.(
       ret
-        (const run $ seed_arg $ count_arg $ fb_arg $ jobs_arg $ stats_arg
-       $ fault_rate_arg $ fault_seed_arg))
+        (const run $ seed_arg $ count_arg $ fb_arg $ jobs_arg $ stats_arg))
 
 let table1_cmd =
   let csv_arg =

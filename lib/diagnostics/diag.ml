@@ -7,7 +7,6 @@ type code =
   | Invalid_config
   | Sim_divergence
   | Task_crashed
-  | Fault_injected
   | Store_corrupt
   | Sweep_mismatch
 
@@ -40,11 +39,9 @@ let code_name = function
   | Invalid_config -> "INVALID_CONFIG"
   | Sim_divergence -> "SIM_DIVERGENCE"
   | Task_crashed -> "TASK_CRASHED"
-  | Fault_injected -> "FAULT_INJECTED"
   | Store_corrupt -> "STORE_CORRUPT"
   | Sweep_mismatch -> "SWEEP_MISMATCH"
 
-let is_error t = t.severity = Error
 let with_scheduler scheduler t = { t with scheduler = Some scheduler }
 
 let to_string t =

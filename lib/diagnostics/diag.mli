@@ -3,7 +3,7 @@
     Every failure the stack can produce — legitimate infeasibility (a
     cluster's footprint exceeding the frame buffer, no feasible reuse
     factor), malformed inputs, simulator divergence, crashed pool tasks,
-    injected faults, damaged stores — is described by one {!t}: a
+    damaged stores — is described by one {!t}: a
     machine-readable {!code}, the cluster/kernel/data context it refers
     to, a severity, and a human rendering. Producers build diagnostics
     with {!v}; consumers either match on {!code} (machine path) or print
@@ -23,7 +23,6 @@ type code =
   | Invalid_config  (** malformed machine configuration *)
   | Sim_divergence  (** the semantic validator rejected a schedule *)
   | Task_crashed  (** a pool task raised an unexpected exception *)
-  | Fault_injected  (** a deterministic injected fault (Engine.Faults) *)
   | Store_corrupt
       (** an on-disk store record (or tail) failed its integrity check and
           was quarantined; warnings mean the affected points recompute *)
@@ -59,8 +58,6 @@ val v :
 val code_name : code -> string
 (** Stable upper-snake identifier, e.g. ["FB_OVERFLOW"] — the
     machine-readable error-code namespace. *)
-
-val is_error : t -> bool
 
 val with_scheduler : string -> t -> t
 (** Tag (or re-tag) the diagnostic with the scheduler that raised it. *)

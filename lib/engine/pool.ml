@@ -1,22 +1,26 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-(* Run one task behind the "pool" fault site; a failure becomes its
+(* The test seam: read once per task, so a pool without a prelude pays one
+   atomic load. *)
+let prelude : (int -> unit) option Atomic.t = Atomic.make None
+
+let with_task_prelude p f =
+  let outer = Atomic.exchange prelude (Some p) in
+  Fun.protect ~finally:(fun () -> Atomic.set prelude outer) f
+
+(* Run task [i] behind the prelude; a failure of either becomes its
    diagnostic. *)
-let attempt f =
+let attempt i f =
   match
-    Faults.hit "pool";
+    (match Atomic.get prelude with Some p -> p i | None -> ());
     f ()
   with
   | v -> Ok v
-  | exception e -> (
+  | exception e ->
     let backtrace = Printexc.get_backtrace () in
-    match e with
-    | Faults.Injected site ->
-      Error (Diag.v ~backtrace Diag.Fault_injected "injected fault at %s" site)
-    | e ->
-      Error
-        (Diag.v ~backtrace Diag.Task_crashed "task raised %s"
-           (Printexc.to_string e)))
+    Error
+      (Diag.v ~backtrace Diag.Task_crashed "task raised %s"
+         (Printexc.to_string e))
 
 (* Kept helpers: allocating in a freshly spawned domain costs several times
    more than in a warm one, so the pool keeps the helper domains of its
@@ -131,7 +135,7 @@ let run_results ?(jobs = 1) (tasks : (unit -> 'a) array) =
   let rec worker () =
     let i = Atomic.fetch_and_add next 1 in
     if i < n then begin
-      results.(i) <- Some (attempt tasks.(i));
+      results.(i) <- Some (attempt i tasks.(i));
       worker ()
     end
   in

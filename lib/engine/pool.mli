@@ -1,14 +1,14 @@
 (** [Domain]-based worker pool with deterministic result order, per-task
-    fault isolation and helper domains kept between calls.
+    crash isolation and helper domains kept between calls.
 
     [run_results ~jobs tasks] evaluates every task exactly once and
     returns the results in task order, whatever the interleaving of the
     workers: slot [i] of the output always holds the result of
     [tasks.(i)]. With [~jobs:1] (the default) the tasks run sequentially
     in the calling domain — the reference path parallel runs are
-    compared against. One crashing or fault-injected task yields an
-    [Error] slot carrying a structured {!Diag.t} while every other task's
-    result is returned — one bad job never aborts a sweep. The diagnostic
+    compared against. A task that raises yields an [Error] slot carrying
+    a [Task_crashed] {!Diag.t} while every other task's result is
+    returned — one bad job never aborts a sweep. The diagnostic
     carries a backtrace whenever the caller records backtraces
     ([Printexc.backtrace_status]), whichever domain ran the task.
 
@@ -43,8 +43,17 @@ val run_results :
     counts as one worker), and on the caller's domain alone when the pool
     is busy. The results are the same at any [jobs].
     Slot [i] is [Ok v] or [Error diag], where the diagnostic is
-    [Fault_injected] for an {!Faults.Injected} fault and [Task_crashed]
-    (with backtrace) otherwise. An empty task array returns [[||]]
-    without spawning any domain. A failed task is never re-run.
+    [Task_crashed] (with backtrace): a task crash is the pool's one failure.
+    An empty task array returns [[||]] without spawning any domain. A
+    crashed task is never re-run.
     @raise Invalid_argument if [jobs < 1] (callers mapping "0 = auto"
     must resolve it with {!recommended_jobs} first). *)
+
+val with_task_prelude : (int -> unit) -> (unit -> 'a) -> 'a
+(** [with_task_prelude p f] runs [f]; while it runs, task [i] of every
+    pool call first runs [p i], on the domain that runs the task. An
+    exception from [p i] crashes task [i] like one from its body: its slot
+    is a [Task_crashed] diagnostic and its body never runs. The previous
+    prelude (none, outside any [with_task_prelude]) is back when [f]
+    returns or raises. This is the test seam that fells chosen tasks;
+    without a prelude a task pays one atomic load for it. *)

@@ -109,10 +109,6 @@ let pp ppf t =
     es;
   Format.fprintf ppf "total: %d tasks, %.2f ms wall" (tasks_run t)
     (ms (total_wall t));
-  let h = cache_hits t and m = cache_misses t in
-  if h + m > 0 then
-    Format.fprintf ppf "; cache: %d hits / %d misses (%.0f%% hit rate)" h m
-      (100. *. float_of_int h /. float_of_int (h + m));
   let r = store_replayed t and q = store_quarantined t in
   if r + q > 0 then
     Format.fprintf ppf "; store: %d replayed / %d quarantined" r q;

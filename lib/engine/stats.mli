@@ -47,4 +47,5 @@ val cache_misses : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Table of per-label count / total / mean / min / max wall time, CPU
-    time, and the cache totals when any were noted. *)
+    time, and the store's replayed / quarantined totals when any were
+    noted. *)

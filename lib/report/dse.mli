@@ -16,9 +16,9 @@ type point = {
   data_words : int option;  (** loads + stores *)
   context_words : int option;
   diag : Diag.t option;
-      (** why the point is infeasible: a scheduler diagnostic, or a
-          [Task_crashed]/[Fault_injected] when the design-point task died
-          and was isolated *)
+      (** why the point is infeasible: a scheduler diagnostic, or
+          [Task_crashed] when the design-point task died and was
+          isolated *)
 }
 
 val schedulers : string list
@@ -162,11 +162,11 @@ val sweep :
     [Invalid_argument] too when {!check_axes} fails. A resumed sweep
     returns a point list byte-identical to an uninterrupted run.
 
-    The sweep is fault-isolated: a design-point task that crashes or is
-    felled by an injected {!Engine.Faults} fault becomes an infeasible
-    point carrying the failure in [diag]; every other point is still
-    computed and returned. Neither is ever persisted or quarantined: both
-    are transient, and a later resume recomputes (or replays) them. *)
+    The sweep is crash-isolated: a design-point task that crashes becomes
+    an infeasible point carrying its [Task_crashed] diagnostic in [diag];
+    every other point is still computed and returned. A crashed point is
+    never persisted or quarantined: it is transient, and a later resume
+    recomputes (or replays) it. *)
 
 val to_csv : point list -> string
 

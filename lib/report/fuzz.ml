@@ -8,7 +8,6 @@ type report = {
   infeasible : int;
   violations : case list;
   ordering_failures : case list;
-  faulted : int;
   crashes : case list;
 }
 
@@ -47,21 +46,16 @@ let fuzz_one ~seed ~fb_set_size ?stats index =
       (scheduler, timed scheduler (fun () -> verdict_of ~scheduler config ctx)))
     [ "basic"; "ds"; "cds" ]
 
-(* Injected faults are absorbed (counted, not failures); anything else
-   that escapes a task is a crash — a real bug. *)
-let absorbed (d : Diag.t) = d.Diag.code = Diag.Fault_injected
-
 let run ?(jobs = 1) ?(fb_set_size = 4096) ?stats ~seed ~count () =
   let tasks =
     Array.init count (fun i () -> fuzz_one ~seed ~fb_set_size ?stats i)
   in
   let outcomes = Engine.Pool.run_results ~jobs tasks in
-  let checked = ref 0 and infeasible = ref 0 and faulted = ref 0 in
+  let checked = ref 0 and infeasible = ref 0 in
   let violations = ref [] and ordering = ref [] and crashes = ref [] in
   Array.iteri
     (fun index outcome ->
       match outcome with
-      | Error d when absorbed d -> incr faulted
       | Error d ->
         crashes :=
           { index; scheduler = "task"; message = Diag.render d } :: !crashes
@@ -101,7 +95,6 @@ let run ?(jobs = 1) ?(fb_set_size = 4096) ?stats ~seed ~count () =
     infeasible = !infeasible;
     violations = List.rev !violations;
     ordering_failures = List.rev !ordering;
-    faulted = !faulted;
     crashes = List.rev !crashes;
   }
 
@@ -109,9 +102,8 @@ let ok r = r.violations = [] && r.ordering_failures = [] && r.crashes = []
 
 let pp ppf r =
   Format.fprintf ppf
-    "@[<v>fuzz seed=%d count=%d fb=%d: %d schedules checked, %d infeasible, \
-     %d faulted@,"
-    r.seed r.count r.fb_set_size r.schedules_checked r.infeasible r.faulted;
+    "@[<v>fuzz seed=%d count=%d fb=%d: %d schedules checked, %d infeasible@,"
+    r.seed r.count r.fb_set_size r.schedules_checked r.infeasible;
   let dump title = function
     | [] -> Format.fprintf ppf "%s: none@," title
     | cases ->

@@ -33,8 +33,6 @@ type report = {
   violations : case list;  (** validator violations — scheduler bugs *)
   ordering_failures : case list;
       (** feasible triples where CDS > DS or DS > Basic cycles *)
-  faulted : int;
-      (** pool slots absorbed by injected faults — not failures *)
   crashes : case list;
       (** tasks that died on an unexpected exception (isolated by the
           pool) — real bugs *)
@@ -51,8 +49,7 @@ val run :
 (** [run ~seed ~count ()] fuzzes [count] random applications on an M1
     configuration with [fb_set_size] (default 4096) words per set.
     A task that crashes is isolated into [crashes] — the remaining
-    applications are still fuzzed; a task felled by an injected fault
-    ({!Engine.Faults}) is counted in [faulted]. *)
+    applications are still fuzzed. *)
 
 val ok : report -> bool
 (** No violations, no ordering failures and no crashes. *)

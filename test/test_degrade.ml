@@ -2,14 +2,14 @@
    returns every point, each with a structured diagnostic. *)
 
 let test_sweep_survives_crashing_point () =
-  (* a pool fault at rate 1.0 kills every design-point task; the sweep
-     must still return every point, each infeasible with a structured
+  (* a raising pool prelude kills every design-point task; the sweep must
+     still return every point, each infeasible with a structured
      diagnostic *)
   let app = Workloads.Mpeg.app () in
   let clustering = Workloads.Mpeg.clustering app in
   let fb_list = [ 1024; 8192 ] in
-  Engine.Faults.with_plan
-    (Engine.Faults.plan ~rate:1.0 ~seed:9 ())
+  Engine.Pool.with_task_prelude
+    (fun _ -> failwith "felled")
     (fun () ->
       let points = Report.Dse.sweep ~jobs:2 ~fb_list app clustering in
       Alcotest.(check int) "all points returned" 6 (List.length points);
@@ -19,8 +19,8 @@ let test_sweep_survives_crashing_point () =
             p.Report.Dse.feasible;
           match p.Report.Dse.diag with
           | Some d ->
-            Alcotest.(check bool) "diagnosed as injected" true
-              (d.Diag.code = Diag.Fault_injected)
+            Alcotest.(check bool) "diagnosed as a crash" true
+              (d.Diag.code = Diag.Task_crashed)
           | None -> Alcotest.fail "crashed point must carry a diagnostic")
         points)
 

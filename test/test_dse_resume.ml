@@ -30,6 +30,18 @@ let with_path f =
 
 let file_size path = (Unix.stat path).Unix.st_size
 
+exception Felled
+
+(* Run [f] with every pool task whose index [felled] picks crashing before
+   its body runs. *)
+let felling felled f =
+  Engine.Pool.with_task_prelude (fun i -> if felled i then raise Felled) f
+
+let is_crash (p : Dse.point) =
+  match p.Dse.diag with
+  | Some { Diag.code = Diag.Task_crashed; _ } -> true
+  | _ -> false
+
 let open_exn ?resume ~path (app, clustering) =
   match Durable.open_ ?resume ~path ~fb_list app clustering with
   | Ok d -> d
@@ -69,22 +81,23 @@ let test_crash_resume () =
   let ((app, clustering) as w) = mpeg () in
   with_path @@ fun path ->
   let reference = Dse.sweep ~fb_list app clustering in
-  (* simulate a crash: injected faults at the pool entry kill a subset of
-     the tasks before they can compute — exactly like a process dying
-     between points, those tasks persist nothing *)
+  (* simulate a crash: tasks 1, 3 and 5 crash at the pool entry before
+     they can compute — exactly like a process dying between points, those
+     tasks persist nothing *)
   let d1 = open_exn ~path w in
-  Engine.Faults.arm
-    (Engine.Faults.plan ~rate:0.5 ~seed:11 ());
   let partial =
-    Fun.protect ~finally:Engine.Faults.disarm (fun () ->
-        Dse.sweep ~store:d1 ~fb_list app clustering)
+    felling
+      (fun i -> List.mem i [ 1; 3; 5 ])
+      (fun () -> Dse.sweep ~store:d1 ~fb_list app clustering)
   in
   Alcotest.(check int) "partial run still settles every point" n_points
     (List.length partial);
+  Alcotest.(check int) "the three crashed points are isolated" 3
+    (List.length (List.filter is_crash partial));
   let completed = Durable.completed d1 in
   Durable.close d1;
-  Alcotest.(check bool) "the crash left work undone" true
-    (completed < n_points);
+  Alcotest.(check int) "every point but the crashed three is on disk"
+    (n_points - 3) completed;
   (* resume: only the points not on disk run; output as if uninterrupted *)
   let d2 = open_exn ~resume:true ~path w in
   let st = Engine.Stats.create () in
@@ -100,27 +113,29 @@ let test_crash_resume () =
     (Durable.completed d2);
   Durable.close d2
 
-let test_injected_faults_not_persisted () =
+let test_crashed_points_not_persisted () =
   let ((app, clustering) as w) = mpeg () in
   with_path @@ fun path ->
   let reference = Dse.sweep ~fb_list app clustering in
   (* every pool task is felled: each point comes back infeasible with a
-     FAULT_INJECTED diagnostic, a transient failure that must not be
+     TASK_CRASHED diagnostic, a transient failure that must not be
      mistaken for a permanent infeasible point on disk *)
   let d1 = open_exn ~path w in
-  let faulted =
-    Engine.Faults.with_plan
-      (Engine.Faults.plan ~rate:1.0 ~seed:7 ())
+  let crashed =
+    felling
+      (fun _ -> true)
       (fun () -> Dse.sweep ~store:d1 ~fb_list app clustering)
   in
-  Alcotest.(check bool) "the faulted run is all infeasible" true
-    (List.for_all (fun (p : Dse.point) -> not p.Dse.feasible) faulted);
-  Alcotest.(check int) "no faulted point was persisted" 0
+  Alcotest.(check bool) "the crashed run is all infeasible" true
+    (List.for_all (fun (p : Dse.point) -> not p.Dse.feasible) crashed);
+  Alcotest.(check bool) "every point carries TASK_CRASHED" true
+    (List.for_all is_crash crashed);
+  Alcotest.(check int) "no crashed point was persisted" 0
     (Durable.completed d1);
   Durable.close d1;
   let d2 = open_exn ~resume:true ~path w in
   let resumed = Dse.sweep ~store:d2 ~fb_list app clustering in
-  Alcotest.(check string) "fault-free resume byte-identical"
+  Alcotest.(check string) "crash-free resume byte-identical"
     (Dse.to_csv reference) (Dse.to_csv resumed);
   Durable.close d2
 
@@ -451,9 +466,9 @@ let resume_stats ~path ((app, clustering) as w) =
   Durable.close d;
   (Dse.to_csv points, st)
 
-(* A replay task felled by an injected pool fault is transient: its point
-   comes back FAULT_INJECTED, and neither the store nor its warnings
-   change, so the next resume replays everything. *)
+(* A replay task that crashes is transient: its point comes back
+   TASK_CRASHED, and neither the store nor its warnings change, so the
+   next resume replays everything. *)
 let test_felled_replays_change_nothing () =
   let ((app, clustering) as w) = mpeg () in
   with_path @@ fun path ->
@@ -463,17 +478,12 @@ let test_felled_replays_change_nothing () =
   let d = open_exn ~resume:true ~path w in
   let st = Engine.Stats.create () in
   let felled =
-    Engine.Faults.with_plan
-      (Engine.Faults.plan ~rate:1.0 ~seed:5 ())
+    felling
+      (fun _ -> true)
       (fun () -> Dse.sweep ~jobs:2 ~store:d ~stats:st ~fb_list app clustering)
   in
-  Alcotest.(check bool) "every felled replay is FAULT_INJECTED" true
-    (List.for_all
-       (fun (p : Dse.point) ->
-         match p.Dse.diag with
-         | Some { Diag.code = Diag.Fault_injected; _ } -> true
-         | _ -> false)
-       felled);
+  Alcotest.(check bool) "every felled replay is TASK_CRASHED" true
+    (List.for_all is_crash felled);
   Alcotest.(check int) "nothing is recomputed" 0 (Engine.Stats.tasks_run st);
   Alcotest.(check int) "nothing is quarantined" 0
     (Engine.Stats.store_quarantined st);
@@ -481,8 +491,8 @@ let test_felled_replays_change_nothing () =
   Durable.close d;
   Alcotest.(check int) "nothing is persisted" size (file_size path);
   let csv, st = resume_stats ~path w in
-  Alcotest.(check string) "fault-free resume byte-identical" reference csv;
-  Alcotest.(check int) "fault-free resume replays every point" 0
+  Alcotest.(check string) "crash-free resume byte-identical" reference csv;
+  Alcotest.(check int) "crash-free resume replays every point" 0
     (Engine.Stats.tasks_run st)
 
 let test_identity_is_record_zero () =
@@ -712,7 +722,7 @@ let tests =
       Alcotest.test_case "crash mid-sweep, resume, zero re-work" `Quick
         test_crash_resume;
       Alcotest.test_case "felled points not persisted" `Quick
-        test_injected_faults_not_persisted;
+        test_crashed_points_not_persisted;
       Alcotest.test_case "torn tail recomputes exactly one point" `Quick
         test_torn_tail_recomputes_one;
       Alcotest.test_case "forged in-bound RF is quarantined" `Quick

@@ -1,4 +1,4 @@
-(* Engine subsystem units: pool ordering and fault isolation,
+(* Engine subsystem units: pool ordering and crash isolation,
    content-addressed keys, stats accumulation. *)
 
 let test_pool_ordering () =
@@ -62,7 +62,9 @@ let test_stats () =
   Alcotest.(check int) "failed task still timed" 4
     (Engine.Stats.tasks_run st);
   let rendered = Format.asprintf "%a" Engine.Stats.pp st in
-  Alcotest.(check bool) "pp mentions cache" true
+  Alcotest.(check bool) "pp shows the store totals" true
+    (Astring_contains.contains rendered "store: 6 replayed / 0 quarantined");
+  Alcotest.(check bool) "pp has no cache clause" false
     (Astring_contains.contains rendered "cache")
 
 let test_pool_bad_jobs () =
@@ -315,11 +317,21 @@ let test_stats_store_counters () =
   Alcotest.(check bool) "pp mentions the store" true
     (Astring_contains.contains rendered "store: 7 replayed / 1 quarantined")
 
+exception Felled
+
+(* A prelude that fells the tasks [felled] picks, counting its fellings. *)
+let fell_where felled count i =
+  if felled i then begin
+    Atomic.incr count;
+    raise Felled
+  end
+
 let test_fault_injection () =
-  (* rate 1.0: every pool visit fires; without retries every slot is an
-     absorbed Fault_injected diagnostic, never an uncaught exception *)
-  Engine.Faults.with_plan
-    (Engine.Faults.plan ~rate:1.0 ~seed:11 ())
+  (* a prelude raising on every task: every slot is a Task_crashed
+     diagnostic, never an uncaught exception *)
+  let fellings = Atomic.make 0 in
+  Engine.Pool.with_task_prelude
+    (fell_where (fun _ -> true) fellings)
     (fun () ->
       let slots =
         Engine.Pool.run_results ~jobs:4 (Array.init 12 (fun i () -> i))
@@ -327,42 +339,48 @@ let test_fault_injection () =
       Array.iter
         (function
           | Error d ->
-            Alcotest.(check string) "injected code" "FAULT_INJECTED"
+            Alcotest.(check string) "crash code" "TASK_CRASHED"
               (Diag.code_name d.Diag.code)
-          | Ok _ -> Alcotest.fail "rate-1.0 plan must fire on every task")
+          | Ok _ -> Alcotest.fail "a raising prelude must fell every task")
         slots;
-      Alcotest.(check int) "one fault per task: a felled task is not re-run"
-        12
-        (Engine.Faults.injected_count ()));
-  (* with_plan disarms on the way out: a later pool run fires nothing *)
+      Alcotest.(check int) "one felling per task: a felled task is not re-run"
+        12 (Atomic.get fellings));
+  (* the seam is off again after with_task_prelude, whether its thunk
+     returns or raises: a later pool run fells nothing *)
+  (match
+     Engine.Pool.with_task_prelude
+       (fell_where (fun _ -> true) fellings)
+       (fun () -> raise Exit)
+   with
+  | () -> Alcotest.fail "the thunk's exception must escape"
+  | exception Exit -> ());
   Array.iter
     (function
       | Ok _ -> ()
       | Error d ->
-        Alcotest.failf "pool fired after with_plan: %s" (Diag.render d))
+        Alcotest.failf "pool felled after with_task_prelude: %s"
+          (Diag.render d))
     (Engine.Pool.run_results ~jobs:2 (Array.init 4 (fun i () -> i)));
-  (* determinism: the same plan fires the same visits, and the firing set
-     is a fixed function of (seed, "pool", n) *)
-  let fired_of () =
-    Engine.Faults.with_plan
-      (Engine.Faults.plan ~rate:0.4 ~seed:5 ())
+  (* determinism: the prelude sees the task index, so the felled set is
+     the chosen one at any job count *)
+  let felled_at jobs =
+    Engine.Pool.with_task_prelude
+      (fell_where (fun i -> i mod 3 = 0) (Atomic.make 0))
       (fun () ->
-        Engine.Pool.run_results ~jobs:1 (Array.init 20 (fun i () -> i))
+        Engine.Pool.run_results ~jobs (Array.init 20 (fun i () -> i))
         |> Array.map Result.is_error)
   in
-  Alcotest.(check (array bool)) "seeded firings reproducible" (fired_of ())
-    (fired_of ());
-  Alcotest.(check (array bool)) "seed 5, rate 0.4: the pinned firing set"
-    [| false; false; true; false; true; false; true; false; true; false;
-       true; false; true; true; true; false; false; false; false; false |]
-    (fired_of ())
+  let expected = Array.init 20 (fun i -> i mod 3 = 0) in
+  Alcotest.(check (array bool)) "felled set at jobs=1" expected (felled_at 1);
+  Alcotest.(check (array bool)) "felled set at jobs=4" expected (felled_at 4)
 
 let test_fault_retries () =
-  (* run_results makes no retries: a task felled by an injected fault is
-     reported once and its body never runs, and every other task runs once *)
+  (* run_results makes no retries: a felled task is reported once and its
+     body never runs, and every other task runs once *)
   let runs = Array.init 16 (fun _ -> Atomic.make 0) in
-  Engine.Faults.with_plan
-    (Engine.Faults.plan ~rate:0.5 ~seed:3 ())
+  let fellings = Atomic.make 0 in
+  Engine.Pool.with_task_prelude
+    (fell_where (fun i -> i mod 2 = 1) fellings)
     (fun () ->
       let slots =
         Engine.Pool.run_results ~jobs:2
@@ -375,18 +393,21 @@ let test_fault_retries () =
         (fun i slot ->
           match slot with
           | Ok v ->
+            Alcotest.(check bool) "survivor is an even index" true
+              (i mod 2 = 0);
             Alcotest.(check int) "survivor value" i v;
             Alcotest.(check int) "survivor ran once" 1 (Atomic.get runs.(i))
           | Error d ->
             incr felled;
-            Alcotest.(check string) "injected code" "FAULT_INJECTED"
+            Alcotest.(check bool) "felled is an odd index" true (i mod 2 = 1);
+            Alcotest.(check string) "crash code" "TASK_CRASHED"
               (Diag.code_name d.Diag.code);
             Alcotest.(check int) "felled task not re-run" 0
               (Atomic.get runs.(i)))
         slots;
-      Alcotest.(check bool) "some faults did fire" true (!felled > 0);
-      Alcotest.(check int) "one fault per felled task" !felled
-        (Engine.Faults.injected_count ()));
+      Alcotest.(check int) "every odd index felled" 8 !felled;
+      Alcotest.(check int) "one felling per felled task" !felled
+        (Atomic.get fellings));
   (* a crash is reported, not re-run *)
   let attempts = Atomic.make 0 in
   let slots =

@@ -94,8 +94,8 @@ let rf_bound name app clustering (config : Morphosys.Config.t) =
 (* For every registered scheduler: [price] returns [run]'s RF, which lies
    in [1..rf_bound], and exactly what the simulator measures of [run]'s
    schedule, and on an infeasible point [run]'s diagnostic. The first
-   disagreement, if any. *)
-let price_mismatch app clustering config =
+   disagreement, if any. [on_run] sees each feasible [run]'s schedule. *)
+let price_mismatch ?(on_run = fun _ _ -> ()) app clustering config =
   let ctx = Sched.Sched_ctx.make app clustering in
   List.find_map
     (fun (s : Intf.t) ->
@@ -116,6 +116,7 @@ let price_mismatch app clustering config =
       | Ok _, Error d -> failed ("priced infeasible: " ^ Diag.render d)
       | Error _, Ok _ -> failed "priced an infeasible point"
       | Ok sched, Ok (rf, (c : Sched.Step_builder.cost)) ->
+        on_run name sched;
         let s = Msim.Executor.cost config sched in
         let rf' = sched.Sched.Schedule.rf in
         let bound = rf_bound name app clustering config in
@@ -200,6 +201,43 @@ let test_sweep_bound_equals_fresh () =
         (Report.Dse.sweep ~jobs:2 ~cm_list ~setup_list ~fb_list app clustering))
     [ Workloads.Mpeg.app (); Workloads.Mpeg.app_invariant () ]
 
+(* At 200 kernels (a 1,000-object random app, kernels paired), on both
+   machines: price = simulated run, every scheduler feasible with a
+   validator-clean schedule, and CDS <= DS <= Basic in simulated cycles. *)
+let test_large_app () =
+  List.iter
+    (fun (seed, (config : Morphosys.Config.t)) ->
+      let app = Workloads.Random_app.large ~kernels:200 ~data:400 ~seed in
+      let clustering = Workloads.Random_app.pairs_clustering app in
+      let where = Printf.sprintf "seed %d, fb=%d" seed config.fb_set_size in
+      let cycles = ref [] in
+      let on_run name sched =
+        (match Msim.Validate.check_result sched with
+        | Ok () -> ()
+        | Error d ->
+          Alcotest.failf "%s: %s schedule invalid: %s" where name
+            (Diag.render d));
+        cycles := (name, (Msim.Executor.cost config sched).cycles) :: !cycles
+      in
+      Alcotest.(check (option string))
+        (where ^ ": price = simulated run")
+        None
+        (price_mismatch ~on_run app clustering config);
+      Alcotest.(check (list string))
+        (where ^ ": every scheduler feasible")
+        (Registry.names ())
+        (List.sort compare (List.map fst !cycles));
+      let c name = List.assoc name !cycles in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: cds %d <= ds %d <= basic %d" where (c "cds")
+           (c "ds") (c "basic"))
+        true
+        (c "cds" <= c "ds" && c "ds" <= c "basic"))
+    [
+      (1, Morphosys.Config.m1 ~fb_set_size:1024);
+      (2, Morphosys.Config.make ~fb_set_size:4096 ~dma_setup_cycles:16 ());
+    ]
+
 let tests =
   ( "scheduler_registry",
     [
@@ -223,4 +261,6 @@ let tests =
            ~name:"price = simulated run on random apps"
            Workloads.Random_app.arb_app_with_clustering
            (on_two_machines price_mismatch));
+      Alcotest.test_case "registry properties on a 200-kernel app" `Slow
+        test_large_app;
     ] )

@@ -102,7 +102,7 @@ let test_truncated_tail_quarantined () =
   Alcotest.(check bool) "STORE_CORRUPT code" true
     (w.Diag.code = Diag.Store_corrupt);
   Alcotest.(check bool) "quarantine is a warning, not an error" false
-    (Diag.is_error w);
+    (w.Diag.severity = Diag.Error);
   Alcotest.(check bool) "quarantine sidecar written" true
     (Sys.file_exists (path ^ ".quarantine"));
   Alcotest.(check (option string)) "intact prefix survives" (Some "kept")
@@ -147,7 +147,7 @@ let test_header_damage_is_fatal () =
   (match Store.open_ ~schema:7 path with
   | Ok _ -> Alcotest.fail "bad magic must not open"
   | Error d ->
-    Alcotest.(check bool) "hard error" true (Diag.is_error d);
+    Alcotest.(check bool) "hard error" true (d.Diag.severity = Diag.Error);
     Alcotest.(check bool) "STORE_CORRUPT" true
       (d.Diag.code = Diag.Store_corrupt));
   (* schema mismatch: the file is healthy but belongs to someone else *)
