@@ -126,128 +126,18 @@ let choose ?(cross_set = false) ?(ranking = `Tf)
       Msutil.Listx.sum_by (fun c -> c.Sharing.avoided_transfers) retained;
   }
 
-(* Per-cluster incremental DS-split state. A pinned object is always a
-   cluster *input* over the affected window — never one of the cluster's
-   intermediates, and never the producer's own rout (pins_cluster excludes
-   the producer) — so pinning only (a) removes the object's words from the
-   d-suffix term of the closed-form peak at its last-consumer position and
-   (b) adds them to the constant or regular pinned sum. Keeping the sweep
-   arrays of [Ds_formula.closed_form_fast] per cluster therefore turns a
-   tentative-pin split query into an O(cluster kernels) scan with no
-   allocation, instead of a from-scratch profile walk.
+(* A pinned object occupies a cluster's set for its whole window, so a
+   tentative pin's split is an O(cluster kernels) scan of the cluster's
+   [Ds_formula.sweep] with the pin's strip applied, with no allocation,
+   instead of a from-scratch profile walk. An object's candidates occupy
+   disjoint clusters (one FB set each, or one candidate in cross-set
+   mode), so a walk pins an object into a cluster at most once, and the
+   pin read off the context's sweep is the pin at any point of any walk.
+   A walk never changes a sweep: it keeps its own pinned sums and copies
+   a cluster's d-suffix the first time it strips it, so the sweeps the
+   context holds serve every walk.
 
-   A walk never changes a prepared state: it keeps its own pinned sums
-   and copies a cluster's [d_suffix] the first time it strips it, so the
-   states a context prepares serve every walk. *)
-type cluster_state = {
-  nk : int;
-  rp_inter : int array;
-      (* rout prefix + live intermediate words, by kernel position *)
-  d_suffix : int array;  (* suffix sums of unstripped d_object words *)
-  const_words : int;  (* the cluster's invariant inputs, charged once *)
-}
-
-(* What pinning one candidate's object does to one affected cluster's
-   state: strip [strip] words from the d-suffix up to [strip_pos] (-1: no
-   strip) and add [const_add] constant or [reg_add] regular words. An
-   object's candidates occupy disjoint clusters (one FB set each, or one
-   candidate in cross-set mode), so a walk pins an object into a cluster at
-   most once and the effect read off the initial state is the effect at
-   any point of any walk. *)
-type pin = {
-  pins : bool;
-  strip_pos : int;
-  strip : int;
-  const_add : int;
-  reg_add : int;
-}
-
-let no_pin =
-  { pins = false; strip_pos = -1; strip = 0; const_add = 0; reg_add = 0 }
-
-(* The initial state of a cluster, and [pin_of d]: what pinning [d] into
-   it does. Invariant inputs are constants from the start: stripped from
-   the per-iteration peak, charged once as constant words. *)
-let cluster_state_of (profile : IE.cluster_profile) =
-  let kps = profile.IE.kernel_profiles in
-  let nk = List.length kps in
-  let pos_of = Hashtbl.create (max 8 (nk * 2)) in
-  List.iteri
-    (fun pos k -> Hashtbl.replace pos_of k pos)
-    profile.IE.cluster.Cluster.kernels;
-  let last_pos = Hashtbl.create 16 in
-  let const_ids = Hashtbl.create 8 in
-  let const_words = ref 0 in
-  let d_arr = Array.make (nk + 1) 0 in
-  let rout = Array.make (nk + 1) 0 in
-  let diff = Array.make (nk + 1) 0 in
-  List.iteri
-    (fun pos (p : IE.kernel_profile) ->
-      List.iter
-        (fun (d : Data.t) ->
-          Hashtbl.replace last_pos d.Data.id pos;
-          if d.Data.invariant then begin
-            if not (Hashtbl.mem const_ids d.Data.id) then begin
-              Hashtbl.add const_ids d.Data.id ();
-              const_words := !const_words + d.Data.size
-            end
-          end
-          else d_arr.(pos) <- d_arr.(pos) + d.Data.size)
-        p.IE.d_objects;
-      rout.(pos) <- IE.rout_words p;
-      List.iter
-        (fun ((d : Data.t), t) ->
-          let t_pos =
-            match Hashtbl.find_opt pos_of t with
-            | Some pos -> pos
-            | None -> assert false (* t is in the cluster by construction *)
-          in
-          diff.(pos) <- diff.(pos) + d.Data.size;
-          diff.(t_pos + 1) <- diff.(t_pos + 1) - d.Data.size)
-        p.IE.intermediate_objects)
-    kps;
-  for i = nk - 1 downto 0 do
-    d_arr.(i) <- d_arr.(i) + d_arr.(i + 1)
-  done;
-  let rp_inter = Array.make (nk + 1) 0 in
-  let rout_prefix = ref 0 and inter = ref 0 in
-  for i = 0 to nk - 1 do
-    rout_prefix := !rout_prefix + rout.(i);
-    inter := !inter + diff.(i);
-    rp_inter.(i) <- !rout_prefix + !inter
-  done;
-  (* pinning [d] here: a constant input is already stripped and charged *)
-  let pin_of (d : Data.t) =
-    let const = Hashtbl.mem const_ids d.Data.id in
-    let strip_pos, strip =
-      match Hashtbl.find_opt last_pos d.Data.id with
-      | Some p when not const -> (p, d.Data.size)
-      | _ -> (-1, 0)
-    in
-    {
-      pins = true;
-      strip_pos;
-      strip;
-      const_add = (if d.Data.invariant && not const then d.Data.size else 0);
-      reg_add = (if d.Data.invariant then 0 else d.Data.size);
-    }
-  in
-  ({ nk; rp_inter; d_suffix = d_arr; const_words = !const_words }, pin_of)
-
-(* Peak of the per-iteration residency over [st]'s sweep arrays with the
-   d-suffix [d_suffix], optionally with [delta] words removed from
-   positions [<= delta_pos] (the tentative strip). *)
-let peak st d_suffix ~delta_pos ~delta =
-  let best = ref 0 in
-  for i = 0 to st.nk - 1 do
-    let v =
-      d_suffix.(i) - (if i <= delta_pos then delta else 0) + st.rp_inter.(i)
-    in
-    if v > !best then best := v
-  done;
-  !best
-
-(* A candidate as every walk reads it. [key] is its walk-order key for
+   A candidate as every walk reads it. [key] is its walk-order key for
    a non-invariant object ([effective_avoided] at any RF). [affected]
    are the same-set clusters it occupies space during, ascending id — the
    same order [choose]'s filter over the clustering walks them, so a
@@ -258,7 +148,7 @@ type prepared_candidate = {
   invariant : bool;
   key : int;
   affected : int array;
-  pins : pin array;
+  pins : Sched.Ds_formula.pin array;
 }
 
 type prepared = {
@@ -266,16 +156,13 @@ type prepared = {
   ranked : prepared_candidate array;  (* Time_factor.rank order *)
   plain : int array;  (* the non-invariant ones, in walk order *)
   invariants : int array;  (* the invariant ones, in rank order *)
-  states : cluster_state array;  (* by cluster id, before any pin *)
+  sweeps : Sched.Ds_formula.sweep array;  (* the context's, by cluster id *)
 }
 
 let prepare ?(cross_set = false) (ctx : Sched.Sched_ctx.t) =
   let analysis = Sched.Sched_ctx.analysis ctx in
   let n = Kernel_ir.Analysis.n_clusters analysis in
-  let initial =
-    Array.init n (fun id ->
-        cluster_state_of (Kernel_ir.Analysis.profile analysis id))
-  in
+  let sweeps = ctx.Sched.Sched_ctx.sweeps in
   let prepare_one (candidate : Sharing.t) =
     let d = Sharing.data candidate in
     (* an invariant candidate occupies its set for the whole run, any
@@ -306,8 +193,8 @@ let prepare ?(cross_set = false) (ctx : Sched.Sched_ctx.t) =
         Array.map
           (fun id ->
             if Sharing.pins_cluster candidate ~cluster_id:id then
-              (snd initial.(id)) d
-            else no_pin)
+              Sched.Ds_formula.pin sweeps.(id) d
+            else Sched.Ds_formula.no_pin (* a shared result's producer *))
           affected;
     }
   in
@@ -332,7 +219,7 @@ let prepare ?(cross_set = false) (ctx : Sched.Sched_ctx.t) =
     ranked;
     plain = Array.of_list plain;
     invariants = Array.of_list (indices (fun c -> c.invariant));
-    states = Array.map fst initial;
+    sweeps;
   }
 
 let candidates p = Array.map (fun c -> c.candidate) p.ranked
@@ -377,26 +264,32 @@ let walk_order p ~rf =
 (* The greedy pass at [rf]: each candidate in walk order is kept if every
    affected cluster still fits with it pinned on top of the candidates
    already kept. The walk's pinned sums and stripped d-suffixes are its
-   own, by cluster id; a d-suffix is the prepared array until the walk
+   own, by cluster id; a d-suffix is the context's array until the walk
    first strips it. *)
 let walk p (config : Morphosys.Config.t) ~rf =
   if rf < 1 then invalid_arg "Retention.choose: rf must be >= 1";
   let fb = config.fb_set_size in
-  let d_suffix = Array.map (fun st -> st.d_suffix) p.states in
-  let owned = Array.make (Array.length p.states) false in
-  let const_words = Array.map (fun st -> st.const_words) p.states in
-  let reg_words = Array.make (Array.length p.states) 0 in
+  let n = Array.length p.sweeps in
+  let d_suffix =
+    Array.map (fun (s : Sched.Ds_formula.sweep) -> s.d_suffix) p.sweeps
+  in
+  let owned = Array.make n false in
+  let const_words =
+    Array.map (fun (s : Sched.Ds_formula.sweep) -> s.constant) p.sweeps
+  in
+  let reg_words = Array.make n 0 in
   (* the split of cluster [id] with [pin] applied on top of the walk so
      far — the same integers [Ds_formula.split] yields for the extended
      pinned list; the walk's own split for a cluster the candidate does
      not pin *)
-  let per_iteration id pin =
-    peak p.states.(id) d_suffix.(id) ~delta_pos:pin.strip_pos
-      ~delta:pin.strip
-    + reg_words.(id) + pin.reg_add
+  let per_iteration id (pin : Sched.Ds_formula.pin) =
+    Sched.Ds_formula.peak p.sweeps.(id) d_suffix.(id) pin
+    + reg_words.(id) + pin.regular_add
   in
-  let constant id pin = const_words.(id) + pin.const_add in
-  let commit id pin =
+  let constant id (pin : Sched.Ds_formula.pin) =
+    const_words.(id) + pin.constant_add
+  in
+  let commit id (pin : Sched.Ds_formula.pin) =
     if pin.strip_pos >= 0 then begin
       if not owned.(id) then begin
         d_suffix.(id) <- Array.copy d_suffix.(id);
@@ -408,7 +301,7 @@ let walk p (config : Morphosys.Config.t) ~rf =
       done
     end;
     const_words.(id) <- constant id pin;
-    reg_words.(id) <- reg_words.(id) + pin.reg_add
+    reg_words.(id) <- reg_words.(id) + pin.regular_add
   in
   let kept = Array.make (Array.length p.ranked) false in
   let order = walk_order p ~rf in
@@ -431,9 +324,7 @@ let walk p (config : Morphosys.Config.t) ~rf =
           (i, id, per_iteration id pin, constant id pin) :: !refusals
       else begin
         kept.(i) <- true;
-        Array.iteri
-          (fun k id -> if c.pins.(k).pins then commit id c.pins.(k))
-          c.affected
+        Array.iteri (fun k id -> commit id c.pins.(k)) c.affected
       end)
     order;
   { rf; fb_set_size = fb; order; kept; refusals = !refusals }

@@ -52,16 +52,18 @@ val choose_ctx :
 (** {1 Staged retention}
 
     Only the feasibility walk depends on RF and on the machine. The
-    candidates, their TF order, the clusters each one occupies and each
-    cluster's DS state before any pin are the context's alone, so they
-    are prepared once and read by every walk. *)
+    candidates, their TF order and the clusters each one occupies are the
+    context's alone, so they are prepared once and read by every walk.
+    Each cluster's DS state before any pin is the context's
+    {!Sched.Ds_formula.sweep}, built by {!Sched.Sched_ctx.make}. *)
 
 type prepared
 (** A context's retention candidates in [Time_factor.rank] order, each
-    with its affected clusters and what pinning it does to each, and every
-    cluster's initial state: the sweep arrays of the DS closed form.
-    Immutable: a walk keeps its own pinned sums and copies a cluster's
-    d-suffix array the first time it strips an object from it. *)
+    with its affected clusters and what pinning it does to each
+    ({!Sched.Ds_formula.pin}), and the context's sweeps. Immutable: a walk
+    keeps its own pinned sums and copies a cluster's d-suffix array the
+    first time it strips an object from it, so no walk writes the
+    context. *)
 
 val prepare : ?cross_set:bool -> Sched.Sched_ctx.t -> prepared
 

@@ -5,7 +5,6 @@ type t = {
   clustering : Cluster.clustering;
   clusters : Cluster.t array;
   kernel_cluster : int array;
-  data_index : Data.t option array;
   profiles : IE.cluster_profile array;
   sharing : IE.shared list;
   tds : int;
@@ -23,18 +22,6 @@ let kernel_cluster_array app clusters =
       List.iter (fun kid -> owner.(kid) <- c.Cluster.id) c.Cluster.kernels)
     clusters;
   owner
-
-(* [Application.check] guarantees data ids are unique and non-negative. *)
-let data_index_array (app : Application.t) =
-  let max_id =
-    List.fold_left (fun acc (d : Data.t) -> max acc d.Data.id) (-1)
-      app.Application.data
-  in
-  let index = Array.make (max_id + 1) None in
-  List.iter
-    (fun (d : Data.t) -> index.(d.Data.id) <- Some d)
-    app.Application.data;
-  index
 
 (* Reversed-accumulator buckets: one pass over [app.data] in declaration
    order, so every per-cluster / per-kernel list below keeps the order the
@@ -185,7 +172,6 @@ let make app clustering =
     clustering;
     clusters;
     kernel_cluster;
-    data_index = data_index_array app;
     profiles;
     sharing = sharing_of app ~kernel_cluster;
     tds = Application.total_data_words app;
@@ -212,11 +198,6 @@ let cluster_id_of_kernel t kid =
   t.kernel_cluster.(kid)
 
 let cluster_of_kernel t kid = t.clusters.(cluster_id_of_kernel t kid)
-
-let data t id =
-  let bad () = fail "Analysis.data: unknown data id %d" id in
-  if id < 0 || id >= Array.length t.data_index then bad ();
-  match t.data_index.(id) with Some d -> d | None -> bad ()
 
 let profiles_list t = Array.to_list t.profiles
 let sharing t = t.sharing

@@ -20,7 +20,6 @@ type t = private {
   clustering : Cluster.clustering;
   clusters : Cluster.t array;  (** indexed by cluster id *)
   kernel_cluster : int array;  (** kernel id -> cluster id *)
-  data_index : Data.t option array;  (** data id -> object *)
   profiles : Info_extractor.cluster_profile array;
       (** indexed by cluster id; equal to [Info_extractor.profiles] *)
   sharing : Info_extractor.shared list;
@@ -48,9 +47,6 @@ val profiles_list : t -> Info_extractor.cluster_profile list
 
 val cluster_of_kernel : t -> Kernel.id -> Cluster.t
 (** O(1) counterpart of [Cluster.cluster_of_kernel]. *)
-
-val data : t -> int -> Data.t
-(** By data id. @raise Invalid_argument on an unknown id. *)
 
 val sharing : t -> Info_extractor.shared list
 val tds : t -> int

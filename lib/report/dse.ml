@@ -356,8 +356,8 @@ let sweep ?(jobs = 1) ?stats ?store ?(cm_list = [ 2048 ])
     List.mapi
       (fun i (((fb, cm, setup, scheduler) as combo), _) ->
         match slots.(i) with
-        | Ok (p, replayed, ws) -> (combo, p, replayed, ws)
-        | Error d -> (combo, infeasible ~fb ~cm ~setup ~scheduler d, false, []))
+        | Ok (p, replayed, ws) -> (combo, p, Some replayed, ws)
+        | Error d -> (combo, infeasible ~fb ~cm ~setup ~scheduler d, None, []))
       pending
   in
   let points = Hashtbl.create 64 in
@@ -367,11 +367,12 @@ let sweep ?(jobs = 1) ?stats ?store ?(cm_list = [ 2048 ])
     Durable.add_warnings d (List.concat_map (fun (_, _, _, ws) -> ws) settled);
     Option.iter
       (fun st ->
-        let replayed =
-          List.length (List.filter (fun (_, _, r, _) -> r) settled)
+        (* a crashed task neither replayed nor recomputed its point *)
+        let count r =
+          List.length (List.filter (fun (_, _, r', _) -> r' = Some r) settled)
         in
-        Durable.note_stats d st ~replayed
-          ~recomputed:(List.length distinct - replayed))
+        Durable.note_stats d st ~replayed:(count true)
+          ~recomputed:(count false))
       stats
   | None -> ());
   List.map (Hashtbl.find points) combos

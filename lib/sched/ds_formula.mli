@@ -5,9 +5,11 @@
     With loop fission the cluster stores the data of RF consecutive
     iterations, so the space constraint is [rf * ds_c <= fb_set_size].
 
-    Two independent implementations are provided and property-tested against
-    each other: the paper's closed-form maximum and a symbolic execution of
-    the kernel sequence. *)
+    The paper's closed-form maximum ({!closed_form}, {!split}) and a
+    symbolic execution of the kernel sequence ({!by_simulation}) are the
+    references, property-tested against each other. The schedulers read
+    one linear {!sweep} per cluster instead, and pin retained objects
+    into it ({!pin}, {!peak}); the tests check it against {!split}. *)
 
 val closed_form : ?pinned:Kernel_ir.Data.t list -> Kernel_ir.Info_extractor.cluster_profile -> int
 (** The paper's formula
@@ -25,15 +27,6 @@ val by_simulation : ?pinned:Kernel_ir.Data.t list -> Kernel_ir.Info_extractor.cl
     front, adding each kernel's outputs when it executes and releasing
     objects after their last in-cluster use; reports the peak residency. *)
 
-val closed_form_fast :
-  ?pinned:Kernel_ir.Data.t list ->
-  Kernel_ir.Info_extractor.cluster_profile ->
-  int
-(** Same value as {!closed_form}, computed in one linear sweep with
-    difference arrays instead of one quadratic pass per kernel position —
-    the form the indexed scheduler paths use. Property-tested equal to
-    {!closed_form} and {!by_simulation}. *)
-
 val split :
   ?pinned:Kernel_ir.Data.t list ->
   Kernel_ir.Info_extractor.cluster_profile ->
@@ -44,11 +37,55 @@ val split :
     constraint is [rf * per_iteration + constant <= fb_set_size]. Without
     invariant data, [split p = (closed_form p, 0)]. *)
 
-val split_fast :
-  ?pinned:Kernel_ir.Data.t list ->
-  Kernel_ir.Info_extractor.cluster_profile ->
-  int * int
-(** Same pair as {!split}, evaluated through {!closed_form_fast}. *)
+(** {1 The linear sweep} *)
+
+type sweep = private {
+  d_suffix : int array;
+      (** [n + 1] entries for [n] kernels: entry [i] is the words of the
+          non-invariant inputs whose last in-cluster consumer is at
+          position [i] or later (the [d_j] suffix); entry [n] is 0 *)
+  rp_inter : int array;
+      (** by position [i]: the rout words of positions [<= i] plus the
+          intermediate words live across [i] *)
+  constant : int;  (** the invariant inputs' words, charged once *)
+  last_use : (int * int) array;
+      (** [(data id, position of its last in-cluster consumer)] of every
+          cluster input, by ascending id *)
+  per_iteration : int;  (** [fst (split p)] *)
+  footprint : int;  (** [closed_form p] *)
+}
+(** One cluster's closed form as prefix, suffix and difference arrays,
+    built in one pass over its profile. [split p = (per_iteration,
+    constant)]. A sweep is shared by every reader of a context, so its
+    arrays are never written: a reader that strips pins copies
+    [d_suffix] first. *)
+
+val sweep : Kernel_ir.Info_extractor.cluster_profile -> sweep
+
+type pin = {
+  strip_pos : int;  (** last position the strip covers; -1 for none *)
+  strip : int;  (** words leaving the d-suffix at positions [<= strip_pos] *)
+  constant_add : int;  (** words joining the constant *)
+  regular_add : int;  (** words charged per iteration for the window *)
+}
+(** What pinning one object does to a cluster's split. *)
+
+val no_pin : pin
+(** Pins nothing: the strip covers no position and adds no words. *)
+
+val pin : sweep -> Kernel_ir.Data.t -> pin
+(** Pinning an object into the cluster: a non-invariant input leaves the
+    d-suffix up to its last consumer and is charged per iteration; an
+    invariant input is a constant already; an object the cluster does not
+    consume is charged in full. Pinning a set [ps] of distinct objects
+    gives [split ~pinned:ps p]: strip each pin from a copy of [d_suffix],
+    then per iteration [peak] plus the [regular_add]s, and [constant] plus
+    the [constant_add]s. *)
+
+val peak : sweep -> int array -> pin -> int
+(** [peak s d_suffix pin]: the per-iteration peak of [s] over a (stripped)
+    copy [d_suffix] of its suffix, with [pin]'s strip applied on top,
+    excluding every pinned sum. Reads [d_suffix]; writes nothing. *)
 
 val footprint_basic : Kernel_ir.Info_extractor.cluster_profile -> int
 (** The Basic Scheduler's footprint: no replacement — all inputs and all

@@ -21,7 +21,3 @@ let common_split ~fb_set_size ~footprints ~iterations =
       max_int footprints
   in
   max 0 (min rf iterations)
-
-let rounds ~iterations ~rf =
-  if rf <= 0 then invalid_arg "Reuse_factor.rounds: rf must be positive";
-  (iterations + rf - 1) / rf

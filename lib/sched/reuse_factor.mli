@@ -4,15 +4,13 @@
     every cluster of its set, so RF is bounded by the frame-buffer set size;
     contexts are then loaded [ceil (n / RF)] times instead of [n]. *)
 
-val per_cluster : fb_set_size:int -> footprint:int -> int
-(** Largest [rf] with [rf * footprint <= fb_set_size]; 0 when even one
-    iteration does not fit (infeasible cluster). *)
-
 val common :
   fb_set_size:int -> footprints:int list -> iterations:int -> int
 (** The paper's "highest common RF value, to all clusters, allowed by the
-    internal memory size": minimum of the per-cluster factors, clamped to
-    the application's iteration count; 0 when any cluster is infeasible.
+    internal memory size": the minimum over the clusters of the largest
+    [rf] with [rf * footprint <= fb_set_size], clamped to the
+    application's iteration count; 0 when even one iteration of some
+    cluster does not fit.
     @raise Invalid_argument on an empty footprint list. *)
 
 val common_split :
@@ -20,6 +18,3 @@ val common_split :
 (** Like {!common} for [(per_iteration, constant)] footprints
     ({!Ds_formula.split}): the largest [rf] with
     [rf * per_iteration + constant <= fb_set_size] for every cluster. *)
-
-val rounds : iterations:int -> rf:int -> int
-(** [ceil (iterations / rf)]. @raise Invalid_argument if [rf <= 0]. *)

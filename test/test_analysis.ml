@@ -35,11 +35,7 @@ let test_lookups () =
             (Cluster.cluster_of_kernel clustering k).Cluster.id
             (Analysis.cluster_of_kernel a k).Cluster.id)
         c.kernels)
-    clustering;
-  List.iter
-    (fun (d : Data.t) ->
-      Alcotest.(check bool) "data by id" true (Analysis.data a d.id = d))
-    app.Application.data
+    clustering
 
 let test_profiles_match_reference () =
   let app, clustering = fig5 () in
@@ -94,9 +90,6 @@ let prop_structures (app, clustering) =
                   = Cluster.cluster_of_kernel clustering k))
               c.kernels)
        clustering
-  && List.for_all
-       (fun (d : Data.t) -> ok "data" (Analysis.data a d.id = d))
-       app.Application.data
 
 let prop_candidates (app, clustering) =
   let a = Analysis.make app clustering in
@@ -110,26 +103,49 @@ let prop_candidates (app, clustering) =
         QCheck.Test.fail_reportf "candidates differ (cross_set=%b)" cross_set)
     [ false; true ]
 
-(* The fast split/closed-form must produce the reference integers, for the
-   bare profile and under pinned subsets of the cluster inputs. *)
+(* A cluster's split with [pinned] through its context sweep, by the pin
+   arithmetic a retention walk applies: strip each pin from a copy of the
+   d-suffix, sum the pinned words, take the peak. *)
+let sweep_split (s : Sched.Ds_formula.sweep) pinned =
+  let d_suffix = Array.copy s.d_suffix in
+  let regular, constant =
+    List.fold_left
+      (fun (regular, constant) d ->
+        let pin = Sched.Ds_formula.pin s d in
+        for i = 0 to pin.strip_pos do
+          d_suffix.(i) <- d_suffix.(i) - pin.strip
+        done;
+        (regular + pin.regular_add, constant + pin.constant_add))
+      (0, s.constant) pinned
+  in
+  (Sched.Ds_formula.peak s d_suffix Sched.Ds_formula.no_pin + regular, constant)
+
+(* The context's sweeps must produce the reference integers: the bare
+   footprint and split, and the split under pinned subsets of the cluster
+   inputs. *)
 let prop_splits (app, clustering) =
-  let a = Analysis.make app clustering in
-  List.for_all
-    (fun (p : IE.cluster_profile) ->
+  let ctx = Sched.Sched_ctx.make app clustering in
+  let profiles = Analysis.profiles_list (Sched.Sched_ctx.analysis ctx) in
+  List.for_all2
+    (fun (p : IE.cluster_profile) (s : Sched.Ds_formula.sweep) ->
       let pinned_sets =
         let inputs = p.IE.external_inputs in
         [ []; inputs; List.filteri (fun i _ -> i mod 2 = 0) inputs ]
       in
-      List.for_all
-        (fun pinned ->
-          Sched.Ds_formula.closed_form_fast ~pinned p
-          = Sched.Ds_formula.closed_form ~pinned p
-          && Sched.Ds_formula.split_fast ~pinned p
-             = Sched.Ds_formula.split ~pinned p
-          || QCheck.Test.fail_reportf "split mismatch, cluster %d"
-               p.IE.cluster.Cluster.id)
-        pinned_sets)
-    (Analysis.profiles_list a)
+      let mismatch what =
+        QCheck.Test.fail_reportf "%s mismatch, cluster %d" what
+          p.IE.cluster.Cluster.id
+      in
+      (s.footprint = Sched.Ds_formula.closed_form p || mismatch "footprint")
+      && ((s.per_iteration, s.constant) = Sched.Ds_formula.split p
+         || mismatch "split")
+      && List.for_all
+           (fun pinned ->
+             sweep_split s pinned = Sched.Ds_formula.split ~pinned p
+             || mismatch "pinned split")
+           pinned_sets)
+    profiles
+    (Array.to_list ctx.Sched.Sched_ctx.sweeps)
 
 (* The incremental retention pass must reproduce the reference decision —
    retained and rejected lists, rejection strings, avoided totals — for
@@ -182,6 +198,26 @@ let test_retention_mpeg () =
         (retention_mismatch ~rfs:[ 3; 1; 2; 8; 5; 60 ]
            (app, Workloads.Mpeg.clustering app)))
     [ Workloads.Mpeg.app (); Workloads.Mpeg.app_invariant () ]
+
+(* The two properties above at the claimed size: a 400-kernel app in
+   pairs, its sweeps against the reference formula and its prepared
+   retention against the reference decision in both set modes. *)
+let test_large_app () =
+  let app = Workloads.Random_app.large ~kernels:400 ~data:800 ~seed:1 in
+  let clustering = Workloads.Random_app.pairs_clustering app in
+  let ctx = Sched.Sched_ctx.make app clustering in
+  Array.iteri
+    (fun id (s : Sched.Ds_formula.sweep) ->
+      let p = Analysis.profile (Sched.Sched_ctx.analysis ctx) id in
+      let what = Printf.sprintf "cluster %d" id in
+      Alcotest.(check (pair int int))
+        (what ^ " split") (Sched.Ds_formula.split p)
+        (s.per_iteration, s.constant);
+      Alcotest.(check int)
+        (what ^ " footprint") (Sched.Ds_formula.closed_form p) s.footprint)
+    ctx.Sched.Sched_ctx.sweeps;
+  Alcotest.(check (option string)) "retention" None
+    (retention_mismatch ~rfs:[ 3; 1; 2 ] (app, clustering))
 
 (* End-to-end: every registered scheduler, dispatched by name, must return
    the very schedule (or the very error string) of its reference path. *)
@@ -357,6 +393,8 @@ let tests =
         `Quick test_estimate_long_runs;
       Alcotest.test_case "prepared retention = reference (MPEG, MPEG-inv)"
         `Quick test_retention_mpeg;
+      Alcotest.test_case "sweeps and retention = reference (400 kernels)"
+        `Slow test_large_app;
     ]
     @ List.map
         (QCheck_alcotest.to_alcotest ~long:false)

@@ -485,6 +485,7 @@ let test_felled_replays_change_nothing () =
   Alcotest.(check bool) "every felled replay is TASK_CRASHED" true
     (List.for_all is_crash felled);
   Alcotest.(check int) "nothing is recomputed" 0 (Engine.Stats.tasks_run st);
+  Alcotest.(check int) "a crash is no miss" 0 (Engine.Stats.cache_misses st);
   Alcotest.(check int) "nothing is quarantined" 0
     (Engine.Stats.store_quarantined st);
   Alcotest.(check int) "no warnings" 0 (List.length (Durable.warnings d));
